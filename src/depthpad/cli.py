@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import depthlabel, geometry, metrics
-from .features import OffBlockWeights, conv2d, off_block
+from .features import OffBlockWeights, conv2d, off_sequence
 from .recurrent import ConvGruCell, convgru_run, fuse_depth
 from .supervision import BinaryHead, multi_frame_report
 
@@ -47,7 +47,10 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    values = [float(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError("expected at least one comma-separated number")
+    return values
 
 
 def _parse_names(text: str) -> list[str]:
@@ -265,6 +268,9 @@ DEMO_SURFACE = {"amplitude": 8.0, "center": (16.0, 16.0), "radius": 12.0,
                 "grid_size": 65}
 DEMO_REDUCE_CHANNELS = 16
 DEMO_FUSE_CHANNELS = 32
+# The binary head holds (frames - 1) * grid**2 * 128 float64 weights, 1 MB per
+# frame at grid 32; the cap bounds that at 63 MB.
+MAX_DEMO_FRAMES = 64
 
 
 def _demo_frames(base: np.ndarray, n_frames: int) -> list[np.ndarray]:
@@ -279,8 +285,8 @@ def _demo_frames(base: np.ndarray, n_frames: int) -> list[np.ndarray]:
 
 def run_demo(alpha: float, beta: float, frames: int, seed: int,
              oracle: bool) -> dict:
-    if frames < 2:
-        raise UsageError(f"--frames must be at least 2, got {frames}")
+    if not 2 <= frames <= MAX_DEMO_FRAMES:
+        raise UsageError(f"--frames must lie in [2, {MAX_DEMO_FRAMES}], got {frames}")
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
         raise UsageError("alpha and beta must lie in [0, 1]")
     n_steps = frames - 1
@@ -314,8 +320,7 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
             frame_stack = _demo_frames(base, frames)
             single = [1.0 / (1.0 + np.exp(-conv2d(f, single_kernel)[:, :, 0]))
                       for f in frame_stack]
-            motion = [off_block(frame_stack[t], frame_stack[t + 1], None,
-                                off_weights) for t in range(n_steps)]
+            motion = off_sequence(frame_stack, off_weights)
             states = convgru_run(cell, np.zeros((grid, grid, 1)), motion)
             fused[kind] = [fuse_depth(single[t + 1], states[t][:, :, 0], alpha)
                            for t in range(n_steps)]
@@ -416,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="synthetic end-to-end pipeline demo")
     common(p_demo)
-    p_demo.add_argument("--frames", type=int, help="frames N_f (>= 2)")
+    p_demo.add_argument("--frames", type=int,
+                        help=f"frames N_f (2 to {MAX_DEMO_FRAMES})")
     p_demo.add_argument("--alpha", type=float,
                         help="single-frame weight in depth fusion")
     p_demo.add_argument("--beta", type=float,

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 GRID_SIZE = 32
 
@@ -121,16 +121,25 @@ def _cell_indices(coords, low, high, grid):
     return np.clip(idx, 0, grid - 1)
 
 
+# Cell centres within this distance outside a hull facet still count as
+# inside, so centres on a hull edge are kept despite rounding. On the integer
+# lattice a centre off an edge lies at least 1/(grid * sqrt 2) away from it.
+_HULL_TOL = 1e-9
+
+
 def _hull_mask(occupied: np.ndarray) -> np.ndarray:
     """Cells whose centers lie inside the convex hull of the occupied cells."""
     pts = np.argwhere(occupied).astype(float)
     try:
-        tri = Delaunay(pts)
+        hull = ConvexHull(pts)
     except QhullError:
         return occupied.copy()
     grid = occupied.shape[0]
     centers = np.argwhere(np.ones_like(occupied)).astype(float)
-    inside = tri.find_simplex(centers) >= 0
+    # equations rows are (unit outward normal, offset): inside means
+    # normal . p + offset <= 0 for every facet.
+    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+    inside = (centers @ normals.T + offsets <= _HULL_TOL).all(axis=1)
     return inside.reshape(grid, grid)
 
 

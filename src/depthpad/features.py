@@ -3,7 +3,9 @@
 Forward passes only: plain same-padded convolution, Sobel spatial gradients,
 frame-difference temporal gradients, the flow-orthogonality residual, and the
 five-branch motion block that concatenates a reduced feature map, both frames'
-spatial gradients, the temporal gradient, and the previous-level output.
+spatial gradients, the temporal gradient, and the previous-level output. Over
+a frame sequence, off_sequence reduces each frame once and shares it between
+the two pairs it belongs to.
 
 The Sobel stencils carry their conventional gain: a unit ramp reads 8, not 1,
 so velocity vectors fed to off_vector_residual must absorb that factor.
@@ -16,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 SOBEL_GAIN = 8.0  # response of the 3x3 stencil on a unit ramp
 
@@ -54,9 +55,14 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, padding: str = "replicate") -> np.
     if cin != x.shape[2]:
         raise ValueError(f"kernel expects {cin} input channels, tensor has {x.shape[2]}")
     padded = _pad_spatial(x, kh, kw, padding)
-    windows = sliding_window_view(padded, (kh, kw), axis=(0, 1))
-    # windows: (H, W, Cin, kH, kW); kernel: (kH, kW, Cin, Cout)
-    return np.einsum("hwcab,abcd->hwd", windows, kernel, optimize=True)
+    h, w = x.shape[:2]
+    # One (H, W, Cin) @ (Cin, Cout) matmul per tap, summed over the taps.
+    out = padded[:h, :w] @ kernel[0, 0]
+    for a in range(kh):
+        for b in range(kw):
+            if a or b:
+                out += padded[a:a + h, b:b + w] @ kernel[a, b]
+    return out
 
 
 def spatial_gradient(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +157,34 @@ class OffBlockWeights:
         return cls(reduce, fuse)
 
 
+def _reduce_frame(f: np.ndarray, weights: OffBlockWeights, padding: str
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frame's reduced features and their Sobel gradients (r, gx, gy)."""
+    r = conv2d(f, weights.reduce_1x1, padding)
+    return (r, *spatial_gradient(r))
+
+
+def _fuse_pair(red_t: tuple, red_t1: tuple, prev: np.ndarray | None,
+               weights: OffBlockWeights, padding: str) -> np.ndarray:
+    """Concatenate the branches of two reduced frames and apply the fuse conv."""
+    r_t, gx_t, gy_t = red_t
+    r_t1, gx_t1, gy_t1 = red_t1
+    branches = [r_t, gx_t, gy_t, gx_t1, gy_t1, temporal_gradient(r_t, r_t1)]
+    if prev is not None:
+        prev = _require_hwc("prev", prev)
+        if prev.shape[:2] != r_t.shape[:2]:
+            raise ValueError(
+                f"previous-level output spatial dims {prev.shape[:2]} do not "
+                f"match frame dims {r_t.shape[:2]}")
+        branches.append(prev)
+    cat = np.concatenate(branches, axis=2)
+    if cat.shape[2] != weights.fuse_3x3.shape[2]:
+        raise ValueError(
+            f"branch concatenation has {cat.shape[2]} channels but the fuse "
+            f"kernel expects {weights.fuse_3x3.shape[2]}")
+    return conv2d(cat, weights.fuse_3x3, padding)
+
+
 def off_block(f_t: np.ndarray, f_t1: np.ndarray, prev: np.ndarray | None,
               weights: OffBlockWeights, padding: str = "replicate") -> np.ndarray:
     """Assemble one motion block from two consecutive frames' features.
@@ -162,24 +196,28 @@ def off_block(f_t: np.ndarray, f_t1: np.ndarray, prev: np.ndarray | None,
     f_t1 = _require_hwc("f_t1", f_t1)
     if f_t.shape != f_t1.shape:
         raise ValueError(f"frame feature shapes differ: {f_t.shape} vs {f_t1.shape}")
-    r_t = conv2d(f_t, weights.reduce_1x1, padding)
-    r_t1 = conv2d(f_t1, weights.reduce_1x1, padding)
-    gx_t, gy_t = spatial_gradient(r_t)
-    gx_t1, gy_t1 = spatial_gradient(r_t1)
-    branches = [r_t, gx_t, gy_t, gx_t1, gy_t1, temporal_gradient(r_t, r_t1)]
-    if prev is not None:
-        prev = _require_hwc("prev", prev)
-        if prev.shape[:2] != f_t.shape[:2]:
-            raise ValueError(
-                f"previous-level output spatial dims {prev.shape[:2]} do not "
-                f"match frame dims {f_t.shape[:2]}")
-        branches.append(prev)
-    cat = np.concatenate(branches, axis=2)
-    if cat.shape[2] != weights.fuse_3x3.shape[2]:
-        raise ValueError(
-            f"branch concatenation has {cat.shape[2]} channels but the fuse "
-            f"kernel expects {weights.fuse_3x3.shape[2]}")
-    return conv2d(cat, weights.fuse_3x3, padding)
+    return _fuse_pair(_reduce_frame(f_t, weights, padding),
+                      _reduce_frame(f_t1, weights, padding),
+                      prev, weights, padding)
+
+
+def off_sequence(frames, weights: OffBlockWeights,
+                 padding: str = "replicate") -> list[np.ndarray]:
+    """First-level motion blocks for every consecutive pair of a frame sequence.
+
+    Equal to [off_block(frames[t], frames[t + 1], None, weights)] over t, but
+    each frame is reduced and differentiated once instead of twice.
+    """
+    frames = [_require_hwc(f"frames[{t}]", f) for t, f in enumerate(frames)]
+    if len(frames) < 2:
+        raise ValueError(f"a motion sequence needs at least 2 frames, got {len(frames)}")
+    for t, f in enumerate(frames[1:], start=1):
+        if f.shape != frames[0].shape:
+            raise ValueError(f"frame feature shapes differ: {frames[0].shape} "
+                             f"vs {f.shape} at frame {t}")
+    reduced = [_reduce_frame(f, weights, padding) for f in frames]
+    return [_fuse_pair(reduced[t], reduced[t + 1], None, weights, padding)
+            for t in range(len(frames) - 1)]
 
 
 # Tensor file format: one JSON object holding a kind tag, the shape header,

@@ -72,46 +72,53 @@ def _accepted(record: EvalRecord, threshold: float) -> bool:
     return record.score >= threshold
 
 
+def _error_rates(records: Sequence[EvalRecord], threshold: float):
+    """Per-PAI acceptance rates, bona fide rejection rate, and pooled
+    acceptance rate, from one grouping of the attacks.
+
+    Untagged attacks share the ATTACK group with attacks tagged "attack".
+    Returns (per_pai, bpcer, far, n_living, n_attack); per_pai is sorted by tag.
+    """
+    living, attacks = _split(records)
+    counts: dict[str, list[int]] = {}   # tag -> [accepted, total]
+    for rec in attacks:
+        group = counts.setdefault(rec.attack_kind or ATTACK, [0, 0])
+        group[0] += _accepted(rec, threshold)
+        group[1] += 1
+    per_pai = {kind: accepted / total
+               for kind, (accepted, total) in sorted(counts.items())}
+    bpcer = sum(not _accepted(r, threshold) for r in living) / len(living)
+    far = sum(accepted for accepted, _ in counts.values()) / len(attacks)
+    return per_pai, bpcer, far, len(living), len(attacks)
+
+
 def apcer_bpcer_acer(records: Sequence[EvalRecord],
                      threshold: float) -> tuple[float, float, float]:
     """Worst per-PAI acceptance rate, bona fide rejection rate, and their mean."""
-    living, attacks = _split(records)
-    by_pai: dict[Optional[str], list[EvalRecord]] = {}
-    for rec in attacks:
-        by_pai.setdefault(rec.attack_kind, []).append(rec)
-    apcer = max(sum(_accepted(r, threshold) for r in group) / len(group)
-                for group in by_pai.values())
-    bpcer = sum(not _accepted(r, threshold) for r in living) / len(living)
+    per_pai, bpcer, _, _, _ = _error_rates(records, threshold)
+    apcer = max(per_pai.values())
     return apcer, bpcer, (apcer + bpcer) / 2.0
 
 
 def hter(records: Sequence[EvalRecord], threshold: float) -> float:
     """Half total error rate; attacks pooled into one false-acceptance rate."""
-    living, attacks = _split(records)
-    frr = sum(not _accepted(r, threshold) for r in living) / len(living)
-    far = sum(_accepted(r, threshold) for r in attacks) / len(attacks)
+    _, frr, far, _, _ = _error_rates(records, threshold)
     return (frr + far) / 2.0
 
 
 def metrics_summary(records: Sequence[EvalRecord], threshold: float) -> dict:
     """All metrics in one JSON-ready dict with fixed keys."""
-    apcer, bpcer, acer = apcer_bpcer_acer(records, threshold)
-    living, attacks = _split(records)
-    per_pai = {}
-    for rec in attacks:
-        per_pai.setdefault(rec.attack_kind or ATTACK, []).append(rec)
+    per_pai, bpcer, far, n_living, n_attack = _error_rates(records, threshold)
+    apcer = max(per_pai.values())
     return {
         "threshold": threshold,
         "apcer": apcer,
         "bpcer": bpcer,
-        "acer": acer,
-        "hter": hter(records, threshold),
-        "per_pai_apcer": {
-            kind: sum(_accepted(r, threshold) for r in group) / len(group)
-            for kind, group in sorted(per_pai.items())
-        },
-        "n_living": len(living),
-        "n_attack": len(attacks),
+        "acer": (apcer + bpcer) / 2.0,
+        "hter": (bpcer + far) / 2.0,
+        "per_pai_apcer": per_pai,
+        "n_living": n_living,
+        "n_attack": n_attack,
     }
 
 

@@ -100,8 +100,11 @@ def convgru_step(cell: ConvGruCell, h_prev: np.ndarray, x: np.ndarray
         raise ValueError(f"input has {x.shape[2]} channels, "
                          f"cell expects {cell.input_channels}")
     hx = np.concatenate([h_prev, x], axis=2)
-    r = _sigmoid(conv2d(hx, cell.k_r, padding="zero"))
-    u = _sigmoid(conv2d(hx, cell.k_u, padding="zero"))
+    # Both gates read [h, x]: one conv over the kernels stacked on Cout.
+    gates = _sigmoid(conv2d(hx, np.concatenate([cell.k_r, cell.k_u], axis=3),
+                            padding="zero"))
+    ch = cell.hidden_channels
+    r, u = gates[:, :, :ch], gates[:, :, ch:]
     rhx = np.concatenate([r * h_prev, x], axis=2)
     candidate = np.tanh(conv2d(rhx, cell.k_h, padding="zero"))
     h_new = (1.0 - u) * h_prev + u * candidate

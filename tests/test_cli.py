@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from depthpad import depthlabel, metrics
-from depthpad.cli import main, parse_config_file, svg_line_plot
+from depthpad.cli import (
+    MAX_DEMO_FRAMES,
+    UsageError,
+    main,
+    parse_config_file,
+    svg_line_plot,
+)
 from depthpad.geometry import read_sweep_csv
 
 
@@ -83,6 +89,15 @@ class TestSimulate:
         with pytest.raises(Exception):
             parse_config_file(bad_field)
 
+    def test_empty_dv_schedule_is_usage_error(self, tmp_path):
+        for text in ("dv_schedule =\n", "dv_schedule = , ,\n"):
+            cfg = tmp_path / "empty.cfg"
+            cfg.write_text("scenes = print\n" + text)
+            with pytest.raises(UsageError, match="dv_schedule"):
+                parse_config_file(cfg)
+            assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+        assert not (tmp_path / "simulation.csv").exists()
+
     def test_unusable_scene_is_data_error(self, tmp_path):
         cfg = tmp_path / "still.cfg"
         # A print carrier that never moves produces no observable flow.
@@ -154,6 +169,16 @@ class TestDemo:
 
     def test_bad_alpha_is_usage_error(self, tmp_path):
         assert run(["demo", "--alpha", "1.5", "--out", tmp_path]) == 2
+
+    def test_frames_above_cap_is_usage_error(self, tmp_path):
+        # Rejected before any weights are allocated, by flag or config file.
+        over = MAX_DEMO_FRAMES + 1
+        assert run(["demo", "--frames", over, "--out", tmp_path]) == 2
+        assert run(["demo", "--oracle", "--frames", over, "--out", tmp_path]) == 2
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(f"frames = {over}\n")
+        assert run(["demo", "--config", cfg, "--out", tmp_path]) == 2
+        assert not (tmp_path / "demo.json").exists()
 
 
 class TestMetricsCommand:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay, QhullError
 
 from depthpad.depthlabel import (
     LIVING,
@@ -9,6 +10,8 @@ from depthpad.depthlabel import (
     DepthMap,
     FaceMask,
     VertexSet,
+    _cell_indices,
+    _hull_mask,
     depth_from_csv,
     depth_from_json,
     depth_to_csv,
@@ -27,6 +30,28 @@ from depthpad.depthlabel import (
 def hemisphere_cloud(grid_size=65):
     return synthesize_face_surface(amplitude=8.0, center=(16.0, 16.0),
                                    radius=12.0, grid_size=grid_size)
+
+
+def reference_hull_mask(occupied):
+    # Triangulation path: a cell is inside when its centre falls in some
+    # Delaunay simplex of the occupied cell centres.
+    pts = np.argwhere(occupied).astype(float)
+    try:
+        tri = Delaunay(pts)
+    except QhullError:
+        return occupied.copy()
+    grid = occupied.shape[0]
+    centers = np.argwhere(np.ones_like(occupied)).astype(float)
+    return (tri.find_simplex(centers) >= 0).reshape(grid, grid)
+
+
+def occupied_cells(vertices, grid=32):
+    v = np.asarray(vertices, dtype=float)
+    occupied = np.zeros((grid, grid), dtype=bool)
+    cols = _cell_indices(v[:, 0], v[:, 0].min(), v[:, 0].max(), grid)
+    rows = _cell_indices(v[:, 1], v[:, 1].min(), v[:, 1].max(), grid)
+    occupied[rows, cols] = True
+    return occupied
 
 
 class TestTypes:
@@ -171,6 +196,60 @@ class TestGenerateLivingDepth:
         cloud = hemisphere_cloud(grid_size=20)
         with pytest.raises(ValueError):
             generate_living_depth(cloud, bounds=(10.0, 20.0, 10.0, 20.0))
+
+
+class TestHullMask:
+    """Half-plane hull test against the triangulation reference."""
+
+    def assert_matches_reference(self, occupied):
+        got = _hull_mask(occupied)
+        assert got.dtype == bool
+        assert np.array_equal(got, reference_hull_mask(occupied))
+        assert not (occupied & ~got).any()  # every occupied cell is inside
+
+    def test_dome_clouds(self):
+        # The unjittered 65x65 dome is the demo's living surface.
+        for grid_size in (12, 20, 65):
+            clouds = [synthesize_face_surface(grid_size=grid_size)]
+            clouds += [synthesize_face_surface(grid_size=grid_size, jitter=0.4,
+                                               seed=seed) for seed in range(10)]
+            for cloud in clouds:
+                self.assert_matches_reference(occupied_cells(cloud.vertices))
+
+    def test_sparse_random_clouds(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = rng.integers(3, 40)
+            occupied = np.zeros((32, 32), dtype=bool)
+            occupied[rng.integers(0, 32, n), rng.integers(0, 32, n)] = True
+            self.assert_matches_reference(occupied)
+
+    def test_collinear_cells_fall_back_to_occupied(self):
+        for cells in (np.arange(32)[:, None].repeat(2, axis=1),   # diagonal
+                      np.column_stack([np.full(10, 5), np.arange(3, 13)]),
+                      np.column_stack([np.arange(0, 30, 3), np.full(10, 31)])):
+            occupied = np.zeros((32, 32), dtype=bool)
+            occupied[cells[:, 0], cells[:, 1]] = True
+            assert np.array_equal(_hull_mask(occupied), occupied)
+            self.assert_matches_reference(occupied)
+
+    def test_single_and_pair_of_cells(self):
+        for cells in ([(4, 9)], [(0, 0), (31, 31)]):
+            occupied = np.zeros((32, 32), dtype=bool)
+            for i, j in cells:
+                occupied[i, j] = True
+            assert np.array_equal(_hull_mask(occupied), occupied)
+            self.assert_matches_reference(occupied)
+
+    def test_full_grid_and_edge_centres(self):
+        self.assert_matches_reference(np.ones((32, 32), dtype=bool))
+        # Triangle corners only: every centre on its three edges is a tie.
+        occupied = np.zeros((32, 32), dtype=bool)
+        occupied[0, 0] = occupied[0, 31] = occupied[31, 0] = True
+        hull = _hull_mask(occupied)
+        assert hull[0].all() and hull[:, 0].all()
+        assert all(hull[i, 31 - i] for i in range(32))
+        self.assert_matches_reference(occupied)
 
 
 class TestMaskFromDepth:

@@ -8,6 +8,7 @@ from depthpad.features import (
     load_off_block_weights,
     load_tensor,
     off_block,
+    off_sequence,
     off_vector_residual,
     save_off_block_weights,
     save_tensor,
@@ -82,11 +83,14 @@ class TestConv2d:
 
     def test_matches_reference_loops(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((5, 6, 2))
-        k = rng.standard_normal((3, 3, 2, 3))
-        for padding in ("replicate", "zero"):
-            assert np.allclose(conv2d(x, k, padding),
-                               reference_conv2d(x, k, padding), atol=1e-12)
+        for shape in ((5, 6, 2), (7, 4, 3), (3, 9, 1)):
+            for kh, kw in ((1, 1), (3, 3), (5, 5), (1, 3), (5, 3)):
+                x = rng.standard_normal(shape)
+                k = rng.standard_normal((kh, kw, shape[2], 3))
+                for padding in ("replicate", "zero"):
+                    assert np.allclose(conv2d(x, k, padding),
+                                       reference_conv2d(x, k, padding),
+                                       atol=1e-12)
 
     def test_shape_and_parity_errors(self):
         x = np.zeros((5, 5, 2))
@@ -257,6 +261,43 @@ class TestOffBlock:
         f_t1 = rng.standard_normal((6, 6, 3))
         assert np.array_equal(off_block(f_t, f_t1, None, w),
                               off_block(f_t, f_t1, None, w))
+
+
+class TestOffSequence:
+    def test_matches_per_pair_off_block(self):
+        rng = np.random.default_rng(18)
+        for n_frames, shape in ((2, (6, 6, 3)), (5, (8, 7, 3)), (7, (5, 9, 3))):
+            w = OffBlockWeights.seeded(3, reduce_channels=4, out_channels=5,
+                                       seed=n_frames)
+            frames = [rng.standard_normal(shape) for _ in range(n_frames)]
+            got = off_sequence(frames, w)
+            assert len(got) == n_frames - 1
+            for t, block in enumerate(got):
+                want = off_block(frames[t], frames[t + 1], None, w)
+                assert block.shape == want.shape
+                assert np.allclose(block, want, rtol=0, atol=1e-12)
+
+    def test_zero_padding_forwarded(self):
+        rng = np.random.default_rng(19)
+        w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4, seed=2)
+        frames = [rng.standard_normal((6, 6, 3)) for _ in range(3)]
+        got = off_sequence(frames, w, padding="zero")
+        for t in range(2):
+            want = off_block(frames[t], frames[t + 1], None, w, padding="zero")
+            assert np.allclose(got[t], want, rtol=0, atol=1e-12)
+
+    def test_sequence_errors(self):
+        rng = np.random.default_rng(20)
+        w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4)
+        f = rng.standard_normal((6, 6, 3))
+        with pytest.raises(ValueError):
+            off_sequence([f], w)  # no pair
+        with pytest.raises(ValueError):
+            off_sequence([f, f, rng.standard_normal((6, 5, 3))], w)
+        with pytest.raises(ValueError):
+            off_sequence([f, f], OffBlockWeights.seeded(3, reduce_channels=2,
+                                                       out_channels=4,
+                                                       prev_channels=2))
 
 
 class TestTensorFiles:

@@ -29,7 +29,7 @@ def brute_force_rates(records, threshold):
             living_total += 1
             living_reject += 0 if accepted else 1
         else:
-            key = rec.attack_kind
+            key = rec.attack_kind or ATTACK
             pai_total[key] = pai_total.get(key, 0) + 1
             pai_accept[key] = pai_accept.get(key, 0) + int(accepted)
             attack_total += 1
@@ -133,15 +133,30 @@ class TestApcerBpcerAcer:
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(0)
-        kinds = ["print1", "print2", "replay1", None]
+        kinds = ["print1", "print2", "replay1", ATTACK, None]
         for _ in range(100):
             records = [EvalRecord(rng.random(), LIVING)
                        for _ in range(rng.integers(1, 8))]
-            records += [EvalRecord(rng.random(), ATTACK, rng.choice(kinds[:-1]))
+            records += [EvalRecord(rng.random(), ATTACK,
+                                   kinds[rng.integers(len(kinds))])
                         for _ in range(rng.integers(1, 12))]
             threshold = rng.random()
             got = apcer_bpcer_acer(records, threshold) + (hter(records, threshold),)
             assert got == pytest.approx(brute_force_rates(records, threshold))
+            summary = metrics_summary(records, threshold)
+            assert summary["apcer"] == got[0]
+            assert summary["apcer"] == max(summary["per_pai_apcer"].values())
+
+    def test_untagged_attacks_group_with_attack_tag(self):
+        # One accepted untagged attack and two rejected "attack"-tagged ones
+        # form a single group of three.
+        records = [EvalRecord(0.9, ATTACK, None),
+                   EvalRecord(0.1, ATTACK, ATTACK), EvalRecord(0.1, ATTACK, ATTACK),
+                   EvalRecord(0.9, LIVING)]
+        apcer, _, _ = apcer_bpcer_acer(records, 0.5)
+        summary = metrics_summary(records, 0.5)
+        assert summary["per_pai_apcer"] == {ATTACK: pytest.approx(1 / 3)}
+        assert apcer == summary["apcer"] == max(summary["per_pai_apcer"].values())
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from depthpad.features import conv2d
 from depthpad.recurrent import ConvGruCell, convgru_run, convgru_step, fuse_depth
 
 
@@ -36,6 +37,24 @@ class TestConvGruStep:
         for gate in (r, u):
             assert (gate > 0).all()
             assert (gate < 1).all()
+
+    def test_matches_gate_by_gate_equations(self):
+        # The module docstring's equations, one convolution per kernel.
+        rng = np.random.default_rng(2)
+        for hidden in (1, 3):
+            cell = ConvGruCell.seeded(input_channels=4, hidden_channels=hidden,
+                                      scale=0.5, seed=hidden)
+            h = rng.uniform(-1, 1, (7, 9, hidden))
+            x = rng.standard_normal((7, 9, 4))
+            hx = np.concatenate([h, x], axis=2)
+            r = 1.0 / (1.0 + np.exp(-conv2d(hx, cell.k_r, padding="zero")))
+            u = 1.0 / (1.0 + np.exp(-conv2d(hx, cell.k_u, padding="zero")))
+            c = np.tanh(conv2d(np.concatenate([r * h, x], axis=2), cell.k_h,
+                               padding="zero"))
+            h_new, (r_got, u_got) = convgru_step(cell, h, x)
+            assert np.allclose(r_got, r, rtol=0, atol=1e-12)
+            assert np.allclose(u_got, u, rtol=0, atol=1e-12)
+            assert np.allclose(h_new, (1.0 - u) * h + u * c, rtol=0, atol=1e-12)
 
     def test_shape_mismatches_rejected(self):
         cell = zero_cell(input_channels=2, hidden_channels=1)
