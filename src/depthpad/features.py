@@ -201,8 +201,7 @@ def off_block(f_t: np.ndarray, f_t1: np.ndarray, prev: np.ndarray | None,
                       prev, weights, padding)
 
 
-def off_sequence(frames, weights: OffBlockWeights,
-                 padding: str = "replicate") -> list[np.ndarray]:
+def off_sequence(frames, weights: OffBlockWeights) -> list[np.ndarray]:
     """First-level motion blocks for every consecutive pair of a frame sequence.
 
     Equal to [off_block(frames[t], frames[t + 1], None, weights)] over t, but
@@ -215,8 +214,8 @@ def off_sequence(frames, weights: OffBlockWeights,
         if f.shape != frames[0].shape:
             raise ValueError(f"frame feature shapes differ: {frames[0].shape} "
                              f"vs {f.shape} at frame {t}")
-    reduced = [_reduce_frame(f, weights, padding) for f in frames]
-    return [_fuse_pair(reduced[t], reduced[t + 1], None, weights, padding)
+    reduced = [_reduce_frame(f, weights, "replicate") for f in frames]
+    return [_fuse_pair(reduced[t], reduced[t + 1], None, weights, "replicate")
             for t in range(len(frames) - 1)]
 
 

@@ -72,12 +72,23 @@ def _accepted(record: EvalRecord, threshold: float) -> bool:
     return record.score >= threshold
 
 
-def _error_rates(records: Sequence[EvalRecord], threshold: float):
-    """Per-PAI acceptance rates, bona fide rejection rate, and pooled
-    acceptance rate, from one grouping of the attacks.
+def apcer_bpcer_acer(records: Sequence[EvalRecord],
+                     threshold: float) -> tuple[float, float, float]:
+    """Worst per-PAI acceptance rate, bona fide rejection rate, and their mean."""
+    summary = metrics_summary(records, threshold)
+    return summary["apcer"], summary["bpcer"], summary["acer"]
 
-    Untagged attacks share the ATTACK group with attacks tagged "attack".
-    Returns (per_pai, bpcer, far, n_living, n_attack); per_pai is sorted by tag.
+
+def hter(records: Sequence[EvalRecord], threshold: float) -> float:
+    """Half total error rate; attacks pooled into one false-acceptance rate."""
+    return metrics_summary(records, threshold)["hter"]
+
+
+def metrics_summary(records: Sequence[EvalRecord], threshold: float) -> dict:
+    """All metrics in one JSON-ready dict with fixed keys.
+
+    The attacks are grouped by tag once; untagged attacks share the ATTACK
+    group with attacks tagged "attack", so apcer is max(per_pai_apcer).
     """
     living, attacks = _split(records)
     counts: dict[str, list[int]] = {}   # tag -> [accepted, total]
@@ -87,29 +98,9 @@ def _error_rates(records: Sequence[EvalRecord], threshold: float):
         group[1] += 1
     per_pai = {kind: accepted / total
                for kind, (accepted, total) in sorted(counts.items())}
+    apcer = max(per_pai.values())
     bpcer = sum(not _accepted(r, threshold) for r in living) / len(living)
     far = sum(accepted for accepted, _ in counts.values()) / len(attacks)
-    return per_pai, bpcer, far, len(living), len(attacks)
-
-
-def apcer_bpcer_acer(records: Sequence[EvalRecord],
-                     threshold: float) -> tuple[float, float, float]:
-    """Worst per-PAI acceptance rate, bona fide rejection rate, and their mean."""
-    per_pai, bpcer, _, _, _ = _error_rates(records, threshold)
-    apcer = max(per_pai.values())
-    return apcer, bpcer, (apcer + bpcer) / 2.0
-
-
-def hter(records: Sequence[EvalRecord], threshold: float) -> float:
-    """Half total error rate; attacks pooled into one false-acceptance rate."""
-    _, frr, far, _, _ = _error_rates(records, threshold)
-    return (frr + far) / 2.0
-
-
-def metrics_summary(records: Sequence[EvalRecord], threshold: float) -> dict:
-    """All metrics in one JSON-ready dict with fixed keys."""
-    per_pai, bpcer, far, n_living, n_attack = _error_rates(records, threshold)
-    apcer = max(per_pai.values())
     return {
         "threshold": threshold,
         "apcer": apcer,
@@ -117,8 +108,8 @@ def metrics_summary(records: Sequence[EvalRecord], threshold: float) -> dict:
         "acer": (apcer + bpcer) / 2.0,
         "hter": (bpcer + far) / 2.0,
         "per_pai_apcer": per_pai,
-        "n_living": n_living,
-        "n_attack": n_attack,
+        "n_living": len(living),
+        "n_attack": len(attacks),
     }
 
 

@@ -277,15 +277,6 @@ class TestOffSequence:
                 assert block.shape == want.shape
                 assert np.allclose(block, want, rtol=0, atol=1e-12)
 
-    def test_zero_padding_forwarded(self):
-        rng = np.random.default_rng(19)
-        w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4, seed=2)
-        frames = [rng.standard_normal((6, 6, 3)) for _ in range(3)]
-        got = off_sequence(frames, w, padding="zero")
-        for t in range(2):
-            want = off_block(frames[t], frames[t + 1], None, w, padding="zero")
-            assert np.allclose(got[t], want, rtol=0, atol=1e-12)
-
     def test_sequence_errors(self):
         rng = np.random.default_rng(20)
         w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4)
