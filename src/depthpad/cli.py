@@ -54,7 +54,10 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_names(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    if not names:
+        raise ValueError("expected at least one comma-separated name")
+    return names
 
 
 CONFIG_FIELDS = {
@@ -289,6 +292,8 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
         raise UsageError(f"--frames must lie in [2, {MAX_DEMO_FRAMES}], got {frames}")
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
         raise UsageError("alpha and beta must lie in [0, 1]")
+    if seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {seed}")
     n_steps = frames - 1
     grid = depthlabel.GRID_SIZE
 
@@ -360,7 +365,7 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
 
 def cmd_demo(args: argparse.Namespace) -> int:
     s = Settings(args)
-    oracle = bool(getattr(args, "oracle", False)) or s.get("oracle")
+    oracle = s.get("oracle")
     report = run_demo(alpha=s.get("alpha"), beta=s.get("beta"),
                       frames=s.get("frames"), seed=s.get("seed"),
                       oracle=oracle)
@@ -381,6 +386,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     s = Settings(args)
+    threshold = s.get("threshold")
+    if not math.isfinite(threshold):
+        raise UsageError(f"--threshold must be finite, got {threshold}")
     try:
         records = metrics.read_records_csv(args.records)
     except OSError as exc:
@@ -388,7 +396,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DataError(f"bad records file {args.records}: {exc}")
     try:
-        summary = metrics.metrics_summary(records, s.get("threshold"))
+        summary = metrics.metrics_summary(records, threshold)
     except ValueError as exc:
         raise DataError(str(exc))
     out_dir = Path(s.get("out"))

@@ -4,12 +4,13 @@ Living samples get a normalized depth map in [0, 1] built from a facial
 vertex cloud (nearest point 1, farthest point 0, background 0); spoof samples
 get the all-zero map. A parametric dome surface stands in for a real face
 reconstruction so the whole path stays deterministic and mesh free.
+
+Depth maps and masks are stored with features.save_tensor; a depth map's
+label kind is its kind tag, so DepthMap(*load_tensor(path)) restores it.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,55 +230,3 @@ def generate_living_depth(vertex_set: VertexSet,
 def mask_from_depth(depth: DepthMap, threshold: float = 0.0) -> FaceMask:
     """Face mask of cells strictly above the threshold."""
     return FaceMask((depth.values > threshold).astype(np.int64))
-
-
-# Serialization. Values are written with repr so every float round-trips
-# bit for bit through both the CSV and the JSON form.
-
-def depth_to_csv(depth: DepthMap, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in depth.values:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def depth_from_csv(path, label_kind: str = LIVING) -> DepthMap:
-    with open(path, newline="") as fh:
-        rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
-    return DepthMap(np.array(rows), label_kind)
-
-
-def depth_to_json(depth: DepthMap, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"label_kind": depth.label_kind,
-                   "values": depth.values.tolist()}, fh)
-
-
-def depth_from_json(path) -> DepthMap:
-    with open(path) as fh:
-        data = json.load(fh)
-    return DepthMap(np.array(data["values"], dtype=float), data["label_kind"])
-
-
-def mask_to_csv(mask: FaceMask, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in mask.values:
-            writer.writerow([int(v) for v in row])
-
-
-def mask_from_csv(path) -> FaceMask:
-    with open(path, newline="") as fh:
-        rows = [[int(cell) for cell in row] for row in csv.reader(fh) if row]
-    return FaceMask(np.array(rows))
-
-
-def mask_to_json(mask: FaceMask, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"values": mask.values.tolist()}, fh)
-
-
-def mask_from_json(path) -> FaceMask:
-    with open(path) as fh:
-        data = json.load(fh)
-    return FaceMask(np.array(data["values"]))

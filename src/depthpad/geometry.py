@@ -244,31 +244,29 @@ def map_rotated_coordinate(u: float, zb: float, theta: float) -> float:
     return zb * u * math.cos(theta) / den
 
 
-def _recording_flows(cfg: AttackSceneConfig) -> tuple[float, float, float]:
-    """Recording-plane flows of the three points inside the recorded content."""
-    return (
-        cfg.fa * cfg.dx / cfg.za,
-        cfg.fa * cfg.dx / (cfg.za + cfg.d1),
-        cfg.fa * cfg.dx / (cfg.za + cfg.d2),
-    )
+def _rotated_endpoints(cfg: AttackSceneConfig
+                       ) -> tuple[tuple[float, float], ...]:
+    """(start, end) recording-plane coordinates of the near, middle, far points.
+
+    The starts are ul1/um1/ur1; each end is its start displaced by that
+    point's recording flow fa*dx / (za + depth offset) inside the recorded
+    content.
+    """
+    starts = (cfg.ul1, cfg.um1, cfg.ur1)
+    depths = (cfg.za, cfg.za + cfg.d1, cfg.za + cfg.d2)
+    return tuple((u1, u1 + cfg.fa * cfg.dx / z) for u1, z in zip(starts, depths))
 
 
 def flow_rotated(cfg: AttackSceneConfig) -> FlowObservation:
     """Realistic-camera flows for a carrier rotated by cfg.theta.
 
     Each recording-plane flow is mapped through the rotated plane as the
-    difference of map_rotated_coordinate at the start and end coordinates
-    (ul1/um1/ur1 and their displaced positions), then scaled onto the
-    realistic image plane.
+    difference of map_rotated_coordinate at its start and end coordinates,
+    then scaled onto the realistic image plane.
     """
-    flows = _recording_flows(cfg)
-    starts = (cfg.ul1, cfg.um1, cfg.ur1)
-    mapped = []
-    for u1, du in zip(starts, flows):
-        u2 = u1 + du
-        mapped.append(
-            map_rotated_coordinate(u2, cfg.zb, cfg.theta)
-            - map_rotated_coordinate(u1, cfg.zb, cfg.theta))
+    mapped = [map_rotated_coordinate(u2, cfg.zb, cfg.theta)
+              - map_rotated_coordinate(u1, cfg.zb, cfg.theta)
+              for u1, u2 in _rotated_endpoints(cfg)]
     scale = cfg.fb / cfg.zb
     return FlowObservation(*(scale * m for m in mapped))
 
@@ -281,14 +279,8 @@ def rotation_beta_factors(cfg: AttackSceneConfig) -> tuple[float, float]:
     both collapse to exactly 1.
     """
     s = math.sin(cfg.theta)
-    flows = _recording_flows(cfg)
-    u = {
-        "l": (cfg.ul1, cfg.ul1 + flows[0]),
-        "m": (cfg.um1, cfg.um1 + flows[1]),
-        "r": (cfg.ur1, cfg.ur1 + flows[2]),
-    }
     den = {}
-    for key, (u1, u2) in u.items():
+    for key, (u1, u2) in zip("lmr", _rotated_endpoints(cfg)):
         a = cfg.zb - u1 * s
         b = cfg.zb - u2 * s
         if a <= 0 or b <= 0:
@@ -355,9 +347,8 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
             obs = flow_rotated(frame_cfg)
             records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
                                        closed_form_rotated_ratio(frame_cfg)))
-            dul, dum, dur = _recording_flows(frame_cfg)
-            frame_cfg = replace(frame_cfg, ul1=frame_cfg.ul1 + dul,
-                                um1=frame_cfg.um1 + dum, ur1=frame_cfg.ur1 + dur)
+            (_, ul2), (_, um2), (_, ur2) = _rotated_endpoints(frame_cfg)
+            frame_cfg = replace(frame_cfg, ul1=ul2, um1=um2, ur1=ur2)
         return records
 
     if dv_schedule is None:

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-LIVING = "living"
+from .depthlabel import LIVING
+
 ATTACK = "attack"
 
 

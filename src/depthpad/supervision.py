@@ -56,13 +56,16 @@ def _maybe_scalar(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-def _shift_response(grid: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """grid[p + (di, dj)] - grid[p] with zeros outside, the kernel correlation."""
+def _shift_responses(grid: np.ndarray, offsets=CONTRAST_OFFSETS):
+    """grid[p + (di, dj)] - grid[p] with zeros outside, per offset.
+
+    These are the kernel correlations; the grid is padded once for all offsets.
+    """
     h, w = grid.shape[-2:]
     pad = [(0, 0)] * (grid.ndim - 2) + [(1, 1), (1, 1)]
     p = np.pad(grid, pad)
-    shifted = p[..., 1 + di:1 + di + h, 1 + dj:1 + dj + w]
-    return shifted - grid
+    return [p[..., 1 + di:1 + di + h, 1 + dj:1 + dj + w] - grid
+            for di, dj in offsets]
 
 
 def euclidean_depth_loss(pred, label):
@@ -75,17 +78,12 @@ def euclidean_depth_loss(pred, label):
 def contrastive_depth_loss(pred, label):
     """Summed squared difference of the 8 kernel responses.
 
-    The responses are linear, so they are evaluated on pred - label directly
-    with one shared padding pass.
+    The responses are linear, so they are evaluated on pred - label directly.
     """
     pred, label = _check_pair(pred, label)
-    h, w = pred.shape[-2:]
     diff = pred - label
-    pad = [(0, 0)] * (diff.ndim - 2) + [(1, 1), (1, 1)]
-    padded = np.pad(diff, pad)
     total = np.zeros(diff.shape[:-2])
-    for di, dj in CONTRAST_OFFSETS:
-        r = padded[..., 1 + di:1 + di + h, 1 + dj:1 + dj + w] - diff
+    for r in _shift_responses(diff):
         total = total + np.einsum("...ij,...ij->...", r, r)
     return _maybe_scalar(total)
 
@@ -99,10 +97,11 @@ def euclidean_loss_gradient(pred, label) -> np.ndarray:
 def contrastive_loss_gradient(pred, label) -> np.ndarray:
     """d/dpred of the contrastive term via the adjoint (flipped) kernels."""
     pred, label = _check_pair(pred, label)
-    grad = np.zeros(np.broadcast_shapes(pred.shape, label.shape))
-    for di, dj in CONTRAST_OFFSETS:
-        response = _shift_response(pred, di, dj) - _shift_response(label, di, dj)
-        grad = grad + 2.0 * _shift_response(response, -di, -dj)
+    diff = pred - label
+    grad = np.zeros(diff.shape)
+    for (di, dj), response in zip(CONTRAST_OFFSETS, _shift_responses(diff)):
+        (adjoint,) = _shift_responses(response, [(-di, -dj)])
+        grad = grad + 2.0 * adjoint
     return grad
 
 
@@ -144,14 +143,22 @@ def single_frame_loss(pred, label) -> LossReport:
                       depth_total=absolute + contrast)
 
 
-def multi_frame_depth_loss(preds: Sequence, labels: Sequence) -> float:
-    """Per-frame absolute plus contrastive losses summed over the sequence."""
+def _sequence_depth_terms(preds: Sequence, labels: Sequence
+                          ) -> tuple[float, float]:
+    """Absolute and contrastive losses, each summed over the frames."""
     if len(preds) != len(labels):
         raise ValueError(f"{len(preds)} predictions vs {len(labels)} labels")
     if not preds:
         raise ValueError("need at least one frame")
-    return float(sum(single_frame_loss(p, l).depth_total
-                     for p, l in zip(preds, labels)))
+    absolute = float(sum(euclidean_depth_loss(p, l) for p, l in zip(preds, labels)))
+    contrast = float(sum(contrastive_depth_loss(p, l) for p, l in zip(preds, labels)))
+    return absolute, contrast
+
+
+def multi_frame_depth_loss(preds: Sequence, labels: Sequence) -> float:
+    """Per-frame absolute plus contrastive losses summed over the sequence."""
+    absolute, contrast = _sequence_depth_terms(preds, labels)
+    return absolute + contrast
 
 
 @dataclass(frozen=True)
@@ -229,10 +236,7 @@ def multi_frame_report(preds: Sequence, labels: Sequence, head: BinaryHead,
                        binary_label: int, beta: float
                        ) -> tuple[LossReport, float]:
     """Full multi-frame loss breakdown plus the living probability."""
-    if len(preds) != len(labels) or not preds:
-        raise ValueError(f"{len(preds)} predictions vs {len(labels)} labels")
-    absolute = float(sum(euclidean_depth_loss(p, l) for p, l in zip(preds, labels)))
-    contrast = float(sum(contrastive_depth_loss(p, l) for p, l in zip(preds, labels)))
+    absolute, contrast = _sequence_depth_terms(preds, labels)
     depth_total = absolute + contrast
     bin_loss, b_hat = binary_loss(head, preds, binary_label)
     report = LossReport(absolute=absolute, contrastive=contrast,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,28 @@ from depthpad.cli import (
 from depthpad.geometry import read_sweep_csv
 
 
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def assert_matches_reference(got, ref, where="demo.json"):
+    """Same keys, lengths and types as ref; floats equal to rel 1e-12."""
+    assert type(got) is type(ref), f"{where}: {got!r} vs reference {ref!r}"
+    if isinstance(ref, dict):
+        assert list(got) == list(ref), f"{where}: keys differ"
+        for key in ref:
+            assert_matches_reference(got[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, list):
+        assert len(got) == len(ref), f"{where}: lengths differ"
+        for i, (g, r) in enumerate(zip(got, ref)):
+            assert_matches_reference(g, r, f"{where}[{i}]")
+    elif isinstance(ref, float):
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0), where
+    else:
+        assert got == ref, where
 
 
 class TestSimulate:
@@ -98,6 +119,15 @@ class TestSimulate:
             assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
         assert not (tmp_path / "simulation.csv").exists()
 
+    def test_empty_scenes_is_usage_error(self, tmp_path):
+        for text in ("scenes =\n", "scenes = , ,\n"):
+            cfg = tmp_path / "empty.cfg"
+            cfg.write_text(text)
+            with pytest.raises(UsageError, match="scenes"):
+                parse_config_file(cfg)
+            assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+        assert not (tmp_path / "simulation.csv").exists()
+
     def test_unusable_scene_is_data_error(self, tmp_path):
         cfg = tmp_path / "still.cfg"
         # A print carrier that never moves produces no observable flow.
@@ -123,6 +153,14 @@ class TestDemo:
             assert losses["multi_total"] == pytest.approx(
                 0.9 * losses["binary"] + 0.1 * losses["depth_total"], rel=1e-12)
             assert 0.0 <= entry["b_hat"] <= 1.0
+
+    @pytest.mark.parametrize("mode", ["full", "oracle"])
+    def test_seed7_matches_reference(self, tmp_path, mode):
+        flags = ["--oracle"] if mode == "oracle" else []
+        assert run(["demo", "--seed", 7, "--out", tmp_path, *flags]) == 0
+        report = json.loads((tmp_path / "demo.json").read_text())
+        ref_path = REFERENCE_DIR / f"demo-{mode}-seed7.json"
+        assert_matches_reference(report, json.loads(ref_path.read_text()))
 
     def test_deterministic_per_seed(self, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -167,8 +205,27 @@ class TestDemo:
             report["living"]["b_hat"] - report["spoof"]["b_hat"], abs=1e-15)
         assert report["living"]["score"] == report["living"]["b_hat"]
 
+    def test_oracle_from_config_file(self, tmp_path):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text("oracle = true\n")
+        by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+        assert run(["demo", "--config", cfg, "--seed", 7, "--out", by_file]) == 0
+        assert run(["demo", "--oracle", "--seed", 7, "--out", by_flag]) == 0
+        report = json.loads((by_file / "demo.json").read_text())
+        assert report["oracle"] is True
+        assert ((by_file / "demo.json").read_bytes()
+                == (by_flag / "demo.json").read_bytes())
+
     def test_bad_alpha_is_usage_error(self, tmp_path):
         assert run(["demo", "--alpha", "1.5", "--out", tmp_path]) == 2
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text("seed = -1\n")
+        for flags in ([], ["--oracle"]):
+            assert run(["demo", "--seed", -1, "--out", tmp_path, *flags]) == 2
+            assert run(["demo", "--config", cfg, "--out", tmp_path, *flags]) == 2
+        assert not (tmp_path / "demo.json").exists()
 
     def test_frames_above_cap_is_usage_error(self, tmp_path):
         # Rejected before any weights are allocated, by flag or config file.
@@ -195,6 +252,17 @@ class TestMetricsCommand:
         summary = json.loads((tmp_path / "metrics.json").read_text())
         direct = metrics.metrics_summary(records, 0.5)
         assert summary == json.loads(json.dumps(direct))
+
+    def test_non_finite_threshold_is_usage_error(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("score,label,attack_kind\n0.9,living,\n0.2,attack,\n")
+        cfg = tmp_path / "metrics.cfg"
+        for value in ("nan", "inf", "-inf"):
+            assert run(["metrics", path, f"--threshold={value}",
+                        "--out", tmp_path]) == 2
+            cfg.write_text(f"threshold = {value}\n")
+            assert run(["metrics", path, "--config", cfg, "--out", tmp_path]) == 2
+        assert not (tmp_path / "metrics.json").exists()
 
     def test_empty_records_is_data_error(self, tmp_path):
         path = tmp_path / "records.csv"

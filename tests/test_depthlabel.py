@@ -12,19 +12,12 @@ from depthpad.depthlabel import (
     VertexSet,
     _cell_indices,
     _hull_mask,
-    depth_from_csv,
-    depth_from_json,
-    depth_to_csv,
-    depth_to_json,
     generate_living_depth,
-    mask_from_csv,
     mask_from_depth,
-    mask_from_json,
-    mask_to_csv,
-    mask_to_json,
     spoof_depth,
     synthesize_face_surface,
 )
+from depthpad.features import load_tensor, save_tensor
 
 
 def hemisphere_cloud(grid_size=65):
@@ -283,37 +276,37 @@ class TestMaskFromDepth:
 
 
 class TestSerialization:
-    def test_depth_csv_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        depth = DepthMap(rng.random((32, 32)), LIVING)
-        path = tmp_path / "depth.csv"
-        depth_to_csv(depth, path)
-        back = depth_from_csv(path, LIVING)
-        assert np.array_equal(back.values, depth.values)
-        assert back.label_kind == LIVING
-
     def test_depth_json_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         depth = DepthMap(rng.random((32, 32)), LIVING)
         path = tmp_path / "depth.json"
-        depth_to_json(depth, path)
-        back = depth_from_json(path)
+        save_tensor(path, depth.values, kind=depth.label_kind)
+        back = DepthMap(*load_tensor(path, expect_kind=LIVING))
+        assert np.array_equal(back.values, depth.values)
+        assert back.label_kind == LIVING
+
+    def test_living_label_round_trip_exact(self, tmp_path):
+        depth = generate_living_depth(hemisphere_cloud())
+        path = tmp_path / "depth.json"
+        save_tensor(path, depth.values, kind=depth.label_kind)
+        back = DepthMap(*load_tensor(path))
         assert np.array_equal(back.values, depth.values)
         assert back.label_kind == LIVING
 
     def test_spoof_round_trip(self, tmp_path):
         path = tmp_path / "spoof.json"
-        depth_to_json(spoof_depth(), path)
-        back = depth_from_json(path)
+        depth = spoof_depth()
+        save_tensor(path, depth.values, kind=depth.label_kind)
+        back = DepthMap(*load_tensor(path))
         assert back.label_kind == SPOOF
         assert not back.values.any()
 
     def test_mask_round_trips(self, tmp_path):
         rng = np.random.default_rng(9)
         mask = FaceMask(rng.integers(0, 2, (32, 32)))
-        csv_path = tmp_path / "mask.csv"
-        json_path = tmp_path / "mask.json"
-        mask_to_csv(mask, csv_path)
-        mask_to_json(mask, json_path)
-        assert np.array_equal(mask_from_csv(csv_path).values, mask.values)
-        assert np.array_equal(mask_from_json(json_path).values, mask.values)
+        path = tmp_path / "mask.json"
+        save_tensor(path, mask.values, kind="mask")
+        values, _ = load_tensor(path, expect_kind="mask")
+        back = FaceMask(values)
+        assert np.array_equal(back.values, mask.values)
+        assert back.values.dtype == mask.values.dtype
