@@ -207,6 +207,10 @@ def svg_line_plot(path, series: dict, title: str, x_label: str, y_label: str,
 # -- simulate ---------------------------------------------------------------
 
 SCENE_NAMES = ("real", "print", "replay", "rotated")
+# One cap for simulate and demo. A sweep's time and CSV size grow linearly
+# with the frames; the demo's binary head holds (frames - 1) * grid**2 * 128
+# float64 weights, 1 MB per frame at grid 32, which the cap bounds at 63 MB.
+MAX_FRAMES = 64
 
 
 def _build_scene(name: str, s: Settings):
@@ -230,8 +234,8 @@ def _build_scene(name: str, s: Settings):
 def cmd_simulate(args: argparse.Namespace) -> int:
     s = Settings(args)
     frames = s.get("frames")
-    if frames < 2:
-        raise UsageError(f"--frames must be at least 2, got {frames}")
+    if not 2 <= frames <= MAX_FRAMES:
+        raise UsageError(f"--frames must lie in [2, {MAX_FRAMES}], got {frames}")
     scenes = s.get("scenes")
     for name in scenes:
         if name not in SCENE_NAMES:
@@ -271,9 +275,6 @@ DEMO_SURFACE = {"amplitude": 8.0, "center": (16.0, 16.0), "radius": 12.0,
                 "grid_size": 65}
 DEMO_REDUCE_CHANNELS = 16
 DEMO_FUSE_CHANNELS = 32
-# The binary head holds (frames - 1) * grid**2 * 128 float64 weights, 1 MB per
-# frame at grid 32; the cap bounds that at 63 MB.
-MAX_DEMO_FRAMES = 64
 
 
 def _demo_frames(base: np.ndarray, n_frames: int) -> list[np.ndarray]:
@@ -288,8 +289,8 @@ def _demo_frames(base: np.ndarray, n_frames: int) -> list[np.ndarray]:
 
 def run_demo(alpha: float, beta: float, frames: int, seed: int,
              oracle: bool) -> dict:
-    if not 2 <= frames <= MAX_DEMO_FRAMES:
-        raise UsageError(f"--frames must lie in [2, {MAX_DEMO_FRAMES}], got {frames}")
+    if not 2 <= frames <= MAX_FRAMES:
+        raise UsageError(f"--frames must lie in [2, {MAX_FRAMES}], got {frames}")
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
         raise UsageError("alpha and beta must lie in [0, 1]")
     if seed < 0:
@@ -419,18 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="flat key = value settings file")
-        p.add_argument("--seed", type=int, help="deterministic seed")
         p.add_argument("--out", help="output directory (default .)")
 
     p_sim = sub.add_parser("simulate", help="camera-geometry scene sweep")
     common(p_sim)
-    p_sim.add_argument("--frames", type=int, help="frames per scene (>= 2)")
+    p_sim.add_argument("--frames", type=int,
+                       help=f"frames per scene (2 to {MAX_FRAMES})")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_demo = sub.add_parser("demo", help="synthetic end-to-end pipeline demo")
     common(p_demo)
+    p_demo.add_argument("--seed", type=int, help="deterministic seed (>= 0)")
     p_demo.add_argument("--frames", type=int,
-                        help=f"frames N_f (2 to {MAX_DEMO_FRAMES})")
+                        help=f"frames N_f (2 to {MAX_FRAMES})")
     p_demo.add_argument("--alpha", type=float,
                         help="single-frame weight in depth fusion")
     p_demo.add_argument("--beta", type=float,

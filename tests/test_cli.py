@@ -6,7 +6,7 @@ import pytest
 
 from depthpad import depthlabel, metrics
 from depthpad.cli import (
-    MAX_DEMO_FRAMES,
+    MAX_FRAMES,
     UsageError,
     main,
     parse_config_file,
@@ -70,10 +70,18 @@ class TestSimulate:
 
     def test_byte_identical_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["simulate", "--out", a, "--seed", 3]) == 0
-        assert run(["simulate", "--out", b, "--seed", 3]) == 0
+        assert run(["simulate", "--out", a]) == 0
+        assert run(["simulate", "--out", b]) == 0
         assert (a / "simulation.csv").read_bytes() == (b / "simulation.csv").read_bytes()
         assert (a / "simulation.svg").read_bytes() == (b / "simulation.svg").read_bytes()
+
+    def test_seed_flag_is_demo_only(self, tmp_path):
+        # simulate and metrics draw nothing at random, so they take no seed.
+        for command in (["simulate"], ["metrics", tmp_path / "records.csv"]):
+            with pytest.raises(SystemExit) as exc_info:
+                run([*command, "--seed", 3, "--out", tmp_path])
+            assert exc_info.value.code == 2
+        assert not (tmp_path / "simulation.csv").exists()
 
     def test_too_few_frames_is_usage_error(self, tmp_path):
         assert run(["simulate", "--out", tmp_path, "--frames", 0]) == 2
@@ -228,14 +236,21 @@ class TestDemo:
         assert not (tmp_path / "demo.json").exists()
 
     def test_frames_above_cap_is_usage_error(self, tmp_path):
-        # Rejected before any weights are allocated, by flag or config file.
-        over = MAX_DEMO_FRAMES + 1
+        # Rejected before any weights are allocated or scene simulated, by
+        # flag or config file; simulate and demo share the cap.
+        over = MAX_FRAMES + 1
         assert run(["demo", "--frames", over, "--out", tmp_path]) == 2
         assert run(["demo", "--oracle", "--frames", over, "--out", tmp_path]) == 2
-        cfg = tmp_path / "demo.cfg"
+        assert run(["simulate", "--frames", over, "--out", tmp_path]) == 2
+        cfg = tmp_path / "frames.cfg"
         cfg.write_text(f"frames = {over}\n")
         assert run(["demo", "--config", cfg, "--out", tmp_path]) == 2
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
         assert not (tmp_path / "demo.json").exists()
+        assert not (tmp_path / "simulation.csv").exists()
+        assert run(["simulate", "--frames", MAX_FRAMES, "--out", tmp_path]) == 0
+        rows = read_sweep_csv(tmp_path / "simulation.csv")
+        assert len(rows) == 4 * (MAX_FRAMES - 1)
 
 
 class TestMetricsCommand:
@@ -268,6 +283,15 @@ class TestMetricsCommand:
         path = tmp_path / "records.csv"
         path.write_text("score,label,attack_kind\n")
         assert run(["metrics", path, "--out", tmp_path]) == 3
+
+    def test_wrong_field_count_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        for row, got in (("0.5,living,,extra,more", 5), ("0.5,living", 2),
+                         ("0.5", 1)):
+            path.write_text(f"score,label,attack_kind\n0.2,attack,\n{row}\n")
+            assert run(["metrics", path, "--out", tmp_path]) == 3
+            assert f"line 3: expected 3 fields, got {got}" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["metrics", tmp_path / "absent.csv", "--out", tmp_path]) == 3

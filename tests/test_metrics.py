@@ -1,13 +1,18 @@
+import tempfile
 from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from depthpad.depthlabel import FaceMask
 from depthpad.metrics import (
     ATTACK,
     LIVING,
     EvalRecord,
+    RecordColumns,
     apcer_bpcer_acer,
     hter,
     living_score,
@@ -220,17 +225,49 @@ class TestSummaryAndCsv:
 
     def test_csv_round_trip(self, tmp_path):
         records = [EvalRecord(0.9, LIVING), EvalRecord(0.2, ATTACK, "print1"),
-                   EvalRecord(0.4, ATTACK, None)]
+                   EvalRecord(0.4, ATTACK, None), EvalRecord(0.6, ATTACK, ATTACK)]
         path = tmp_path / "records.csv"
         write_records_csv(records, path)
         back = read_records_csv(path)
-        assert back == records
+        want = RecordColumns.of(records)
+        assert len(back) == len(want) == 4
+        assert back.scores.dtype == np.float64
+        assert np.array_equal(back.scores, want.scores)
+        assert np.array_equal(back.living, want.living)
+        assert np.array_equal(back.groups, want.groups)
+        assert back.group_names == want.group_names == ("attack", "print1")
+
+    def test_columns_are_read_only(self):
+        columns = RecordColumns.of([EvalRecord(0.9, LIVING),
+                                    EvalRecord(0.2, ATTACK, "print1")])
+        for column in (columns.scores, columns.living, columns.groups):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
 
     def test_bad_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("score,label,attack_kind\n0.5,living,\nnope,attack,print1\n")
         with pytest.raises(ValueError, match="line 3"):
             read_records_csv(path)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("score,label,attack_kind\n\n0.5,living,\n\nnope,attack,x\n")
+        with pytest.raises(ValueError, match="^line 5: bad score 'nope'$"):
+            read_records_csv(path)
+        path.write_text("score,label,attack_kind\n\n0.5,living,\n\n0.2,attack,x\n\n")
+        columns = read_records_csv(path)
+        assert len(columns) == 2
+        assert columns.scores.tolist() == [0.5, 0.2]
+
+    def test_rule_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for row, message in (("1.5,living,", "score must be finite"),
+                             ("nan,attack,x", "score must be finite"),
+                             ("0.5,genuine,", "label must be")):
+            path.write_text(f"score,label,attack_kind\n0.5,living,\n{row}\n")
+            with pytest.raises(ValueError, match=f"^line 3: {message}"):
+                read_records_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -243,3 +280,70 @@ class TestSummaryAndCsv:
         path.write_text("score,label,attack_kind\n")
         with pytest.raises(ValueError):
             read_records_csv(path)
+
+
+# -- property tests: the columnar core against the per-record recount -------
+
+record_st = st.builds(
+    EvalRecord,
+    score=st.floats(min_value=0.0, max_value=1.0),
+    label=st.sampled_from([LIVING, ATTACK]),
+    attack_kind=st.sampled_from([None, "", ATTACK, "print", "replay", "mask"]))
+
+
+@st.composite
+def scored_sets(draw):
+    """Records with both classes, and a threshold that may tie a score."""
+    records = draw(st.lists(record_st, min_size=0, max_size=40))
+    records.append(EvalRecord(draw(st.floats(0.0, 1.0)), LIVING,
+                              draw(st.sampled_from([None, "print"]))))
+    records.append(EvalRecord(draw(st.floats(0.0, 1.0)), ATTACK,
+                              draw(st.sampled_from([None, ATTACK, "print"]))))
+    records = draw(st.permutations(records))
+    tie = st.sampled_from([r.score for r in records])
+    threshold = draw(st.one_of(tie, st.floats(0.0, 1.0)))
+    return records, threshold
+
+
+class TestColumnarCoreProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_sets())
+    def test_summary_equals_brute_force(self, drawn):
+        records, threshold = drawn
+        summary = metrics_summary(RecordColumns.of(records), threshold)
+        got = (summary["apcer"], summary["bpcer"], summary["acer"],
+               summary["hter"])
+        assert got == brute_force_rates(records, threshold)
+        assert summary["apcer"] == max(summary["per_pai_apcer"].values())
+        attacks = [r for r in records if r.label == ATTACK]
+        assert list(summary["per_pai_apcer"]) == sorted(
+            {r.attack_kind or ATTACK for r in attacks})
+        assert summary["n_living"] == len(records) - len(attacks)
+        assert summary["n_attack"] == len(attacks)
+        assert type(summary["n_living"]) is int
+        assert type(summary["n_attack"]) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_sets())
+    def test_tied_score_is_accepted(self, drawn):
+        records, _ = drawn
+        record = records[0]
+        summary = metrics_summary(records, record.score)
+        # The record at the threshold counts as accepted: a living one keeps
+        # BPCER below 1, an attack lifts its PAI's APCER above 0.
+        if record.label == LIVING:
+            assert summary["bpcer"] < 1.0
+        else:
+            assert summary["per_pai_apcer"][record.attack_kind or ATTACK] > 0.0
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scored_sets())
+    def test_csv_columns_give_the_same_summary(self, drawn):
+        records, threshold = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            write_records_csv(records, path)
+            back = read_records_csv(path)
+        assert metrics_summary(back, threshold) == metrics_summary(records,
+                                                                   threshold)
