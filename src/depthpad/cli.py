@@ -24,7 +24,7 @@ import numpy as np
 
 from . import depthlabel, geometry, metrics
 from .features import OffBlockWeights, conv2d, off_sequence
-from .recurrent import ConvGruCell, convgru_run, fuse_depth
+from .recurrent import ConvGruCell, convgru_run, fuse_depth, sigmoid
 from .supervision import BinaryHead, multi_frame_report
 
 
@@ -53,10 +53,16 @@ def _parse_floats(text: str) -> list[float]:
     return values
 
 
-def _parse_names(text: str) -> list[str]:
+SCENE_NAMES = ("real", "print", "replay", "rotated")
+
+
+def _parse_scenes(text: str) -> list[str]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         raise ValueError("expected at least one comma-separated name")
+    for name in names:
+        if name not in SCENE_NAMES:
+            raise ValueError(f"unknown scene type {name!r}; choose from {SCENE_NAMES}")
     return names
 
 
@@ -65,11 +71,10 @@ CONFIG_FIELDS = {
     "fa": (float, 1.0), "fb": (float, 1.0),
     "za": (float, 2.0), "zb": (float, 4.0),
     "d1": (float, 0.4), "d2": (float, 1.0),
-    "dx": (float, 0.3), "dv": (float, 0.05),
-    "theta": (float, math.pi / 12),
+    "dx": (float, 0.3), "theta": (float, math.pi / 12),
     "ul1": (float, 1.0), "um1": (float, 1.3), "ur1": (float, 0.7),
     "dv_schedule": (_parse_floats, [0.05, 0.1, -0.05, 0.02]),
-    "scenes": (_parse_names, ["real", "print", "replay", "rotated"]),
+    "scenes": (_parse_scenes, list(SCENE_NAMES)),
     "frames": (int, 5),
     "seed": (int, 0),
     "out": (str, "."),
@@ -79,8 +84,16 @@ CONFIG_FIELDS = {
     "oracle": (_parse_bool, False),
 }
 
+# The config fields each subcommand reads; any other field is a usage error.
+COMMAND_FIELDS = {
+    "simulate": ("f", "z", "fa", "fb", "za", "zb", "d1", "d2", "dx", "theta",
+                 "ul1", "um1", "ur1", "dv_schedule", "scenes", "frames", "out"),
+    "demo": ("frames", "seed", "alpha", "beta", "oracle", "out"),
+    "metrics": ("threshold", "out"),
+}
 
-def parse_config_file(path) -> dict:
+
+def parse_config_file(path, command: str) -> dict:
     values = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -97,6 +110,9 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if key not in CONFIG_FIELDS:
             raise UsageError(f"{path}:{line_no}: unknown field {key!r}")
+        if key not in COMMAND_FIELDS[command]:
+            raise UsageError(f"{path}:{line_no}: {command} does not read "
+                             f"field {key!r}")
         parser, _ = CONFIG_FIELDS[key]
         try:
             values[key] = parser(text.strip())
@@ -109,7 +125,8 @@ class Settings:
     """Resolved settings: command line beats config file beats defaults."""
 
     def __init__(self, args: argparse.Namespace):
-        self._file = parse_config_file(args.config) if args.config else {}
+        self._file = (parse_config_file(args.config, args.command)
+                      if args.config else {})
         self._args = args
 
     def get(self, key: str):
@@ -206,7 +223,6 @@ def svg_line_plot(path, series: dict, title: str, x_label: str, y_label: str,
 
 # -- simulate ---------------------------------------------------------------
 
-SCENE_NAMES = ("real", "print", "replay", "rotated")
 # One cap for simulate and demo. A sweep's time and CSV size grow linearly
 # with the frames; the demo's binary head holds (frames - 1) * grid**2 * 128
 # float64 weights, 1 MB per frame at grid 32, which the cap bounds at 63 MB.
@@ -224,11 +240,9 @@ def _build_scene(name: str, s: Settings):
         return geometry.AttackSceneConfig(dx=0.0, **common)
     if name == "replay":
         return geometry.AttackSceneConfig(dx=s.get("dx"), **common)
-    if name == "rotated":
-        return geometry.AttackSceneConfig(dx=s.get("dx"), theta=s.get("theta"),
-                                          ul1=s.get("ul1"), um1=s.get("um1"),
-                                          ur1=s.get("ur1"), **common)
-    raise UsageError(f"unknown scene type {name!r}; choose from {SCENE_NAMES}")
+    return geometry.AttackSceneConfig(dx=s.get("dx"), theta=s.get("theta"),
+                                      ul1=s.get("ul1"), um1=s.get("um1"),
+                                      ur1=s.get("ur1"), **common)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -236,17 +250,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     frames = s.get("frames")
     if not 2 <= frames <= MAX_FRAMES:
         raise UsageError(f"--frames must lie in [2, {MAX_FRAMES}], got {frames}")
-    scenes = s.get("scenes")
-    for name in scenes:
-        if name not in SCENE_NAMES:
-            raise UsageError(f"unknown scene type {name!r}; choose from {SCENE_NAMES}")
     schedule = list(itertools.islice(itertools.cycle(s.get("dv_schedule")),
                                      frames - 1))
     out_dir = Path(s.get("out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results = {}
-    for name in scenes:
+    for name in s.get("scenes"):
         cfg = _build_scene(name, s)
         per_scene_schedule = schedule if name in ("print", "replay") else None
         try:
@@ -324,11 +334,12 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
         fused = {}
         for kind, base in bases.items():
             frame_stack = _demo_frames(base, frames)
-            single = [1.0 / (1.0 + np.exp(-conv2d(f, single_kernel)[:, :, 0]))
-                      for f in frame_stack]
+            # Step t fuses frame t + 1's single-frame map; frame 0 needs none.
+            single = [sigmoid(conv2d(f, single_kernel)[:, :, 0])
+                      for f in frame_stack[1:]]
             motion = off_sequence(frame_stack, off_weights)
             states = convgru_run(cell, np.zeros((grid, grid, 1)), motion)
-            fused[kind] = [fuse_depth(single[t + 1], states[t][:, :, 0], alpha)
+            fused[kind] = [fuse_depth(single[t], states[t][:, :, 0], alpha)
                            for t in range(n_steps)]
 
     reports, scores, b_hats, depth_terms = {}, {}, {}, {}
@@ -347,10 +358,8 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
         "params": {"alpha": alpha, "beta": beta, "frames": frames,
                    "grid": grid, "reduce_channels": DEMO_REDUCE_CHANNELS,
                    "fuse_channels": DEMO_FUSE_CHANNELS,
-                   "surface": {"amplitude": DEMO_SURFACE["amplitude"],
-                               "center": list(DEMO_SURFACE["center"]),
-                               "radius": DEMO_SURFACE["radius"],
-                               "grid_size": DEMO_SURFACE["grid_size"]}},
+                   "surface": {**DEMO_SURFACE,
+                               "center": list(DEMO_SURFACE["center"])}},
     }
     for kind in ("living", "spoof"):
         result[kind] = {"losses": reports[kind].as_dict(),

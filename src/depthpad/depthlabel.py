@@ -161,19 +161,16 @@ def _fill_holes(values: np.ndarray, filled: np.ndarray, hull: np.ndarray) -> np.
         holes = hull & ~filled
         if not holes.any():
             return values
+        # Offset (di, dj) reads neighbour p - (di, dj), at p + (1 - di, 1 - dj)
+        # in the zero-padded copies, so cells outside the grid count as
+        # unfilled. The order of the offsets fixes the order of the sum.
+        vals = np.pad(np.where(filled, values, 0.0), 1)
+        fill = np.pad(filled, 1)
         acc = np.zeros_like(values)
         cnt = np.zeros((grid, grid))
         for di, dj in offsets:
-            shifted_vals = np.zeros_like(values)
-            shifted_fill = np.zeros((grid, grid), dtype=bool)
-            src = (slice(max(0, -di), grid - max(0, di)),
-                   slice(max(0, -dj), grid - max(0, dj)))
-            dst = (slice(max(0, di), grid - max(0, -di)),
-                   slice(max(0, dj), grid - max(0, -dj)))
-            shifted_vals[dst] = values[src]
-            shifted_fill[dst] = filled[src]
-            acc += np.where(shifted_fill, shifted_vals, 0.0)
-            cnt += shifted_fill
+            acc += vals[1 - di:1 - di + grid, 1 - dj:1 - dj + grid]
+            cnt += fill[1 - di:1 - di + grid, 1 - dj:1 - dj + grid]
         ready = holes & (cnt > 0)
         if not ready.any():
             values[holes] = values[filled].mean()

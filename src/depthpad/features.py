@@ -2,10 +2,11 @@
 
 Forward passes only: plain same-padded convolution, Sobel spatial gradients,
 frame-difference temporal gradients, the flow-orthogonality residual, and the
-five-branch motion block that concatenates a reduced feature map, both frames'
-spatial gradients, the temporal gradient, and the previous-level output. Over
-a frame sequence, off_sequence reduces each frame once and shares it between
-the two pairs it belongs to.
+five-branch motion block. off_sequence is the one motion-block entry: for each
+consecutive frame pair it concatenates a reduced feature map, both frames'
+spatial gradients, the temporal gradient, and (above the first level) the
+previous-level output, and fuses them with a 3x3 kernel. Each frame is reduced
+and differentiated once.
 
 The Sobel stencils carry their conventional gain: a unit ramp reads 8, not 1,
 so velocity vectors fed to off_vector_residual must absorb that factor.
@@ -33,13 +34,6 @@ def _require_hwc(name: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pad_spatial(x: np.ndarray, kh: int, kw: int, padding: str) -> np.ndarray:
-    if padding not in _PAD_MODES:
-        raise ValueError(f"padding must be one of {sorted(_PAD_MODES)}, got {padding!r}")
-    return np.pad(x, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)),
-                  mode=_PAD_MODES[padding])
-
-
 def conv2d(x: np.ndarray, kernel: np.ndarray, padding: str = "replicate") -> np.ndarray:
     """Same-padded stride-1 cross-correlation mixing channels.
 
@@ -54,7 +48,10 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, padding: str = "replicate") -> np.
         raise ValueError(f"kernel dims must be odd for same padding, got {kh}x{kw}")
     if cin != x.shape[2]:
         raise ValueError(f"kernel expects {cin} input channels, tensor has {x.shape[2]}")
-    padded = _pad_spatial(x, kh, kw, padding)
+    if padding not in _PAD_MODES:
+        raise ValueError(f"padding must be one of {sorted(_PAD_MODES)}, got {padding!r}")
+    padded = np.pad(x, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)),
+                    mode=_PAD_MODES[padding])
     h, w = x.shape[:2]
     # One (H, W, Cin) @ (Cin, Cout) matmul per tap, summed over the taps.
     out = padded[:h, :w] @ kernel[0, 0]
@@ -132,18 +129,6 @@ class OffBlockWeights:
         object.__setattr__(self, "reduce_1x1", r)
         object.__setattr__(self, "fuse_3x3", f)
 
-    @property
-    def reduce_channels(self) -> int:
-        return self.reduce_1x1.shape[3]
-
-    @property
-    def prev_channels(self) -> int:
-        return self.fuse_3x3.shape[2] - 6 * self.reduce_channels
-
-    @property
-    def out_channels(self) -> int:
-        return self.fuse_3x3.shape[3]
-
     @classmethod
     def seeded(cls, in_channels: int, reduce_channels: int = 16,
                out_channels: int = 32, prev_channels: int = 0,
@@ -157,55 +142,13 @@ class OffBlockWeights:
         return cls(reduce, fuse)
 
 
-def _reduce_frame(f: np.ndarray, weights: OffBlockWeights, padding: str
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One frame's reduced features and their Sobel gradients (r, gx, gy)."""
-    r = conv2d(f, weights.reduce_1x1, padding)
-    return (r, *spatial_gradient(r))
+def off_sequence(frames, weights: OffBlockWeights, prev=None) -> list[np.ndarray]:
+    """Motion blocks for every consecutive pair of a frame sequence.
 
-
-def _fuse_pair(red_t: tuple, red_t1: tuple, prev: np.ndarray | None,
-               weights: OffBlockWeights, padding: str) -> np.ndarray:
-    """Concatenate the branches of two reduced frames and apply the fuse conv."""
-    r_t, gx_t, gy_t = red_t
-    r_t1, gx_t1, gy_t1 = red_t1
-    branches = [r_t, gx_t, gy_t, gx_t1, gy_t1, temporal_gradient(r_t, r_t1)]
-    if prev is not None:
-        prev = _require_hwc("prev", prev)
-        if prev.shape[:2] != r_t.shape[:2]:
-            raise ValueError(
-                f"previous-level output spatial dims {prev.shape[:2]} do not "
-                f"match frame dims {r_t.shape[:2]}")
-        branches.append(prev)
-    cat = np.concatenate(branches, axis=2)
-    if cat.shape[2] != weights.fuse_3x3.shape[2]:
-        raise ValueError(
-            f"branch concatenation has {cat.shape[2]} channels but the fuse "
-            f"kernel expects {weights.fuse_3x3.shape[2]}")
-    return conv2d(cat, weights.fuse_3x3, padding)
-
-
-def off_block(f_t: np.ndarray, f_t1: np.ndarray, prev: np.ndarray | None,
-              weights: OffBlockWeights, padding: str = "replicate") -> np.ndarray:
-    """Assemble one motion block from two consecutive frames' features.
-
-    prev is the previous-level block output, or None at the first level.
-    No nonlinearity follows the fuse convolution.
-    """
-    f_t = _require_hwc("f_t", f_t)
-    f_t1 = _require_hwc("f_t1", f_t1)
-    if f_t.shape != f_t1.shape:
-        raise ValueError(f"frame feature shapes differ: {f_t.shape} vs {f_t1.shape}")
-    return _fuse_pair(_reduce_frame(f_t, weights, padding),
-                      _reduce_frame(f_t1, weights, padding),
-                      prev, weights, padding)
-
-
-def off_sequence(frames, weights: OffBlockWeights) -> list[np.ndarray]:
-    """First-level motion blocks for every consecutive pair of a frame sequence.
-
-    Equal to [off_block(frames[t], frames[t + 1], None, weights)] over t, but
-    each frame is reduced and differentiated once instead of twice.
+    Block t fuses the branches of frames t and t + 1 with the 3x3 kernel; no
+    nonlinearity follows. prev holds one previous-level output per pair, or
+    is None at the first level. Each frame is reduced and differentiated once
+    and shared by the two pairs it belongs to.
     """
     frames = [_require_hwc(f"frames[{t}]", f) for t, f in enumerate(frames)]
     if len(frames) < 2:
@@ -214,9 +157,26 @@ def off_sequence(frames, weights: OffBlockWeights) -> list[np.ndarray]:
         if f.shape != frames[0].shape:
             raise ValueError(f"frame feature shapes differ: {frames[0].shape} "
                              f"vs {f.shape} at frame {t}")
-    reduced = [_reduce_frame(f, weights, "replicate") for f in frames]
-    return [_fuse_pair(reduced[t], reduced[t + 1], None, weights, "replicate")
-            for t in range(len(frames) - 1)]
+    n_pairs = len(frames) - 1
+    if prev is None:
+        prev = [None] * n_pairs
+    elif len(prev) != n_pairs:
+        raise ValueError(f"prev holds {len(prev)} outputs for {n_pairs} frame pairs")
+    reduced = []
+    for f in frames:
+        r = conv2d(f, weights.reduce_1x1)
+        reduced.append((r, *spatial_gradient(r)))
+    blocks = []
+    for t, p in enumerate(prev):
+        (r_t, gx_t, gy_t), (r_t1, gx_t1, gy_t1) = reduced[t], reduced[t + 1]
+        branches = [r_t, gx_t, gy_t, gx_t1, gy_t1, temporal_gradient(r_t, r_t1)]
+        # A prev of the wrong shape fails the concatenation, a non-finite one
+        # conv2d's input check, and a wrong channel count conv2d's Cin check.
+        if p is not None:
+            branches.append(p)
+        # Unnamed, the concatenation is freed before the next pair's is built.
+        blocks.append(conv2d(np.concatenate(branches, axis=2), weights.fuse_3x3))
+    return blocks
 
 
 # Tensor file format: one JSON object holding a kind tag, the shape header,

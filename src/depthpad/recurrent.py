@@ -22,7 +22,8 @@ import numpy as np
 from .features import conv2d, load_tensor, save_tensor
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function; exp never sees a positive argument, so no overflow."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -101,7 +102,7 @@ def convgru_step(cell: ConvGruCell, h_prev: np.ndarray, x: np.ndarray
                          f"cell expects {cell.input_channels}")
     hx = np.concatenate([h_prev, x], axis=2)
     # Both gates read [h, x]: one conv over the kernels stacked on Cout.
-    gates = _sigmoid(conv2d(hx, np.concatenate([cell.k_r, cell.k_u], axis=3),
+    gates = sigmoid(conv2d(hx, np.concatenate([cell.k_r, cell.k_u], axis=3),
                             padding="zero"))
     ch = cell.hidden_channels
     r, u = gates[:, :, :ch], gates[:, :, ch:]

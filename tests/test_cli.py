@@ -116,14 +116,14 @@ class TestSimulate:
         bad_value.write_text("d1 = much\n")
         assert run(["simulate", "--config", bad_value, "--out", tmp_path]) == 2
         with pytest.raises(Exception):
-            parse_config_file(bad_field)
+            parse_config_file(bad_field, "simulate")
 
     def test_empty_dv_schedule_is_usage_error(self, tmp_path):
         for text in ("dv_schedule =\n", "dv_schedule = , ,\n"):
             cfg = tmp_path / "empty.cfg"
             cfg.write_text("scenes = print\n" + text)
             with pytest.raises(UsageError, match="dv_schedule"):
-                parse_config_file(cfg)
+                parse_config_file(cfg, "simulate")
             assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
         assert not (tmp_path / "simulation.csv").exists()
 
@@ -132,8 +132,24 @@ class TestSimulate:
             cfg = tmp_path / "empty.cfg"
             cfg.write_text(text)
             with pytest.raises(UsageError, match="scenes"):
-                parse_config_file(cfg)
+                parse_config_file(cfg, "simulate")
             assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+        assert not (tmp_path / "simulation.csv").exists()
+
+    def test_unknown_scene_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenes.cfg"
+        cfg.write_text("# sweep\nscenes = real,mirror\n")
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err and "'mirror'" in err
+        assert not (tmp_path / "simulation.csv").exists()
+
+    def test_dv_field_is_gone(self, tmp_path, capsys):
+        # Per-step shake comes only from dv_schedule.
+        cfg = tmp_path / "dv.cfg"
+        cfg.write_text("dv = 0.1\n")
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+        assert "unknown field 'dv'" in capsys.readouterr().err
         assert not (tmp_path / "simulation.csv").exists()
 
     def test_unusable_scene_is_data_error(self, tmp_path):
@@ -300,6 +316,44 @@ class TestMetricsCommand:
         path = tmp_path / "records.csv"
         path.write_text("score,label,attack_kind\n0.9,living,\n")
         assert run(["metrics", path, "--out", tmp_path]) == 3
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("command, line", [
+        ("simulate", "seed = 5"), ("simulate", "alpha = 0.5"),
+        ("simulate", "threshold = 0.5"),
+        ("demo", "d1 = 0.2"), ("demo", "scenes = real"),
+        ("demo", "threshold = 0.5"),
+        ("metrics", "frames = 5"), ("metrics", "seed = 1"),
+        ("metrics", "oracle = true"),
+    ])
+    def test_field_the_command_does_not_read_is_usage_error(
+            self, tmp_path, capsys, command, line):
+        records = tmp_path / "records.csv"
+        metrics.write_records_csv([metrics.EvalRecord(0.9, "living"),
+                                   metrics.EvalRecord(0.2, "attack")], records)
+        cfg = tmp_path / "misplaced.cfg"
+        cfg.write_text(f"out = {tmp_path}\n{line}\n")
+        argv = [command, records] if command == "metrics" else [command]
+        assert run([*argv, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: {command} does not read field" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["misplaced.cfg",
+                                                              "records.csv"]
+
+    def test_each_command_reads_its_own_fields(self, tmp_path):
+        records = tmp_path / "records.csv"
+        metrics.write_records_csv([metrics.EvalRecord(0.9, "living"),
+                                   metrics.EvalRecord(0.2, "attack")], records)
+        for argv, text in (
+                (["simulate"], "d1 = 0.2\ntheta = 0.1\nscenes = real\n"
+                               "dv_schedule = 0.1\nframes = 3\n"),
+                (["demo"], "frames = 3\nseed = 2\nalpha = 0.5\nbeta = 0.5\n"
+                           "oracle = true\n"),
+                (["metrics", records], "threshold = 0.5\n")):
+            cfg = tmp_path / f"{argv[0]}.cfg"
+            cfg.write_text(f"out = {tmp_path / argv[0]}\n{text}")
+            assert run([*argv, "--config", cfg]) == 0
 
 
 class TestArgparseContract:

@@ -11,6 +11,7 @@ from depthpad.depthlabel import (
     FaceMask,
     VertexSet,
     _cell_indices,
+    _fill_holes,
     _hull_mask,
     generate_living_depth,
     mask_from_depth,
@@ -36,6 +37,35 @@ def reference_hull_mask(occupied):
     grid = occupied.shape[0]
     centers = np.argwhere(np.ones_like(occupied)).astype(float)
     return (tri.find_simplex(centers) >= 0).reshape(grid, grid)
+
+
+def reference_fill_holes(values, filled, hull):
+    # Per-cell loops: each pass gives every hole with a filled 8-neighbour
+    # the mean of those neighbours, summed in the order of the offsets
+    # (-1, -1), (-1, 0), ..., (1, 1) read as p - (di, dj); a pass that fills
+    # nothing gives the leftovers the mean of all filled cells.
+    values, filled = values.copy(), filled.copy()
+    grid = values.shape[0]
+    while (hull & ~filled).any():
+        ready = {}
+        for i, j in np.argwhere(hull & ~filled):
+            acc, cnt = 0.0, 0
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    a, b = i - di, j - dj
+                    if ((di, dj) != (0, 0) and 0 <= a < grid and 0 <= b < grid
+                            and filled[a, b]):
+                        acc += values[a, b]
+                        cnt += 1
+            if cnt:
+                ready[i, j] = acc / cnt
+        if not ready:
+            values[hull & ~filled] = values[filled].mean()
+            break
+        for (i, j), value in ready.items():
+            values[i, j] = value
+            filled[i, j] = True
+    return values
 
 
 def occupied_cells(vertices, grid=32):
@@ -189,6 +219,26 @@ class TestGenerateLivingDepth:
         cloud = hemisphere_cloud(grid_size=20)
         with pytest.raises(ValueError):
             generate_living_depth(cloud, bounds=(10.0, 20.0, 10.0, 20.0))
+
+
+class TestFillHoles:
+    def test_matches_reference_loops_exactly(self):
+        rng = np.random.default_rng(31)
+        grid = 32
+        # Two disjoint discs: a stalled pass once the sparse disc runs dry.
+        yy, xx = np.mgrid[:grid, :grid]
+        two_discs = (((yy - 10) ** 2 + (xx - 10) ** 2 < 36)
+                     | ((yy - 24) ** 2 + (xx - 24) ** 2 < 16))
+        cases = [(two_discs, two_discs & (xx < 12))]
+        for density in (0.02, 0.1, 0.3, 0.7):
+            occupied = rng.random((grid, grid)) < density
+            cases.append((_hull_mask(occupied), occupied))
+        for hull, filled in cases:
+            filled = filled & hull
+            values = np.where(filled, rng.normal(size=(grid, grid)), 0.0)
+            got = _fill_holes(values, filled, hull)
+            assert np.array_equal(got, reference_fill_holes(values, filled, hull))
+            assert np.array_equal(got[filled], values[filled])
 
 
 class TestHullMask:

@@ -7,7 +7,6 @@ from depthpad.features import (
     conv2d,
     load_off_block_weights,
     load_tensor,
-    off_block,
     off_sequence,
     off_vector_residual,
     save_off_block_weights,
@@ -194,6 +193,28 @@ class TestOffVectorResidual:
         assert np.array_equal(doubled, 2 * off_vector_residual(x_t, x_t1, v))
 
 
+def manual_block(f_t, f_t1, prev, w):
+    # Independent assembly of one motion block from the reference conv loops.
+    cr = w.reduce_1x1.shape[3]
+    r_t = reference_conv2d(f_t, w.reduce_1x1)
+    r_t1 = reference_conv2d(f_t1, w.reduce_1x1)
+    branches = [r_t]
+    for r in (r_t, r_t1):
+        branches += [reference_conv2d(r, depthwise_kernel(SOBEL_X, cr)),
+                     reference_conv2d(r, depthwise_kernel(SOBEL_Y, cr))]
+    branches.append(r_t1 - r_t)
+    if prev is not None:
+        branches.append(prev)
+    return reference_conv2d(np.concatenate(branches, axis=2), w.fuse_3x3)
+
+
+def off_pair(f_t, f_t1, prev, w):
+    """One motion block: a two-frame sequence."""
+    blocks = off_sequence([f_t, f_t1], w, None if prev is None else [prev])
+    assert len(blocks) == 1
+    return blocks[0]
+
+
 class TestOffBlock:
     def _weights(self, cin=3, cr=2, cout=4, cprev=0, seed=0):
         return OffBlockWeights.seeded(cin, reduce_channels=cr, out_channels=cout,
@@ -202,8 +223,8 @@ class TestOffBlock:
     def test_zero_weights_zero_output(self):
         w = OffBlockWeights(np.zeros((1, 1, 3, 2)), np.zeros((3, 3, 12, 4)))
         rng = np.random.default_rng(11)
-        out = off_block(rng.standard_normal((6, 6, 3)),
-                        rng.standard_normal((6, 6, 3)), None, w)
+        out = off_pair(rng.standard_normal((6, 6, 3)),
+                       rng.standard_normal((6, 6, 3)), None, w)
         assert out.shape == (6, 6, 4)
         assert not out.any()
 
@@ -213,23 +234,14 @@ class TestOffBlock:
         f_t = rng.standard_normal((8, 8, 3))
         f_t1 = rng.standard_normal((8, 8, 3))
         prev = rng.standard_normal((8, 8, 2))
-        got = off_block(f_t, f_t1, prev, w)
-        r_t = reference_conv2d(f_t, w.reduce_1x1)
-        r_t1 = reference_conv2d(f_t1, w.reduce_1x1)
-        gx_t = reference_conv2d(r_t, depthwise_kernel(SOBEL_X, 2))
-        gy_t = reference_conv2d(r_t, depthwise_kernel(SOBEL_Y, 2))
-        gx_t1 = reference_conv2d(r_t1, depthwise_kernel(SOBEL_X, 2))
-        gy_t1 = reference_conv2d(r_t1, depthwise_kernel(SOBEL_Y, 2))
-        cat = np.concatenate([r_t, gx_t, gy_t, gx_t1, gy_t1, r_t1 - r_t, prev],
-                             axis=2)
-        expected = reference_conv2d(cat, w.fuse_3x3)
-        assert np.allclose(got, expected, atol=1e-10)
+        got = off_pair(f_t, f_t1, prev, w)
+        assert np.allclose(got, manual_block(f_t, f_t1, prev, w), atol=1e-10)
 
     def test_identical_frames_zero_temporal_branch(self):
         rng = np.random.default_rng(13)
         w = self._weights()
         f = rng.standard_normal((6, 6, 3))
-        got = off_block(f, f, None, w)
+        got = off_pair(f, f, None, w)
         r = conv2d(f, w.reduce_1x1)
         gx, gy = spatial_gradient(r)
         cat = np.concatenate([r, gx, gy, gx, gy, np.zeros_like(r)], axis=2)
@@ -238,8 +250,8 @@ class TestOffBlock:
     def test_shape_contract(self):
         rng = np.random.default_rng(14)
         w = self._weights(cin=5, cr=3, cout=7)
-        out = off_block(rng.standard_normal((9, 10, 5)),
-                        rng.standard_normal((9, 10, 5)), None, w)
+        out = off_pair(rng.standard_normal((9, 10, 5)),
+                       rng.standard_normal((9, 10, 5)), None, w)
         assert out.shape == (9, 10, 7)
 
     def test_channel_arithmetic_errors(self):
@@ -247,35 +259,41 @@ class TestOffBlock:
         f = rng.standard_normal((6, 6, 3))
         expects_prev = self._weights(cprev=2)
         with pytest.raises(ValueError):
-            off_block(f, f, None, expects_prev)
+            off_pair(f, f, None, expects_prev)
         no_prev = self._weights(cprev=0)
         with pytest.raises(ValueError):
-            off_block(f, f, rng.standard_normal((6, 6, 2)), no_prev)
+            off_pair(f, f, rng.standard_normal((6, 6, 2)), no_prev)
         with pytest.raises(ValueError):
-            off_block(f, rng.standard_normal((6, 5, 3)), None, no_prev)
+            off_pair(f, f, rng.standard_normal((6, 5, 2)), expects_prev)
+        with pytest.raises(ValueError):
+            off_pair(f, rng.standard_normal((6, 5, 3)), None, no_prev)
 
     def test_deterministic(self):
         rng = np.random.default_rng(16)
         w = self._weights(seed=9)
         f_t = rng.standard_normal((6, 6, 3))
         f_t1 = rng.standard_normal((6, 6, 3))
-        assert np.array_equal(off_block(f_t, f_t1, None, w),
-                              off_block(f_t, f_t1, None, w))
+        assert np.array_equal(off_pair(f_t, f_t1, None, w),
+                              off_pair(f_t, f_t1, None, w))
 
 
 class TestOffSequence:
-    def test_matches_per_pair_off_block(self):
+    def test_every_block_matches_manual_assembly(self):
         rng = np.random.default_rng(18)
-        for n_frames, shape in ((2, (6, 6, 3)), (5, (8, 7, 3)), (7, (5, 9, 3))):
-            w = OffBlockWeights.seeded(3, reduce_channels=4, out_channels=5,
-                                       seed=n_frames)
-            frames = [rng.standard_normal(shape) for _ in range(n_frames)]
-            got = off_sequence(frames, w)
-            assert len(got) == n_frames - 1
-            for t, block in enumerate(got):
-                want = off_block(frames[t], frames[t + 1], None, w)
-                assert block.shape == want.shape
-                assert np.allclose(block, want, rtol=0, atol=1e-12)
+        for n_frames, shape in ((3, (6, 6, 3)), (4, (5, 7, 3))):
+            for cprev in (0, 2):
+                w = OffBlockWeights.seeded(3, reduce_channels=3, out_channels=4,
+                                           prev_channels=cprev, seed=n_frames)
+                frames = [rng.standard_normal(shape) for _ in range(n_frames)]
+                prev = ([rng.standard_normal(shape[:2] + (cprev,))
+                         for _ in range(n_frames - 1)] if cprev else None)
+                got = off_sequence(frames, w, prev)
+                assert len(got) == n_frames - 1
+                for t, block in enumerate(got):
+                    want = manual_block(frames[t], frames[t + 1],
+                                        prev[t] if prev else None, w)
+                    assert block.shape == want.shape
+                    assert np.allclose(block, want, rtol=0, atol=1e-12)
 
     def test_sequence_errors(self):
         rng = np.random.default_rng(20)
@@ -289,6 +307,17 @@ class TestOffSequence:
             off_sequence([f, f], OffBlockWeights.seeded(3, reduce_channels=2,
                                                        out_channels=4,
                                                        prev_channels=2))
+
+    def test_prev_length_must_match_pairs(self):
+        rng = np.random.default_rng(21)
+        w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4,
+                                   prev_channels=2)
+        frames = [rng.standard_normal((6, 6, 3)) for _ in range(4)]
+        prev = [rng.standard_normal((6, 6, 2)) for _ in range(3)]
+        assert len(off_sequence(frames, w, prev)) == 3
+        for wrong in (prev[:2], prev + prev[:1], []):
+            with pytest.raises(ValueError, match="frame pairs"):
+                off_sequence(frames, w, wrong)
 
 
 class TestTensorFiles:
