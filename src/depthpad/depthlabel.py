@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .supervision import CONTRAST_OFFSETS
+
 GRID_SIZE = 32
 
 LIVING = "living"
@@ -155,8 +157,6 @@ def _fill_holes(values: np.ndarray, filled: np.ndarray, hull: np.ndarray) -> np.
     values = values.copy()
     filled = filled.copy()
     grid = values.shape[0]
-    offsets = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
-               if (di, dj) != (0, 0)]
     while True:
         holes = hull & ~filled
         if not holes.any():
@@ -168,7 +168,7 @@ def _fill_holes(values: np.ndarray, filled: np.ndarray, hull: np.ndarray) -> np.
         fill = np.pad(filled, 1)
         acc = np.zeros_like(values)
         cnt = np.zeros((grid, grid))
-        for di, dj in offsets:
+        for di, dj in CONTRAST_OFFSETS:
             acc += vals[1 - di:1 - di + grid, 1 - dj:1 - dj + grid]
             cnt += fill[1 - di:1 - di + grid, 1 - dj:1 - dj + grid]
         ready = holes & (cnt > 0)

@@ -23,7 +23,8 @@ import numpy as np
 
 LOG_CLAMP = 1e-12  # floor inside the cross-entropy log
 
-# Neighbor offsets (row, col) of the +1 entry, row-major around the center.
+# Neighbor offsets (row, col), row-major around the center: the +1 entry of
+# each contrastive kernel, and the neighbours depthlabel._fill_holes averages.
 CONTRAST_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
                     (0, 1), (1, -1), (1, 0), (1, 1))
 

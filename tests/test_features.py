@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from depthpad.features import (
     SOBEL_GAIN,
@@ -258,10 +260,10 @@ class TestOffBlock:
         rng = np.random.default_rng(15)
         f = rng.standard_normal((6, 6, 3))
         expects_prev = self._weights(cprev=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has 2 spare channels"):
             off_pair(f, f, None, expects_prev)
         no_prev = self._weights(cprev=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has 0 spare channels"):
             off_pair(f, f, rng.standard_normal((6, 6, 2)), no_prev)
         with pytest.raises(ValueError):
             off_pair(f, f, rng.standard_normal((6, 5, 2)), expects_prev)
@@ -303,10 +305,12 @@ class TestOffSequence:
             off_sequence([f], w)  # no pair
         with pytest.raises(ValueError):
             off_sequence([f, f, rng.standard_normal((6, 5, 3))], w)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has 2 spare channels"):
             off_sequence([f, f], OffBlockWeights.seeded(3, reduce_channels=2,
                                                        out_channels=4,
                                                        prev_channels=2))
+        with pytest.raises(ValueError, match="has 0 spare channels"):
+            off_sequence([f, f], w, [rng.standard_normal((6, 6, 2))])
 
     def test_prev_length_must_match_pairs(self):
         rng = np.random.default_rng(21)
@@ -318,6 +322,67 @@ class TestOffSequence:
         for wrong in (prev[:2], prev + prev[:1], []):
             with pytest.raises(ValueError, match="frame pairs"):
                 off_sequence(frames, w, wrong)
+
+
+@st.composite
+def motion_cases(draw):
+    """Seeded weights (no prev branch) and a frame sequence of drawn sizes."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    h, w = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+    n_frames = draw(st.integers(2, 4))
+    cin = draw(st.integers(1, 3))
+    weights = OffBlockWeights.seeded(cin, reduce_channels=draw(st.integers(1, 4)),
+                                     out_channels=draw(st.integers(1, 3)),
+                                     seed=seed)
+    rng = np.random.default_rng(seed)
+    frames = [rng.standard_normal((h, w, cin)) for _ in range(n_frames)]
+    return weights, frames, rng
+
+
+class TestOffSequenceProperties:
+    """Invariants the folded (reduce-into-fuse) evaluation relies on."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(motion_cases(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def test_linear_in_the_frames(self, case, a, b):
+        w, xs, rng = case
+        ys = [rng.standard_normal(x.shape) for x in xs]
+        mixed = off_sequence([a * x + b * y for x, y in zip(xs, ys)], w)
+        for got, bx, by in zip(mixed, off_sequence(xs, w), off_sequence(ys, w)):
+            assert np.allclose(got, a * bx + b * by, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(motion_cases())
+    def test_identical_frames_give_identical_blocks(self, case):
+        w, xs, _ = case
+        blocks = off_sequence([xs[0]] * len(xs), w)
+        for block in blocks[1:]:
+            assert np.allclose(block, blocks[0], rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(motion_cases())
+    def test_constant_frames_see_only_the_reduced_branch(self, case):
+        # Spatial and temporal gradients of identical constant frames vanish.
+        w, xs, _ = case
+        frame = np.broadcast_to(xs[0][:1, :1], xs[0].shape)
+        cr = w.reduce_1x1.shape[3]
+        want = conv2d(conv2d(frame, w.reduce_1x1), w.fuse_3x3[:, :, :cr])
+        for block in off_sequence([frame] * len(xs), w):
+            assert np.allclose(block, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(motion_cases(), st.integers(1, 9))
+    def test_interior_equivariant_under_vertical_roll(self, case, k):
+        # Sobel then the 3x3 fuse reach 2 rows, so a row at least 2 rows from
+        # the edges, before and after the roll, sees no padding and no seam.
+        w, xs, _ = case
+        h = xs[0].shape[0]
+        rows = [(i + k) % h for i in range(2, h - 2) if 2 <= (i + k) % h < h - 2]
+        assume(rows)
+        rolled = off_sequence([np.roll(x, k, axis=0) for x in xs], w)
+        for got, block in zip(rolled, off_sequence(xs, w)):
+            want = np.roll(block, k, axis=0)
+            assert np.allclose(got[rows], want[rows], rtol=0, atol=1e-12)
 
 
 class TestTensorFiles:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthpad.features import conv2d
 from depthpad.recurrent import ConvGruCell, convgru_run, convgru_step, fuse_depth
@@ -162,6 +164,35 @@ class TestFuseDepth:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             fuse_depth(np.zeros((4, 4)), np.zeros((4, 5)), 0.5)
+
+
+
+class TestInvariantProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.1, 10.0),
+           st.integers(1, 2), st.integers(1, 3))
+    def test_hidden_state_bounded_for_large_kernels(self, seed, scale, ch, cin):
+        # h' is a convex combination of h and a tanh, whatever the kernels.
+        cell = ConvGruCell.seeded(input_channels=cin, hidden_channels=ch,
+                                  scale=scale, seed=seed)
+        rng = np.random.default_rng(seed)
+        h0 = rng.uniform(-1, 1, (5, 5, ch))
+        xs = [scale * rng.standard_normal((5, 5, cin)) for _ in range(32)]
+        for state in convgru_run(cell, h0, xs):
+            assert np.abs(state).max() <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.booleans())
+    def test_fused_depth_lies_between_inputs(self, seed, alpha, tie):
+        rng = np.random.default_rng(seed)
+        single = rng.uniform(-1, 1, (6, 6))
+        multi = single.copy() if tie else rng.uniform(-1, 1, (6, 6))
+        fused = fuse_depth(single, multi, alpha)
+        # Rounding can put alpha * s + (1 - alpha) * m just outside [lo, hi]
+        # (above s when s == m), so the bound allows 2 eps of the larger input.
+        ulp = 2 * np.finfo(float).eps * np.maximum(abs(single), abs(multi))
+        assert (fused >= np.minimum(single, multi) - ulp).all()
+        assert (fused <= np.maximum(single, multi) + ulp).all()
 
 
 class TestCellPersistence:
