@@ -58,23 +58,31 @@ class RecordColumns:
     group_names: tuple[str, ...]
 
     @classmethod
-    def from_lists(cls, scores: list, labels: list, kinds: list) -> "RecordColumns":
-        """Columns from per-record scores, labels and tags already checked."""
-        index: dict[str, int] = {}
-        codes = [index.setdefault(kind or ATTACK, len(index)) for kind in kinds]
-        columns = (np.array(scores, dtype=np.float64),
-                   np.array([label == LIVING for label in labels], dtype=bool),
-                   np.array(codes, dtype=np.intp))
+    def from_codes(cls, scores: np.ndarray, keys: np.ndarray,
+                   pairs) -> "RecordColumns":
+        """Columns from checked scores and codebook keys.
+
+        keys[i] is record i's index into pairs, the distinct
+        (label, attack_kind) pairs in order of first appearance.
+        """
+        names: dict[str, int] = {}
+        living = np.array([label == LIVING for label, _ in pairs], dtype=bool)
+        group = np.array([names.setdefault(kind or ATTACK, len(names))
+                          for _, kind in pairs], dtype=np.intp)
+        columns = (scores, living[keys], group[keys])
         for column in columns:
             column.flags.writeable = False
-        return cls(*columns, tuple(index))
+        return cls(*columns, tuple(names))
 
     @classmethod
     def of(cls, records: Sequence[EvalRecord]) -> "RecordColumns":
         """Columns of records that each passed check_record when built."""
-        return cls.from_lists([r.score for r in records],
-                              [r.label for r in records],
-                              [r.attack_kind for r in records])
+        book: dict[tuple, int] = {}
+        keys = [book.setdefault((r.label, r.attack_kind), len(book))
+                for r in records]
+        return cls.from_codes(
+            np.array([r.score for r in records], dtype=np.float64),
+            np.array(keys, dtype=np.intp), list(book))
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -104,19 +112,6 @@ def living_score(b_hat: float, fused: Sequence, masks: Sequence,
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     return beta * b_hat + (1.0 - beta) * masked_depth_term(fused, masks)
-
-
-def apcer_bpcer_acer(records: RecordColumns | Sequence[EvalRecord],
-                     threshold: float) -> tuple[float, float, float]:
-    """Worst per-PAI acceptance rate, bona fide rejection rate, and their mean."""
-    summary = metrics_summary(records, threshold)
-    return summary["apcer"], summary["bpcer"], summary["acer"]
-
-
-def hter(records: RecordColumns | Sequence[EvalRecord],
-         threshold: float) -> float:
-    """Half total error rate; attacks pooled into one false-acceptance rate."""
-    return metrics_summary(records, threshold)["hter"]
 
 
 def metrics_summary(records: RecordColumns | Sequence[EvalRecord],
@@ -161,36 +156,79 @@ def read_records_csv(path) -> RecordColumns:
     """Load records from a CSV with columns score,label,attack_kind.
 
     Every data row has exactly three fields; blank lines are skipped, and
-    an error names the physical line it was found on.
+    an error names the physical line of the first bad row in file order.
+    One pass only splits rows; the scores are then checked as one column
+    and the labels once per distinct (label, attack_kind) pair.
     """
-    scores, labels, kinds = [], [], []
+    texts: list[str] = []
+    keys = []    # each row's index into book, the (label, tag) codebook
+    book: dict[tuple[str, str], int] = {}
+    stop = None    # the error that ended the pass early
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}")
         if header != RECORD_FIELDS:
             raise ValueError(f"records CSV must have columns {RECORD_FIELDS}, "
                              f"got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(RECORD_FIELDS):
-                raise ValueError(f"line {reader.line_num}: expected "
-                                 f"{len(RECORD_FIELDS)} fields, got {len(row)}")
-            text, label, kind = row
-            try:
-                score = float(text)
-            except ValueError:
-                raise ValueError(f"line {reader.line_num}: bad score {text!r}")
-            try:
-                check_record(score, label)
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}")
-            scores.append(score)
-            labels.append(label)
-            kinds.append(kind)
-    if not scores:
+        width = len(RECORD_FIELDS)
+        try:
+            for row in reader:
+                if len(row) == width:
+                    text, label, kind = row
+                    texts.append(text)
+                    keys.append(book.setdefault((label, kind), len(book)))
+                elif row:
+                    stop = ValueError(f"line {reader.line_num}: expected "
+                                      f"{width} fields, got {len(row)}")
+                    break
+        except csv.Error as exc:
+            stop = ValueError(f"line {reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            stop = exc
+    pairs = list(book)
+    keys = np.array(keys, dtype=np.intp)
+    try:
+        scores = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        first = 0    # some score does not parse; the walk below finds it
+    else:
+        # check_record's rule by column: NaN fails both comparisons.
+        known = np.array([label in (LIVING, ATTACK) for label, _ in pairs],
+                         dtype=bool)
+        good = (scores >= 0.0) & (scores <= 1.0) & known[keys]
+        first = len(texts) if good.all() else int(np.argmin(good))
+    # Messages come from the per-row rule alone, at the first row it fails.
+    for index in range(first, len(texts)):
+        text, (label, _) = texts[index], pairs[keys[index]]
+        try:
+            score = float(text)
+        except ValueError:
+            raise ValueError(f"line {_line_of(path, index)}: bad score {text!r}")
+        try:
+            check_record(score, label)
+        except ValueError as exc:
+            raise ValueError(f"line {_line_of(path, index)}: {exc}")
+    if stop is not None:
+        raise stop
+    if not texts:
         raise ValueError("records CSV holds no data rows")
-    return RecordColumns.from_lists(scores, labels, kinds)
+    return RecordColumns.from_codes(scores, keys, pairs)
+
+
+def _line_of(path, index: int) -> int:
+    """Physical line on which data row index (blank lines not counted) ends."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if row:
+                if not index:
+                    return reader.line_num
+                index -= 1
+    raise ValueError(f"{path} changed while it was read")
 
 
 def write_records_csv(records: Sequence[EvalRecord], path) -> None:

@@ -297,10 +297,10 @@ def test_metrics_suite():
     records = [metrics.EvalRecord(0.7, "attack", "print1")]
     records += [metrics.EvalRecord(0.3, "attack", "print1")] * 39
     records += [metrics.EvalRecord(0.9, "living")] * 10
-    apcer, bpcer, acer = metrics.apcer_bpcer_acer(records, 0.5)
-    assert apcer == pytest.approx(0.025)
-    assert bpcer == 0.0
-    assert acer == pytest.approx(0.0125)
+    summary = metrics.metrics_summary(records, 0.5)
+    assert summary["apcer"] == pytest.approx(0.025)
+    assert summary["bpcer"] == 0.0
+    assert summary["acer"] == pytest.approx(0.0125)
 
     # Exhaustive recount equivalence for every record multiset of size <= 12
     # over {bona fide, print PAI, replay PAI} x {accepted, rejected}. The
@@ -318,7 +318,8 @@ def test_metrics_suite():
                     + [metrics.EvalRecord(0.2, "attack", "print")] * pr
                     + [metrics.EvalRecord(0.8, "attack", "replay")] * ra
                     + [metrics.EvalRecord(0.2, "attack", "replay")] * rr)
-            got = metrics.apcer_bpcer_acer(recs, 0.5) + (metrics.hter(recs, 0.5),)
+            summary = metrics.metrics_summary(recs, 0.5)
+            got = tuple(summary[k] for k in ("apcer", "bpcer", "acer", "hter"))
             assert got == pytest.approx(brute_force_rates(recs, 0.5))
             checked += 1
 
@@ -333,7 +334,7 @@ def test_metrics_suite():
         thresholds = np.linspace(0.0, 1.0001, 9)
         prev_bpcer, prev_accept = -1.0, None
         for th in thresholds:
-            apcer, bpcer, _ = metrics.apcer_bpcer_acer(recs, th)
+            bpcer = metrics.metrics_summary(recs, th)["bpcer"]
             assert bpcer >= prev_bpcer
             pooled_accept = sum(r.score >= th for r in recs
                                 if r.label == "attack")

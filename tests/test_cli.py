@@ -309,6 +309,14 @@ class TestMetricsCommand:
             assert f"line 3: expected 3 fields, got {got}" in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
 
+    def test_over_long_field_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text("score,label,attack_kind\n0.9,living,\n"
+                        f"0.2,attack,{'x' * 200_000}\n0.1,attack,\n")
+        assert run(["metrics", path, "--out", tmp_path]) == 3
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["metrics", tmp_path / "absent.csv", "--out", tmp_path]) == 3
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import Delaunay, QhullError
 
 from depthpad.depthlabel import (
@@ -219,6 +221,21 @@ class TestGenerateLivingDepth:
         cloud = hemisphere_cloud(grid_size=20)
         with pytest.raises(ValueError):
             generate_living_depth(cloud, bounds=(10.0, 20.0, 10.0, 20.0))
+
+
+class TestLivingDepthProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(amplitude=st.floats(0.05, 500.0),
+           center=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+           radius=st.floats(0.5, 200.0),
+           grid_size=st.integers(8, 64))
+    def test_dome_labels_span_zero_to_exactly_one(self, amplitude, center,
+                                                  radius, grid_size):
+        cloud = synthesize_face_surface(amplitude=amplitude, center=center,
+                                        radius=radius, grid_size=grid_size)
+        values = generate_living_depth(cloud).values
+        assert values.min() >= 0.0
+        assert values.max() == 1.0
 
 
 class TestFillHoles:

@@ -1,3 +1,5 @@
+import csv
+import io
 import tempfile
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -11,10 +13,10 @@ from depthpad.depthlabel import FaceMask
 from depthpad.metrics import (
     ATTACK,
     LIVING,
+    RECORD_FIELDS,
     EvalRecord,
     RecordColumns,
-    apcer_bpcer_acer,
-    hter,
+    check_record,
     living_score,
     masked_depth_term,
     metrics_summary,
@@ -118,23 +120,25 @@ class TestApcerBpcerAcer:
         # mean lands at 1.25%, shown as 1.3 at one decimal with halves
         # rounding up.
         records = make_records({"print1": (1, 39)}, (10, 0))
-        apcer, bpcer, acer = apcer_bpcer_acer(records, 0.5)
-        assert apcer == pytest.approx(0.025)
-        assert bpcer == 0.0
-        assert acer == pytest.approx(0.0125)
-        half_up = Decimal(str(acer * 100)).quantize(Decimal("0.1"), ROUND_HALF_UP)
+        summary = metrics_summary(records, 0.5)
+        assert summary["apcer"] == pytest.approx(0.025)
+        assert summary["bpcer"] == 0.0
+        assert summary["acer"] == pytest.approx(0.0125)
+        half_up = Decimal(str(summary["acer"] * 100)).quantize(Decimal("0.1"),
+                                                                ROUND_HALF_UP)
         assert half_up == Decimal("1.3")
 
     def test_perfect_separation(self):
         records = make_records({"print1": (0, 5), "replay1": (0, 5)}, (5, 0))
-        assert apcer_bpcer_acer(records, 0.5) == (0.0, 0.0, 0.0)
+        summary = metrics_summary(records, 0.5)
+        assert (summary["apcer"], summary["bpcer"], summary["acer"]) == (0.0, 0.0, 0.0)
 
     def test_worst_pai_wins(self):
         records = make_records({"print1": (1, 9), "replay1": (3, 3)}, (4, 1))
-        apcer, bpcer, acer = apcer_bpcer_acer(records, 0.5)
-        assert apcer == pytest.approx(0.5)  # replay1 is the weak spot
-        assert bpcer == pytest.approx(0.2)
-        assert acer == pytest.approx(0.35)
+        summary = metrics_summary(records, 0.5)
+        assert summary["apcer"] == pytest.approx(0.5)  # replay1 is the weak spot
+        assert summary["bpcer"] == pytest.approx(0.2)
+        assert summary["acer"] == pytest.approx(0.35)
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(0)
@@ -146,9 +150,9 @@ class TestApcerBpcerAcer:
                                    kinds[rng.integers(len(kinds))])
                         for _ in range(rng.integers(1, 12))]
             threshold = rng.random()
-            got = apcer_bpcer_acer(records, threshold) + (hter(records, threshold),)
-            assert got == pytest.approx(brute_force_rates(records, threshold))
             summary = metrics_summary(records, threshold)
+            got = tuple(summary[k] for k in ("apcer", "bpcer", "acer", "hter"))
+            assert got == pytest.approx(brute_force_rates(records, threshold))
             assert summary["apcer"] == got[0]
             assert summary["apcer"] == max(summary["per_pai_apcer"].values())
 
@@ -158,40 +162,41 @@ class TestApcerBpcerAcer:
         records = [EvalRecord(0.9, ATTACK, None),
                    EvalRecord(0.1, ATTACK, ATTACK), EvalRecord(0.1, ATTACK, ATTACK),
                    EvalRecord(0.9, LIVING)]
-        apcer, _, _ = apcer_bpcer_acer(records, 0.5)
         summary = metrics_summary(records, 0.5)
         assert summary["per_pai_apcer"] == {ATTACK: pytest.approx(1 / 3)}
-        assert apcer == summary["apcer"] == max(summary["per_pai_apcer"].values())
+        assert summary["apcer"] == max(summary["per_pai_apcer"].values())
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            apcer_bpcer_acer([EvalRecord(0.5, LIVING)], 0.5)
+            metrics_summary([EvalRecord(0.5, LIVING)], 0.5)
         with pytest.raises(ValueError):
-            apcer_bpcer_acer([EvalRecord(0.5, ATTACK, "print1")], 0.5)
+            metrics_summary([EvalRecord(0.5, ATTACK, "print1")], 0.5)
 
     def test_acer_dominates_half_of_worst_rate(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             records = [EvalRecord(rng.random(), LIVING) for _ in range(5)]
             records += [EvalRecord(rng.random(), ATTACK, "print1") for _ in range(5)]
-            apcer, bpcer, acer = apcer_bpcer_acer(records, 0.5)
+            summary = metrics_summary(records, 0.5)
+            acer = summary["acer"]
             assert 0.0 <= acer <= 1.0
-            assert acer >= max(apcer, bpcer) / 2
+            assert acer >= max(summary["apcer"], summary["bpcer"]) / 2
 
 
 class TestHter:
     def test_perfect_separation(self):
         records = make_records({"print1": (0, 5)}, (5, 0))
-        assert hter(records, 0.5) == 0.0
+        assert metrics_summary(records, 0.5)["hter"] == 0.0
 
     def test_everything_wrong(self):
         records = make_records({"print1": (5, 0)}, (0, 5))
-        assert hter(records, 0.5) == 1.0
+        assert metrics_summary(records, 0.5)["hter"] == 1.0
 
     def test_pooled_attacks(self):
         # Per-PAI rates 0.5 and 0.0 pool to 3/12, not to the max.
         records = make_records({"print1": (3, 3), "replay1": (0, 6)}, (6, 0))
-        assert hter(records, 0.5) == pytest.approx((0.0 + 3 / 12) / 2)
+        assert metrics_summary(records, 0.5)["hter"] == pytest.approx(
+            (0.0 + 3 / 12) / 2)
 
 
 class TestThresholdMonotonicity:
@@ -205,9 +210,9 @@ class TestThresholdMonotonicity:
             thresholds = np.linspace(0, 1.0001, 12)
             bpcers, apcers = [], []
             for th in thresholds:
-                apcer, bpcer, _ = apcer_bpcer_acer(records, th)
-                apcers.append(apcer)
-                bpcers.append(bpcer)
+                summary = metrics_summary(records, th)
+                apcers.append(summary["apcer"])
+                bpcers.append(summary["bpcer"])
             assert all(b2 >= b1 for b1, b2 in zip(bpcers, bpcers[1:]))
             assert all(a2 <= a1 for a1, a2 in zip(apcers, apcers[1:]))
 
@@ -268,6 +273,29 @@ class TestSummaryAndCsv:
             path.write_text(f"score,label,attack_kind\n0.5,living,\n{row}\n")
             with pytest.raises(ValueError, match=f"^line 3: {message}"):
                 read_records_csv(path)
+
+    def test_over_long_field_names_its_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        long_tag = "x" * (csv.field_size_limit() + 1)
+        path.write_text(f"score,label,{long_tag}\n0.5,living,\n")
+        with pytest.raises(ValueError, match="^line 1: field larger than"):
+            read_records_csv(path)
+        body = f"score,label,attack_kind\n0.5,living,\n0.2,attack,{long_tag}\n"
+        path.write_text(body)
+        with pytest.raises(ValueError, match="^line 3: field larger than"):
+            read_records_csv(path)
+        # A bad row above the over-long field is the one reported.
+        path.write_text(body.replace("0.5,living", "nope,living"))
+        with pytest.raises(ValueError, match="^line 2: bad score 'nope'$"):
+            read_records_csv(path)
+
+    def test_bad_row_above_undecodable_bytes_wins(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        rows = b"0.5,living,\n" * 4000    # past the first decoded chunk
+        path.write_bytes(b"score,label,attack_kind\n0.5,living,\nnope,attack,\n"
+                         + rows + b"0.2,attack,\xff\xfe\n")
+        with pytest.raises(ValueError, match="^line 3: bad score 'nope'$"):
+            read_records_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -347,3 +375,108 @@ class TestColumnarCoreProperties:
             back = read_records_csv(path)
         assert metrics_summary(back, threshold) == metrics_summary(records,
                                                                    threshold)
+
+
+# -- differential test: the column reader against the row-at-a-time one ------
+
+def reference_read_records_csv(path):
+    """The reader that checked each row as it went, kept as the reference.
+
+    Returns (scores, living, groups, group_names) or raises ValueError.
+    """
+    scores, labels, kinds = [], [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != RECORD_FIELDS:
+            raise ValueError(f"records CSV must have columns {RECORD_FIELDS}, "
+                             f"got {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(RECORD_FIELDS):
+                raise ValueError(f"line {reader.line_num}: expected "
+                                 f"{len(RECORD_FIELDS)} fields, got {len(row)}")
+            text, label, kind = row
+            try:
+                score = float(text)
+            except ValueError:
+                raise ValueError(f"line {reader.line_num}: bad score {text!r}")
+            try:
+                check_record(score, label)
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}")
+            scores.append(score)
+            labels.append(label)
+            kinds.append(kind)
+    if not scores:
+        raise ValueError("records CSV holds no data rows")
+    index = {}
+    codes = [index.setdefault(kind or ATTACK, len(index)) for kind in kinds]
+    return (np.array(scores, dtype=np.float64),
+            np.array([label == LIVING for label in labels], dtype=bool),
+            np.array(codes, dtype=np.intp), tuple(index))
+
+
+tag_st = st.one_of(st.sampled_from(["", ATTACK, "print", "Attack", LIVING]),
+                   st.text(alphabet='ab ,"\n\r', max_size=6))
+valid_row_st = st.tuples(
+    st.one_of(st.floats(0.0, 1.0).map(repr),
+              st.sampled_from(["0", "1", "1e-1", " 0.5", "-0.0"])),
+    st.sampled_from([LIVING, ATTACK]), tag_st).map(list)
+fault_st = st.one_of(
+    # wrong field count
+    st.lists(st.sampled_from(["0.5", LIVING, "", "x,y"]), min_size=1,
+             max_size=5).filter(lambda row: len(row) != 3),
+    # unparseable score
+    st.tuples(st.sampled_from(["nope", "", "0.5.1", "0x1", "1,5"]),
+              st.sampled_from([LIVING, ATTACK]), tag_st).map(list),
+    # score out of range or not finite
+    st.tuples(st.sampled_from(["1.5", "-0.1", "nan", "inf", "-inf", "1_0"]),
+              st.sampled_from([LIVING, ATTACK]), tag_st).map(list),
+    # unknown label
+    st.tuples(st.floats(0.0, 1.0).map(repr),
+              st.sampled_from(["genuine", "Living", "", "attack "]),
+              tag_st).map(list))
+
+
+@st.composite
+def records_csv_texts(draw):
+    """A records CSV: valid rows, blank lines and zero or more faults."""
+    rows = draw(st.lists(st.one_of(valid_row_st, st.just([])), max_size=25))
+    for fault in draw(st.lists(fault_st, max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), fault)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n",
+                                                                   "\r\n"])))
+    writer.writerow(RECORD_FIELDS)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReaderMatchesRowAtATimeReference:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records_csv_texts())
+    def test_same_columns_or_same_message(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            path.write_text(text, newline="")
+            want = read_outcome(reference_read_records_csv, path)
+            got = read_outcome(read_records_csv, path)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        for column, expected in zip((got.scores, got.living, got.groups),
+                                    want[:3]):
+            assert column.dtype == expected.dtype
+            assert np.array_equal(column, expected)
+        assert got.group_names == want[3]
