@@ -203,15 +203,16 @@ def svg_line_plot(path, series: dict, title: str, x_label: str, y_label: str,
                     runs.append(current)
                 current = []
             else:
-                current.append((sx(x), sy(y)))
+                # Each point's text serves both its polyline vertex and its circle.
+                current.append((f"{sx(x):.2f}", f"{sy(y):.2f}"))
         if current:
             runs.append(current)
         for run in runs:
-            coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in run)
+            coords = " ".join(f"{px},{py}" for px, py in run)
             parts.append(f'<polyline points="{coords}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
             for px, py in run:
-                parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" '
+                parts.append(f'<circle cx="{px}" cy="{py}" r="2.5" '
                              f'fill="{color}"/>')
         label = name if runs else f"{name} (flat, no ratio)"
         parts.append(f'<text x="{width - margin + 4}" y="{margin + 14 * idx}" '
@@ -252,12 +253,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"--frames must lie in [2, {MAX_FRAMES}], got {frames}")
     schedule = list(itertools.islice(itertools.cycle(s.get("dv_schedule")),
                                      frames - 1))
+    scenes = {}
+    for name in s.get("scenes"):
+        try:
+            scenes[name] = _build_scene(name, s)
+        except ValueError as exc:
+            raise UsageError(f"bad setting for scene {name!r}: {exc}")
     out_dir = Path(s.get("out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results = {}
-    for name in s.get("scenes"):
-        cfg = _build_scene(name, s)
+    for name, cfg in scenes.items():
         per_scene_schedule = schedule if name in ("print", "replay") else None
         try:
             results[name] = geometry.simulate_sequence(cfg, frames,

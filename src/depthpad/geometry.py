@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 # Relative slack when deciding that all three flows coincide (print signature).
@@ -128,8 +128,11 @@ class FlowObservation:
     du_r: float
 
     def __post_init__(self) -> None:
-        for name in ("du_l", "du_m", "du_r"):
-            _check_finite(name, getattr(self, name))
+        # x * 0.0 is 0 for finite x and NaN otherwise, so one test covers all
+        # three; the walk that names the first bad flow runs only on failure.
+        if not math.isfinite(self.du_l * 0.0 + self.du_m * 0.0 + self.du_r * 0.0):
+            for name in ("du_l", "du_m", "du_r"):
+                _check_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -192,19 +195,28 @@ def estimate_relative_depth(obs: FlowObservation,
     return RelativeDepthEstimate.of(num / den)
 
 
+def _require_translating(cfg: AttackSceneConfig, what: str) -> None:
+    if cfg.theta != 0.0:
+        raise ValueError(f"{what} a translating carrier; theta must be 0")
+
+
 def flow_replay(cfg: AttackSceneConfig) -> FlowObservation:
     """Realistic-camera flows for a translating carrier (theta must be 0).
 
     The recorded motion and the carrier shake dv compose; a print attack is
     the sub-case dx = 0.
     """
-    if cfg.theta != 0.0:
-        raise ValueError("flow_replay models a translating carrier; theta must be 0")
+    _require_translating(cfg, "flow_replay models")
+    return _flow_replay(cfg, cfg.dv)
+
+
+def _flow_replay(cfg: AttackSceneConfig, dv: float) -> FlowObservation:
+    """flow_replay with the carrier shake dv in place of cfg.dv."""
     fa, fb, za, zb = cfg.fa, cfg.fb, cfg.za, cfg.zb
     return FlowObservation(
-        du_l=(fa * fb * cfg.dx + za * fb * cfg.dv) / (za * zb),
-        du_m=(fa * fb * cfg.dx + (za + cfg.d1) * fb * cfg.dv) / ((za + cfg.d1) * zb),
-        du_r=(fa * fb * cfg.dx + (za + cfg.d2) * fb * cfg.dv) / ((za + cfg.d2) * zb),
+        du_l=(fa * fb * cfg.dx + za * fb * dv) / (za * zb),
+        du_m=(fa * fb * cfg.dx + (za + cfg.d1) * fb * dv) / ((za + cfg.d1) * zb),
+        du_r=(fa * fb * cfg.dx + (za + cfg.d2) * fb * dv) / ((za + cfg.d2) * zb),
     )
 
 
@@ -213,18 +225,26 @@ def replay_distortion_factor(cfg: AttackSceneConfig) -> float:
 
     Equals 1 exactly when dv = 0 (the perfect spoofing scene) or d1 = d2.
     """
-    if cfg.theta != 0.0:
-        raise ValueError("distortion factor applies to a translating carrier; theta must be 0")
-    den = cfg.fa * cfg.dx + (cfg.za + cfg.d1) * cfg.dv
+    _require_translating(cfg, "distortion factor applies to")
+    return _replay_distortion_factor(cfg, cfg.dv)
+
+
+def _replay_distortion_factor(cfg: AttackSceneConfig, dv: float) -> float:
+    den = cfg.fa * cfg.dx + (cfg.za + cfg.d1) * dv
     if den == 0.0:
         raise SingularConfigError(
             "recorded motion exactly cancels carrier shake for the middle point")
-    return (cfg.fa * cfg.dx + (cfg.za + cfg.d2) * cfg.dv) / den
+    return (cfg.fa * cfg.dx + (cfg.za + cfg.d2) * dv) / den
 
 
 def closed_form_replay_ratio(cfg: AttackSceneConfig) -> float:
     """Replay-scene relative-depth estimate without simulating flows."""
-    return cfg.relative_depth * replay_distortion_factor(cfg)
+    _require_translating(cfg, "distortion factor applies to")
+    return _closed_form_replay_ratio(cfg, cfg.dv)
+
+
+def _closed_form_replay_ratio(cfg: AttackSceneConfig, dv: float) -> float:
+    return cfg.relative_depth * _replay_distortion_factor(cfg, dv)
 
 
 def map_rotated_coordinate(u: float, zb: float, theta: float) -> float:
@@ -244,17 +264,24 @@ def map_rotated_coordinate(u: float, zb: float, theta: float) -> float:
     return zb * u * math.cos(theta) / den
 
 
-def _rotated_endpoints(cfg: AttackSceneConfig
-                       ) -> tuple[tuple[float, float], ...]:
+Endpoints = tuple[tuple[float, float], ...]
+
+
+def _rotated_endpoints(cfg: AttackSceneConfig,
+                       starts: tuple[float, float, float]) -> Endpoints:
     """(start, end) recording-plane coordinates of the near, middle, far points.
 
-    The starts are ul1/um1/ur1; each end is its start displaced by that
+    starts holds the near, middle and far start coordinates (cfg.ul1, um1,
+    ur1 on the first frame step); each end is its start displaced by that
     point's recording flow fa*dx / (za + depth offset) inside the recorded
     content.
     """
-    starts = (cfg.ul1, cfg.um1, cfg.ur1)
     depths = (cfg.za, cfg.za + cfg.d1, cfg.za + cfg.d2)
     return tuple((u1, u1 + cfg.fa * cfg.dx / z) for u1, z in zip(starts, depths))
+
+
+def _config_endpoints(cfg: AttackSceneConfig) -> Endpoints:
+    return _rotated_endpoints(cfg, (cfg.ul1, cfg.um1, cfg.ur1))
 
 
 def flow_rotated(cfg: AttackSceneConfig) -> FlowObservation:
@@ -264,9 +291,13 @@ def flow_rotated(cfg: AttackSceneConfig) -> FlowObservation:
     difference of map_rotated_coordinate at its start and end coordinates,
     then scaled onto the realistic image plane.
     """
+    return _flow_rotated(cfg, _config_endpoints(cfg))
+
+
+def _flow_rotated(cfg: AttackSceneConfig, ends: Endpoints) -> FlowObservation:
     mapped = [map_rotated_coordinate(u2, cfg.zb, cfg.theta)
               - map_rotated_coordinate(u1, cfg.zb, cfg.theta)
-              for u1, u2 in _rotated_endpoints(cfg)]
+              for u1, u2 in ends]
     scale = cfg.fb / cfg.zb
     return FlowObservation(*(scale * m for m in mapped))
 
@@ -278,9 +309,14 @@ def rotation_beta_factors(cfg: AttackSceneConfig) -> tuple[float, float]:
     products of the per-endpoint intersection denominators. With theta = 0
     both collapse to exactly 1.
     """
+    return _rotation_beta_factors(cfg, _config_endpoints(cfg))
+
+
+def _rotation_beta_factors(cfg: AttackSceneConfig,
+                           ends: Endpoints) -> tuple[float, float]:
     s = math.sin(cfg.theta)
     den = {}
-    for key, (u1, u2) in zip("lmr", _rotated_endpoints(cfg)):
+    for key, (u1, u2) in zip("lmr", ends):
         a = cfg.zb - u1 * s
         b = cfg.zb - u2 * s
         if a <= 0 or b <= 0:
@@ -292,7 +328,11 @@ def rotation_beta_factors(cfg: AttackSceneConfig) -> tuple[float, float]:
 
 def closed_form_rotated_ratio(cfg: AttackSceneConfig) -> float:
     """Rotated-carrier relative-depth estimate without simulating flows."""
-    beta1, beta2 = rotation_beta_factors(cfg)
+    return _closed_form_rotated_ratio(cfg, _config_endpoints(cfg))
+
+
+def _closed_form_rotated_ratio(cfg: AttackSceneConfig, ends: Endpoints) -> float:
+    beta1, beta2 = _rotation_beta_factors(cfg, ends)
     num = (cfg.d1 / cfg.za + 1.0) * beta1 - 1.0
     den = (cfg.d2 / cfg.za + 1.0) * beta2 - 1.0
     if den == 0.0:
@@ -328,27 +368,28 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
         raise ValueError(f"a sequence needs at least 2 frames, got {n_frames}")
     n_steps = n_frames - 1
 
+    # cfg was checked when it was built; each step checks only what it changes.
     if isinstance(cfg, RealSceneConfig):
         if dv_schedule is not None:
             raise ValueError("dv schedules apply to attack scenes only")
-        records = []
-        for t in range(n_steps):
-            obs = flow_real(cfg)
-            records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
-                                       cfg.relative_depth))
-        return records
+        obs = flow_real(cfg)
+        est = estimate_relative_depth(obs)
+        closed = cfg.relative_depth
+        return [FrameRecord(t + 1, obs, est, closed) for t in range(n_steps)]
 
+    records = []
     if cfg.theta != 0.0:
         if dv_schedule is not None and any(v != 0.0 for v in dv_schedule):
             raise ValueError("a rotated carrier with nonzero shake is not modeled")
-        records = []
-        frame_cfg = cfg
+        starts = (cfg.ul1, cfg.um1, cfg.ur1)
         for t in range(n_steps):
-            obs = flow_rotated(frame_cfg)
+            ends = _rotated_endpoints(cfg, starts)
+            obs = _flow_rotated(cfg, ends)
             records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
-                                       closed_form_rotated_ratio(frame_cfg)))
-            (_, ul2), (_, um2), (_, ur2) = _rotated_endpoints(frame_cfg)
-            frame_cfg = replace(frame_cfg, ul1=ul2, um1=um2, ur1=ur2)
+                                       _closed_form_rotated_ratio(cfg, ends)))
+            starts = tuple(u2 for _, u2 in ends)
+            for name, u in zip(("ul1", "um1", "ur1"), starts):
+                _check_finite(name, u)
         return records
 
     if dv_schedule is None:
@@ -356,12 +397,11 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
     if len(dv_schedule) != n_steps:
         raise ValueError(
             f"dv schedule has {len(dv_schedule)} entries for {n_steps} frame steps")
-    records = []
     for t, dv in enumerate(dv_schedule):
-        frame_cfg = replace(cfg, dv=dv)
-        obs = flow_replay(frame_cfg)
+        _check_finite("dv", dv)
+        obs = _flow_replay(cfg, dv)
         est = estimate_relative_depth(obs)
-        closed = None if frame_cfg.dx == 0.0 else closed_form_replay_ratio(frame_cfg)
+        closed = None if cfg.dx == 0.0 else _closed_form_replay_ratio(cfg, dv)
         records.append(FrameRecord(t + 1, obs, est, closed))
     return records
 

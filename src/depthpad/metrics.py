@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -155,21 +156,25 @@ def metrics_summary(records: RecordColumns | Sequence[EvalRecord],
 def read_records_csv(path) -> RecordColumns:
     """Load records from a CSV with columns score,label,attack_kind.
 
-    Every data row has exactly three fields; blank lines are skipped, and
-    an error names the physical line of the first bad row in file order.
-    One pass only splits rows; the scores are then checked as one column
-    and the labels once per distinct (label, attack_kind) pair.
+    The file is UTF-8 with strict quoting, so a quote left open is an
+    error rather than a field that runs to the end of the file. Every data
+    row has exactly three fields; blank lines are skipped, and an error
+    names the physical line of the first bad row in file order. One pass
+    only splits rows; the scores are then checked as one column and the
+    labels once per distinct (label, attack_kind) pair.
     """
     texts: list[str] = []
     keys = []    # each row's index into book, the (label, tag) codebook
     book: dict[tuple[str, str], int] = {}
     stop = None    # the error that ended the pass early
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, strict=True)
         try:
             header = next(reader, None)
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}")
+        except UnicodeDecodeError:
+            raise _decode_error(path)
         if header != RECORD_FIELDS:
             raise ValueError(f"records CSV must have columns {RECORD_FIELDS}, "
                              f"got {header}")
@@ -186,8 +191,8 @@ def read_records_csv(path) -> RecordColumns:
                     break
         except csv.Error as exc:
             stop = ValueError(f"line {reader.line_num}: {exc}")
-        except UnicodeDecodeError as exc:
-            stop = exc
+        except UnicodeDecodeError:
+            stop = _decode_error(path)
     pairs = list(book)
     keys = np.array(keys, dtype=np.intp)
     try:
@@ -218,10 +223,26 @@ def read_records_csv(path) -> RecordColumns:
     return RecordColumns.from_codes(scores, keys, pairs)
 
 
+def _decode_error(path) -> ValueError:
+    """The first undecodable byte of a file, named by its physical line.
+
+    The text layer decodes in chunks, so its error offset is relative to a
+    chunk; decoding the raw bytes gives the offset in the file.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ValueError(f"line {line}: {exc}")
+    return ValueError(f"{path} changed while it was read")
+
+
 def _line_of(path, index: int) -> int:
     """Physical line on which data row index (blank lines not counted) ends."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, strict=True)
         next(reader)
         for row in reader:
             if row:

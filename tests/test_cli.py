@@ -152,6 +152,22 @@ class TestSimulate:
         assert "unknown field 'dv'" in capsys.readouterr().err
         assert not (tmp_path / "simulation.csv").exists()
 
+    @pytest.mark.parametrize("text, scene, rule", [
+        ("f = -1\n", "real", "focal distance must be positive, got -1.0"),
+        ("theta = 2\n", "rotated", "theta must lie in (-pi/2, pi/2), got 2.0"),
+        ("d1 = 2\nd2 = 1\n", "real", "need 0 <= d1 <= d2, got d1=2.0, d2=1.0"),
+        ("f = nan\n", "real", "f must be finite, got nan"),
+    ])
+    def test_bad_scene_setting_is_usage_error(self, tmp_path, capsys, text,
+                                              scene, rule):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: bad setting for scene {scene!r}: {rule}" in err
+        assert not out.exists()
+
     def test_unusable_scene_is_data_error(self, tmp_path):
         cfg = tmp_path / "still.cfg"
         # A print carrier that never moves produces no observable flow.
@@ -315,6 +331,25 @@ class TestMetricsCommand:
                         f"0.2,attack,{'x' * 200_000}\n0.1,attack,\n")
         assert run(["metrics", path, "--out", tmp_path]) == 3
         assert "line 3: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_unclosed_quote_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text('score,label,attack_kind\n0.9,living,\n'
+                        '0.5,attack,"abc\n0.2,living,\n0.3,attack,x\n')
+        assert run(["metrics", path, "--out", tmp_path]) == 3
+        assert "line 5: unexpected end of data" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        rows = b"0.5,living,\n" * 2586    # past the first decoded chunk
+        path.write_bytes(b"score,label,attack_kind\n0.2,attack,\n" + rows
+                         + b"0.1,attack,\xff\n0.3,attack,\n")
+        offset = path.read_bytes().index(b"\xff")
+        assert run(["metrics", path, "--out", tmp_path]) == 3
+        assert ("line 2589: 'utf-8' codec can't decode byte 0xff in position "
+                f"{offset}:") in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):

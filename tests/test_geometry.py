@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from depthpad.geometry import (
     AttackSceneConfig,
     DegenerateRotationError,
     FlowObservation,
+    FrameRecord,
     InconsistentFlowError,
     RealSceneConfig,
     SingularConfigError,
@@ -368,3 +371,151 @@ class TestSweepCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_sweep_csv(path)
+
+
+# -- differential test: stepping one checked scene against per-frame configs --
+
+def reference_simulate_sequence(cfg, n_frames, dv_schedule=None):
+    """The loop that rebuilt a checked config per frame, kept as the reference."""
+    if n_frames < 2:
+        raise ValueError(f"a sequence needs at least 2 frames, got {n_frames}")
+    n_steps = n_frames - 1
+
+    if isinstance(cfg, RealSceneConfig):
+        if dv_schedule is not None:
+            raise ValueError("dv schedules apply to attack scenes only")
+        records = []
+        for t in range(n_steps):
+            obs = flow_real(cfg)
+            records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
+                                       cfg.relative_depth))
+        return records
+
+    if cfg.theta != 0.0:
+        if dv_schedule is not None and any(v != 0.0 for v in dv_schedule):
+            raise ValueError("a rotated carrier with nonzero shake is not modeled")
+        records = []
+        frame_cfg = cfg
+        for t in range(n_steps):
+            obs = flow_rotated(frame_cfg)
+            records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
+                                       closed_form_rotated_ratio(frame_cfg)))
+            c = frame_cfg
+            ul2, um2, ur2 = (u1 + c.fa * c.dx / z for u1, z in
+                             zip((c.ul1, c.um1, c.ur1),
+                                 (c.za, c.za + c.d1, c.za + c.d2)))
+            frame_cfg = replace(frame_cfg, ul1=ul2, um1=um2, ur1=ur2)
+        return records
+
+    if dv_schedule is None:
+        dv_schedule = [cfg.dv] * n_steps
+    if len(dv_schedule) != n_steps:
+        raise ValueError(
+            f"dv schedule has {len(dv_schedule)} entries for {n_steps} frame steps")
+    records = []
+    for t, dv in enumerate(dv_schedule):
+        frame_cfg = replace(cfg, dv=dv)
+        obs = flow_replay(frame_cfg)
+        est = estimate_relative_depth(obs)
+        closed = None if frame_cfg.dx == 0.0 else closed_form_replay_ratio(frame_cfg)
+        records.append(FrameRecord(t + 1, obs, est, closed))
+    return records
+
+
+def simulate_outcome(simulate, cfg, n_frames, schedule):
+    try:
+        return simulate(cfg, n_frames, schedule)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def nonzero(lo, hi):
+    return st.floats(lo, hi).filter(lambda v: v != 0.0)
+
+
+length_st = st.floats(1e-3, 20.0)
+# Values large enough that fa*dx, or a start plus its advance, overflows.
+huge_st = st.sampled_from([1e150, 1e300, 1.7e308, -1e300])
+motion_st = st.one_of(nonzero(-2.0, 2.0), huge_st, st.just(0.0))
+dv_st = st.one_of(nonzero(-1.0, 1.0), st.just(0.0), huge_st,
+                  st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def scenes_and_schedules(draw):
+    """(cfg, n_frames, dv_schedule) for any of the four scene kinds."""
+    n_frames = draw(st.integers(2, 10))
+    n_steps = n_frames - 1
+    d2 = draw(length_st)
+    d1 = draw(st.floats(0.0, 1.0)) * d2
+    kind = draw(st.sampled_from(["real", "print", "replay", "rotated"]))
+    if kind == "real":
+        cfg = RealSceneConfig(f=draw(length_st), z=draw(length_st), d1=d1,
+                              d2=d2, dx=draw(motion_st))
+        return cfg, n_frames, None
+    common = dict(fa=draw(length_st), fb=draw(length_st), za=draw(length_st),
+                  d1=d1, d2=d2)
+    steps_st = st.lists(dv_st, min_size=n_steps, max_size=n_steps)
+    if kind == "rotated":
+        # A far carrier and a slow drift keep most sequences in the domain;
+        # the huge values and the drift over the steps leave it.
+        common.update(fa=draw(st.floats(0.1, 2.0)), za=draw(st.floats(1.0, 20.0)))
+        starts = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+        if draw(st.integers(0, 3)) == 0:
+            starts[draw(st.integers(0, 2))] = draw(huge_st)
+        cfg = AttackSceneConfig(zb=draw(st.floats(5.0, 20.0)),
+                                dx=draw(st.one_of(nonzero(-0.5, 0.5), motion_st)),
+                                theta=draw(nonzero(-1.5, 1.5)),
+                                ul1=starts[0], um1=starts[1], ur1=starts[2],
+                                **common)
+        schedule = draw(st.one_of(st.none(), st.just([0.0] * n_steps),
+                                  steps_st))
+        return cfg, n_frames, schedule
+    cfg = AttackSceneConfig(zb=draw(length_st), dv=draw(nonzero(-1.0, 1.0)),
+                            dx=0.0 if kind == "print" else draw(motion_st),
+                            **common)
+    schedule = draw(st.one_of(st.none(), steps_st))
+    if schedule and draw(st.booleans()):
+        # The shake that cancels the recorded motion at the middle point.
+        i = draw(st.integers(0, n_steps - 1))
+        schedule[i] = -(cfg.fa * cfg.dx) / (cfg.za + cfg.d1)
+    return cfg, n_frames, schedule
+
+
+NON_FINITE_DV = (AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1,
+                                   dx=0.3), 4, [0.1, math.nan, 0.2])
+OVERFLOWING_START = (AttackSceneConfig(fa=1e300, fb=1, za=2, zb=4, d1=0.4,
+                                       d2=1, dx=1e300, theta=-0.2), 3, None)
+LEAVING_ROTATION = (AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1,
+                                      dx=1.5, theta=1.2), 12, None)
+EXACT_CANCELLATION = (AttackSceneConfig(fa=0.5, fb=0.68, za=1, zb=4, d1=0.5,
+                                        d2=1, dx=0.15), 3,
+                      [0.1, -0.049999999999999996])
+
+
+class TestSteppedSequenceMatchesPerFrameConfigs:
+    @pytest.mark.parametrize("case, error", [
+        (NON_FINITE_DV, "dv must be finite, got nan"),
+        (OVERFLOWING_START, "du_l must be finite, got nan"),
+        (LEAVING_ROTATION, "has no valid intersection"),
+        (EXACT_CANCELLATION, "exactly cancels carrier shake"),
+    ])
+    def test_boundary_cases_raise(self, case, error):
+        with pytest.raises(ValueError, match=error):
+            reference_simulate_sequence(*case)
+        with pytest.raises(ValueError, match=error):
+            simulate_sequence(*case)
+
+    @settings(max_examples=400, deadline=None)
+    @given(scenes_and_schedules())
+    @example(NON_FINITE_DV)
+    @example(OVERFLOWING_START)
+    @example(LEAVING_ROTATION)
+    @example(EXACT_CANCELLATION)
+    def test_same_records_or_same_error(self, case):
+        want = simulate_outcome(reference_simulate_sequence, *case)
+        got = simulate_outcome(simulate_sequence, *case)
+        # Float reprs round-trip, so this is == on every field, except that
+        # it tells -0.0 from 0.0 and matches the NaN closed form that an
+        # overflowing fa*dx gives.
+        assert repr(got) == repr(want)

@@ -297,6 +297,32 @@ class TestSummaryAndCsv:
         with pytest.raises(ValueError, match="^line 3: bad score 'nope'$"):
             read_records_csv(path)
 
+    def test_unclosed_quote_names_its_line(self, tmp_path):
+        path = tmp_path / "quote.csv"
+        path.write_text('score,label,attack_kind\n0.9,living,\n'
+                        '0.5,attack,"abc\n0.2,living,\n0.3,attack,x\n')
+        with pytest.raises(ValueError, match="^line 5: unexpected end of data$"):
+            read_records_csv(path)
+        # A bad row above the open quote is the one reported.
+        path.write_text('score,label,attack_kind\nnope,living,\n'
+                        '0.5,attack,"abc\n0.2,living,\n')
+        with pytest.raises(ValueError, match="^line 2: bad score 'nope'$"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "bytes.csv"
+        for rows in (1, 4000):    # in the header's chunk, and past it
+            lines = ([b"score,label,attack_kind"] + [b"0.5,living,"] * rows
+                     + [b"0.2,att\xffack,", b"0.1,attack,"])
+            path.write_bytes(newline.join(lines) + newline)
+            with pytest.raises(ValueError, match=f"^line {rows + 2}: 'utf-8' "
+                                                 "codec can't decode byte 0xff"):
+                read_records_csv(path)
+        path.write_bytes(b"score,label,\xffattack_kind\n0.5,living,\n")
+        with pytest.raises(ValueError, match="^line 1: 'utf-8' codec"):
+            read_records_csv(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -385,8 +411,8 @@ def reference_read_records_csv(path):
     Returns (scores, living, groups, group_names) or raises ValueError.
     """
     scores, labels, kinds = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, strict=True)
         header = next(reader, None)
         if header != RECORD_FIELDS:
             raise ValueError(f"records CSV must have columns {RECORD_FIELDS}, "
