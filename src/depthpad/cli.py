@@ -14,6 +14,7 @@ error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -143,13 +144,13 @@ class Settings:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def svg_line_plot(path, series: dict, title: str, x_label: str, y_label: str,
-                  width: int = 640, height: int = 420) -> None:
+def svg_line_plot(path, series: dict, title: str, x_label: str,
+                  y_label: str) -> None:
     """Minimal native SVG: axes, one polyline per series, inline legend.
 
     series maps a name to a list of (x, y) points; y may be None for gaps.
     """
-    margin = 56
+    width, height, margin = 640, 420, 56
     xs = [x for points in series.values() for x, y in points if y is not None]
     ys = [y for points in series.values() for x, y in points if y is not None]
     if not xs:
@@ -368,7 +369,7 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
                                "center": list(DEMO_SURFACE["center"])}},
     }
     for kind in ("living", "spoof"):
-        result[kind] = {"losses": reports[kind].as_dict(),
+        result[kind] = {"losses": dataclasses.asdict(reports[kind]),
                         "b_hat": b_hats[kind],
                         "depth_term": depth_terms[kind],
                         "score": scores[kind]}

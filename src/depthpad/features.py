@@ -224,14 +224,3 @@ def load_tensor(path, expect_kind: str | None = None) -> tuple[np.ndarray, str]:
     if values.size != int(np.prod(shape)):
         raise ValueError(f"tensor file has {values.size} values for shape {shape}")
     return values.reshape(shape), kind
-
-
-def save_off_block_weights(weights: OffBlockWeights, reduce_path, fuse_path) -> None:
-    save_tensor(reduce_path, weights.reduce_1x1, kind="off_reduce_1x1")
-    save_tensor(fuse_path, weights.fuse_3x3, kind="off_fuse_3x3")
-
-
-def load_off_block_weights(reduce_path, fuse_path) -> OffBlockWeights:
-    reduce, _ = load_tensor(reduce_path, expect_kind="off_reduce_1x1")
-    fuse, _ = load_tensor(fuse_path, expect_kind="off_fuse_3x3")
-    return OffBlockWeights(reduce, fuse)

@@ -172,11 +172,10 @@ def flow_real(cfg: RealSceneConfig) -> FlowObservation:
     )
 
 
-def estimate_relative_depth(obs: FlowObservation,
-                            eps_flat: float = EPS_FLAT) -> RelativeDepthEstimate:
+def estimate_relative_depth(obs: FlowObservation) -> RelativeDepthEstimate:
     """Recover d1/d2 from the three observed flows.
 
-    Returns the flat estimate when both flow ratios are within eps_flat of 1
+    Returns the flat estimate when both flow ratios are within EPS_FLAT of 1
     (all three flows coincide, so the scene is a plane). Raises
     InconsistentFlowError when only the denominator ratio collapses, or when
     du_m or du_r is exactly zero.
@@ -186,8 +185,8 @@ def estimate_relative_depth(obs: FlowObservation,
             "du_m and du_r must be nonzero to estimate relative depth")
     num = obs.du_l / obs.du_m - 1.0
     den = obs.du_l / obs.du_r - 1.0
-    if abs(den) <= eps_flat:
-        if abs(num) <= eps_flat:
+    if abs(den) <= EPS_FLAT:
+        if abs(num) <= EPS_FLAT:
             return RelativeDepthEstimate.flat()
         raise InconsistentFlowError(
             "far-point flow matches near-point flow while middle does not; "
@@ -244,7 +243,10 @@ def closed_form_replay_ratio(cfg: AttackSceneConfig) -> float:
 
 
 def _closed_form_replay_ratio(cfg: AttackSceneConfig, dv: float) -> float:
-    return cfg.relative_depth * _replay_distortion_factor(cfg, dv)
+    ratio = cfg.relative_depth * _replay_distortion_factor(cfg, dv)
+    if not math.isfinite(ratio):
+        raise ValueError(f"the closed-form replay ratio overflows to {ratio!r}")
+    return ratio
 
 
 def map_rotated_coordinate(u: float, zb: float, theta: float) -> float:

@@ -9,6 +9,7 @@ with the acceptance rate pooled over all attacks.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,36 +164,12 @@ def read_records_csv(path) -> RecordColumns:
     only splits rows; the scores are then checked as one column and the
     labels once per distinct (label, attack_kind) pair.
     """
-    texts: list[str] = []
-    keys = []    # each row's index into book, the (label, tag) codebook
-    book: dict[tuple[str, str], int] = {}
-    stop = None    # the error that ended the pass early
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, strict=True)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}")
-        except UnicodeDecodeError:
-            raise _decode_error(path)
-        if header != RECORD_FIELDS:
-            raise ValueError(f"records CSV must have columns {RECORD_FIELDS}, "
-                             f"got {header}")
-        width = len(RECORD_FIELDS)
-        try:
-            for row in reader:
-                if len(row) == width:
-                    text, label, kind = row
-                    texts.append(text)
-                    keys.append(book.setdefault((label, kind), len(book)))
-                elif row:
-                    stop = ValueError(f"line {reader.line_num}: expected "
-                                      f"{width} fields, got {len(row)}")
-                    break
-        except csv.Error as exc:
-            stop = ValueError(f"line {reader.line_num}: {exc}")
-        except UnicodeDecodeError:
-            stop = _decode_error(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, strict=True)
+            texts, keys, book, stop = _split_rows(reader, reader)
+    except UnicodeDecodeError:
+        texts, keys, book, stop = _split_rows_above_bad_byte(path)
     pairs = list(book)
     keys = np.array(keys, dtype=np.intp)
     try:
@@ -223,11 +200,46 @@ def read_records_csv(path) -> RecordColumns:
     return RecordColumns.from_codes(scores, keys, pairs)
 
 
-def _decode_error(path) -> ValueError:
-    """The first undecodable byte of a file, named by its physical line.
+def _split_rows(reader, rows) -> tuple[list, list, dict, Optional[ValueError]]:
+    """Check the header and split the data rows, parsing nothing.
 
-    The text layer decodes in chunks, so its error offset is relative to a
-    chunk; decoding the raw bytes gives the offset in the file.
+    rows yields the rows of the csv reader (the reader itself, or a prefix
+    of it). Returns each row's score text, its index into the codebook of
+    (label, attack_kind) pairs, that codebook, and the error that ended the
+    pass early, or None.
+    """
+    try:
+        header = next(rows, None)
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}")
+    if header != RECORD_FIELDS:
+        raise ValueError(f"records CSV must have columns {RECORD_FIELDS}, "
+                         f"got {header}")
+    texts, keys, book = [], [], {}
+    width = len(RECORD_FIELDS)
+    try:
+        for row in rows:
+            if len(row) == width:
+                text, label, kind = row
+                texts.append(text)
+                keys.append(book.setdefault((label, kind), len(book)))
+            elif row:
+                return texts, keys, book, ValueError(
+                    f"line {reader.line_num}: expected {width} fields, "
+                    f"got {len(row)}")
+    except csv.Error as exc:
+        return texts, keys, book, ValueError(f"line {reader.line_num}: {exc}")
+    return texts, keys, book, None
+
+
+def _split_rows_above_bad_byte(path) -> tuple[list, list, dict, ValueError]:
+    """_split_rows over the rows that end above the first undecodable byte.
+
+    The text layer decodes in chunks and rejects a whole chunk, rows above
+    the bad byte included, so those rows are split again from a read that
+    replaces the byte. The decode error names the byte's physical line and
+    its offset in the file (decoding the raw bytes gives the offset), and it
+    ends the pass unless a row above that line already did.
     """
     raw = Path(path).read_bytes()
     try:
@@ -235,13 +247,29 @@ def _decode_error(path) -> ValueError:
     except UnicodeDecodeError as exc:
         head = raw[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return ValueError(f"line {line}: {exc}")
-    return ValueError(f"{path} changed while it was read")
+        error = ValueError(f"line {line}: {exc}")
+    else:
+        raise ValueError(f"{path} changed while it was read")
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        reader = csv.reader(fh, strict=True)
+        above = itertools.takewhile(lambda _: reader.line_num < line, reader)
+        try:
+            texts, keys, book, stop = _split_rows(reader, above)
+        except ValueError:
+            if reader.line_num < line:
+                raise
+            raise error from None
+    if reader.line_num >= line:
+        stop = error
+    return texts, keys, book, stop
 
 
 def _line_of(path, index: int) -> int:
-    """Physical line on which data row index (blank lines not counted) ends."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Physical line on which data row index (blank lines not counted) ends.
+
+    Undecodable bytes are replaced, as when the rows above them were split.
+    """
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh, strict=True)
         next(reader)
         for row in reader:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import conv2d, load_tensor, save_tensor
+from .features import conv2d
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -72,17 +72,6 @@ class ConvGruCell:
         rng = np.random.default_rng(seed)
         shape = (3, 3, hidden_channels + input_channels, hidden_channels)
         return cls(*(scale * rng.standard_normal(shape) for _ in range(3)))
-
-    def save(self, r_path, u_path, h_path) -> None:
-        save_tensor(r_path, self.k_r, kind="convgru_k_r")
-        save_tensor(u_path, self.k_u, kind="convgru_k_u")
-        save_tensor(h_path, self.k_h, kind="convgru_k_h")
-
-    @classmethod
-    def load(cls, r_path, u_path, h_path) -> "ConvGruCell":
-        return cls(load_tensor(r_path, "convgru_k_r")[0],
-                   load_tensor(u_path, "convgru_k_u")[0],
-                   load_tensor(h_path, "convgru_k_h")[0])
 
 
 def convgru_step(cell: ConvGruCell, h_prev: np.ndarray, x: np.ndarray

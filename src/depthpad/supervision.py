@@ -14,14 +14,14 @@ checked against central finite differences in the test suite.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 LOG_CLAMP = 1e-12  # floor inside the cross-entropy log
+HEAD_HIDDEN = 128  # width of the binary head's hidden layer
 
 # Neighbor offsets (row, col), row-major around the center: the +1 entry of
 # each contrastive kernel, and the neighbours depthlabel._fill_holes averages.
@@ -113,53 +113,13 @@ def depth_loss_gradient(pred, label) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Named loss terms; binary and multi_total stay None for single-frame use."""
+    """Named loss terms of a multi-frame sequence."""
 
     absolute: float
     contrastive: float
     depth_total: float
-    binary: Optional[float] = None
-    multi_total: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return {"absolute": self.absolute, "contrastive": self.contrastive,
-                "depth_total": self.depth_total, "binary": self.binary,
-                "multi_total": self.multi_total}
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh)
-
-    @classmethod
-    def load_json(cls, path) -> "LossReport":
-        with open(path) as fh:
-            return cls(**json.load(fh))
-
-
-def single_frame_loss(pred, label) -> LossReport:
-    """Absolute plus contrastive loss of one depth map."""
-    absolute = float(euclidean_depth_loss(pred, label))
-    contrast = float(contrastive_depth_loss(pred, label))
-    return LossReport(absolute=absolute, contrastive=contrast,
-                      depth_total=absolute + contrast)
-
-
-def _sequence_depth_terms(preds: Sequence, labels: Sequence
-                          ) -> tuple[float, float]:
-    """Absolute and contrastive losses, each summed over the frames."""
-    if len(preds) != len(labels):
-        raise ValueError(f"{len(preds)} predictions vs {len(labels)} labels")
-    if not preds:
-        raise ValueError("need at least one frame")
-    absolute = float(sum(euclidean_depth_loss(p, l) for p, l in zip(preds, labels)))
-    contrast = float(sum(contrastive_depth_loss(p, l) for p, l in zip(preds, labels)))
-    return absolute, contrast
-
-
-def multi_frame_depth_loss(preds: Sequence, labels: Sequence) -> float:
-    """Per-frame absolute plus contrastive losses summed over the sequence."""
-    absolute, contrast = _sequence_depth_terms(preds, labels)
-    return absolute + contrast
+    binary: float
+    multi_total: float
 
 
 @dataclass(frozen=True)
@@ -193,17 +153,17 @@ class BinaryHead:
         return self.w1.shape[0]
 
     @classmethod
-    def seeded(cls, input_dim: int, hidden: int = 128, seed: int = 0) -> "BinaryHead":
+    def seeded(cls, input_dim: int, seed: int = 0) -> "BinaryHead":
         rng = np.random.default_rng(seed)
-        return cls(rng.standard_normal((input_dim, hidden)) / math.sqrt(input_dim),
-                   np.zeros(hidden),
-                   rng.standard_normal((hidden, 2)) / math.sqrt(hidden),
+        w1 = rng.standard_normal((input_dim, HEAD_HIDDEN)) / math.sqrt(input_dim)
+        return cls(w1, np.zeros(HEAD_HIDDEN),
+                   rng.standard_normal((HEAD_HIDDEN, 2)) / math.sqrt(HEAD_HIDDEN),
                    np.zeros(2))
 
     @classmethod
-    def zeroed(cls, input_dim: int, hidden: int = 128) -> "BinaryHead":
-        return cls(np.zeros((input_dim, hidden)), np.zeros(hidden),
-                   np.zeros((hidden, 2)), np.zeros(2))
+    def zeroed(cls, input_dim: int) -> "BinaryHead":
+        return cls(np.zeros((input_dim, HEAD_HIDDEN)), np.zeros(HEAD_HIDDEN),
+                   np.zeros((HEAD_HIDDEN, 2)), np.zeros(2))
 
 
 def binary_loss(head: BinaryHead, fused: Sequence, label: int
@@ -236,8 +196,16 @@ def multi_frame_loss(depth: float, binary: float, beta: float) -> float:
 def multi_frame_report(preds: Sequence, labels: Sequence, head: BinaryHead,
                        binary_label: int, beta: float
                        ) -> tuple[LossReport, float]:
-    """Full multi-frame loss breakdown plus the living probability."""
-    absolute, contrast = _sequence_depth_terms(preds, labels)
+    """Full multi-frame loss breakdown plus the living probability.
+
+    The absolute and contrastive terms are each summed over the frames.
+    """
+    if len(preds) != len(labels):
+        raise ValueError(f"{len(preds)} predictions vs {len(labels)} labels")
+    if not preds:
+        raise ValueError("need at least one frame")
+    absolute = float(sum(euclidean_depth_loss(p, l) for p, l in zip(preds, labels)))
+    contrast = float(sum(contrastive_depth_loss(p, l) for p, l in zip(preds, labels)))
     depth_total = absolute + contrast
     bin_loss, b_hat = binary_loss(head, preds, binary_label)
     report = LossReport(absolute=absolute, contrastive=contrast,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -16,6 +17,15 @@ from depthpad.geometry import read_sweep_csv
 
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+# sha256 of the default simulate outputs; both come from pure-Python float
+# arithmetic and repr, so they hold bit for bit on any platform.
+SIMULATE_DEFAULT_SHA256 = {
+    "simulation.csv":
+        "c104d78bfdf8573774b357e8f733c465aaf7d3ca96a5e16afc0ad1634ab66770",
+    "simulation.svg":
+        "c070c0b90c78c0a36cdb1fac92471fd4cb10e88426ad66118acb77e3d8032e16",
+}
 
 
 def run(argv):
@@ -74,6 +84,12 @@ class TestSimulate:
         assert run(["simulate", "--out", b]) == 0
         assert (a / "simulation.csv").read_bytes() == (b / "simulation.csv").read_bytes()
         assert (a / "simulation.svg").read_bytes() == (b / "simulation.svg").read_bytes()
+
+    def test_default_outputs_match_golden_bytes(self, tmp_path):
+        assert run(["simulate", "--out", tmp_path]) == 0
+        for name, digest in SIMULATE_DEFAULT_SHA256.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_seed_flag_is_demo_only(self, tmp_path):
         # simulate and metrics draw nothing at random, so they take no seed.
@@ -173,6 +189,18 @@ class TestSimulate:
         # A print carrier that never moves produces no observable flow.
         cfg.write_text("scenes = print\ndv_schedule = 0.0\n")
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 3
+
+    def test_overflowing_closed_form_is_data_error(self, tmp_path, capsys):
+        # fa*dx overflows while fa*fb*dx does not: the flows are finite, but
+        # the closed form is inf / inf, which must not reach the CSV as nan.
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text("scenes = replay\nfa = 2\nfb = 0.5\nza = 1\nzb = 1\n"
+                       "d1 = 0\nd2 = 1\ndx = 1.7e308\n")
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert "scene 'replay' cannot be simulated" in err
+        assert "closed-form replay ratio overflows" in err
+        assert not (tmp_path / "simulation.csv").exists()
 
 
 class TestDemo:

@@ -7,11 +7,9 @@ from depthpad.features import (
     SOBEL_GAIN,
     OffBlockWeights,
     conv2d,
-    load_off_block_weights,
     load_tensor,
     off_sequence,
     off_vector_residual,
-    save_off_block_weights,
     save_tensor,
     spatial_gradient,
     temporal_gradient,
@@ -400,11 +398,3 @@ class TestTensorFiles:
         save_tensor(path, np.zeros((2, 2)), kind="tensor")
         with pytest.raises(ValueError):
             load_tensor(path, expect_kind="conv_kernel")
-
-    def test_off_weights_round_trip(self, tmp_path):
-        w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4, seed=1)
-        rp, fp = tmp_path / "reduce.json", tmp_path / "fuse.json"
-        save_off_block_weights(w, rp, fp)
-        back = load_off_block_weights(rp, fp)
-        assert np.array_equal(back.reduce_1x1, w.reduce_1x1)
-        assert np.array_equal(back.fuse_3x3, w.fuse_3x3)

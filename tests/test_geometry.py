@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from depthpad.geometry import (
@@ -488,6 +488,9 @@ OVERFLOWING_START = (AttackSceneConfig(fa=1e300, fb=1, za=2, zb=4, d1=0.4,
                                        d2=1, dx=1e300, theta=-0.2), 3, None)
 LEAVING_ROTATION = (AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1,
                                       dx=1.5, theta=1.2), 12, None)
+# fa*dx overflows but fa*fb*dx does not: finite flows, an inf / inf closed form.
+OVERFLOWING_CLOSED_FORM = (AttackSceneConfig(fa=2, fb=0.5, za=1, zb=1, d1=0,
+                                             d2=1, dx=1.7e308), 3, None)
 EXACT_CANCELLATION = (AttackSceneConfig(fa=0.5, fb=0.68, za=1, zb=4, d1=0.5,
                                         d2=1, dx=0.15), 3,
                       [0.1, -0.049999999999999996])
@@ -499,6 +502,7 @@ class TestSteppedSequenceMatchesPerFrameConfigs:
         (OVERFLOWING_START, "du_l must be finite, got nan"),
         (LEAVING_ROTATION, "has no valid intersection"),
         (EXACT_CANCELLATION, "exactly cancels carrier shake"),
+        (OVERFLOWING_CLOSED_FORM, "closed-form replay ratio overflows to nan"),
     ])
     def test_boundary_cases_raise(self, case, error):
         with pytest.raises(ValueError, match=error):
@@ -512,10 +516,119 @@ class TestSteppedSequenceMatchesPerFrameConfigs:
     @example(OVERFLOWING_START)
     @example(LEAVING_ROTATION)
     @example(EXACT_CANCELLATION)
+    @example(OVERFLOWING_CLOSED_FORM)
     def test_same_records_or_same_error(self, case):
         want = simulate_outcome(reference_simulate_sequence, *case)
         got = simulate_outcome(simulate_sequence, *case)
         # Float reprs round-trip, so this is == on every field, except that
-        # it tells -0.0 from 0.0 and matches the NaN closed form that an
-        # overflowing fa*dx gives.
+        # it tells -0.0 from 0.0 and matches a NaN with a NaN.
         assert repr(got) == repr(want)
+
+
+# -- property tests at the singular and degenerate-rotation boundaries -------
+
+sign_st = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def replay_scenes(draw):
+    """Static replay carriers; callers set the shake near a cancellation.
+
+    d1 stays a tenth of d2 or more: with d1 -> 0 the flow estimate, not the
+    closed form, loses its digits near the cancellation.
+    """
+    d2 = draw(st.floats(0.5, 5.0))
+    return AttackSceneConfig(fa=draw(st.floats(0.5, 2.0)),
+                             fb=draw(st.floats(0.5, 2.0)),
+                             za=draw(st.floats(0.5, 5.0)),
+                             zb=draw(st.floats(0.5, 5.0)),
+                             d1=draw(st.floats(0.1, 0.9)) * d2, d2=d2,
+                             dx=draw(sign_st) * draw(st.floats(0.05, 2.0)))
+
+
+def cancelling_shake(cfg):
+    """The shake at which fa*dx + (za + d1)*dv vanishes, up to rounding."""
+    return -(cfg.fa * cfg.dx) / (cfg.za + cfg.d1)
+
+
+@st.composite
+def rotated_near_the_edge(draw):
+    """A rotated carrier with one endpoint within a few ulps, or a relative
+    1e-3, of the intersection limit u = zb / sin(theta)."""
+    d2 = draw(st.floats(0.2, 3.0))
+    theta = draw(sign_st) * draw(st.floats(0.05, 1.4))
+    zb = draw(st.floats(5.0, 15.0))
+    cfg = AttackSceneConfig(fa=draw(st.floats(0.5, 2.0)), fb=draw(st.floats(0.5, 2.0)),
+                            za=draw(st.floats(2.0, 8.0)), zb=zb,
+                            d1=draw(st.floats(0.05, 0.95)) * d2, d2=d2,
+                            dx=draw(sign_st) * draw(st.floats(0.05, 0.5)),
+                            theta=theta)
+    edge = zb / math.sin(theta)
+    if draw(st.booleans()):
+        toward = draw(st.sampled_from([-math.inf, math.inf]))
+        for _ in range(draw(st.integers(0, 4))):
+            edge = math.nextafter(edge, toward)
+    else:
+        edge *= 1.0 + draw(st.floats(-1e-3, 1e-3))
+    point = draw(st.integers(0, 2))
+    depth = (cfg.za, cfg.za + cfg.d1, cfg.za + cfg.d2)[point]
+    # Put the point's start on the edge, or its start so that its end is.
+    start = edge if draw(st.booleans()) else edge - cfg.fa * cfg.dx / depth
+    starts = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+    starts[point] = start
+    return replace(cfg, ul1=starts[0], um1=starts[1], ur1=starts[2])
+
+
+def endpoint_gaps(cfg):
+    """zb - u*sin(theta) at the start and end of each point, as the module
+    evaluates it."""
+    s = math.sin(cfg.theta)
+    gaps = []
+    for u1, z in zip((cfg.ul1, cfg.um1, cfg.ur1),
+                     (cfg.za, cfg.za + cfg.d1, cfg.za + cfg.d2)):
+        gaps += [cfg.zb - u1 * s, cfg.zb - (u1 + cfg.fa * cfg.dx / z) * s]
+    return gaps
+
+
+class TestBoundaryProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(replay_scenes())
+    def test_exact_replay_cancellation_is_singular(self, cfg):
+        dv = cancelling_shake(cfg)
+        assume(cfg.fa * cfg.dx + (cfg.za + cfg.d1) * dv == 0.0)
+        cfg = replace(cfg, dv=dv)
+        with pytest.raises(SingularConfigError):
+            replay_distortion_factor(cfg)
+        with pytest.raises(SingularConfigError):
+            closed_form_replay_ratio(cfg)
+        # The middle flow's numerator may cancel to exactly 0 first.
+        with pytest.raises((SingularConfigError, InconsistentFlowError)):
+            simulate_sequence(cfg, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(replay_scenes(), sign_st, st.floats(-6.0, -3.0))
+    def test_closed_form_agrees_near_replay_cancellation(self, cfg, sign,
+                                                         exponent):
+        dv = cancelling_shake(cfg) * (1.0 + sign * 10.0 ** exponent)
+        cfg = replace(cfg, dv=dv)
+        closed = closed_form_replay_ratio(cfg)
+        est = estimate_relative_depth(flow_replay(cfg))
+        assert not est.degenerate_flat
+        assert est.ratio == pytest.approx(closed, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rotated_near_the_edge())
+    def test_rotation_edge(self, cfg):
+        gaps = endpoint_gaps(cfg)
+        if min(gaps) <= 0.0:
+            with pytest.raises(DegenerateRotationError):
+                rotation_beta_factors(cfg)
+            with pytest.raises(DegenerateRotationError):
+                closed_form_rotated_ratio(cfg)
+            with pytest.raises(DegenerateRotationError):
+                flow_rotated(cfg)
+            return
+        closed = closed_form_rotated_ratio(cfg)
+        est = estimate_relative_depth(flow_rotated(cfg))
+        assert not est.degenerate_flat
+        assert est.ratio == pytest.approx(closed, rel=1e-9)

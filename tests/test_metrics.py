@@ -297,6 +297,20 @@ class TestSummaryAndCsv:
         with pytest.raises(ValueError, match="^line 3: bad score 'nope'$"):
             read_records_csv(path)
 
+    def test_bad_row_in_the_undecodable_chunk_wins(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        head = b"score,label,attack_kind\n0.5,living,\n"
+        path.write_bytes(head + b"nope,attack,\n0.2,attack,\xff\n")
+        with pytest.raises(ValueError, match="^line 3: bad score 'nope'$"):
+            read_records_csv(path)
+        path.write_bytes(head + b"0.5,attack\n0.2,attack,\xff\n")
+        with pytest.raises(ValueError, match="^line 3: expected 3 fields, got 2$"):
+            read_records_csv(path)
+        # The row that holds the byte is not checked: the byte comes first.
+        path.write_bytes(head + b"nope,attack,\xff\n")
+        with pytest.raises(ValueError, match="^line 3: 'utf-8' codec"):
+            read_records_csv(path)
+
     def test_unclosed_quote_names_its_line(self, tmp_path):
         path = tmp_path / "quote.csv"
         path.write_text('score,label,attack_kind\n0.9,living,\n'

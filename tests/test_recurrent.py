@@ -193,14 +193,3 @@ class TestInvariantProperties:
         ulp = 2 * np.finfo(float).eps * np.maximum(abs(single), abs(multi))
         assert (fused >= np.minimum(single, multi) - ulp).all()
         assert (fused <= np.maximum(single, multi) + ulp).all()
-
-
-class TestCellPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        cell = ConvGruCell.seeded(input_channels=3, hidden_channels=1, seed=13)
-        paths = (tmp_path / "r.json", tmp_path / "u.json", tmp_path / "h.json")
-        cell.save(*paths)
-        back = ConvGruCell.load(*paths)
-        assert np.array_equal(back.k_r, cell.k_r)
-        assert np.array_equal(back.k_u, cell.k_u)
-        assert np.array_equal(back.k_h, cell.k_h)

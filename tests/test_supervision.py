@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from depthpad.supervision import (
     CONTRAST_OFFSETS,
     BinaryHead,
-    LossReport,
     binary_loss,
     contrastive_depth_loss,
     contrastive_kernels,
@@ -15,10 +13,8 @@ from depthpad.supervision import (
     depth_loss_gradient,
     euclidean_depth_loss,
     euclidean_loss_gradient,
-    multi_frame_depth_loss,
     multi_frame_loss,
     multi_frame_report,
-    single_frame_loss,
 )
 
 
@@ -185,18 +181,28 @@ class TestDepthLossGradient:
         assert np.allclose(numeric, analytic, atol=1e-7)
 
 
+def depth_report(preds, labels):
+    """multi_frame_report under a zeroed head, for its depth terms."""
+    head = BinaryHead.zeroed(input_dim=sum(np.size(p) for p in preds))
+    report, _ = multi_frame_report(preds, labels, head, binary_label=1, beta=0.9)
+    return report
+
+
 class TestSingleFrameLoss:
     def test_identity(self):
         grid = np.random.default_rng(10).random((32, 32))
-        report = single_frame_loss(grid, grid)
+        assert euclidean_depth_loss(grid, grid) == 0.0
+        assert contrastive_depth_loss(grid, grid) == 0.0
+        report = depth_report([grid], [grid])
         assert report.absolute == 0.0
         assert report.contrastive == 0.0
         assert report.depth_total == 0.0
-        assert report.binary is None
+        assert report.binary == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_constant_offset_euclidean_dominated_interior(self):
         label = np.random.default_rng(11).random((32, 32))
-        report = single_frame_loss(label + 0.1, label)
+        assert euclidean_depth_loss(label + 0.1, label) == pytest.approx(10.24)
+        report = depth_report([label + 0.1], [label])
         assert report.absolute == pytest.approx(10.24)
         assert report.depth_total == pytest.approx(
             report.absolute + report.contrastive)
@@ -204,36 +210,42 @@ class TestSingleFrameLoss:
     def test_sum_of_parts(self):
         rng = np.random.default_rng(12)
         pred, label = rng.random((32, 32)), rng.random((32, 32))
-        report = single_frame_loss(pred, label)
+        report = depth_report([pred], [label])
+        # One frame: each summed term is that frame's loss, bit for bit.
+        assert report.absolute == euclidean_depth_loss(pred, label)
+        assert report.contrastive == contrastive_depth_loss(pred, label)
         assert report.depth_total == pytest.approx(
             euclidean_depth_loss(pred, label)
             + contrastive_depth_loss(pred, label), rel=1e-12)
+
+
+def frame_depth_loss(pred, label):
+    return euclidean_depth_loss(pred, label) + contrastive_depth_loss(pred, label)
 
 
 class TestMultiFrameDepthLoss:
     def test_all_matching(self):
         rng = np.random.default_rng(13)
         grids = [rng.random((32, 32)) for _ in range(4)]
-        assert multi_frame_depth_loss(grids, grids) == 0.0
+        assert depth_report(grids, grids).depth_total == 0.0
 
     def test_single_bad_frame(self):
         rng = np.random.default_rng(14)
         labels = [rng.random((32, 32)) for _ in range(3)]
         preds = [labels[0], labels[1] + 0.05, labels[2]]
-        expected = single_frame_loss(preds[1], labels[1]).depth_total
-        assert multi_frame_depth_loss(preds, labels) == pytest.approx(expected)
+        expected = frame_depth_loss(preds[1], labels[1])
+        assert depth_report(preds, labels).depth_total == pytest.approx(expected)
 
     def test_two_frames_sum(self):
         rng = np.random.default_rng(15)
         preds = [rng.random((32, 32)) for _ in range(2)]
         labels = [rng.random((32, 32)) for _ in range(2)]
-        expected = sum(single_frame_loss(p, l).depth_total
-                       for p, l in zip(preds, labels))
-        assert multi_frame_depth_loss(preds, labels) == pytest.approx(expected)
+        expected = sum(frame_depth_loss(p, l) for p, l in zip(preds, labels))
+        assert depth_report(preds, labels).depth_total == pytest.approx(expected)
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
-            multi_frame_depth_loss([np.zeros((4, 4))], [])
+            depth_report([np.zeros((4, 4))], [])
 
 
 class TestBinaryLoss:
@@ -299,25 +311,7 @@ class TestMultiFrameReport:
         assert report.depth_total == pytest.approx(
             report.absolute + report.contrastive, rel=1e-12)
         assert report.depth_total == pytest.approx(
-            multi_frame_depth_loss(preds, labels), rel=1e-12)
+            sum(frame_depth_loss(p, l) for p, l in zip(preds, labels)), rel=1e-12)
         assert report.multi_total == pytest.approx(
             0.9 * report.binary + 0.1 * report.depth_total, rel=1e-12)
         assert 0.0 < b_hat < 1.0
-
-    def test_json_round_trip(self, tmp_path):
-        report = LossReport(absolute=1.5, contrastive=0.25, depth_total=1.75,
-                            binary=0.7, multi_total=0.805)
-        path = tmp_path / "report.json"
-        report.save_json(path)
-        back = LossReport.load_json(path)
-        assert back == report
-        with open(path) as fh:
-            data = json.load(fh)
-        assert set(data) == {"absolute", "contrastive", "depth_total",
-                             "binary", "multi_total"}
-
-    def test_partial_report_serializes_nulls(self, tmp_path):
-        report = single_frame_loss(np.zeros((8, 8)), np.zeros((8, 8)))
-        path = tmp_path / "partial.json"
-        report.save_json(path)
-        assert LossReport.load_json(path).binary is None
