@@ -14,6 +14,7 @@ error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -95,11 +96,16 @@ COMMAND_FIELDS = {
 
 
 def parse_config_file(path, command: str) -> dict:
-    values = {}
+    values, seen = {}, {}
     try:
-        lines = Path(path).read_text().splitlines()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise UsageError(f"{path}:{line_no}: {exc}")
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -114,6 +120,10 @@ def parse_config_file(path, command: str) -> dict:
         if key not in COMMAND_FIELDS[command]:
             raise UsageError(f"{path}:{line_no}: {command} does not read "
                              f"field {key!r}")
+        if key in seen:
+            raise UsageError(f"{path}:{line_no}: field {key!r} is already "
+                             f"set on line {seen[key]}")
+        seen[key] = line_no
         parser, _ = CONFIG_FIELDS[key]
         try:
             values[key] = parser(text.strip())
@@ -137,6 +147,23 @@ class Settings:
         if key in self._file:
             return self._file[key]
         return CONFIG_FIELDS[key][1]
+
+
+@contextlib.contextmanager
+def _output_dir(s: Settings):
+    """Create the --out directory and yield it for the command's writes.
+
+    Commands enter this only once their work has succeeded, so a failed
+    command leaves no directory behind. An --out that is a file, whose
+    parent cannot be created, or whose output files cannot be written is a
+    usage error naming the path.
+    """
+    out_dir = Path(s.get("out"))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        yield out_dir
+    except OSError as exc:
+        raise UsageError(f"cannot write output directory {out_dir}: {exc}")
 
 
 # -- SVG emission -----------------------------------------------------------
@@ -260,8 +287,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             scenes[name] = _build_scene(name, s)
         except ValueError as exc:
             raise UsageError(f"bad setting for scene {name!r}: {exc}")
-    out_dir = Path(s.get("out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     results = {}
     for name, cfg in scenes.items():
@@ -272,15 +297,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise DataError(f"scene {name!r} cannot be simulated: {exc}")
 
-    csv_path = out_dir / "simulation.csv"
-    geometry.write_sweep_csv(csv_path, results)
     series = {
         name: [(rec.frame, rec.estimate.ratio) for rec in records]
         for name, records in results.items()
     }
-    svg_path = out_dir / "simulation.svg"
-    svg_line_plot(svg_path, series, "Estimated relative depth per frame",
-                  "frame", "estimated d1/d2")
+    with _output_dir(s) as out_dir:
+        csv_path = out_dir / "simulation.csv"
+        geometry.write_sweep_csv(csv_path, results)
+        svg_path = out_dir / "simulation.svg"
+        svg_line_plot(svg_path, series, "Estimated relative depth per frame",
+                      "frame", "estimated d1/d2")
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
     return 0
@@ -386,10 +412,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     report = run_demo(alpha=s.get("alpha"), beta=s.get("beta"),
                       frames=s.get("frames"), seed=s.get("seed"),
                       oracle=oracle)
-    out_dir = Path(s.get("out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "demo.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    with _output_dir(s) as out_dir:
+        path = out_dir / "demo.json"
+        path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {path}")
     print(f"living score {report['living']['score']:.6f}, "
           f"spoof score {report['spoof']['score']:.6f}, "
@@ -416,10 +441,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         summary = metrics.metrics_summary(records, threshold)
     except ValueError as exc:
         raise DataError(str(exc))
-    out_dir = Path(s.get("out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "metrics.json"
-    path.write_text(json.dumps(summary, indent=2) + "\n")
+    with _output_dir(s) as out_dir:
+        path = out_dir / "metrics.json"
+        path.write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary, indent=2))
     print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .supervision import CONTRAST_OFFSETS
 
@@ -124,26 +123,34 @@ def _cell_indices(coords, low, high, grid):
     return np.clip(idx, 0, grid - 1)
 
 
-# Cell centres within this distance outside a hull facet still count as
-# inside, so centres on a hull edge are kept despite rounding. On the integer
-# lattice a centre off an edge lies at least 1/(grid * sqrt 2) away from it.
-_HULL_TOL = 1e-9
+def _cross(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _hull_mask(occupied: np.ndarray) -> np.ndarray:
-    """Cells whose centers lie inside the convex hull of the occupied cells."""
-    pts = np.argwhere(occupied).astype(float)
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
+    """Cells whose centers lie inside the convex hull of the occupied cells.
+
+    Exact on the integer lattice: Andrew's monotone chain over each occupied
+    row's end cells; a center is inside when its integer cross product with
+    every counter-clockwise edge is >= 0. Collinear cells are returned as is.
+    """
+    cells = np.argwhere(occupied)  # row-major, so each row's cells are adjacent
+    new_row = np.diff(cells[:, 0], prepend=-1, append=occupied.shape[0]) != 0
+    points = cells[new_row[:-1] | new_row[1:]].tolist()
+    hull = []
+    for chain in (points, points[::-1]):
+        half = []
+        for p in chain:
+            while len(half) > 1 and _cross(half[-2], half[-1], p) <= 0:
+                half.pop()
+            half.append(p)
+        hull += half[:-1]
+    if len(hull) < 3:
         return occupied.copy()
-    grid = occupied.shape[0]
-    centers = np.argwhere(np.ones_like(occupied)).astype(float)
-    # equations rows are (unit outward normal, offset): inside means
-    # normal . p + offset <= 0 for every facet.
-    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
-    inside = (centers @ normals.T + offsets <= _HULL_TOL).all(axis=1)
-    return inside.reshape(grid, grid)
+    a = np.array(hull).T[:, :, None, None]
+    d = np.roll(a, -1, axis=1) - a
+    i, j = np.indices(occupied.shape)
+    return (d[0] * (j - a[1]) - d[1] * (i - a[0]) >= 0).all(axis=0)
 
 
 def _fill_holes(values: np.ndarray, filled: np.ndarray, hull: np.ndarray) -> np.ndarray:
@@ -185,16 +192,13 @@ def generate_living_depth(vertex_set: VertexSet,
     """Splat a vertex cloud onto the grid and normalize it into a living label.
 
     Each vertex lands in its nearest cell; a cell keeps the z closest to the
-    camera. Holes inside the face hull are filled by iterative neighbor
-    averaging, then values are min-max normalized so the nearest point reads 1
-    and the farthest 0. Cells outside the hull stay 0.
+    camera. Holes inside the occupied cells' exact lattice hull are filled by
+    iterative neighbor averaging, then values are min-max normalized: nearest
+    point 1, farthest 0, cells outside the hull 0.
 
     bounds is (x_min, x_max, y_min, y_max); by default the vertex extent.
     """
     v = vertex_set.vertices
-    z = v[:, 2]
-    if z.max() - z.min() == 0:
-        raise ValueError("vertex depth extent is zero; the surface is a plane")
     if bounds is None:
         bounds = (v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
     x_min, x_max, y_min, y_max = bounds
@@ -206,7 +210,7 @@ def generate_living_depth(vertex_set: VertexSet,
     rows = _cell_indices(v[:, 1], y_min, y_max, grid)
 
     splat = np.full((grid, grid), -np.inf)
-    np.maximum.at(splat, (rows, cols), z)
+    np.maximum.at(splat, (rows, cols), v[:, 2])
     occupied = splat > -np.inf
 
     z_low = splat[occupied].min()
@@ -215,13 +219,9 @@ def generate_living_depth(vertex_set: VertexSet,
         raise ValueError("splatted depth extent is zero; the surface is a plane")
 
     hull = _hull_mask(occupied)
-    values = np.where(occupied, splat, 0.0)
-    values = _fill_holes(values, occupied, hull)
-
-    normalized = np.zeros((grid, grid))
-    normalized[hull] = (values[hull] - z_low) / (z_high - z_low)
-    normalized = np.clip(normalized, 0.0, 1.0)
-    return DepthMap(normalized, LIVING)
+    values = _fill_holes(np.where(occupied, splat, 0.0), occupied, hull)
+    normalized = np.where(hull, (values - z_low) / (z_high - z_low), 0.0)
+    return DepthMap(np.clip(normalized, 0.0, 1.0), LIVING)
 
 
 def mask_from_depth(depth: DepthMap, threshold: float = 0.0) -> FaceMask:

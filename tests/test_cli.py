@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import depthpad
 from depthpad import depthlabel, metrics
 from depthpad.cli import (
     MAX_FRAMES,
@@ -184,11 +188,14 @@ class TestSimulate:
         assert f"usage error: bad setting for scene {scene!r}: {rule}" in err
         assert not out.exists()
 
-    def test_unusable_scene_is_data_error(self, tmp_path):
+    def test_unusable_scene_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "still.cfg"
         # A print carrier that never moves produces no observable flow.
         cfg.write_text("scenes = print\ndv_schedule = 0.0\n")
-        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 3
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
 
     def test_overflowing_closed_form_is_data_error(self, tmp_path, capsys):
         # fa*dx overflows while fa*fb*dx does not: the flows are finite, but
@@ -425,6 +432,81 @@ class TestConfigFields:
             cfg = tmp_path / f"{argv[0]}.cfg"
             cfg.write_text(f"out = {tmp_path / argv[0]}\n{text}")
             assert run([*argv, "--config", cfg]) == 0
+
+
+def command_argv(command, tmp_path):
+    """argv that makes command succeed, short of writing its outputs."""
+    if command != "metrics":
+        return [command, "--frames", 3]
+    records = tmp_path / "records.csv"
+    records.write_text("score,label,attack_kind\n0.9,living,\n0.2,attack,\n")
+    return ["metrics", records]
+
+
+@pytest.mark.parametrize("command", ["simulate", "demo", "metrics"])
+class TestOutputAndConfigErrors:
+    """Unusable --out and unreadable config files are usage errors that
+    leave the file tree as it was."""
+
+    def assert_usage_error(self, tmp_path, capsys, argv, *named):
+        before = sorted(tmp_path.rglob("*"))
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        for text in named:
+            assert text in captured.err
+        assert "wrote" not in captured.out + captured.err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_out_is_a_file(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        argv = command_argv(command, tmp_path)
+        self.assert_usage_error(tmp_path, capsys, [*argv, "--out", taken],
+                                f"output directory {taken}")
+        assert taken.read_text() == "x"
+
+    def test_output_file_is_a_directory(self, tmp_path, capsys, command):
+        name = {"simulate": "simulation.csv", "demo": "demo.json",
+                "metrics": "metrics.json"}[command]
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = command_argv(command, tmp_path)
+        self.assert_usage_error(tmp_path, capsys, [*argv, "--out", out],
+                                f"output directory {out}", str(out / name))
+
+    def test_out_parent_cannot_be_created(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        out = taken / "out"
+        argv = command_argv(command, tmp_path)
+        self.assert_usage_error(tmp_path, capsys, [*argv, "--out", out],
+                                f"output directory {out}")
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(f"out = {tmp_path / 'out'}\n".encode() + b"\xff = 1\n")
+        argv = command_argv(command, tmp_path)
+        self.assert_usage_error(tmp_path, capsys, [*argv, "--config", cfg],
+                                f"{cfg}:2: 'utf-8' codec can't decode byte 0xff")
+
+    def test_duplicate_config_key(self, tmp_path, capsys, command):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"out = {tmp_path / 'a'}\n\nout = {tmp_path / 'b'}\n")
+        argv = command_argv(command, tmp_path)
+        self.assert_usage_error(tmp_path, capsys, [*argv, "--config", cfg],
+                                f"{cfg}:3: field 'out' is already set on line 1")
+
+
+def test_cli_import_loads_no_scipy():
+    # The CLI runs on numpy alone; scipy is a test-only reference.
+    src = str(Path(depthpad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, depthpad.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 class TestArgparseContract:

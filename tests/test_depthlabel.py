@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from depthpad.depthlabel import (
     LIVING,
@@ -39,6 +39,53 @@ def reference_hull_mask(occupied):
     grid = occupied.shape[0]
     centers = np.argwhere(np.ones_like(occupied)).astype(float)
     return (tri.find_simplex(centers) >= 0).reshape(grid, grid)
+
+
+def qhull_reference_mask(occupied):
+    # Facet path: Qhull's equations rows are (unit outward normal, offset), so
+    # a centre is inside when normal . p + offset <= 1e-9 for every facet; the
+    # tolerance keeps centres on a hull edge despite rounding.
+    pts = np.argwhere(occupied).astype(float)
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        return occupied.copy()
+    centers = np.argwhere(np.ones_like(occupied)).astype(float)
+    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+    inside = (centers @ normals.T + offsets <= 1e-9).all(axis=1)
+    return inside.reshape(occupied.shape)
+
+
+@st.composite
+def occupancy_grids(draw):
+    """Non-empty grids 3-40 cells wide: sparse, dense, at most 3 cells, one
+    row, one column, or a diagonal with an optional extra cell."""
+    grid = draw(st.integers(3, 40))
+    kind = draw(st.sampled_from(["sparse", "dense", "few", "row", "column",
+                                 "diagonal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    occupied = np.zeros((grid, grid), dtype=bool)
+    if kind == "sparse":
+        n = draw(st.integers(1, grid))
+        occupied[rng.integers(0, grid, n), rng.integers(0, grid, n)] = True
+    elif kind == "dense":
+        occupied = rng.random((grid, grid)) < draw(st.floats(0.3, 1.0))
+    elif kind == "few":
+        n = draw(st.integers(1, 3))
+        occupied[rng.integers(0, grid, n), rng.integers(0, grid, n)] = True
+    elif kind in ("row", "column"):
+        line = occupied[draw(st.integers(0, grid - 1))]
+        line[rng.random(grid) < draw(st.floats(0.1, 1.0))] = True
+        if kind == "column":
+            occupied = occupied.T.copy()
+    else:
+        k = np.flatnonzero(rng.random(grid) < draw(st.floats(0.1, 1.0)))
+        occupied[k, k if draw(st.booleans()) else grid - 1 - k] = True
+        if draw(st.booleans()):
+            occupied[rng.integers(0, grid), rng.integers(0, grid)] = True
+    if not occupied.any():
+        occupied[rng.integers(0, grid), rng.integers(0, grid)] = True
+    return occupied
 
 
 def reference_fill_holes(values, filled, hull):
@@ -259,7 +306,7 @@ class TestFillHoles:
 
 
 class TestHullMask:
-    """Half-plane hull test against the triangulation reference."""
+    """Integer lattice hull against the triangulation and Qhull references."""
 
     def assert_matches_reference(self, occupied):
         got = _hull_mask(occupied)
@@ -300,6 +347,14 @@ class TestHullMask:
                 occupied[i, j] = True
             assert np.array_equal(_hull_mask(occupied), occupied)
             self.assert_matches_reference(occupied)
+
+    @settings(max_examples=300, deadline=None)
+    @given(occupied=occupancy_grids())
+    def test_matches_qhull_facets(self, occupied):
+        got = _hull_mask(occupied)
+        assert got.dtype == bool
+        assert np.array_equal(got, qhull_reference_mask(occupied))
+        assert not (occupied & ~got).any()
 
     def test_full_grid_and_edge_centres(self):
         self.assert_matches_reference(np.ones((32, 32), dtype=bool))
