@@ -62,9 +62,11 @@ def _parse_scenes(text: str) -> list[str]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         raise ValueError("expected at least one comma-separated name")
-    for name in names:
+    for index, name in enumerate(names):
         if name not in SCENE_NAMES:
             raise ValueError(f"unknown scene type {name!r}; choose from {SCENE_NAMES}")
+        if name in names[:index]:
+            raise ValueError(f"scene {name!r} is listed twice")
     return names
 
 
@@ -154,11 +156,15 @@ def _output_dir(s: Settings):
     """Create the --out directory and yield it for the command's writes.
 
     Commands enter this only once their work has succeeded, so a failed
-    command leaves no directory behind. An --out that is a file, whose
-    parent cannot be created, or whose output files cannot be written is a
-    usage error naming the path.
+    command leaves no directory behind. An --out that is empty (Path("")
+    would be "."), is a file, holds a NUL, whose parent cannot be created,
+    or whose output files cannot be written is a usage error naming it.
     """
-    out_dir = Path(s.get("out"))
+    out = s.get("out")
+    if not out or "\0" in out:
+        raise UsageError(f"--out (config field 'out') must be a non-empty "
+                         f"path without NUL bytes, got {out!r}")
+    out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         yield out_dir
@@ -382,7 +388,7 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
         reports[kind] = report
         b_hats[kind] = b_hat
         depth_terms[kind] = metrics.masked_depth_term(fused[kind], masks)
-        scores[kind] = metrics.living_score(b_hat, fused[kind], masks, beta)
+        scores[kind] = metrics.living_score(b_hat, depth_terms[kind], beta)
 
     result = {
         "command": "demo",

@@ -156,13 +156,6 @@ class RelativeDepthEstimate:
         return cls(degenerate_flat=False, ratio=ratio)
 
 
-def project(f: float, z: float, x: float) -> float:
-    """Pinhole projection u = f*x/z of a point at height x, distance z."""
-    if z <= 0:
-        raise ValueError(f"projection distance must be positive, got {z}")
-    return f * x / z
-
-
 def flow_real(cfg: RealSceneConfig) -> FlowObservation:
     """Image-plane flows of the three points for a live face moving by dx."""
     return FlowObservation(

@@ -31,18 +31,6 @@ def check_record(score: float, label: str) -> None:
         raise ValueError(f"label must be {LIVING!r} or {ATTACK!r}, got {label!r}")
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One scored sample: score in [0, 1], its label, and the PAI tag."""
-
-    score: float
-    label: str
-    attack_kind: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        check_record(self.score, self.label)
-
-
 @dataclass(frozen=True, eq=False)
 class RecordColumns:
     """Checked records as read-only columns, the input of the metrics core.
@@ -76,16 +64,6 @@ class RecordColumns:
             column.flags.writeable = False
         return cls(*columns, tuple(names))
 
-    @classmethod
-    def of(cls, records: Sequence[EvalRecord]) -> "RecordColumns":
-        """Columns of records that each passed check_record when built."""
-        book: dict[tuple, int] = {}
-        keys = [book.setdefault((r.label, r.attack_kind), len(book))
-                for r in records]
-        return cls.from_codes(
-            np.array([r.score for r in records], dtype=np.float64),
-            np.array(keys, dtype=np.intp), list(book))
-
     def __len__(self) -> int:
         return len(self.scores)
 
@@ -108,25 +86,20 @@ def masked_depth_term(fused: Sequence, masks: Sequence) -> float:
     return float(np.mean(terms))
 
 
-def living_score(b_hat: float, fused: Sequence, masks: Sequence,
-                 beta: float) -> float:
-    """Final live score: beta * b_hat + (1 - beta) * mean masked depth."""
+def living_score(b_hat: float, depth_term: float, beta: float) -> float:
+    """Final live score: beta * b_hat + (1 - beta) * masked_depth_term."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return beta * b_hat + (1.0 - beta) * masked_depth_term(fused, masks)
+    return beta * b_hat + (1.0 - beta) * depth_term
 
 
-def metrics_summary(records: RecordColumns | Sequence[EvalRecord],
-                    threshold: float) -> dict:
+def metrics_summary(records: RecordColumns, threshold: float) -> dict:
     """All metrics in one JSON-ready dict with fixed keys.
 
-    records is a RecordColumns or a sequence of EvalRecord. The attacks are
-    grouped by tag once; untagged attacks share the ATTACK group with
-    attacks tagged "attack", so apcer is max(per_pai_apcer). Rates are
-    Python int / int and the groups are in sorted order.
+    The attacks are grouped by tag once; untagged attacks share the ATTACK
+    group with attacks tagged "attack", so apcer is max(per_pai_apcer).
+    Rates are Python int / int and the groups are in sorted order.
     """
-    if not isinstance(records, RecordColumns):
-        records = RecordColumns.of(records)
     accepted = records.scores >= threshold
     attack = ~records.living
     n_living = int(np.count_nonzero(records.living))
@@ -278,12 +251,3 @@ def _line_of(path, index: int) -> int:
                     return reader.line_num
                 index -= 1
     raise ValueError(f"{path} changed while it was read")
-
-
-def write_records_csv(records: Sequence[EvalRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for rec in records:
-            writer.writerow([repr(float(rec.score)), rec.label,
-                             rec.attack_kind or ""])

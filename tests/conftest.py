@@ -1,5 +1,9 @@
 import time
 
+import numpy as np
+
+from depthpad.metrics import RecordColumns, check_record
+
 FULL_SUITE_BUDGET_S = 60.0
 
 
@@ -13,3 +17,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_line(
         f"ACCEPTANCE {verdict}: full suite wall clock {elapsed:.1f}s "
         f"(budget {FULL_SUITE_BUDGET_S:.0f}s)")
+
+
+def record_columns(records) -> RecordColumns:
+    """Columns of (score, label, attack_kind) tuples, each checked by
+    check_record as the records reader checks a row."""
+    book, keys = {}, []
+    for score, label, kind in records:
+        check_record(score, label)
+        keys.append(book.setdefault((label, kind), len(book)))
+    return RecordColumns.from_codes(
+        np.array([score for score, _, _ in records], dtype=np.float64),
+        np.array(keys, dtype=np.intp), list(book))

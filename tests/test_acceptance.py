@@ -34,6 +34,7 @@ from depthpad.supervision import (
     depth_loss_gradient,
 )
 
+from conftest import record_columns
 from fdcheck import fd_gradient
 from test_metrics import brute_force_rates
 from test_supervision import reference_contrastive_loss, reference_kernel_response
@@ -294,10 +295,10 @@ def test_metrics_suite():
     # Fixed operating point: 2.5% worst-case attack acceptance with a clean
     # bona fide rate averages to 1.25% (1.3 when shown at one decimal,
     # rounding halves up).
-    records = [metrics.EvalRecord(0.7, "attack", "print1")]
-    records += [metrics.EvalRecord(0.3, "attack", "print1")] * 39
-    records += [metrics.EvalRecord(0.9, "living")] * 10
-    summary = metrics.metrics_summary(records, 0.5)
+    records = [(0.7, "attack", "print1")]
+    records += [(0.3, "attack", "print1")] * 39
+    records += [(0.9, "living", None)] * 10
+    summary = metrics.metrics_summary(record_columns(records), 0.5)
     assert summary["apcer"] == pytest.approx(0.025)
     assert summary["bpcer"] == 0.0
     assert summary["acer"] == pytest.approx(0.0125)
@@ -312,13 +313,13 @@ def test_metrics_suite():
             l_acc, l_rej, pa, pr, ra, rr = parts
             if l_acc + l_rej == 0 or pa + pr + ra + rr == 0:
                 continue
-            recs = ([metrics.EvalRecord(0.8, "living")] * l_acc
-                    + [metrics.EvalRecord(0.2, "living")] * l_rej
-                    + [metrics.EvalRecord(0.8, "attack", "print")] * pa
-                    + [metrics.EvalRecord(0.2, "attack", "print")] * pr
-                    + [metrics.EvalRecord(0.8, "attack", "replay")] * ra
-                    + [metrics.EvalRecord(0.2, "attack", "replay")] * rr)
-            summary = metrics.metrics_summary(recs, 0.5)
+            recs = ([(0.8, "living", None)] * l_acc
+                    + [(0.2, "living", None)] * l_rej
+                    + [(0.8, "attack", "print")] * pa
+                    + [(0.2, "attack", "print")] * pr
+                    + [(0.8, "attack", "replay")] * ra
+                    + [(0.2, "attack", "replay")] * rr)
+            summary = metrics.metrics_summary(record_columns(recs), 0.5)
             got = tuple(summary[k] for k in ("apcer", "bpcer", "acer", "hter"))
             assert got == pytest.approx(brute_force_rates(recs, 0.5))
             checked += 1
@@ -326,18 +327,18 @@ def test_metrics_suite():
     # Threshold monotonicity on 200 random record sets.
     rng = np.random.default_rng(23)
     for _ in range(200):
-        recs = [metrics.EvalRecord(rng.random(), "living")
+        recs = [(rng.random(), "living", None)
                 for _ in range(rng.integers(2, 9))]
-        recs += [metrics.EvalRecord(rng.random(), "attack",
-                                    rng.choice(["print1", "replay1"]))
+        recs += [(rng.random(), "attack", rng.choice(["print1", "replay1"]))
                  for _ in range(rng.integers(2, 9))]
+        columns = record_columns(recs)
         thresholds = np.linspace(0.0, 1.0001, 9)
         prev_bpcer, prev_accept = -1.0, None
         for th in thresholds:
-            bpcer = metrics.metrics_summary(recs, th)["bpcer"]
+            bpcer = metrics.metrics_summary(columns, th)["bpcer"]
             assert bpcer >= prev_bpcer
-            pooled_accept = sum(r.score >= th for r in recs
-                                if r.label == "attack")
+            pooled_accept = sum(score >= th for score, label, _ in recs
+                                if label == "attack")
             if prev_accept is not None:
                 assert pooled_accept <= prev_accept
             prev_bpcer, prev_accept = bpcer, pooled_accept

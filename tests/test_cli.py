@@ -1,16 +1,23 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import depthpad
 from depthpad import depthlabel, metrics
 from depthpad.cli import (
+    COMMAND_FIELDS,
+    CONFIG_FIELDS,
     MAX_FRAMES,
     UsageError,
     main,
@@ -18,6 +25,9 @@ from depthpad.cli import (
     svg_line_plot,
 )
 from depthpad.geometry import read_sweep_csv
+
+from conftest import record_columns
+from test_metrics import write_records
 
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -163,6 +173,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"{cfg}:2:" in err and "'mirror'" in err
         assert not (tmp_path / "simulation.csv").exists()
+
+    def test_repeated_scene_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenes.cfg"
+        cfg.write_text("frames = 3\nscenes = real,real,print\n")
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {cfg}:2: bad value for 'scenes'")
+        assert "scene 'real' is listed twice" in err
+        assert not out.exists()
 
     def test_dv_field_is_gone(self, tmp_path, capsys):
         # Per-step shake comes only from dv_schedule.
@@ -322,17 +342,15 @@ class TestDemo:
 
 class TestMetricsCommand:
     def test_metrics_json(self, tmp_path):
-        records = [metrics.EvalRecord(0.9, "living"),
-                   metrics.EvalRecord(0.8, "living"),
-                   metrics.EvalRecord(0.7, "attack", "print1"),
-                   metrics.EvalRecord(0.3, "attack", "print1"),
-                   metrics.EvalRecord(0.2, "attack", "replay1")]
+        records = [(0.9, "living", None), (0.8, "living", None),
+                   (0.7, "attack", "print1"), (0.3, "attack", "print1"),
+                   (0.2, "attack", "replay1")]
         path = tmp_path / "records.csv"
-        metrics.write_records_csv(records, path)
+        write_records(path, records)
         assert run(["metrics", path, "--threshold", 0.5,
                     "--out", tmp_path]) == 0
         summary = json.loads((tmp_path / "metrics.json").read_text())
-        direct = metrics.metrics_summary(records, 0.5)
+        direct = metrics.metrics_summary(record_columns(records), 0.5)
         assert summary == json.loads(json.dumps(direct))
 
     def test_non_finite_threshold_is_usage_error(self, tmp_path):
@@ -408,8 +426,7 @@ class TestConfigFields:
     def test_field_the_command_does_not_read_is_usage_error(
             self, tmp_path, capsys, command, line):
         records = tmp_path / "records.csv"
-        metrics.write_records_csv([metrics.EvalRecord(0.9, "living"),
-                                   metrics.EvalRecord(0.2, "attack")], records)
+        write_records(records, [(0.9, "living", None), (0.2, "attack", None)])
         cfg = tmp_path / "misplaced.cfg"
         cfg.write_text(f"out = {tmp_path}\n{line}\n")
         argv = [command, records] if command == "metrics" else [command]
@@ -421,8 +438,7 @@ class TestConfigFields:
 
     def test_each_command_reads_its_own_fields(self, tmp_path):
         records = tmp_path / "records.csv"
-        metrics.write_records_csv([metrics.EvalRecord(0.9, "living"),
-                                   metrics.EvalRecord(0.2, "attack")], records)
+        write_records(records, [(0.9, "living", None), (0.2, "attack", None)])
         for argv, text in (
                 (["simulate"], "d1 = 0.2\ntheta = 0.1\nscenes = real\n"
                                "dv_schedule = 0.1\nframes = 3\n"),
@@ -483,6 +499,17 @@ class TestOutputAndConfigErrors:
         self.assert_usage_error(tmp_path, capsys, [*argv, "--out", out],
                                 f"output directory {out}")
 
+    def test_empty_out(self, tmp_path, capsys, command, monkeypatch):
+        # Path("") is ".", so an empty value must not mean the working
+        # directory; run from tmp_path so a stray write would show.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("out =\n")
+        argv = command_argv(command, tmp_path)
+        for flags in (["--out", ""], ["--config", cfg]):
+            self.assert_usage_error(tmp_path, capsys, [*argv, *flags],
+                                    "--out (config field 'out') must be")
+
     def test_config_that_is_not_utf8(self, tmp_path, capsys, command):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(f"out = {tmp_path / 'out'}\n".encode() + b"\xff = 1\n")
@@ -496,6 +523,136 @@ class TestOutputAndConfigErrors:
         argv = command_argv(command, tmp_path)
         self.assert_usage_error(tmp_path, capsys, [*argv, "--config", cfg],
                                 f"{cfg}:3: field 'out' is already set on line 1")
+
+
+# -- the exit-code contract under drawn argv and config-file bytes ----------
+
+def either(good, bad):
+    """A value that the command accepts or one that it must reject."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(bad))
+
+
+# Frames up to the cap are covered elsewhere; a 64-frame full demo takes
+# seconds, so the drawn counts stay small or far out of range. Every path is
+# relative to the example's own working directory.
+FRAMES = either(["2", "3", "5"], ["-1", "0", "1", "65", str(10 ** 30),
+                                  str(-10 ** 30), "1.5", "nan", ""])
+SEEDS = either(["0", "7", str(2 ** 64), str(10 ** 30)], ["-1", "1.5", ""])
+UNIT = either(["0", "0.5", "1", "-0.0", "1e-320"],
+              ["nan", "inf", "-inf", "1e400", "1.5", "-1", "0x10", "9" * 400, ""])
+NUMBERS = either(["0.2", "1", "3", "1e-300", "1.7e308"],
+                 ["nan", "inf", "-inf", "-1", "0", "", "one"])
+OUT = either(["out", "out/sub", ".", "demo.json"],
+             ["", "taken", "taken/sub", "records.csv", "a\0b"])
+FLAGS = {
+    "simulate": {"--frames": FRAMES},
+    "demo": {"--frames": FRAMES, "--seed": SEEDS, "--alpha": UNIT,
+             "--beta": UNIT},
+    "metrics": {"--threshold": NUMBERS},
+}
+FIELDS = {
+    "frames": FRAMES, "seed": SEEDS, "out": OUT,
+    "alpha": UNIT, "beta": UNIT, "threshold": NUMBERS,
+    "oracle": either(["true", "no", "1"], ["maybe", ""]),
+    "scenes": either(["real", "print,replay", "rotated,real"],
+                     ["real,real", "mirror", ",", ""]),
+    "dv_schedule": either(["0.1", "0.05,-0.05"],
+                          ["0.0", "nan", "inf,0.1", "1e308", ", ,", ""]),
+}
+RECORDS_FILES = either(
+    [b"score,label,attack_kind\n0.9,living,\n0.2,attack,print\n0.6,attack,\n"],
+    [b"score,label,attack_kind\n0.9,living,\nnan,attack,\n",
+     b"score,label,attack_kind\n0.9,living,\n0.2,att\xffack,\n",
+     b"score,label,attack_kind\n0.9,living,\n",
+     b"score,label,attack_kind\n", b""])
+BAD_BYTES = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\r", b"#"]
+
+
+@st.composite
+def config_bytes(draw, command):
+    """Lines of the command's fields (any field, now and then), repeats,
+    malformed lines and stray bytes."""
+    own = st.sampled_from(COMMAND_FIELDS[command])
+    keys = draw(st.lists(st.one_of(own, own, st.sampled_from(sorted(
+        [*CONFIG_FIELDS, "dv"]))), max_size=4))
+    lines = [f"{key} = {draw(FIELDS.get(key, NUMBERS))}".encode()
+             for key in keys]
+    lines += draw(st.lists(st.sampled_from([b"# note", b"", b"frames 3",
+                                            b"= 3"]), max_size=2))
+    data = b"\n".join(draw(st.permutations(lines)))
+    for bad in draw(st.lists(st.sampled_from(BAD_BYTES), max_size=1)):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+@st.composite
+def invocations(draw):
+    """(argv, config bytes or None, records bytes) for one cli.main call."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command == "metrics":
+        argv.append(draw(either(["records.csv"], ["absent.csv", "."])))
+    for flag, values in FLAGS[command].items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    if command == "demo" and draw(st.booleans()):
+        argv.append("--oracle")
+    if draw(st.booleans()):
+        argv.append(f"--out={draw(OUT)}")
+    config = draw(st.one_of(st.none(), config_bytes(command)))
+    if config is not None:
+        argv.append("--config=cfg")
+    return argv, config, draw(RECORDS_FILES)
+
+
+def file_tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+class TestExitCodeContract:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(invocations())
+    def test_every_exit_is_documented(self, drawn):
+        argv, config, records = drawn
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "taken").write_text("x")
+            (root / "records.csv").write_bytes(records)
+            if config is not None:
+                (root / "cfg").write_bytes(config)
+            before = file_tree(root)
+            out, err = io.StringIO(), io.StringIO()
+            os.chdir(root)
+            try:
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv)
+                prefixes = ("usage error:", "data error:")
+            except SystemExit as exc:
+                # argparse rejects a flag value itself: exit 2 after its
+                # usage line (TestArgparseContract).
+                code, prefixes = exc.code, (f"usage: depthpad {argv[0]} ",)
+                assert code == 2, (argv, code)
+            finally:
+                os.chdir(home)
+            after = file_tree(root)
+        assert code in (0, 2, 3), (argv, code)
+        if code == 0:
+            return
+        err = err.getvalue()
+        assert err.startswith(prefixes), (argv, err)
+        changed = {name for name in before.keys() | after.keys()
+                   if before.get(name, 0) != after.get(name, 0)}
+        if err.startswith("data error: oracle-injected score gap"):
+            # The documented exception: the report is written, then exit 3.
+            changed = {name for name in changed
+                       if after.get(name, b"") is not None
+                       and Path(name).name != "demo.json"}
+        assert not changed, (argv, err, changed)
 
 
 def test_cli_import_loads_no_scipy():

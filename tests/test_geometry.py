@@ -21,7 +21,6 @@ from depthpad.geometry import (
     flow_replay,
     flow_rotated,
     map_rotated_coordinate,
-    project,
     read_sweep_csv,
     replay_distortion_factor,
     rotation_beta_factors,
@@ -37,23 +36,6 @@ def ray_plane_remap(u, zb, theta):
     point = np.array([zb - u * math.sin(theta), u * math.cos(theta)])  # (z, x)
     t = zb / point[0]
     return t * point[1]
-
-
-class TestProject:
-    def test_unit_pinhole_identity(self):
-        assert project(1, 1, 1) == 1
-
-    def test_direct_evaluation(self):
-        assert project(2, 4, 3) == pytest.approx(1.5)
-
-    def test_optical_axis_point(self):
-        assert project(1, 2, 0) == 0
-
-    def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ValueError):
-            project(1, 0, 1)
-        with pytest.raises(ValueError):
-            project(1, -2, 1)
 
 
 class TestRealScene:

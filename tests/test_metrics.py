@@ -14,29 +14,29 @@ from depthpad.metrics import (
     ATTACK,
     LIVING,
     RECORD_FIELDS,
-    EvalRecord,
-    RecordColumns,
     check_record,
     living_score,
     masked_depth_term,
     metrics_summary,
     read_records_csv,
-    write_records_csv,
 )
+
+from conftest import record_columns
 
 
 def brute_force_rates(records, threshold):
-    # Independent recount: walk the records one by one with plain dicts.
+    # Independent recount: walk the (score, label, attack_kind) records one by
+    # one with plain dicts.
     pai_total, pai_accept = {}, {}
     living_total = living_reject = 0
     attack_total = attack_accept = 0
-    for rec in records:
-        accepted = rec.score >= threshold
-        if rec.label == LIVING:
+    for score, label, kind in records:
+        accepted = score >= threshold
+        if label == LIVING:
             living_total += 1
             living_reject += 0 if accepted else 1
         else:
-            key = rec.attack_kind or ATTACK
+            key = kind or ATTACK
             pai_total[key] = pai_total.get(key, 0) + 1
             pai_accept[key] = pai_accept.get(key, 0) + int(accepted)
             attack_total += 1
@@ -48,16 +48,27 @@ def brute_force_rates(records, threshold):
     return apcer, bpcer, (apcer + bpcer) / 2, (frr + far) / 2
 
 
-class TestEvalRecord:
+def write_records(path, records):
+    """A records CSV of (score, label, attack_kind) rows, scores by repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RECORD_FIELDS)
+        writer.writerows([repr(score), label, kind or ""]
+                         for score, label, kind in records)
+
+
+class TestCheckRecord:
     def test_score_range(self):
         with pytest.raises(ValueError):
-            EvalRecord(1.5, LIVING)
+            check_record(1.5, LIVING)
         with pytest.raises(ValueError):
-            EvalRecord(float("nan"), LIVING)
+            check_record(float("nan"), LIVING)
+        check_record(0.0, LIVING)
+        check_record(1.0, ATTACK)
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
-            EvalRecord(0.5, "genuine")
+            check_record(0.5, "genuine")
 
 
 class TestLivingScore:
@@ -65,23 +76,25 @@ class TestLivingScore:
         # beta 0.9, confident b_hat, mean masked depth 0.5.
         fused = [np.full((32, 32), 0.5)]
         masks = [FaceMask(np.ones((32, 32), dtype=int))]
-        assert living_score(1.0, fused, masks, 0.9) == pytest.approx(0.95)
+        depth = masked_depth_term(fused, masks)
+        assert living_score(1.0, depth, 0.9) == pytest.approx(0.95)
 
     def test_spoof_scores_zero(self):
         fused = [np.zeros((32, 32))] * 4
         masks = [FaceMask(np.ones((32, 32), dtype=int))] * 4
-        assert living_score(0.0, fused, masks, 0.9) == 0.0
+        assert living_score(0.0, masked_depth_term(fused, masks), 0.9) == 0.0
 
     def test_beta_one_ignores_depth(self):
         fused = [np.full((32, 32), 0.7)]
         masks = [FaceMask(np.ones((32, 32), dtype=int))]
-        assert living_score(0.42, fused, masks, 1.0) == pytest.approx(0.42)
+        depth = masked_depth_term(fused, masks)
+        assert living_score(0.42, depth, 1.0) == pytest.approx(0.42)
 
     def test_empty_mask_rejected(self):
         fused = [np.ones((32, 32))]
         masks = [FaceMask(np.zeros((32, 32), dtype=int))]
         with pytest.raises(ValueError):
-            living_score(1.0, fused, masks, 0.9)
+            masked_depth_term(fused, masks)
 
     def test_masked_term_uses_only_face_cells(self):
         grid = np.zeros((4, 4))
@@ -102,16 +115,16 @@ class TestLivingScore:
 
 
 def make_records(per_pai_counts, living_counts, threshold=0.5):
-    """Build records with exact accept/reject counts at the threshold."""
+    """Columns with exact accept/reject counts at the threshold."""
     hi, lo = threshold + 0.2, threshold - 0.2
     records = []
     for kind, (accepted, rejected) in per_pai_counts.items():
-        records += [EvalRecord(hi, ATTACK, kind)] * accepted
-        records += [EvalRecord(lo, ATTACK, kind)] * rejected
+        records += [(hi, ATTACK, kind)] * accepted
+        records += [(lo, ATTACK, kind)] * rejected
     accepted, rejected = living_counts
-    records += [EvalRecord(hi, LIVING)] * accepted
-    records += [EvalRecord(lo, LIVING)] * rejected
-    return records
+    records += [(hi, LIVING, None)] * accepted
+    records += [(lo, LIVING, None)] * rejected
+    return record_columns(records)
 
 
 class TestApcerBpcerAcer:
@@ -144,13 +157,12 @@ class TestApcerBpcerAcer:
         rng = np.random.default_rng(0)
         kinds = ["print1", "print2", "replay1", ATTACK, None]
         for _ in range(100):
-            records = [EvalRecord(rng.random(), LIVING)
+            records = [(rng.random(), LIVING, None)
                        for _ in range(rng.integers(1, 8))]
-            records += [EvalRecord(rng.random(), ATTACK,
-                                   kinds[rng.integers(len(kinds))])
+            records += [(rng.random(), ATTACK, kinds[rng.integers(len(kinds))])
                         for _ in range(rng.integers(1, 12))]
             threshold = rng.random()
-            summary = metrics_summary(records, threshold)
+            summary = metrics_summary(record_columns(records), threshold)
             got = tuple(summary[k] for k in ("apcer", "bpcer", "acer", "hter"))
             assert got == pytest.approx(brute_force_rates(records, threshold))
             assert summary["apcer"] == got[0]
@@ -159,25 +171,24 @@ class TestApcerBpcerAcer:
     def test_untagged_attacks_group_with_attack_tag(self):
         # One accepted untagged attack and two rejected "attack"-tagged ones
         # form a single group of three.
-        records = [EvalRecord(0.9, ATTACK, None),
-                   EvalRecord(0.1, ATTACK, ATTACK), EvalRecord(0.1, ATTACK, ATTACK),
-                   EvalRecord(0.9, LIVING)]
+        records = record_columns([(0.9, ATTACK, None), (0.1, ATTACK, ATTACK),
+                                  (0.1, ATTACK, ATTACK), (0.9, LIVING, None)])
         summary = metrics_summary(records, 0.5)
         assert summary["per_pai_apcer"] == {ATTACK: pytest.approx(1 / 3)}
         assert summary["apcer"] == max(summary["per_pai_apcer"].values())
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            metrics_summary([EvalRecord(0.5, LIVING)], 0.5)
+            metrics_summary(record_columns([(0.5, LIVING, None)]), 0.5)
         with pytest.raises(ValueError):
-            metrics_summary([EvalRecord(0.5, ATTACK, "print1")], 0.5)
+            metrics_summary(record_columns([(0.5, ATTACK, "print1")]), 0.5)
 
     def test_acer_dominates_half_of_worst_rate(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            records = [EvalRecord(rng.random(), LIVING) for _ in range(5)]
-            records += [EvalRecord(rng.random(), ATTACK, "print1") for _ in range(5)]
-            summary = metrics_summary(records, 0.5)
+            records = [(rng.random(), LIVING, None) for _ in range(5)]
+            records += [(rng.random(), ATTACK, "print1") for _ in range(5)]
+            summary = metrics_summary(record_columns(records), 0.5)
             acer = summary["acer"]
             assert 0.0 <= acer <= 1.0
             assert acer >= max(summary["apcer"], summary["bpcer"]) / 2
@@ -203,10 +214,10 @@ class TestThresholdMonotonicity:
     def test_rates_move_monotonically(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            records = [EvalRecord(rng.random(), LIVING) for _ in range(8)]
-            records += [EvalRecord(rng.random(), ATTACK,
-                                   rng.choice(["print1", "replay1"]))
+            records = [(rng.random(), LIVING, None) for _ in range(8)]
+            records += [(rng.random(), ATTACK, rng.choice(["print1", "replay1"]))
                         for _ in range(8)]
+            records = record_columns(records)
             thresholds = np.linspace(0, 1.0001, 12)
             bpcers, apcers = [], []
             for th in thresholds:
@@ -229,12 +240,12 @@ class TestSummaryAndCsv:
         assert summary["n_attack"] == 40
 
     def test_csv_round_trip(self, tmp_path):
-        records = [EvalRecord(0.9, LIVING), EvalRecord(0.2, ATTACK, "print1"),
-                   EvalRecord(0.4, ATTACK, None), EvalRecord(0.6, ATTACK, ATTACK)]
+        records = [(0.9, LIVING, None), (0.2, ATTACK, "print1"),
+                   (0.4, ATTACK, None), (0.6, ATTACK, ATTACK)]
         path = tmp_path / "records.csv"
-        write_records_csv(records, path)
+        write_records(path, records)
         back = read_records_csv(path)
-        want = RecordColumns.of(records)
+        want = record_columns(records)
         assert len(back) == len(want) == 4
         assert back.scores.dtype == np.float64
         assert np.array_equal(back.scores, want.scores)
@@ -243,8 +254,7 @@ class TestSummaryAndCsv:
         assert back.group_names == want.group_names == ("attack", "print1")
 
     def test_columns_are_read_only(self):
-        columns = RecordColumns.of([EvalRecord(0.9, LIVING),
-                                    EvalRecord(0.2, ATTACK, "print1")])
+        columns = record_columns([(0.9, LIVING, None), (0.2, ATTACK, "print1")])
         for column in (columns.scores, columns.living, columns.groups):
             with pytest.raises(ValueError):
                 column[0] = column[1]
@@ -352,23 +362,22 @@ class TestSummaryAndCsv:
 
 # -- property tests: the columnar core against the per-record recount -------
 
-record_st = st.builds(
-    EvalRecord,
-    score=st.floats(min_value=0.0, max_value=1.0),
-    label=st.sampled_from([LIVING, ATTACK]),
-    attack_kind=st.sampled_from([None, "", ATTACK, "print", "replay", "mask"]))
+record_st = st.tuples(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([LIVING, ATTACK]),
+    st.sampled_from([None, "", ATTACK, "print", "replay", "mask"]))
 
 
 @st.composite
 def scored_sets(draw):
     """Records with both classes, and a threshold that may tie a score."""
     records = draw(st.lists(record_st, min_size=0, max_size=40))
-    records.append(EvalRecord(draw(st.floats(0.0, 1.0)), LIVING,
-                              draw(st.sampled_from([None, "print"]))))
-    records.append(EvalRecord(draw(st.floats(0.0, 1.0)), ATTACK,
-                              draw(st.sampled_from([None, ATTACK, "print"]))))
+    records.append((draw(st.floats(0.0, 1.0)), LIVING,
+                    draw(st.sampled_from([None, "print"]))))
+    records.append((draw(st.floats(0.0, 1.0)), ATTACK,
+                    draw(st.sampled_from([None, ATTACK, "print"]))))
     records = draw(st.permutations(records))
-    tie = st.sampled_from([r.score for r in records])
+    tie = st.sampled_from([score for score, _, _ in records])
     threshold = draw(st.one_of(tie, st.floats(0.0, 1.0)))
     return records, threshold
 
@@ -378,14 +387,14 @@ class TestColumnarCoreProperties:
     @given(scored_sets())
     def test_summary_equals_brute_force(self, drawn):
         records, threshold = drawn
-        summary = metrics_summary(RecordColumns.of(records), threshold)
+        summary = metrics_summary(record_columns(records), threshold)
         got = (summary["apcer"], summary["bpcer"], summary["acer"],
                summary["hter"])
         assert got == brute_force_rates(records, threshold)
         assert summary["apcer"] == max(summary["per_pai_apcer"].values())
-        attacks = [r for r in records if r.label == ATTACK]
+        attacks = [r for r in records if r[1] == ATTACK]
         assert list(summary["per_pai_apcer"]) == sorted(
-            {r.attack_kind or ATTACK for r in attacks})
+            {kind or ATTACK for _, _, kind in attacks})
         assert summary["n_living"] == len(records) - len(attacks)
         assert summary["n_attack"] == len(attacks)
         assert type(summary["n_living"]) is int
@@ -395,14 +404,14 @@ class TestColumnarCoreProperties:
     @given(scored_sets())
     def test_tied_score_is_accepted(self, drawn):
         records, _ = drawn
-        record = records[0]
-        summary = metrics_summary(records, record.score)
+        score, label, kind = records[0]
+        summary = metrics_summary(record_columns(records), score)
         # The record at the threshold counts as accepted: a living one keeps
         # BPCER below 1, an attack lifts its PAI's APCER above 0.
-        if record.label == LIVING:
+        if label == LIVING:
             assert summary["bpcer"] < 1.0
         else:
-            assert summary["per_pai_apcer"][record.attack_kind or ATTACK] > 0.0
+            assert summary["per_pai_apcer"][kind or ATTACK] > 0.0
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -411,10 +420,10 @@ class TestColumnarCoreProperties:
         records, threshold = drawn
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "records.csv"
-            write_records_csv(records, path)
+            write_records(path, records)
             back = read_records_csv(path)
-        assert metrics_summary(back, threshold) == metrics_summary(records,
-                                                                   threshold)
+        assert metrics_summary(back, threshold) == metrics_summary(
+            record_columns(records), threshold)
 
 
 # -- differential test: the column reader against the row-at-a-time one ------
