@@ -101,7 +101,7 @@ def parse_config_file(path, command: str) -> dict:
     values, seen = {}, {}
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise UsageError(f"cannot read config file {path}: {exc}")
     try:
         lines = data.decode("utf-8").splitlines()

@@ -6,9 +6,10 @@ five-branch motion block. off_sequence is the one motion-block entry: for each
 consecutive frame pair it fuses, with a 3x3 kernel, the concatenation of a
 reduced feature map, both frames' spatial gradients, the temporal gradient,
 and (above the first level) the previous-level output. The block is linear,
-so the 1x1 reduce is folded into the fuse kernel: each frame gets one Sobel
-and one conv over its input channels, which pays while the input is narrower
-than the reduced map.
+so the 1x1 reduce is folded into the fuse kernel: each frame gets one Sobel,
+and each pair one conv over both frames' input channels (plus the
+previous-level output), which pays while the input is narrower than the
+reduced map.
 
 The Sobel stencils carry their conventional gain: a unit ramp reads 8, not 1,
 so velocity vectors fed to off_vector_residual must absorb that factor.
@@ -153,13 +154,14 @@ def off_sequence(frames, weights: OffBlockWeights, prev=None) -> list[np.ndarray
 
     The block is linear, and the 1x1 reduce R commutes with replicate padding
     and with the per-channel Sobel, so it is computed folded: with F0..F5 the
-    fuse slices of [r_t, gx_t, gy_t, gx_t1, gy_t1, r_t1 - r_t], block t is
-    A * [x_t, Sx x_t, Sy x_t] + B * [x_t1, Sx x_t1, Sy x_t1], where
-    A = [(F0 - F5) R, F1 R, F2 R] and B = [F5 R, F3 R, F4 R]. Each frame gets
-    one Sobel over its input channels and one conv with [A | B], shared by the
-    two blocks it belongs to. This costs 2 * 3 * Cin * Cout per frame against
-    6 * Cr * Cout per pair unfolded, so it pays while the input width Cin is
-    below the reduce width Cr.
+    fuse slices of [r_t, gx_t, gy_t, gx_t1, gy_t1, r_t1 - r_t], block t is one
+    conv of [x_t, Sx x_t, Sy x_t, x_t1, Sx x_t1, Sy x_t1] (then prev[t]) with
+    the kernel [(F0 - F5) R, F1 R, F2 R, F5 R, F3 R, F4 R] (then the fuse's
+    prev slice) stacked on the input axis. Each frame gets one Sobel over its
+    input channels, kept for the next pair, and each pair one conv. This costs
+    6 * Cin * Cout multiply-adds per pixel and tap per pair against
+    6 * Cr * Cout unfolded, so it pays while the input width Cin is below the
+    reduce width Cr.
     """
     frames = [_require_hwc(f"frames[{t}]", f) for t, f in enumerate(frames)]
     if len(frames) < 2:
@@ -169,36 +171,32 @@ def off_sequence(frames, weights: OffBlockWeights, prev=None) -> list[np.ndarray
             raise ValueError(f"frame feature shapes differ: {frames[0].shape} "
                              f"vs {f.shape} at frame {t}")
     reduce, fuse = weights.reduce_1x1[0, 0], weights.fuse_3x3
-    cr, cout = reduce.shape[1], fuse.shape[3]
+    cr = reduce.shape[1]
     spare = fuse.shape[2] - 6 * cr
     if (prev is None) != (spare == 0):
         raise ValueError(f"the fuse kernel has {spare} spare channels for a "
                          f"previous-level output, but prev is "
                          f"{'None' if prev is None else 'given'}")
     n_pairs = len(frames) - 1
-    if prev is None:
-        prev = [None] * n_pairs
-    elif len(prev) != n_pairs:
+    if prev is not None and len(prev) != n_pairs:
         raise ValueError(f"prev holds {len(prev)} outputs for {n_pairs} frame pairs")
     f0, f1, f2, f3, f4, f5 = (reduce @ fuse[:, :, k * cr:(k + 1) * cr] for k in range(6))
-    folded = np.concatenate([np.concatenate([f0 - f5, f1, f2], axis=2),
-                             np.concatenate([f5, f3, f4], axis=2)], axis=3)
-    # Only the previous frame's output is held while streaming.
-    blocks, out_t = [], None
+    folded = np.concatenate([f0 - f5, f1, f2, f5, f3, f4, fuse[:, :, 6 * cr:]], axis=2)
+    # Only the previous frame's Sobel stack is held while streaming.
+    blocks, held = [], None
     for t, x in enumerate(frames):
-        out_t1 = conv2d(np.concatenate([x, *spatial_gradient(x)], axis=2), folded)
+        stack = np.concatenate([x, *spatial_gradient(x)], axis=2)
         if t:
-            block = out_t[:, :, :cout] + out_t1[:, :, cout:]
-            if prev[t - 1] is not None:
-                # conv2d checks the channel count and finiteness; the shape
-                # check stops a one-column prev from broadcasting.
-                p = conv2d(prev[t - 1], fuse[:, :, 6 * cr:])
-                if p.shape != block.shape:
+            parts = [held, stack]
+            if prev is not None:
+                # conv2d checks the channel count against the prev slice.
+                p = _require_hwc(f"prev[{t - 1}]", prev[t - 1])
+                if p.shape[:2] != x.shape[:2]:
                     raise ValueError(f"prev[{t - 1}] is {p.shape[:2]}, frames are "
                                      f"{x.shape[:2]}")
-                block += p
-            blocks.append(block)
-        out_t = out_t1
+                parts.append(p)
+            blocks.append(conv2d(np.concatenate(parts, axis=2), folded))
+        held = stack
     return blocks
 
 

@@ -53,6 +53,15 @@ def _check_pair(pred, label) -> tuple[np.ndarray, np.ndarray]:
     return pred, label
 
 
+def _stack_frames(name: str, frames: Sequence) -> np.ndarray:
+    grids = [_as_grids(f"{name}[{t}]", g) for t, g in enumerate(frames)]
+    for t, g in enumerate(grids[1:], start=1):
+        if g.shape != grids[0].shape:
+            raise ValueError(f"{name} frame shapes differ: {grids[0].shape} "
+                             f"vs {g.shape} at frame {t}")
+    return np.stack(grids)
+
+
 def _maybe_scalar(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
@@ -155,7 +164,8 @@ class BinaryHead:
     @classmethod
     def seeded(cls, input_dim: int, seed: int = 0) -> "BinaryHead":
         rng = np.random.default_rng(seed)
-        w1 = rng.standard_normal((input_dim, HEAD_HIDDEN)) / math.sqrt(input_dim)
+        w1 = rng.standard_normal((input_dim, HEAD_HIDDEN))
+        w1 /= math.sqrt(input_dim)
         return cls(w1, np.zeros(HEAD_HIDDEN),
                    rng.standard_normal((HEAD_HIDDEN, 2)) / math.sqrt(HEAD_HIDDEN),
                    np.zeros(2))
@@ -198,14 +208,16 @@ def multi_frame_report(preds: Sequence, labels: Sequence, head: BinaryHead,
                        ) -> tuple[LossReport, float]:
     """Full multi-frame loss breakdown plus the living probability.
 
-    The absolute and contrastive terms are each summed over the frames.
+    The absolute and contrastive terms are each evaluated once on the stacked
+    frames, and their per-frame values are summed in frame order.
     """
     if len(preds) != len(labels):
         raise ValueError(f"{len(preds)} predictions vs {len(labels)} labels")
     if not preds:
         raise ValueError("need at least one frame")
-    absolute = float(sum(euclidean_depth_loss(p, l) for p, l in zip(preds, labels)))
-    contrast = float(sum(contrastive_depth_loss(p, l) for p, l in zip(preds, labels)))
+    preds, labels = _stack_frames("preds", preds), _stack_frames("labels", labels)
+    absolute = float(sum(euclidean_depth_loss(preds, labels)))
+    contrast = float(sum(contrastive_depth_loss(preds, labels)))
     depth_total = absolute + contrast
     bin_loss, b_hat = binary_loss(head, preds, binary_label)
     report = LossReport(absolute=absolute, contrastive=contrast,

@@ -524,6 +524,13 @@ class TestOutputAndConfigErrors:
         self.assert_usage_error(tmp_path, capsys, [*argv, "--config", cfg],
                                 f"{cfg}:3: field 'out' is already set on line 1")
 
+    def test_nul_in_config_path(self, tmp_path, capsys, command):
+        # An OS command line cannot carry a NUL; an in-process caller can.
+        argv = command_argv(command, tmp_path)
+        self.assert_usage_error(tmp_path, capsys,
+                                [*argv, f"--config={tmp_path}/a\0b"],
+                                "cannot read config file", "embedded null byte")
+
 
 # -- the exit-code contract under drawn argv and config-file bytes ----------
 
@@ -566,6 +573,9 @@ RECORDS_FILES = either(
      b"score,label,attack_kind\n0.9,living,\n",
      b"score,label,attack_kind\n", b""])
 BAD_BYTES = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\r", b"#"]
+# The drawn config bytes are read three times in four.
+CONFIG_PATHS = st.one_of(*[st.just("cfg")] * 3, st.sampled_from(
+    ["absent.cfg", "taken/cfg", "cfg\0"]))
 
 
 @st.composite
@@ -602,7 +612,7 @@ def invocations(draw):
         argv.append(f"--out={draw(OUT)}")
     config = draw(st.one_of(st.none(), config_bytes(command)))
     if config is not None:
-        argv.append("--config=cfg")
+        argv.append(f"--config={draw(CONFIG_PATHS)}")
     return argv, config, draw(RECORDS_FILES)
 
 

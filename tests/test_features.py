@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from depthpad import features
 from depthpad.features import (
     SOBEL_GAIN,
     OffBlockWeights,
@@ -294,6 +295,26 @@ class TestOffSequence:
                                         prev[t] if prev else None, w)
                     assert block.shape == want.shape
                     assert np.allclose(block, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cprev", [0, 2])
+    def test_one_conv_per_pair(self, monkeypatch, cprev):
+        calls = []
+
+        def counted(x, kernel, *args, **kwargs):
+            calls.append(kernel.shape)
+            return conv2d(x, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(features, "conv2d", counted)
+        rng = np.random.default_rng(19)
+        w = OffBlockWeights.seeded(3, reduce_channels=4, out_channels=5,
+                                   prev_channels=cprev)
+        for n_frames in (2, 3, 5):
+            calls.clear()
+            frames = [rng.standard_normal((6, 6, 3)) for _ in range(n_frames)]
+            prev = ([rng.standard_normal((6, 6, cprev))
+                     for _ in range(n_frames - 1)] if cprev else None)
+            off_sequence(frames, w, prev)
+            assert calls == [(3, 3, 6 * 3 + cprev, 5)] * (n_frames - 1)
 
     def test_sequence_errors(self):
         rng = np.random.default_rng(20)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthpad.supervision import (
     CONTRAST_OFFSETS,
@@ -246,6 +248,32 @@ class TestMultiFrameDepthLoss:
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
             depth_report([np.zeros((4, 4))], [])
+
+    @pytest.mark.parametrize("which", ["preds", "labels"])
+    def test_frame_shapes_must_agree(self, which):
+        frames = {"preds": [np.zeros((4, 4))] * 2, "labels": [np.zeros((4, 4))] * 2}
+        frames[which] = [np.zeros((4, 4)), np.zeros((4, 5))]
+        with pytest.raises(ValueError, match=rf"{which} frame shapes differ: "
+                                             rf"\(4, 4\) vs \(4, 5\) at frame 1"):
+            depth_report(frames["preds"], frames["labels"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 12),
+           st.integers(1, 12), st.booleans())
+    def test_batched_terms_equal_per_frame_sums(self, seed, n, h, w, matching):
+        rng = np.random.default_rng(seed)
+        labels = [rng.standard_normal((h, w)) for _ in range(n)]
+        preds = labels if matching else [rng.standard_normal((h, w))
+                                         for _ in range(n)]
+        report = depth_report(preds, labels)
+        absolute = sum(euclidean_depth_loss(p, l) for p, l in zip(preds, labels))
+        contrast = sum(contrastive_depth_loss(p, l) for p, l in zip(preds, labels))
+        if matching:
+            assert report.absolute == absolute == 0.0
+            assert report.contrastive == contrast == 0.0
+        else:
+            assert report.absolute == pytest.approx(absolute, rel=1e-12, abs=0.0)
+            assert report.contrastive == pytest.approx(contrast, rel=1e-12, abs=0.0)
 
 
 class TestBinaryLoss:
