@@ -7,6 +7,7 @@ Modules:
   recurrent   - convolutional GRU forward recurrence and depth fusion
   supervision - depth and binary losses with analytic gradients
   metrics     - PAD error rates and the living score
+  model       - the demo's forward pass, from depth labels to live scores
   cli         - simulate / demo / metrics command line front end
 """
 

@@ -22,12 +22,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import depthlabel, geometry, metrics
-from .features import OffBlockWeights, conv2d, off_sequence
-from .recurrent import ConvGruCell, convgru_run, fuse_depth, sigmoid
-from .supervision import BinaryHead, multi_frame_report
+from . import depthlabel, geometry, metrics, model
 
 
 class UsageError(Exception):
@@ -259,8 +254,9 @@ def svg_line_plot(path, series: dict, title: str, x_label: str,
 # -- simulate ---------------------------------------------------------------
 
 # One cap for simulate and demo. A sweep's time and CSV size grow linearly
-# with the frames; the demo's binary head holds (frames - 1) * grid**2 * 128
-# float64 weights, 1 MB per frame at grid 32, which the cap bounds at 63 MB.
+# with the frames; the full-mode demo's binary head holds
+# (frames - 1) * grid**2 * 128 float64 weights, 1 MB per frame at grid 32,
+# which the cap bounds at 63 MB.
 MAX_FRAMES = 64
 
 
@@ -320,22 +316,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # -- demo ---------------------------------------------------------------------
 
-DEMO_SURFACE = {"amplitude": 8.0, "center": (16.0, 16.0), "radius": 12.0,
-                "grid_size": 65}
-DEMO_REDUCE_CHANNELS = 16
-DEMO_FUSE_CHANNELS = 32
-
-
-def _demo_frames(base: np.ndarray, n_frames: int) -> list[np.ndarray]:
-    """Three-channel frame stack; motion is a vertical roll per frame."""
-    channels = [base * scale for scale in (0.5, 0.75, 1.0)]
-    frames = []
-    for t in range(n_frames):
-        rolled = [np.roll(c, t, axis=0) for c in channels]
-        frames.append(np.stack(rolled, axis=2))
-    return frames
-
-
 def run_demo(alpha: float, beta: float, frames: int, seed: int,
              oracle: bool) -> dict:
     if not 2 <= frames <= MAX_FRAMES:
@@ -344,68 +324,23 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
         raise UsageError("alpha and beta must lie in [0, 1]")
     if seed < 0:
         raise UsageError(f"--seed must be non-negative, got {seed}")
-    n_steps = frames - 1
-    grid = depthlabel.GRID_SIZE
-
-    surface = depthlabel.synthesize_face_surface(**DEMO_SURFACE)
-    living_label = depthlabel.generate_living_depth(surface)
-    spoof_label = depthlabel.spoof_depth(grid)
-    mask = depthlabel.mask_from_depth(living_label)
-    masks = [mask] * n_steps
-    labels = {"living": [living_label.values] * n_steps,
-              "spoof": [spoof_label.values] * n_steps}
-
-    if oracle:
-        head = BinaryHead.zeroed(n_steps * grid * grid)
-        fused = {"living": labels["living"], "spoof": labels["spoof"]}
-    else:
-        head = BinaryHead.seeded(n_steps * grid * grid, seed=seed + 3)
-        off_weights = OffBlockWeights.seeded(
-            3, reduce_channels=DEMO_REDUCE_CHANNELS,
-            out_channels=DEMO_FUSE_CHANNELS, seed=seed + 1)
-        cell = ConvGruCell.seeded(input_channels=DEMO_FUSE_CHANNELS,
-                                  hidden_channels=1, scale=0.1, seed=seed + 2)
-        single_kernel = (np.random.default_rng(seed)
-                         .standard_normal((1, 1, 3, 1)))
-        # A planar ramp stands in for the flat printed texture.
-        ramp = np.tile(np.linspace(0.0, 1.0, grid)[:, None], (1, grid))
-        bases = {"living": living_label.values, "spoof": ramp}
-        fused = {}
-        for kind, base in bases.items():
-            frame_stack = _demo_frames(base, frames)
-            # Step t fuses frame t + 1's single-frame map; frame 0 needs none.
-            single = [sigmoid(conv2d(f, single_kernel)[:, :, 0])
-                      for f in frame_stack[1:]]
-            motion = off_sequence(frame_stack, off_weights)
-            states = convgru_run(cell, np.zeros((grid, grid, 1)), motion)
-            fused[kind] = [fuse_depth(single[t], states[t][:, :, 0], alpha)
-                           for t in range(n_steps)]
-
-    reports, scores, b_hats, depth_terms = {}, {}, {}, {}
-    for kind, binary_label in (("living", 1), ("spoof", 0)):
-        report, b_hat = multi_frame_report(fused[kind], labels[kind], head,
-                                           binary_label, beta)
-        reports[kind] = report
-        b_hats[kind] = b_hat
-        depth_terms[kind] = metrics.masked_depth_term(fused[kind], masks)
-        scores[kind] = metrics.living_score(b_hat, depth_terms[kind], beta)
+    samples = model.run_model(alpha, beta, frames, seed, oracle)
 
     result = {
         "command": "demo",
         "seed": seed,
         "oracle": oracle,
         "params": {"alpha": alpha, "beta": beta, "frames": frames,
-                   "grid": grid, "reduce_channels": DEMO_REDUCE_CHANNELS,
-                   "fuse_channels": DEMO_FUSE_CHANNELS,
-                   "surface": {**DEMO_SURFACE,
-                               "center": list(DEMO_SURFACE["center"])}},
+                   "grid": depthlabel.GRID_SIZE,
+                   "reduce_channels": model.DEMO_REDUCE_CHANNELS,
+                   "fuse_channels": model.DEMO_FUSE_CHANNELS,
+                   "surface": {**model.DEMO_SURFACE,
+                               "center": list(model.DEMO_SURFACE["center"])}},
     }
-    for kind in ("living", "spoof"):
-        result[kind] = {"losses": dataclasses.asdict(reports[kind]),
-                        "b_hat": b_hats[kind],
-                        "depth_term": depth_terms[kind],
-                        "score": scores[kind]}
-    result["score_gap"] = scores["living"] - scores["spoof"]
+    for kind, (report, b_hat, depth_term, score) in samples.items():
+        result[kind] = {"losses": dataclasses.asdict(report), "b_hat": b_hat,
+                        "depth_term": depth_term, "score": score}
+    result["score_gap"] = result["living"]["score"] - result["spoof"]["score"]
     if oracle:
         result["oracle_gap_ok"] = bool(result["score_gap"]
                                        >= 0.5 * (1.0 - beta))
@@ -484,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--beta", type=float,
                         help="binary weight in losses and score")
     p_demo.add_argument("--oracle", action="store_true", default=None,
-                        help="inject ground-truth depth maps and a zeroed head")
+                        help="inject ground-truth depth maps; no head is drawn, "
+                             "b_hat is 0.5")
     p_demo.set_defaults(func=cmd_demo)
 
     p_met = sub.add_parser("metrics", help="PAD metrics from a records CSV")

@@ -4,9 +4,6 @@ Living samples get a normalized depth map in [0, 1] built from a facial
 vertex cloud (nearest point 1, farthest point 0, background 0); spoof samples
 get the all-zero map. A parametric dome surface stands in for a real face
 reconstruction so the whole path stays deterministic and mesh free.
-
-Depth maps and masks are stored with features.save_tensor; a depth map's
-label kind is its kind tag, so DepthMap(*load_tensor(path)) restores it.
 """
 
 from __future__ import annotations

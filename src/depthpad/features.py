@@ -18,7 +18,6 @@ Tensors are plain numpy arrays shaped (height, width, channels).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,26 +198,3 @@ def off_sequence(frames, weights: OffBlockWeights, prev=None) -> list[np.ndarray
         held = stack
     return blocks
 
-
-# Tensor file format: one JSON object holding a kind tag, the shape header,
-# and the flat row-major values. repr keeps every float bit-exact.
-
-def save_tensor(path, array: np.ndarray, kind: str = "tensor") -> None:
-    array = np.asarray(array, dtype=float)
-    with open(path, "w") as fh:
-        json.dump({"kind": kind,
-                   "shape": list(array.shape),
-                   "values": [float(v) for v in array.ravel()]}, fh)
-
-
-def load_tensor(path, expect_kind: str | None = None) -> tuple[np.ndarray, str]:
-    with open(path) as fh:
-        data = json.load(fh)
-    kind = data["kind"]
-    if expect_kind is not None and kind != expect_kind:
-        raise ValueError(f"tensor file holds kind {kind!r}, expected {expect_kind!r}")
-    shape = tuple(data["shape"])
-    values = np.array(data["values"], dtype=float)
-    if values.size != int(np.prod(shape)):
-        raise ValueError(f"tensor file has {values.size} values for shape {shape}")
-    return values.reshape(shape), kind

@@ -170,20 +170,19 @@ class BinaryHead:
                    rng.standard_normal((HEAD_HIDDEN, 2)) / math.sqrt(HEAD_HIDDEN),
                    np.zeros(2))
 
-    @classmethod
-    def zeroed(cls, input_dim: int) -> "BinaryHead":
-        return cls(np.zeros((input_dim, HEAD_HIDDEN)), np.zeros(HEAD_HIDDEN),
-                   np.zeros((HEAD_HIDDEN, 2)), np.zeros(2))
 
-
-def binary_loss(head: BinaryHead, fused: Sequence, label: int
+def binary_loss(head: BinaryHead | None, fused: Sequence, label: int
                 ) -> tuple[float, float]:
     """Cross entropy of the true class over the concatenated depth maps.
 
     label is 0 for spoof, 1 for living. Returns (loss, living probability).
+    With head None no head is evaluated and the result is (log 2, 0.5),
+    exactly what an all-zero head computes.
     """
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label!r}")
+    if head is None:
+        return math.log(2.0), 0.5
     flat = np.concatenate([np.asarray(g, dtype=float).ravel() for g in fused])
     if flat.size != head.input_dim:
         raise ValueError(f"head expects {head.input_dim} inputs, "
@@ -203,13 +202,14 @@ def multi_frame_loss(depth: float, binary: float, beta: float) -> float:
     return beta * binary + (1.0 - beta) * depth
 
 
-def multi_frame_report(preds: Sequence, labels: Sequence, head: BinaryHead,
-                       binary_label: int, beta: float
+def multi_frame_report(preds: Sequence, labels: Sequence,
+                       head: BinaryHead | None, binary_label: int, beta: float
                        ) -> tuple[LossReport, float]:
     """Full multi-frame loss breakdown plus the living probability.
 
     The absolute and contrastive terms are each evaluated once on the stacked
-    frames, and their per-frame values are summed in frame order.
+    frames, and their per-frame values are summed in frame order. head may
+    be None, as in binary_loss.
     """
     if len(preds) != len(labels):
         raise ValueError(f"{len(preds)} predictions vs {len(labels)} labels")

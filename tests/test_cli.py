@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import depthpad
-from depthpad import depthlabel, metrics
+from depthpad import cli, depthlabel, metrics, supervision
 from depthpad.cli import (
     COMMAND_FIELDS,
     CONFIG_FIELDS,
@@ -272,8 +273,8 @@ class TestDemo:
         assert report["oracle_gap_ok"] is True
         beta = report["params"]["beta"]
         # Reconstruct the ground-truth surface from the echoed parameters and
-        # predict the gap independently: the spoof depth term is zero and the
-        # zeroed head gives both samples the same b_hat.
+        # predict the gap independently: the spoof depth term is zero and,
+        # with no head drawn, both samples have b_hat 0.5.
         surface = depthlabel.synthesize_face_surface(
             amplitude=report["params"]["surface"]["amplitude"],
             center=tuple(report["params"]["surface"]["center"]),
@@ -291,14 +292,24 @@ class TestDemo:
         assert report["living"]["losses"]["depth_total"] == 0.0
 
     def test_beta_one_gap_is_bhat_driven(self, tmp_path):
-        # The zeroed oracle head ties b_hat at 0.5, and with beta = 1 the
-        # depth term is ignored, so both scores coincide exactly.
+        # With no oracle head drawn b_hat is 0.5 for both, and with beta = 1
+        # the depth term is ignored, so both scores coincide exactly.
         assert run(["demo", "--oracle", "--beta", "1.0", "--seed", 7,
                     "--out", tmp_path]) == 0
         report = json.loads((tmp_path / "demo.json").read_text())
         assert report["score_gap"] == pytest.approx(
             report["living"]["b_hat"] - report["spoof"]["b_hat"], abs=1e-15)
         assert report["living"]["score"] == report["living"]["b_hat"]
+
+    def test_oracle_draws_no_head(self, tmp_path, monkeypatch):
+        def refuse(head):
+            raise AssertionError("oracle mode built a binary head")
+
+        monkeypatch.setattr(supervision.BinaryHead, "__post_init__", refuse)
+        assert run(["demo", "--oracle", "--seed", 7, "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "demo.json").read_text())
+        ref_path = REFERENCE_DIR / "demo-oracle-seed7.json"
+        assert_matches_reference(report, json.loads(ref_path.read_text()))
 
     def test_oracle_from_config_file(self, tmp_path):
         cfg = tmp_path / "demo.cfg"
@@ -674,6 +685,25 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_holds_no_model():
+    # The forward pass lives in depthpad.model; the front end only checks
+    # arguments and writes the report.
+    model_modules = {"features", "recurrent", "supervision"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not ({name.rpartition(".")[2] for name in names}
+                    & model_modules), ast.unparse(node)
+    defined = {target.id for node in tree.body if isinstance(node, ast.Assign)
+               for target in node.targets if isinstance(target, ast.Name)}
+    assert not {name for name in defined if name.startswith("DEMO_")}
 
 
 class TestArgparseContract:

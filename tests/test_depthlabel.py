@@ -20,7 +20,6 @@ from depthpad.depthlabel import (
     spoof_depth,
     synthesize_face_surface,
 )
-from depthpad.features import load_tensor, save_tensor
 
 
 def hemisphere_cloud(grid_size=65):
@@ -396,39 +395,3 @@ class TestMaskFromDepth:
         depth = generate_living_depth(hemisphere_cloud())
         assert mask_from_depth(depth).values.sum() >= 1
 
-
-class TestSerialization:
-    def test_depth_json_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(8)
-        depth = DepthMap(rng.random((32, 32)), LIVING)
-        path = tmp_path / "depth.json"
-        save_tensor(path, depth.values, kind=depth.label_kind)
-        back = DepthMap(*load_tensor(path, expect_kind=LIVING))
-        assert np.array_equal(back.values, depth.values)
-        assert back.label_kind == LIVING
-
-    def test_living_label_round_trip_exact(self, tmp_path):
-        depth = generate_living_depth(hemisphere_cloud())
-        path = tmp_path / "depth.json"
-        save_tensor(path, depth.values, kind=depth.label_kind)
-        back = DepthMap(*load_tensor(path))
-        assert np.array_equal(back.values, depth.values)
-        assert back.label_kind == LIVING
-
-    def test_spoof_round_trip(self, tmp_path):
-        path = tmp_path / "spoof.json"
-        depth = spoof_depth()
-        save_tensor(path, depth.values, kind=depth.label_kind)
-        back = DepthMap(*load_tensor(path))
-        assert back.label_kind == SPOOF
-        assert not back.values.any()
-
-    def test_mask_round_trips(self, tmp_path):
-        rng = np.random.default_rng(9)
-        mask = FaceMask(rng.integers(0, 2, (32, 32)))
-        path = tmp_path / "mask.json"
-        save_tensor(path, mask.values, kind="mask")
-        values, _ = load_tensor(path, expect_kind="mask")
-        back = FaceMask(values)
-        assert np.array_equal(back.values, mask.values)
-        assert back.values.dtype == mask.values.dtype

@@ -8,10 +8,8 @@ from depthpad.features import (
     SOBEL_GAIN,
     OffBlockWeights,
     conv2d,
-    load_tensor,
     off_sequence,
     off_vector_residual,
-    save_tensor,
     spatial_gradient,
     temporal_gradient,
 )
@@ -403,19 +401,3 @@ class TestOffSequenceProperties:
             want = np.roll(block, k, axis=0)
             assert np.allclose(got[rows], want[rows], rtol=0, atol=1e-12)
 
-
-class TestTensorFiles:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(17)
-        arr = rng.standard_normal((3, 3, 4, 2))
-        path = tmp_path / "kernel.json"
-        save_tensor(path, arr, kind="conv_kernel")
-        back, kind = load_tensor(path)
-        assert kind == "conv_kernel"
-        assert np.array_equal(back, arr)
-
-    def test_kind_check(self, tmp_path):
-        path = tmp_path / "t.json"
-        save_tensor(path, np.zeros((2, 2)), kind="tensor")
-        with pytest.raises(ValueError):
-            load_tensor(path, expect_kind="conv_kernel")

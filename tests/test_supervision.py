@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from depthpad.supervision import (
     CONTRAST_OFFSETS,
+    HEAD_HIDDEN,
     BinaryHead,
     binary_loss,
     contrastive_depth_loss,
@@ -184,10 +185,15 @@ class TestDepthLossGradient:
 
 
 def depth_report(preds, labels):
-    """multi_frame_report under a zeroed head, for its depth terms."""
-    head = BinaryHead.zeroed(input_dim=sum(np.size(p) for p in preds))
-    report, _ = multi_frame_report(preds, labels, head, binary_label=1, beta=0.9)
+    """multi_frame_report without a head, for its depth terms."""
+    report, _ = multi_frame_report(preds, labels, None, binary_label=1, beta=0.9)
     return report
+
+
+def zero_head(input_dim):
+    """The all-zero head, built by hand."""
+    return BinaryHead(np.zeros((input_dim, HEAD_HIDDEN)), np.zeros(HEAD_HIDDEN),
+                      np.zeros((HEAD_HIDDEN, 2)), np.zeros(2))
 
 
 class TestSingleFrameLoss:
@@ -278,7 +284,7 @@ class TestMultiFrameDepthLoss:
 
 class TestBinaryLoss:
     def test_zero_head_gives_log_two(self):
-        head = BinaryHead.zeroed(input_dim=4 * 1024)
+        head = zero_head(4 * 1024)
         fused = [np.random.default_rng(16).random((32, 32)) for _ in range(4)]
         loss, b_hat = binary_loss(head, fused, label=1)
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
@@ -303,12 +309,12 @@ class TestBinaryLoss:
         assert b_hat > 1 - 1e-6
 
     def test_dimension_mismatch(self):
-        head = BinaryHead.zeroed(input_dim=1024)
+        head = zero_head(1024)
         with pytest.raises(ValueError):
             binary_loss(head, [np.zeros((32, 32))] * 2, label=1)
 
     def test_bad_label(self):
-        head = BinaryHead.zeroed(input_dim=1024)
+        head = zero_head(1024)
         with pytest.raises(ValueError):
             binary_loss(head, [np.zeros((32, 32))], label=2)
 
@@ -343,3 +349,21 @@ class TestMultiFrameReport:
         assert report.multi_total == pytest.approx(
             0.9 * report.binary + 0.1 * report.depth_total, rel=1e-12)
         assert 0.0 < b_hat < 1.0
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_no_head_equals_zero_head(self, label):
+        rng = np.random.default_rng(19)
+        preds = [rng.random((32, 32)) for _ in range(3)]
+        labels = [rng.random((32, 32)) for _ in range(3)]
+        report, b_hat = multi_frame_report(preds, labels, None,
+                                           binary_label=label, beta=0.9)
+        zero_loss, zero_b_hat = binary_loss(zero_head(3 * 1024), preds, label)
+        assert report.binary == zero_loss == math.log(2.0)
+        assert b_hat == zero_b_hat == 0.5
+        assert report == multi_frame_report(preds, labels, zero_head(3 * 1024),
+                                            binary_label=label, beta=0.9)[0]
+
+    def test_no_head_rejects_bad_label(self):
+        grids = [np.zeros((32, 32))]
+        with pytest.raises(ValueError, match="label must be 0 or 1, got 2"):
+            multi_frame_report(grids, grids, None, binary_label=2, beta=0.9)
