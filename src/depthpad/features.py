@@ -24,7 +24,7 @@ import numpy as np
 
 SOBEL_GAIN = 8.0  # response of the 3x3 stencil on a unit ramp
 
-_PAD_MODES = {"replicate": "edge", "zero": "constant"}
+_PADDINGS = ("replicate", "zero")
 
 
 def _require_hwc(name: str, x: np.ndarray) -> np.ndarray:
@@ -36,10 +36,55 @@ def _require_hwc(name: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _pad(x: np.ndarray, ph: int, pw: int, padding: str) -> np.ndarray:
+    """x (H, W, C) padded by ph rows and pw columns on each side.
+
+    One allocation and slice assignment, equal bit for bit to numpy's pad in
+    "constant" (zero) or "edge" (replicate) mode, for any widths, including
+    ones wider than x: edge rows are broadcast first, then edge columns
+    (corners included) are copied from the padded columns. Zero widths
+    return x itself, not a copy.
+    """
+    if not (ph or pw):
+        return x
+    h, w, c = x.shape
+    shape = (h + 2 * ph, w + 2 * pw, c)
+    if padding == "zero":
+        out = np.zeros(shape, dtype=x.dtype)
+        out[ph:ph + h, pw:pw + w] = x
+        return out
+    out = np.empty(shape, dtype=x.dtype)
+    out[ph:ph + h, pw:pw + w] = x
+    out[:ph, pw:pw + w] = x[:1]
+    out[ph + h:, pw:pw + w] = x[-1:]
+    out[:, :pw] = out[:, pw:pw + 1]
+    out[:, pw + w:] = out[:, pw + w - 1:pw + w]
+    return out
+
+
+def _correlate(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation of a padded (H+kH-1, W+kW-1, Cin) tensor.
+
+    One (H, W, Cin) @ (Cin, Cout) matmul per tap, summed over the taps in
+    row-major order starting from the (0, 0) tap.
+    """
+    kh, kw = kernel.shape[:2]
+    h, w = padded.shape[0] - kh + 1, padded.shape[1] - kw + 1
+    out = padded[:h, :w] @ kernel[0, 0]
+    for a in range(kh):
+        for b in range(kw):
+            if a or b:
+                out += padded[a:a + h, b:b + w] @ kernel[a, b]
+    return out
+
+
 def conv2d(x: np.ndarray, kernel: np.ndarray, padding: str = "replicate") -> np.ndarray:
     """Same-padded stride-1 cross-correlation mixing channels.
 
-    x is (H, W, Cin), kernel is (kH, kW, Cin, Cout) with odd kH and kW.
+    x is (H, W, Cin), kernel is (kH, kW, Cin, Cout) with odd kH and kW. The
+    input is padded into one fresh buffer (a 1x1 kernel reads x itself) and
+    the taps are summed as _correlate sums them, so the result equals
+    numpy's pad followed by the same tap sum bit for bit.
     """
     x = _require_hwc("input", x)
     kernel = np.asarray(kernel, dtype=float)
@@ -50,18 +95,9 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, padding: str = "replicate") -> np.
         raise ValueError(f"kernel dims must be odd for same padding, got {kh}x{kw}")
     if cin != x.shape[2]:
         raise ValueError(f"kernel expects {cin} input channels, tensor has {x.shape[2]}")
-    if padding not in _PAD_MODES:
-        raise ValueError(f"padding must be one of {sorted(_PAD_MODES)}, got {padding!r}")
-    padded = np.pad(x, ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)),
-                    mode=_PAD_MODES[padding])
-    h, w = x.shape[:2]
-    # One (H, W, Cin) @ (Cin, Cout) matmul per tap, summed over the taps.
-    out = padded[:h, :w] @ kernel[0, 0]
-    for a in range(kh):
-        for b in range(kw):
-            if a or b:
-                out += padded[a:a + h, b:b + w] @ kernel[a, b]
-    return out
+    if padding not in _PADDINGS:
+        raise ValueError(f"padding must be one of {sorted(_PADDINGS)}, got {padding!r}")
+    return _correlate(_pad(x, kh // 2, kw // 2, padding), kernel)
 
 
 def spatial_gradient(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +110,7 @@ def spatial_gradient(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h, w, _ = x.shape
     if h < 3 or w < 3:
         raise ValueError(f"spatial gradient needs at least 3x3 input, got {h}x{w}")
-    p = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    p = _pad(x, 1, 1, "replicate")
     dx = p[:, 2:, :] - p[:, :-2, :]          # east minus west, (H+2, W, C)
     gx = dx[:-2] + 2.0 * dx[1:-1] + dx[2:]
     dy = p[2:, :, :] - p[:-2, :, :]          # south minus north, (H, W+2, C)

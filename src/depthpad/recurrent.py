@@ -19,17 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import conv2d
+from .features import _correlate, _require_hwc
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function; exp never sees a positive argument, so no overflow."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, branch-free; exp only sees -|x|, so no overflow.
+
+    Equal bit for bit to the two-branch form 1 / (1 + exp(-x)) for x >= 0
+    (including -0) and exp(x) / (1 + exp(x)) below, for every finite or
+    infinite input; NaN stays NaN.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,15 @@ class ConvGruCell:
 
 def convgru_step(cell: ConvGruCell, h_prev: np.ndarray, x: np.ndarray
                  ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One recurrence step; returns the new state and the (reset, update) gates."""
-    h_prev = np.asarray(h_prev, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if h_prev.ndim != 3 or x.ndim != 3:
-        raise ValueError("hidden state and input must be (H, W, C)")
+    """One recurrence step; returns the new state and the (reset, update) gates.
+
+    h_prev and x must be finite (H, W, C) tensors. Both convs run on one
+    zero-padded [h, x] buffer with conv2d's tap sum, and the candidate pass
+    overwrites only the hidden channels, so the result equals concatenating,
+    then conv2d with zero padding, bit for bit.
+    """
+    h_prev = _require_hwc("hidden state", h_prev)
+    x = _require_hwc("input", x)
     if h_prev.shape[:2] != x.shape[:2]:
         raise ValueError(f"spatial dims differ: {h_prev.shape[:2]} vs {x.shape[:2]}")
     if h_prev.shape[2] != cell.hidden_channels:
@@ -89,14 +94,17 @@ def convgru_step(cell: ConvGruCell, h_prev: np.ndarray, x: np.ndarray
     if x.shape[2] != cell.input_channels:
         raise ValueError(f"input has {x.shape[2]} channels, "
                          f"cell expects {cell.input_channels}")
-    hx = np.concatenate([h_prev, x], axis=2)
-    # Both gates read [h, x]: one conv over the kernels stacked on Cout.
-    gates = sigmoid(conv2d(hx, np.concatenate([cell.k_r, cell.k_u], axis=3),
-                            padding="zero"))
     ch = cell.hidden_channels
+    # Both convs read one zero-padded [h, x] buffer. The gates read it as
+    # written (one conv over k_r and k_u stacked on Cout); the candidate
+    # reads it after its hidden channels are overwritten with r * h.
+    hx = np.zeros((x.shape[0] + 2, x.shape[1] + 2, ch + x.shape[2]))
+    hx[1:-1, 1:-1, :ch] = h_prev
+    hx[1:-1, 1:-1, ch:] = x
+    gates = sigmoid(_correlate(hx, np.concatenate([cell.k_r, cell.k_u], axis=3)))
     r, u = gates[:, :, :ch], gates[:, :, ch:]
-    rhx = np.concatenate([r * h_prev, x], axis=2)
-    candidate = np.tanh(conv2d(rhx, cell.k_h, padding="zero"))
+    hx[1:-1, 1:-1, :ch] = r * h_prev
+    candidate = np.tanh(_correlate(hx, cell.k_h))
     h_new = (1.0 - u) * h_prev + u * candidate
     return h_new, (r, u)
 

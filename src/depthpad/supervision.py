@@ -69,11 +69,12 @@ def _maybe_scalar(x: np.ndarray):
 def _shift_responses(grid: np.ndarray, offsets=CONTRAST_OFFSETS):
     """grid[p + (di, dj)] - grid[p] with zeros outside, per offset.
 
-    These are the kernel correlations; the grid is padded once for all offsets.
+    These are the kernel correlations; the grid is zero-padded once for all
+    offsets, into one buffer by slice assignment.
     """
     h, w = grid.shape[-2:]
-    pad = [(0, 0)] * (grid.ndim - 2) + [(1, 1), (1, 1)]
-    p = np.pad(grid, pad)
+    p = np.zeros(grid.shape[:-2] + (h + 2, w + 2), dtype=grid.dtype)
+    p[..., 1:-1, 1:-1] = grid
     return [p[..., 1 + di:1 + di + h, 1 + dj:1 + dj + w] - grid
             for di, dj in offsets]
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depthpad import features
+from depthpad import features, supervision
 from depthpad.features import (
     SOBEL_GAIN,
     OffBlockWeights,
@@ -401,3 +401,87 @@ class TestOffSequenceProperties:
             want = np.roll(block, k, axis=0)
             assert np.allclose(got[rows], want[rows], rtol=0, atol=1e-12)
 
+
+
+NP_PAD_MODES = {"replicate": "edge", "zero": "constant"}
+
+
+def np_pad_hwc(x, ph, pw, padding):
+    return np.pad(x, ((ph, ph), (pw, pw), (0, 0)), mode=NP_PAD_MODES[padding])
+
+
+def tap_sum_conv2d(x, kernel, padding):
+    # The conv as numpy's pad followed by the per-tap matmul sum, in the tap
+    # order conv2d sums them; the one-buffer padding must not move a bit.
+    kh, kw = kernel.shape[:2]
+    h, w, _ = x.shape
+    p = np_pad_hwc(x, kh // 2, kw // 2, padding)
+    out = p[:h, :w] @ kernel[0, 0]
+    for a in range(kh):
+        for b in range(kw):
+            if a or b:
+                out += p[a:a + h, b:b + w] @ kernel[a, b]
+    return out
+
+
+def np_pad_sobel(x):
+    p = np_pad_hwc(x, 1, 1, "replicate")
+    dx = p[:, 2:, :] - p[:, :-2, :]
+    dy = p[2:, :, :] - p[:-2, :, :]
+    return (dx[:-2] + 2.0 * dx[1:-1] + dx[2:],
+            dy[:, :-2] + 2.0 * dy[:, 1:-1] + dy[:, 2:])
+
+
+odd_kernel_dims = st.sampled_from([1, 3, 5, 7])
+paddings = st.sampled_from(sorted(NP_PAD_MODES))
+
+
+@st.composite
+def hwc_tensors(draw, min_side=1):
+    shape = (draw(st.integers(min_side, 9)), draw(st.integers(min_side, 9)),
+             draw(st.integers(1, 4)))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+
+
+class TestOneBufferPadding:
+    """The slice-assigned padding equals numpy's pad bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hwc_tensors(), odd_kernel_dims, odd_kernel_dims, paddings)
+    def test_pad_matches_numpy_pad(self, x, kh, kw, padding):
+        got = features._pad(x, kh // 2, kw // 2, padding)
+        assert np.array_equal(got, np_pad_hwc(x, kh // 2, kw // 2, padding))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hwc_tensors(), st.integers(0, 12), st.integers(0, 12), paddings)
+    def test_pad_wider_than_the_input(self, x, ph, pw, padding):
+        assert np.array_equal(features._pad(x, ph, pw, padding),
+                              np_pad_hwc(x, ph, pw, padding))
+
+    def test_zero_widths_return_the_input(self):
+        x = np.random.default_rng(22).standard_normal((4, 5, 2))
+        for padding in NP_PAD_MODES:
+            assert features._pad(x, 0, 0, padding) is x
+
+    @settings(max_examples=120, deadline=None)
+    @given(hwc_tensors(), odd_kernel_dims, odd_kernel_dims, paddings,
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_conv2d_matches_numpy_pad_tap_sum(self, x, kh, kw, padding, cout, seed):
+        kernel = np.random.default_rng(seed).standard_normal((kh, kw, x.shape[2], cout))
+        assert np.array_equal(conv2d(x, kernel, padding),
+                              tap_sum_conv2d(x, kernel, padding))
+
+    @settings(max_examples=80, deadline=None)
+    @given(hwc_tensors(min_side=3))
+    def test_spatial_gradient_matches_numpy_pad(self, x):
+        for got, want in zip(spatial_gradient(x), np_pad_sobel(x)):
+            assert np.array_equal(got, want)
+
+    def test_shift_responses_match_numpy_pad(self):
+        grids = np.random.default_rng(23).standard_normal((3, 7, 5))
+        p = np.pad(grids, ((0, 0), (1, 1), (1, 1)))
+        got = supervision._shift_responses(grids)
+        assert len(got) == len(supervision.CONTRAST_OFFSETS)
+        for (di, dj), response in zip(supervision.CONTRAST_OFFSETS, got):
+            want = p[:, 1 + di:8 + di, 1 + dj:6 + dj] - grids
+            assert np.array_equal(response, want)

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthpad.features import conv2d
-from depthpad.recurrent import ConvGruCell, convgru_run, convgru_step, fuse_depth
+from depthpad.recurrent import (
+    ConvGruCell,
+    convgru_run,
+    convgru_step,
+    fuse_depth,
+    sigmoid,
+)
 
 
 def zero_cell(input_channels=1, hidden_channels=1):
@@ -58,6 +64,38 @@ class TestConvGruStep:
             assert np.allclose(u_got, u, rtol=0, atol=1e-12)
             assert np.allclose(h_new, (1.0 - u) * h + u * c, rtol=0, atol=1e-12)
 
+    def test_matches_concatenate_and_conv2d_bit_for_bit(self):
+        # The shared buffer's r * h overwrite must leave the x channels and
+        # the zero border exactly as a fresh concatenate-and-pad would.
+        rng = np.random.default_rng(24)
+        for hidden in (1, 3):
+            cell = ConvGruCell.seeded(input_channels=4, hidden_channels=hidden,
+                                      scale=0.5, seed=10 + hidden)
+            h = rng.uniform(-1, 1, (7, 9, hidden))
+            x = rng.standard_normal((7, 9, 4))
+            gates = sigmoid(conv2d(np.concatenate([h, x], axis=2),
+                                   np.concatenate([cell.k_r, cell.k_u], axis=3),
+                                   padding="zero"))
+            r, u = gates[:, :, :hidden], gates[:, :, hidden:]
+            c = np.tanh(conv2d(np.concatenate([r * h, x], axis=2), cell.k_h,
+                               padding="zero"))
+            h_new, (r_got, u_got) = convgru_step(cell, h, x)
+            assert np.array_equal(r_got, r)
+            assert np.array_equal(u_got, u)
+            assert np.array_equal(h_new, (1.0 - u) * h + u * c)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_or_input_rejected(self, bad):
+        cell = zero_cell(input_channels=2, hidden_channels=1)
+        h, x = np.zeros((6, 6, 1)), np.zeros((6, 6, 2))
+        h_bad, x_bad = h.copy(), x.copy()
+        h_bad[2, 3, 0] = bad
+        x_bad[4, 1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            convgru_step(cell, h_bad, x)
+        with pytest.raises(ValueError, match="non-finite"):
+            convgru_step(cell, h, x_bad)
+
     def test_shape_mismatches_rejected(self):
         cell = zero_cell(input_channels=2, hidden_channels=1)
         with pytest.raises(ValueError):
@@ -75,6 +113,40 @@ class TestConvGruStep:
             ConvGruCell(*(np.zeros((5, 5, 2, 1)),) * 3)  # not 3x3
         with pytest.raises(ValueError):
             ConvGruCell(*(np.zeros((3, 3, 1, 1)),) * 3)  # no room for input
+
+
+def two_branch_sigmoid(x):
+    # The masked form: exp never sees a positive argument.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    EXTREMES = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf,
+                5e-324, -5e-324]
+
+    def test_matches_two_branch_form_bit_for_bit(self):
+        x = np.concatenate([50.0 * np.random.default_rng(25).standard_normal(4000),
+                            self.EXTREMES])
+        with np.errstate(over="raise"):
+            got = sigmoid(x)
+        assert np.array_equal(got, two_branch_sigmoid(x))
+        assert np.array_equal(sigmoid(x.reshape(10, 401)),
+                              two_branch_sigmoid(x).reshape(10, 401))
+
+    def test_extremes_saturate_exactly(self):
+        got = sigmoid(np.array([np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0]))
+        assert np.array_equal(got, [1.0, 0.0, 1.0, 0.0, 0.5, 0.5])
+
+    def test_nan_stays_nan(self):
+        with np.errstate(over="raise"):
+            got = sigmoid(np.array([np.nan, -np.nan, 1.0]))
+        assert np.isnan(got[:2]).all()
+        assert got[2] == two_branch_sigmoid(np.array([1.0]))[0]
 
 
 class TestConvGruRun:
