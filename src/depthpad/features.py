@@ -168,8 +168,8 @@ class OffBlockWeights:
         object.__setattr__(self, "fuse_3x3", f)
 
     @classmethod
-    def seeded(cls, in_channels: int, reduce_channels: int = 16,
-               out_channels: int = 32, prev_channels: int = 0,
+    def seeded(cls, in_channels: int, reduce_channels: int,
+               out_channels: int, prev_channels: int = 0,
                seed: int = 0) -> "OffBlockWeights":
         """Random weights scaled by fan-in, reproducible from the seed."""
         rng = np.random.default_rng(seed)

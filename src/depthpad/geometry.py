@@ -8,6 +8,12 @@ true ratio. For attacks the recording camera and the realistic camera compose,
 and carrier shake or carrier rotation distorts the estimate in ways computed
 here in closed form.
 
+Each replay and rotation formula takes its stepped value as an optional last
+argument: the carrier shake dv, or the (start, end) recording-plane endpoints
+of the three points. Left out, it falls back to the config (cfg.dv, or the
+endpoints from cfg.ul1, um1, ur1). simulate_sequence steps a scene by calling
+these same functions with each step's value.
+
 Every quantity shares one arbitrary length unit (only ratios matter) and all
 motion is restricted to the vertical axis. All functions are pure.
 """
@@ -82,9 +88,10 @@ class AttackSceneConfig:
     fa, za describe the recording camera (za measured to the nearest facial
     point in the recorded scene); fb, zb describe the realistic camera watching
     the carrier. dx is the facial displacement inside the recorded content
-    (0 for a print), dv the vertical carrier shake per frame step, theta the
-    carrier rotation angle in radians. ul1, um1, ur1 are the recording-plane
-    start coordinates of the three points; only the rotation case reads them.
+    (0 for a print) and theta the carrier rotation angle in radians. dv is the
+    vertical carrier shake per frame step that the replay formulas fall back
+    to, and ul1, um1, ur1 are the recording-plane start coordinates of the
+    three points that the rotation formulas fall back to.
     """
 
     fa: float
@@ -147,14 +154,6 @@ class RelativeDepthEstimate:
     degenerate_flat: bool
     ratio: Optional[float]
 
-    @classmethod
-    def flat(cls) -> "RelativeDepthEstimate":
-        return cls(degenerate_flat=True, ratio=None)
-
-    @classmethod
-    def of(cls, ratio: float) -> "RelativeDepthEstimate":
-        return cls(degenerate_flat=False, ratio=ratio)
-
 
 def flow_real(cfg: RealSceneConfig) -> FlowObservation:
     """Image-plane flows of the three points for a live face moving by dx."""
@@ -180,30 +179,24 @@ def estimate_relative_depth(obs: FlowObservation) -> RelativeDepthEstimate:
     den = obs.du_l / obs.du_r - 1.0
     if abs(den) <= EPS_FLAT:
         if abs(num) <= EPS_FLAT:
-            return RelativeDepthEstimate.flat()
+            return RelativeDepthEstimate(degenerate_flat=True, ratio=None)
         raise InconsistentFlowError(
             "far-point flow matches near-point flow while middle does not; "
             "the estimate denominator vanishes")
-    return RelativeDepthEstimate.of(num / den)
+    return RelativeDepthEstimate(degenerate_flat=False, ratio=num / den)
 
 
-def _require_translating(cfg: AttackSceneConfig, what: str) -> None:
-    if cfg.theta != 0.0:
-        raise ValueError(f"{what} a translating carrier; theta must be 0")
-
-
-def flow_replay(cfg: AttackSceneConfig) -> FlowObservation:
+def flow_replay(cfg: AttackSceneConfig,
+                dv: Optional[float] = None) -> FlowObservation:
     """Realistic-camera flows for a translating carrier (theta must be 0).
 
-    The recorded motion and the carrier shake dv compose; a print attack is
-    the sub-case dx = 0.
+    The recorded motion and the carrier shake dv (cfg.dv when None) compose;
+    a print attack is the sub-case dx = 0.
     """
-    _require_translating(cfg, "flow_replay models")
-    return _flow_replay(cfg, cfg.dv)
-
-
-def _flow_replay(cfg: AttackSceneConfig, dv: float) -> FlowObservation:
-    """flow_replay with the carrier shake dv in place of cfg.dv."""
+    if cfg.theta != 0.0:
+        raise ValueError("replay formulas model a translating carrier; theta must be 0")
+    if dv is None:
+        dv = cfg.dv
     fa, fb, za, zb = cfg.fa, cfg.fb, cfg.za, cfg.zb
     return FlowObservation(
         du_l=(fa * fb * cfg.dx + za * fb * dv) / (za * zb),
@@ -212,16 +205,16 @@ def _flow_replay(cfg: AttackSceneConfig, dv: float) -> FlowObservation:
     )
 
 
-def replay_distortion_factor(cfg: AttackSceneConfig) -> float:
+def replay_distortion_factor(cfg: AttackSceneConfig,
+                             dv: Optional[float] = None) -> float:
     """Multiplier turning the true d1/d2 into the replay-scene estimate.
 
     Equals 1 exactly when dv = 0 (the perfect spoofing scene) or d1 = d2.
     """
-    _require_translating(cfg, "distortion factor applies to")
-    return _replay_distortion_factor(cfg, cfg.dv)
-
-
-def _replay_distortion_factor(cfg: AttackSceneConfig, dv: float) -> float:
+    if cfg.theta != 0.0:
+        raise ValueError("replay formulas model a translating carrier; theta must be 0")
+    if dv is None:
+        dv = cfg.dv
     den = cfg.fa * cfg.dx + (cfg.za + cfg.d1) * dv
     if den == 0.0:
         raise SingularConfigError(
@@ -229,14 +222,10 @@ def _replay_distortion_factor(cfg: AttackSceneConfig, dv: float) -> float:
     return (cfg.fa * cfg.dx + (cfg.za + cfg.d2) * dv) / den
 
 
-def closed_form_replay_ratio(cfg: AttackSceneConfig) -> float:
+def closed_form_replay_ratio(cfg: AttackSceneConfig,
+                             dv: Optional[float] = None) -> float:
     """Replay-scene relative-depth estimate without simulating flows."""
-    _require_translating(cfg, "distortion factor applies to")
-    return _closed_form_replay_ratio(cfg, cfg.dv)
-
-
-def _closed_form_replay_ratio(cfg: AttackSceneConfig, dv: float) -> float:
-    ratio = cfg.relative_depth * _replay_distortion_factor(cfg, dv)
+    ratio = cfg.relative_depth * replay_distortion_factor(cfg, dv)
     if not math.isfinite(ratio):
         raise ValueError(f"the closed-form replay ratio overflows to {ratio!r}")
     return ratio
@@ -275,21 +264,17 @@ def _rotated_endpoints(cfg: AttackSceneConfig,
     return tuple((u1, u1 + cfg.fa * cfg.dx / z) for u1, z in zip(starts, depths))
 
 
-def _config_endpoints(cfg: AttackSceneConfig) -> Endpoints:
-    return _rotated_endpoints(cfg, (cfg.ul1, cfg.um1, cfg.ur1))
-
-
-def flow_rotated(cfg: AttackSceneConfig) -> FlowObservation:
+def flow_rotated(cfg: AttackSceneConfig,
+                 ends: Optional[Endpoints] = None) -> FlowObservation:
     """Realistic-camera flows for a carrier rotated by cfg.theta.
 
     Each recording-plane flow is mapped through the rotated plane as the
     difference of map_rotated_coordinate at its start and end coordinates,
-    then scaled onto the realistic image plane.
+    then scaled onto the realistic image plane. ends holds the three points'
+    (start, end) pairs; None means the first step from cfg.ul1, um1, ur1.
     """
-    return _flow_rotated(cfg, _config_endpoints(cfg))
-
-
-def _flow_rotated(cfg: AttackSceneConfig, ends: Endpoints) -> FlowObservation:
+    if ends is None:
+        ends = _rotated_endpoints(cfg, (cfg.ul1, cfg.um1, cfg.ur1))
     mapped = [map_rotated_coordinate(u2, cfg.zb, cfg.theta)
               - map_rotated_coordinate(u1, cfg.zb, cfg.theta)
               for u1, u2 in ends]
@@ -297,18 +282,16 @@ def _flow_rotated(cfg: AttackSceneConfig, ends: Endpoints) -> FlowObservation:
     return FlowObservation(*(scale * m for m in mapped))
 
 
-def rotation_beta_factors(cfg: AttackSceneConfig) -> tuple[float, float]:
+def rotation_beta_factors(cfg: AttackSceneConfig,
+                          ends: Optional[Endpoints] = None) -> tuple[float, float]:
     """Distortion factors (beta1, beta2) introduced by carrier rotation.
 
     beta1 scales the near/middle flow ratio, beta2 the near/far one; both are
     products of the per-endpoint intersection denominators. With theta = 0
     both collapse to exactly 1.
     """
-    return _rotation_beta_factors(cfg, _config_endpoints(cfg))
-
-
-def _rotation_beta_factors(cfg: AttackSceneConfig,
-                           ends: Endpoints) -> tuple[float, float]:
+    if ends is None:
+        ends = _rotated_endpoints(cfg, (cfg.ul1, cfg.um1, cfg.ur1))
     s = math.sin(cfg.theta)
     den = {}
     for key, (u1, u2) in zip("lmr", ends):
@@ -321,13 +304,10 @@ def _rotation_beta_factors(cfg: AttackSceneConfig,
     return den["m"] / den["l"], den["r"] / den["l"]
 
 
-def closed_form_rotated_ratio(cfg: AttackSceneConfig) -> float:
+def closed_form_rotated_ratio(cfg: AttackSceneConfig,
+                              ends: Optional[Endpoints] = None) -> float:
     """Rotated-carrier relative-depth estimate without simulating flows."""
-    return _closed_form_rotated_ratio(cfg, _config_endpoints(cfg))
-
-
-def _closed_form_rotated_ratio(cfg: AttackSceneConfig, ends: Endpoints) -> float:
-    beta1, beta2 = _rotation_beta_factors(cfg, ends)
+    beta1, beta2 = rotation_beta_factors(cfg, ends)
     num = (cfg.d1 / cfg.za + 1.0) * beta1 - 1.0
     den = (cfg.d2 / cfg.za + 1.0) * beta2 - 1.0
     if den == 0.0:
@@ -353,11 +333,11 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
                       ) -> list[FrameRecord]:
     """Per-frame relative-depth estimates over an n_frames video.
 
-    n_frames frames yield n_frames - 1 flow observations. A dv schedule (one
-    shake value per frame step) applies only to translating attack carriers;
-    real scenes and rotated carriers reject it. Rotated carriers advance their
-    recording-plane coordinates by each step's recording flows, so their
-    estimates drift over time while a real scene's series stays constant.
+    n_frames frames yield n_frames - 1 flow observations. A dv schedule holds
+    one shake value per frame step; real scenes reject it and rotated carriers
+    accept only zeros. Rotated carriers advance their recording-plane
+    coordinates by each step's recording flows, so their estimates drift over
+    time while a real scene's series stays constant.
     """
     if n_frames < 2:
         raise ValueError(f"a sequence needs at least 2 frames, got {n_frames}")
@@ -372,6 +352,9 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
         closed = cfg.relative_depth
         return [FrameRecord(t + 1, obs, est, closed) for t in range(n_steps)]
 
+    if dv_schedule is not None and len(dv_schedule) != n_steps:
+        raise ValueError(
+            f"dv schedule has {len(dv_schedule)} entries for {n_steps} frame steps")
     records = []
     if cfg.theta != 0.0:
         if dv_schedule is not None and any(v != 0.0 for v in dv_schedule):
@@ -379,9 +362,9 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
         starts = (cfg.ul1, cfg.um1, cfg.ur1)
         for t in range(n_steps):
             ends = _rotated_endpoints(cfg, starts)
-            obs = _flow_rotated(cfg, ends)
+            obs = flow_rotated(cfg, ends)
             records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
-                                       _closed_form_rotated_ratio(cfg, ends)))
+                                       closed_form_rotated_ratio(cfg, ends)))
             starts = tuple(u2 for _, u2 in ends)
             for name, u in zip(("ul1", "um1", "ur1"), starts):
                 _check_finite(name, u)
@@ -389,14 +372,11 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
 
     if dv_schedule is None:
         dv_schedule = [cfg.dv] * n_steps
-    if len(dv_schedule) != n_steps:
-        raise ValueError(
-            f"dv schedule has {len(dv_schedule)} entries for {n_steps} frame steps")
     for t, dv in enumerate(dv_schedule):
         _check_finite("dv", dv)
-        obs = _flow_replay(cfg, dv)
+        obs = flow_replay(cfg, dv)
         est = estimate_relative_depth(obs)
-        closed = None if cfg.dx == 0.0 else _closed_form_replay_ratio(cfg, dv)
+        closed = None if cfg.dx == 0.0 else closed_form_replay_ratio(cfg, dv)
         records.append(FrameRecord(t + 1, obs, est, closed))
     return records
 

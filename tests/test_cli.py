@@ -33,13 +33,23 @@ from test_metrics import write_records
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
-# sha256 of the default simulate outputs; both come from pure-Python float
-# arithmetic and repr, so they hold bit for bit on any platform.
-SIMULATE_DEFAULT_SHA256 = {
-    "simulation.csv":
-        "c104d78bfdf8573774b357e8f733c465aaf7d3ca96a5e16afc0ad1634ab66770",
-    "simulation.svg":
-        "c070c0b90c78c0a36cdb1fac92471fd4cb10e88426ad66118acb77e3d8032e16",
+# sha256 of the simulate outputs by frame count: the default 5 frames and the
+# 64-frame cap (63 drift steps of the rotated carrier). Both files come from
+# pure-Python float arithmetic and repr, so they hold bit for bit on any
+# platform.
+SIMULATE_SHA256 = {
+    5: {
+        "simulation.csv":
+            "c104d78bfdf8573774b357e8f733c465aaf7d3ca96a5e16afc0ad1634ab66770",
+        "simulation.svg":
+            "c070c0b90c78c0a36cdb1fac92471fd4cb10e88426ad66118acb77e3d8032e16",
+    },
+    MAX_FRAMES: {
+        "simulation.csv":
+            "0fa2112a3c611e93c78952f9996459fe9d3a511597596f565f6e9621c3e90f33",
+        "simulation.svg":
+            "3c1c8018620216da1f105311def973c10f5eb5cb6b7761631326dfa9090fb70d",
+    },
 }
 
 
@@ -100,11 +110,19 @@ class TestSimulate:
         assert (a / "simulation.csv").read_bytes() == (b / "simulation.csv").read_bytes()
         assert (a / "simulation.svg").read_bytes() == (b / "simulation.svg").read_bytes()
 
+    @staticmethod
+    def assert_golden_bytes(out, frames):
+        for name, digest in SIMULATE_SHA256[frames].items():
+            data = (out / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, (frames, name)
+
     def test_default_outputs_match_golden_bytes(self, tmp_path):
         assert run(["simulate", "--out", tmp_path]) == 0
-        for name, digest in SIMULATE_DEFAULT_SHA256.items():
-            data = (tmp_path / name).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest, name
+        self.assert_golden_bytes(tmp_path, 5)
+
+    def test_frame_cap_outputs_match_golden_bytes(self, tmp_path):
+        assert run(["simulate", "--out", tmp_path, "--frames", MAX_FRAMES]) == 0
+        self.assert_golden_bytes(tmp_path, MAX_FRAMES)
 
     def test_seed_flag_is_demo_only(self, tmp_path):
         # simulate and metrics draw nothing at random, so they take no seed.
@@ -704,6 +722,21 @@ def test_cli_holds_no_model():
     defined = {target.id for node in tree.body if isinstance(node, ast.Assign)
                for target in node.targets if isinstance(target, ast.Name)}
     assert not {name for name in defined if name.startswith("DEMO_")}
+
+
+def test_no_module_defines_a_private_twin():
+    # One function per formula: a module that defines both name and _name at
+    # top level computes one thing two ways.
+    for path in sorted(Path(depthpad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        twins = sorted(n for n in names if n.startswith("_") and n[1:] in names)
+        assert not twins, f"{path.name} defines both name and _name: {twins}"
 
 
 class TestArgparseContract:

@@ -326,6 +326,9 @@ class TestSimulateSequence:
                                     dx=0.3, theta=0.1)
         with pytest.raises(ValueError):
             simulate_sequence(rotated, 5, dv_schedule=[0.1] * 4)
+        for length in (0, 2, 40):  # an all-zero schedule still needs 4 entries
+            with pytest.raises(ValueError, match=f"has {length} entries for 4"):
+                simulate_sequence(rotated, 5, dv_schedule=[0.0] * length)
 
 
 class TestSweepCsv:
