@@ -2,13 +2,16 @@
 
 Modules:
   geometry    - two-camera attack scene models and relative-depth estimation
+                (standard library only)
   depthlabel  - ground-truth depth grids and face masks
   features    - spatial/temporal gradients and the five-branch motion block
   recurrent   - convolutional GRU forward recurrence and depth fusion
   supervision - depth and binary losses with analytic gradients
   metrics     - PAD error rates and the living score
   model       - the demo's forward pass, from depth labels to live scores
-  cli         - simulate / demo / metrics command line front end
+  cli         - simulate / demo / metrics command line front end (standard
+                library only; demo and metrics import their numpy modules
+                when they run)
 """
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import depthlabel, geometry, metrics, model
+from . import geometry
 
 
 class UsageError(Exception):
@@ -324,6 +324,9 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
         raise UsageError("alpha and beta must lie in [0, 1]")
     if seed < 0:
         raise UsageError(f"--seed must be non-negative, got {seed}")
+    # Imported here, not at the top: simulate, --help and usage errors then
+    # never load numpy.
+    from . import depthlabel, model
     samples = model.run_model(alpha, beta, frames, seed, oracle)
 
     result = {
@@ -372,6 +375,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     threshold = s.get("threshold")
     if not math.isfinite(threshold):
         raise UsageError(f"--threshold must be finite, got {threshold}")
+    # Imported here, not at the top: simulate, --help and usage errors then
+    # never load numpy.
+    from . import metrics
     try:
         records = metrics.read_records_csv(args.records)
     except OSError as exc:
@@ -382,10 +388,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         summary = metrics.metrics_summary(records, threshold)
     except ValueError as exc:
         raise DataError(str(exc))
+    text = json.dumps(summary, indent=2) + "\n"
     with _output_dir(s) as out_dir:
         path = out_dir / "metrics.json"
-        path.write_text(json.dumps(summary, indent=2) + "\n")
-    print(json.dumps(summary, indent=2))
+        path.write_text(text)
+    print(text, end="")
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -90,8 +90,9 @@ class AttackSceneConfig:
     the carrier. dx is the facial displacement inside the recorded content
     (0 for a print) and theta the carrier rotation angle in radians. dv is the
     vertical carrier shake per frame step that the replay formulas fall back
-    to, and ul1, um1, ur1 are the recording-plane start coordinates of the
-    three points that the rotation formulas fall back to.
+    to; a rotated carrier is modeled without shake, so it needs dv = 0.
+    ul1, um1, ur1 are the recording-plane start coordinates of the three
+    points that the rotation formulas fall back to.
     """
 
     fa: float
@@ -120,6 +121,8 @@ class AttackSceneConfig:
             raise ValueError(f"need 0 <= d1 <= d2, got d1={self.d1}, d2={self.d2}")
         if not -math.pi / 2 < self.theta < math.pi / 2:
             raise ValueError(f"theta must lie in (-pi/2, pi/2), got {self.theta}")
+        if self.theta != 0.0 and self.dv != 0.0:
+            raise ValueError("a rotated carrier with nonzero shake is not modeled")
 
     @property
     def relative_depth(self) -> float:

@@ -53,6 +53,79 @@ SIMULATE_SHA256 = {
 }
 
 
+# sha256 of the oracle-mode demo.json for seeds 0-19 at 2, 5 and 9 frames.
+# Oracle mode draws no weights and makes no conv call, so the seed changes
+# only the echoed "seed" field; the table pins every other byte as well.
+DEMO_ORACLE_SHA256 = {
+    2: (
+        "99288f621350f52277536139392fed8123de0494f2ae9f543457406c8645fee2",
+        "fdf44063fe98045bf5d4b67e5beccb6482849f8303e4f23f193493811902872d",
+        "64d41b5abc244dd54d6942f0db555ae063a9b2b9d17d9fa062c086af8e4d5203",
+        "d9f6702d0a4b1859c804bbdff489b8e42cb3bedf6a34055296445b1d1275da0b",
+        "ef70ee29dfdf0b2953b10485567234f2c2bdf8162cc8a3443378b73a55a1ebbe",
+        "a5e56dfefab46ffdc4f0d648915096b3a51c1a41dc954b78148644630424827b",
+        "96cfb544e424e086ad380af6d653449c0b47a2007fa5c86d9c8db2bf564ba9d6",
+        "a9e6a5bcf8f1bc89073396b475c35fb19ab8eaa6781881121eb3178f61b4ac1d",
+        "0b86fc1a755184641dbb9277bab503a76f310c504a2e67ae35f8c64b6b29763a",
+        "a5b8783d29def3e482b4f744bf77a8b0c37141a7bf7f822ca2e3fe3016f3c59a",
+        "9e03f79e45e188421005c7c8c32aa582d9d8378796d15a7ac624d36b5ccaf069",
+        "a543d6b008459791ddc8823b7e21c9ffc9e520ec770eb313c0ac79301872922c",
+        "6e73b188087038a754b3b9cfb69e5d2809b9489b0d53a2ab80704f0419762b15",
+        "df3379af2a832ab2039aac244a53762a89e242ff1da8879cae2b4be3d9c1e8d4",
+        "156e1e950daa03bace30cf469e986d4d3725bf33a53f52c695b2b63a37bed582",
+        "e743998cbc8d4a678114e21128edcac750090aef5af7c949ddb13e6fb527707a",
+        "a8d04a8d9410c75637a6a1cdc00fdbaaf82d404bb6b9d0436aea602a99e9af8e",
+        "e0728e3c2a14b582a576db5817e4876f3132b0f466e4fdf55d3bb08d966bb797",
+        "ea6266d79e5672101dc31a745efda2e12a7fa4d9759ec39e34e726a2b58e3df7",
+        "69cf8f35accd66e1c32df53397f4f6589a0b3a5004c5bdc6505e8aca3fd337b1",
+    ),
+    5: (
+        "7fd0790b85167c51208e831879f17d8156b96c292ecc6c1d8c051e0ea9754f41",
+        "c291afa60128fe44fc4c6e0eca975856038293af712857adcba4967d6212f699",
+        "ddee068814654ca3b87ce9e2901ee62dbb8a1efb4291ff3b2c2ef0ac67f813e1",
+        "64754e9a36e3e10b1ba2b971a03efdf0d2e158554a58188dcff0ea4d2d8df710",
+        "4a675ba56770890080f9327b939e53d9241861c4e9b276963de76db489990079",
+        "f8f6d7e2632d7c3aea53366a83e165723212e564d6fa3093eaa01fc236484cca",
+        "38de91ccaed0a60f573a46065e09e94ed4cafee85167b077ec2e48371b3b9b8b",
+        "8020e0c23fea2235f2c61d2e361daf1382d42ebd5dfe986f2b33b0b80ecae9f5",
+        "93a511c916f830339d5db881040b73ee640bf3c72cd1aba033e05a5b0b38638e",
+        "0c731217784c7d3dff940a3c50b3c9ddf9792409c4d57c26c8b7f36e3ff2a41d",
+        "bc5d773ae62e8d7964d1bc8a711badb7cfa0fe79fb91a2b97d74b8deeec89c73",
+        "3082d43aa30df55114412dd0cfdfd134f6d828d28ef58a26a94b817fe5377466",
+        "726bd3575703ee6cc62899c0d2a17f9737942afab8b4f32af519f2ba598e07d7",
+        "a25fef3db10bd4675f3eced1fae1d7e13ed41141a795f0ae6939b4ea55865c61",
+        "e782d3b884d06c6d518f81b1c46c3210f9c80b97bab24229b79b50229564035b",
+        "b1503a5a412e20190a838eb53ec493ea999e883c61c0043b9f23d085da11780f",
+        "1ae5c2bb467a1f3e022e2235694c577d592dac24041a54ea62c24d31265fd5b8",
+        "84d25d5d501a3834853116c1bbd641bccc2a8a8bc00613fc6f557051f30dc463",
+        "1b2698a06afe88d6d238fa57e6842402156f4af02fd53c983145dd6e0fecd354",
+        "b0106807dc10501e19a2ff92c12cda2485181e0a9ab1a7c44fb221111a9d77c0",
+    ),
+    9: (
+        "daf01b64583d4538e8c81c7ada95d46dd5af55eaf4eb106aedfaf5b9de581a23",
+        "2f761a851816fd378b8937637219d47fcc766344b16eaf2c962cda2c464646d8",
+        "d82943300dda151af6d769235a0441e0625f50f94a1fe1727426ac7635a5da3c",
+        "972003f30db9ab4717a27ecb1aea5448905ac3cfebb86a36dae5cfd197a0f252",
+        "2f3fda699714b6565c32ea50b5f2da1a4f69fe4e4b5066b8e424ef3eea78ef12",
+        "7f19f24469cadf09a73bb78134ad7c1afa55469c93b452b6cd0fbaaac7eead6d",
+        "95b97556d1723581a6070e356311fa9620b3b79acaf81eef50545ba6bab8a245",
+        "c9635f5dfe0888f5b1ec788fe02bb1e07dbb52c5585c196a3764be63ef496709",
+        "a96b5f32a666dda238f8fc4aae1c0efe85062f566157e2bc44eb267a2d98162f",
+        "9e81f3dfa300e51f0484296a2e8084e91534f59c7fc1ffafa0f0df3bab43a948",
+        "cf9a4871c4b22e01daef369d1a61807cb34a993e3fc370861812e67f1d91f23a",
+        "863ac9b89afecf2623f891e5d50bc7a680bac2544e80c23f36e4a9d74b01ce2a",
+        "03b2dbac0ccd10b57fc87d9581a5e44a68cc47ba7680db36e22d7e23ff71a666",
+        "95e6a7f80174479ab195d51535999020874863916e7b8bb222afad75f79bb403",
+        "b359d5622afabaeb434d907f6e2cecb802406e8400f5c48a9f7c48c3238cc360",
+        "f79a43b55ebc3a09399d3acc1df6f7dd7e6742bae0e5392b6cc0be1a6b8cc36c",
+        "0f700044141857264cb57c70627230690211d1cebe8f0637223859e20144f3d9",
+        "0c7605e4e711271890e6a271149c0ee414c6c04d880fbd010c680e80b7f53b7b",
+        "b21aa3160de1bf86771ac23187ee7d54f0ccf4afe9f56c5070507a5507778117",
+        "280f4062308ca5056e755f00a97db594bc754472bf778ba80119ffcdaa141345",
+    ),
+}
+
+
 def run(argv):
     return main([str(a) for a in argv])
 
@@ -275,6 +348,14 @@ class TestDemo:
         report = json.loads((tmp_path / "demo.json").read_text())
         ref_path = REFERENCE_DIR / f"demo-{mode}-seed7.json"
         assert_matches_reference(report, json.loads(ref_path.read_text()))
+
+    def test_oracle_outputs_match_golden_bytes(self, tmp_path):
+        for frames, digests in DEMO_ORACLE_SHA256.items():
+            for seed, digest in enumerate(digests):
+                assert run(["demo", "--oracle", "--seed", seed, "--frames",
+                            frames, "--out", tmp_path]) == 0
+                data = (tmp_path / "demo.json").read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, (frames, seed)
 
     def test_deterministic_per_seed(self, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -703,6 +784,66 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def run_fresh(*args):
+    """Run python with the package on its path; return the finished process."""
+    src = str(Path(depthpad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+
+
+# Runs cli.main on sys.argv[1:] (only imports the CLI when there is none) and
+# prints the exit status and the numpy modules left loaded as its last line.
+NUMPY_PROBE = """
+import sys
+from depthpad import cli
+status = None
+if sys.argv[1:]:
+    try:
+        status = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        status = exc.code
+print(status, sorted(m for m in sys.modules
+                     if m == "numpy" or m.startswith("numpy.")))
+"""
+
+
+@pytest.mark.parametrize("argv, status", [
+    ([], None),
+    (["--help"], 0),
+    (["demo", "--frames", "1"], 2),
+    (["simulate"], 0),
+])
+def test_cli_runs_without_numpy_until_a_command_computes(tmp_path, argv,
+                                                         status):
+    # simulate is scalar geometry; numpy loads only inside demo and metrics.
+    if argv[:1] in (["demo"], ["simulate"]):
+        argv = [*argv, "--out", str(tmp_path)]
+    done = run_fresh("-c", NUMPY_PROBE, *argv)
+    assert done.stdout.splitlines()[-1] == f"{status} []"
+    if argv[:1] == ["simulate"]:
+        TestSimulate.assert_golden_bytes(tmp_path, 5)
+
+
+def test_fresh_process_writes_the_in_process_bytes(tmp_path):
+    records = tmp_path / "records.csv"
+    write_records(records, [(0.9, "living", None), (0.8, "living", None),
+                            (0.7, "attack", "print1"),
+                            (0.3, "attack", "print1"),
+                            (0.2, "attack", "replay1")])
+    for argv, name in ((["demo", "--oracle", "--seed", "7"], "demo.json"),
+                       (["metrics", str(records)], "metrics.json")):
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        done = run_fresh("-m", "depthpad.cli", *argv, "--out", str(fresh))
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            assert run([*argv, "--out", here]) == 0
+        data = (fresh / name).read_bytes()
+        assert data == (here / name).read_bytes(), argv
+        if argv[0] == "metrics":
+            # The summary on stdout is the file's text.
+            assert done.stdout.encode() == data == printed.getvalue().encode()
 
 
 def test_cli_holds_no_model():

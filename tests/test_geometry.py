@@ -196,6 +196,16 @@ class TestRotatedCarrier:
             assert map_rotated_coordinate(u, zb, theta) == pytest.approx(
                 ray_plane_remap(u, zb, theta), rel=1e-12)
 
+    def test_shaking_rotated_carrier_rejected(self):
+        # Rotation formulas take no shake, so a nonzero dv would be ignored;
+        # it is refused as the same shake in a dv schedule is.
+        common = dict(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0.3)
+        for theta, dv in ((0.1, 0.05), (-0.1, -1e-300)):
+            with pytest.raises(ValueError, match="nonzero shake is not modeled"):
+                AttackSceneConfig(theta=theta, dv=dv, **common)
+        AttackSceneConfig(theta=0.1, dv=0.0, **common)
+        AttackSceneConfig(theta=0.0, dv=0.05, **common)
+
     def test_degenerate_intersection_rejected(self):
         with pytest.raises(DegenerateRotationError):
             map_rotated_coordinate(2.0, 1.0, 1.5)
