@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -43,20 +44,27 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _split_list(text: str, what: str) -> list[str]:
+    """Comma-separated entries, stripped. An empty entry, as from a doubled,
+    leading or trailing comma, is an error, never silently dropped."""
+    parts = [part.strip() for part in text.split(",")]
+    if parts == [""]:
+        raise ValueError(f"expected at least one comma-separated {what}")
+    for index, part in enumerate(parts, start=1):
+        if not part:
+            raise ValueError(f"entry {index} of {len(parts)} is empty")
+    return parts
+
+
 def _parse_floats(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise ValueError("expected at least one comma-separated number")
-    return values
+    return [float(part) for part in _split_list(text, "number")]
 
 
 SCENE_NAMES = ("real", "print", "replay", "rotated")
 
 
 def _parse_scenes(text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        raise ValueError("expected at least one comma-separated name")
+    names = _split_list(text, "name")
     for index, name in enumerate(names):
         if name not in SCENE_NAMES:
             raise ValueError(f"unknown scene type {name!r}; choose from {SCENE_NAMES}")
@@ -399,7 +407,17 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of all three subcommands, built on the first call.
+
+    Every later call in the process returns that same parser, so in-process
+    callers of main (tests, the benchmark, library users) build it once per
+    process. A shell run calls main once, so it builds the parser once either
+    way. Nothing is built at import time. Parsing keeps no state in the
+    parser, and help and usage text is formatted when it is printed, at the
+    COLUMNS width of that moment. Callers must not modify the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="depthpad",
         description="Temporal-depth anti-spoofing numerics: scene sweeps, "
@@ -440,8 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on argv (sys.argv[1:] when None); return its exit code.
+
+    argparse's own errors and --help raise SystemExit. Calls in one process
+    share the parser from build_parser.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -546,6 +547,26 @@ class TestConfigFields:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["misplaced.cfg",
                                                               "records.csv"]
 
+    @pytest.mark.parametrize("line, problem", [
+        ("dv_schedule = 0.05,,0.1", "entry 2 of 3 is empty"),
+        ("dv_schedule = 0.05,0.1,", "entry 3 of 3 is empty"),
+        ("dv_schedule = ,0.05", "entry 1 of 2 is empty"),
+        ("dv_schedule = 0.05, ,0.1", "entry 2 of 3 is empty"),
+        ("scenes = real,,print", "entry 2 of 3 is empty"),
+        ("scenes = real,", "entry 2 of 2 is empty"),
+    ])
+    def test_empty_list_entry_is_usage_error(self, tmp_path, capsys, line,
+                                             problem):
+        # An empty entry is a typo, never an entry to drop silently.
+        out = tmp_path / "out"
+        cfg = tmp_path / "lists.cfg"
+        cfg.write_text(f"out = {out}\n{line}\n")
+        assert run(["simulate", "--config", cfg]) == 2
+        key = line.partition(" ")[0]
+        assert capsys.readouterr().err == (f"usage error: {cfg}:2: bad value "
+                                           f"for {key!r}: {problem}\n")
+        assert not out.exists()
+
     def test_each_command_reads_its_own_fields(self, tmp_path):
         records = tmp_path / "records.csv"
         write_records(records, [(0.9, "living", None), (0.2, "attack", None)])
@@ -794,11 +815,19 @@ def run_fresh(*args):
                           capture_output=True, text=True, timeout=60)
 
 
-# Runs cli.main on sys.argv[1:] (only imports the CLI when there is none) and
+# Counts the argparse parsers that importing the CLI builds (its first line),
+# runs cli.main on sys.argv[1:] (only imports the CLI when there is none) and
 # prints the exit status and the numpy modules left loaded as its last line.
 NUMPY_PROBE = """
-import sys
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
 from depthpad import cli
+print("parsers built by the import:", len(built))
 status = None
 if sys.argv[1:]:
     try:
@@ -822,7 +851,10 @@ def test_cli_runs_without_numpy_until_a_command_computes(tmp_path, argv,
     if argv[:1] in (["demo"], ["simulate"]):
         argv = [*argv, "--out", str(tmp_path)]
     done = run_fresh("-c", NUMPY_PROBE, *argv)
-    assert done.stdout.splitlines()[-1] == f"{status} []"
+    lines = done.stdout.splitlines()
+    # The parser is built by the first main call, never by the import.
+    assert lines[0] == "parsers built by the import: 0"
+    assert lines[-1] == f"{status} []"
     if argv[:1] == ["simulate"]:
         TestSimulate.assert_golden_bytes(tmp_path, 5)
 
@@ -890,6 +922,76 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as exc_info:
             main(["demo", "--beta", "soon", "--out", str(tmp_path)])
         assert exc_info.value.code == 2
+
+
+class TestOneParserPerProcess:
+    """main builds the argparse tree once per process and keeps no state in
+    it between calls."""
+
+    def test_many_calls_build_one_tree(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        records = tmp_path / "records.csv"
+        write_records(records, [(0.9, "living", None), (0.2, "attack", None)])
+        for argv in (["simulate"], ["demo", "--frames", 2],
+                     ["demo", "--oracle"], ["metrics", records], ["simulate"],
+                     ["demo", "--oracle", "--frames", 3]):
+            assert run([*argv, "--out", tmp_path / argv[0]]) == 0
+        assert built == ["depthpad", "depthpad simulate", "depthpad demo",
+                         "depthpad metrics"]
+
+    def test_calls_leak_no_state(self, tmp_path, capsys):
+        # A plain demo after --oracle or after an oracle config file must
+        # still run in full mode, and the config file's oracle must still
+        # apply when no flag is given.
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("oracle = true\n")
+        calls = (["demo", "--oracle", "--seed", 3], ["demo", "--seed", 3],
+                 ["demo", "--seed", 3, "--config", cfg], ["demo", "--seed", 3])
+
+        def outputs(argv, out):
+            assert run([*argv, "--out", out]) == 0
+            scores = capsys.readouterr().out.splitlines()[1]
+            return (out / "demo.json").read_bytes(), scores
+
+        in_order = [outputs(argv, tmp_path / f"order{i}")
+                    for i, argv in enumerate(calls)]
+        alone = []
+        for i, argv in enumerate(calls):
+            cli.build_parser.cache_clear()
+            alone.append(outputs(argv, tmp_path / f"alone{i}"))
+        assert in_order == alone
+        assert [json.loads(data)["oracle"] for data, _ in in_order] == [
+            True, False, True, False]
+        for data, _ in (in_order[0], in_order[2]):
+            assert hashlib.sha256(data).hexdigest() == DEMO_ORACLE_SHA256[5][3]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["demo", "--help"]])
+    def test_help_wraps_to_columns_at_call_time(self, capsys, monkeypatch,
+                                                argv):
+        def help_text(columns):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 0
+            return capsys.readouterr().out
+
+        cli.build_parser.cache_clear()
+        wide = help_text(200)
+        narrow = help_text(40)
+        cli.build_parser.cache_clear()
+        assert help_text(40) == narrow
+        assert help_text(200) == wide
+        widest = [max(len(line) for line in text.splitlines())
+                  for text in (narrow, wide)]
+        assert widest[0] <= 40 < widest[1]
 
 
 class TestSvgPlot:
