@@ -63,21 +63,6 @@ class DepthMap:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class FaceMask:
-    """Binary face-region grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"mask must be a square grid, got shape {v.shape}")
-        if not np.isin(v, (0, 1)).all():
-            raise ValueError("mask values must be 0 or 1")
-        object.__setattr__(self, "values", v.astype(np.int64))
-
-
 def spoof_depth(grid: int = GRID_SIZE) -> DepthMap:
     """All-zero depth label for any spoof sample."""
     return DepthMap(np.zeros((grid, grid)), SPOOF)
@@ -221,6 +206,6 @@ def generate_living_depth(vertex_set: VertexSet,
     return DepthMap(np.clip(normalized, 0.0, 1.0), LIVING)
 
 
-def mask_from_depth(depth: DepthMap, threshold: float = 0.0) -> FaceMask:
-    """Face mask of cells strictly above the threshold."""
-    return FaceMask((depth.values > threshold).astype(np.int64))
+def mask_from_depth(depth: DepthMap, threshold: float = 0.0) -> np.ndarray:
+    """Face mask: an int64 grid, 1 at cells strictly above the threshold, else 0."""
+    return (depth.values > threshold).astype(np.int64)

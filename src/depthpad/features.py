@@ -2,18 +2,20 @@
 
 Forward passes only: plain same-padded convolution, Sobel spatial gradients,
 frame-difference temporal gradients, the flow-orthogonality residual, and the
-five-branch motion block. off_sequence is the one motion-block entry: for each
-consecutive frame pair it fuses, with a 3x3 kernel, the concatenation of a
-reduced feature map, both frames' spatial gradients, the temporal gradient,
-and (above the first level) the previous-level output. The block is linear,
-so the 1x1 reduce is folded into the fuse kernel: each frame gets one Sobel,
+five-branch motion block. off_sequence is the one motion-block entry: it
+takes a (T, H, W, C) frame stack and returns the (T - 1, H, W, Cout) stack of
+blocks. Block t fuses, with a 3x3 kernel, the concatenation of a reduced
+feature map, both frames' spatial gradients, the temporal gradient, and
+(above the first level) the previous-level output. The block is linear, so
+the 1x1 reduce is folded into the fuse kernel: each frame gets one Sobel,
 and each pair one conv over both frames' input channels (plus the
 previous-level output), which pays while the input is narrower than the
 reduced map.
 
 The Sobel stencils carry their conventional gain: a unit ramp reads 8, not 1,
 so velocity vectors fed to off_vector_residual must absorb that factor.
-Tensors are plain numpy arrays shaped (height, width, channels).
+Tensors are plain numpy arrays shaped (height, width, channels); a sequence
+of them is one array with a leading time axis.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ SOBEL_GAIN = 8.0  # response of the 3x3 stencil on a unit ramp
 _PADDINGS = ("replicate", "zero")
 
 
-def _require_hwc(name: str, x: np.ndarray) -> np.ndarray:
+def _require_hwc(name: str, x: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """x as a finite float array shaped (H, W, C), or (T, H, W, C) if stacked."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 3:
-        raise ValueError(f"{name} must be (H, W, C), got shape {x.shape}")
+    if x.ndim != 3 + stacked:
+        axes = "(T, H, W, C)" if stacked else "(H, W, C)"
+        raise ValueError(f"{name} must be {axes}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite values")
     return x
@@ -180,12 +184,14 @@ class OffBlockWeights:
         return cls(reduce, fuse)
 
 
-def off_sequence(frames, weights: OffBlockWeights, prev=None) -> list[np.ndarray]:
-    """Motion blocks for every consecutive pair of a frame sequence.
+def off_sequence(frames: np.ndarray, weights: OffBlockWeights,
+                 prev: np.ndarray | None = None) -> np.ndarray:
+    """Motion blocks for every consecutive pair of a (T, H, W, C) frame stack.
 
-    Block t fuses the branches of frames t and t + 1 with the 3x3 kernel; no
-    nonlinearity follows. prev holds one previous-level output per pair, or
-    is None at the first level (when the fuse kernel has no spare channels).
+    Returns the (T - 1, H, W, Cout) stack whose block t fuses the branches of
+    frames t and t + 1 with the 3x3 kernel; no nonlinearity follows. prev is
+    the (T - 1, H, W, Cprev) stack of previous-level outputs, one per pair,
+    or None at the first level (when the fuse kernel has no spare channels).
 
     The block is linear, and the 1x1 reduce R commutes with replicate padding
     and with the per-channel Sobel, so it is computed folded: with F0..F5 the
@@ -198,13 +204,10 @@ def off_sequence(frames, weights: OffBlockWeights, prev=None) -> list[np.ndarray
     6 * Cr * Cout unfolded, so it pays while the input width Cin is below the
     reduce width Cr.
     """
-    frames = [_require_hwc(f"frames[{t}]", f) for t, f in enumerate(frames)]
-    if len(frames) < 2:
-        raise ValueError(f"a motion sequence needs at least 2 frames, got {len(frames)}")
-    for t, f in enumerate(frames[1:], start=1):
-        if f.shape != frames[0].shape:
-            raise ValueError(f"frame feature shapes differ: {frames[0].shape} "
-                             f"vs {f.shape} at frame {t}")
+    frames = _require_hwc("frames", frames, stacked=True)
+    n_frames, h, w, _ = frames.shape
+    if n_frames < 2:
+        raise ValueError(f"a motion sequence needs at least 2 frames, got {n_frames}")
     reduce, fuse = weights.reduce_1x1[0, 0], weights.fuse_3x3
     cr = reduce.shape[1]
     spare = fuse.shape[2] - 6 * cr
@@ -212,25 +215,23 @@ def off_sequence(frames, weights: OffBlockWeights, prev=None) -> list[np.ndarray
         raise ValueError(f"the fuse kernel has {spare} spare channels for a "
                          f"previous-level output, but prev is "
                          f"{'None' if prev is None else 'given'}")
-    n_pairs = len(frames) - 1
-    if prev is not None and len(prev) != n_pairs:
-        raise ValueError(f"prev holds {len(prev)} outputs for {n_pairs} frame pairs")
+    if prev is not None:
+        # conv2d checks the channel count against the prev slice.
+        prev = _require_hwc("prev", prev, stacked=True)
+        if prev.shape[:3] != (n_frames - 1, h, w):
+            raise ValueError(f"prev is {prev.shape[:3]}, expected "
+                             f"{(n_frames - 1, h, w)}: one output per frame pair")
     f0, f1, f2, f3, f4, f5 = (reduce @ fuse[:, :, k * cr:(k + 1) * cr] for k in range(6))
     folded = np.concatenate([f0 - f5, f1, f2, f5, f3, f4, fuse[:, :, 6 * cr:]], axis=2)
-    # Only the previous frame's Sobel stack is held while streaming.
-    blocks, held = [], None
+    # Blocks go into one preallocated stack: a list of blocks stacked at the
+    # end made glibc trim and re-fault its heap on every demo op. Only the
+    # previous frame's Sobel stack is held while streaming.
+    blocks = np.empty((n_frames - 1, h, w, fuse.shape[3]))
+    held = None
     for t, x in enumerate(frames):
         stack = np.concatenate([x, *spatial_gradient(x)], axis=2)
         if t:
-            parts = [held, stack]
-            if prev is not None:
-                # conv2d checks the channel count against the prev slice.
-                p = _require_hwc(f"prev[{t - 1}]", prev[t - 1])
-                if p.shape[:2] != x.shape[:2]:
-                    raise ValueError(f"prev[{t - 1}] is {p.shape[:2]}, frames are "
-                                     f"{x.shape[:2]}")
-                parts.append(p)
-            blocks.append(conv2d(np.concatenate(parts, axis=2), folded))
+            parts = [held, stack] if prev is None else [held, stack, prev[t - 1]]
+            blocks[t - 1] = conv2d(np.concatenate(parts, axis=2), folded)
         held = stack
     return blocks
-

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -68,21 +68,24 @@ class RecordColumns:
         return len(self.scores)
 
 
-def masked_depth_term(fused: Sequence, masks: Sequence) -> float:
-    """Mean masked depth over the sequence, each frame normalized by its mask size."""
-    if len(fused) != len(masks) or not fused:
-        raise ValueError(f"{len(fused)} depth maps vs {len(masks)} masks")
-    terms = []
-    for grid, mask in zip(fused, masks):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(getattr(mask, "values", mask))
-        if grid.shape != values.shape:
-            raise ValueError(f"mask shape {values.shape} does not match "
-                             f"depth shape {grid.shape}")
-        count = values.sum()
-        if count == 0:
-            raise ValueError("empty face mask")
-        terms.append(np.abs(grid * values).sum() / count)
+def masked_depth_term(fused: np.ndarray, mask: np.ndarray) -> float:
+    """Mean masked depth over a (T, H, W) stack, each frame normalized by its mask size.
+
+    mask is one 0/1 face mask, (H, W) for every frame or (T, H, W) per frame;
+    a frame whose mask is empty is an error.
+    """
+    fused = np.asarray(fused, dtype=float)
+    mask = np.asarray(mask)
+    if fused.ndim != 3 or not len(fused):
+        raise ValueError(f"depth must be a nonempty (T, H, W) stack, got {fused.shape}")
+    if mask.shape not in (fused.shape, fused.shape[1:]):
+        raise ValueError(f"mask is {mask.shape}, not {fused.shape[1:]} or {fused.shape}")
+    if not np.all((mask == 0) | (mask == 1)):
+        raise ValueError("mask values must be 0 or 1")
+    counts = mask.sum(axis=(-2, -1))
+    if not np.all(counts):
+        raise ValueError("empty face mask")
+    terms = np.abs(fused * mask).sum(axis=(1, 2)) / counts
     return float(np.mean(terms))
 
 

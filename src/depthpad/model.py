@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import depthlabel, metrics
-from .features import OffBlockWeights, conv2d, off_sequence
+from .features import OffBlockWeights, off_sequence
 from .recurrent import ConvGruCell, convgru_run, fuse_depth, sigmoid
 from .supervision import BinaryHead, LossReport, multi_frame_report
 
@@ -20,10 +20,11 @@ DEMO_REDUCE_CHANNELS = 16
 DEMO_FUSE_CHANNELS = 32
 
 
-def _demo_frames(base: np.ndarray, n_frames: int) -> list[np.ndarray]:
-    """Three-channel frame stack; motion is a vertical roll per frame."""
+def _demo_frames(base: np.ndarray, n_frames: int) -> np.ndarray:
+    """(T, H, W, 3) frame stack; frame t is the base rolled down t rows."""
     stacked = np.stack([base * scale for scale in (0.5, 0.75, 1.0)], axis=2)
-    return [np.roll(stacked, t, axis=0) for t in range(n_frames)]
+    rows = np.arange(len(base)) - np.arange(n_frames)[:, None]
+    return stacked[rows % len(base)]
 
 
 def run_model(alpha: float, beta: float, frames: int, seed: int,
@@ -42,9 +43,9 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
     living_label = depthlabel.generate_living_depth(surface)
     spoof_label = depthlabel.spoof_depth(grid)
     mask = depthlabel.mask_from_depth(living_label)
-    masks = [mask] * n_steps
-    labels = {"living": [living_label.values] * n_steps,
-              "spoof": [spoof_label.values] * n_steps}
+    steps = (n_steps, grid, grid)  # one label per step, as read-only views
+    labels = {"living": np.broadcast_to(living_label.values, steps),
+              "spoof": np.broadcast_to(spoof_label.values, steps)}
 
     if oracle:
         head = None
@@ -64,19 +65,18 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
         fused = {}
         for kind, base in bases.items():
             frame_stack = _demo_frames(base, frames)
-            # Step t fuses frame t + 1's single-frame map; frame 0 needs none.
-            single = [sigmoid(conv2d(f, single_kernel)[:, :, 0])
-                      for f in frame_stack[1:]]
+            # Step t fuses frame t + 1's single-frame map (a 1x1 conv, one
+            # matmul over the stack); frame 0 needs none.
+            single = sigmoid((frame_stack[1:] @ single_kernel[0, 0])[..., 0])
             motion = off_sequence(frame_stack, off_weights)
             states = convgru_run(cell, np.zeros((grid, grid, 1)), motion)
-            fused[kind] = [fuse_depth(single[t], states[t][:, :, 0], alpha)
-                           for t in range(n_steps)]
+            fused[kind] = fuse_depth(single, states[..., 0], alpha)
 
     results = {}
     for kind, binary_label in (("living", 1), ("spoof", 0)):
         report, b_hat = multi_frame_report(fused[kind], labels[kind], head,
                                            binary_label, beta)
-        depth_term = metrics.masked_depth_term(fused[kind], masks)
+        depth_term = metrics.masked_depth_term(fused[kind], mask)
         results[kind] = (report, b_hat, depth_term,
                          metrics.living_score(b_hat, depth_term, beta))
     return results

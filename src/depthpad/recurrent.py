@@ -15,7 +15,6 @@ a hidden state started inside [-1, 1] stays there for every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -109,16 +108,16 @@ def convgru_step(cell: ConvGruCell, h_prev: np.ndarray, x: np.ndarray
     return h_new, (r, u)
 
 
-def convgru_run(cell: ConvGruCell, h0: np.ndarray,
-                xs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Fold convgru_step over the input sequence; returns every state."""
+def convgru_run(cell: ConvGruCell, h0: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Fold convgru_step over a (T, H, W, C) stack; returns the (T, H, W, Ch) states."""
+    xs = _require_hwc("inputs", xs, stacked=True)
     if len(xs) < 1:
         raise ValueError("convgru_run needs at least one input")
-    states = []
-    h = np.asarray(h0, dtype=float)
-    for x in xs:
+    states = np.empty(xs.shape[:3] + (cell.hidden_channels,))
+    h = h0
+    for t, x in enumerate(xs):
         h, _ = convgru_step(cell, h, x)
-        states.append(h)
+        states[t] = h
     return states
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,15 +50,6 @@ def _check_pair(pred, label) -> tuple[np.ndarray, np.ndarray]:
     if pred.shape[-2:] != label.shape[-2:]:
         raise ValueError(f"grid shapes differ: {pred.shape[-2:]} vs {label.shape[-2:]}")
     return pred, label
-
-
-def _stack_frames(name: str, frames: Sequence) -> np.ndarray:
-    grids = [_as_grids(f"{name}[{t}]", g) for t, g in enumerate(frames)]
-    for t, g in enumerate(grids[1:], start=1):
-        if g.shape != grids[0].shape:
-            raise ValueError(f"{name} frame shapes differ: {grids[0].shape} "
-                             f"vs {g.shape} at frame {t}")
-    return np.stack(grids)
 
 
 def _maybe_scalar(x: np.ndarray):
@@ -172,22 +162,23 @@ class BinaryHead:
                    np.zeros(2))
 
 
-def binary_loss(head: BinaryHead | None, fused: Sequence, label: int
+def binary_loss(head: BinaryHead | None, fused: np.ndarray, label: int
                 ) -> tuple[float, float]:
-    """Cross entropy of the true class over the concatenated depth maps.
+    """Cross entropy of the true class over the (T, H, W) depth maps, flattened.
 
-    label is 0 for spoof, 1 for living. Returns (loss, living probability).
-    With head None no head is evaluated and the result is (log 2, 0.5),
-    exactly what an all-zero head computes.
+    The head reads the maps in frame order, each row-major. label is 0 for
+    spoof, 1 for living. Returns (loss, living probability). With head None
+    no head is evaluated and the result is (log 2, 0.5), exactly what an
+    all-zero head computes.
     """
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label!r}")
     if head is None:
         return math.log(2.0), 0.5
-    flat = np.concatenate([np.asarray(g, dtype=float).ravel() for g in fused])
+    flat = np.asarray(fused, dtype=float).ravel()
     if flat.size != head.input_dim:
         raise ValueError(f"head expects {head.input_dim} inputs, "
-                         f"got {flat.size} concatenated cells")
+                         f"got {flat.size} depth cells")
     hidden = np.maximum(flat @ head.w1 + head.b1, 0.0)
     logits = hidden @ head.w2 + head.b2
     shifted = logits - logits.max()
@@ -203,20 +194,20 @@ def multi_frame_loss(depth: float, binary: float, beta: float) -> float:
     return beta * binary + (1.0 - beta) * depth
 
 
-def multi_frame_report(preds: Sequence, labels: Sequence,
+def multi_frame_report(preds: np.ndarray, labels: np.ndarray,
                        head: BinaryHead | None, binary_label: int, beta: float
                        ) -> tuple[LossReport, float]:
     """Full multi-frame loss breakdown plus the living probability.
 
-    The absolute and contrastive terms are each evaluated once on the stacked
-    frames, and their per-frame values are summed in frame order. head may
-    be None, as in binary_loss.
+    preds and labels are (T, H, W) stacks of one shape, T >= 1. The absolute
+    and contrastive terms are each evaluated once on the stacks, and their
+    per-frame values are summed in frame order. head may be None, as in
+    binary_loss.
     """
-    if len(preds) != len(labels):
-        raise ValueError(f"{len(preds)} predictions vs {len(labels)} labels")
-    if not preds:
-        raise ValueError("need at least one frame")
-    preds, labels = _stack_frames("preds", preds), _stack_frames("labels", labels)
+    preds, labels = _check_pair(preds, labels)
+    if preds.ndim != 3 or preds.shape != labels.shape or not len(preds):
+        raise ValueError(f"preds and labels must be (T, H, W) stacks of one "
+                         f"shape with T >= 1, got {preds.shape} and {labels.shape}")
     absolute = float(sum(euclidean_depth_loss(preds, labels)))
     contrast = float(sum(contrastive_depth_loss(preds, labels)))
     depth_total = absolute + contrast

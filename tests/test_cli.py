@@ -912,6 +912,43 @@ def test_no_module_defines_a_private_twin():
         assert not twins, f"{path.name} defines both name and _name: {twins}"
 
 
+def unused_top_level_imports(source: str) -> list:
+    """Names bound by a top-level import that the module never reads.
+
+    A name counts as read when it appears as a name anywhere in the module,
+    including inside a quoted annotation.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    nodes = list(ast.walk(tree))
+    for node in list(nodes):
+        note = getattr(node, "returns" if isinstance(node, ast.FunctionDef)
+                       else "annotation", None)
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            nodes += ast.walk(ast.parse(note.value, mode="eval"))
+    read = {node.id for node in nodes if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_has_an_unused_import():
+    for path in sorted(Path(depthpad.__file__).parent.glob("*.py")):
+        unused = unused_top_level_imports(path.read_text())
+        assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def test_unused_import_check_sees_what_it_should():
+    assert unused_top_level_imports(
+        "from typing import Sequence\nimport numpy as np\nx = np.zeros(1)\n"
+    ) == ["Sequence"]
+    assert unused_top_level_imports(
+        "import os.path\nfrom a import B\ndef f() -> 'B': return os.sep\n") == []
+
+
 class TestArgparseContract:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc_info:

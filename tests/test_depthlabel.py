@@ -10,7 +10,6 @@ from depthpad.depthlabel import (
     LIVING,
     SPOOF,
     DepthMap,
-    FaceMask,
     VertexSet,
     _cell_indices,
     _fill_holes,
@@ -137,10 +136,6 @@ class TestTypes:
         values[3, 3] = 0.5
         with pytest.raises(ValueError):
             DepthMap(values, SPOOF)
-
-    def test_mask_binary_enforced(self):
-        with pytest.raises(ValueError):
-            FaceMask(np.full((32, 32), 2))
 
     def test_vertex_set_needs_three_points(self):
         with pytest.raises(ValueError):
@@ -367,9 +362,14 @@ class TestHullMask:
 
 
 class TestMaskFromDepth:
+    def test_int64_zero_one_grid(self):
+        mask = mask_from_depth(generate_living_depth(hemisphere_cloud()))
+        assert mask.dtype == np.int64 and mask.shape == (32, 32)
+        assert set(np.unique(mask)) == {0, 1}
+
     def test_spoof_gives_empty_mask(self):
         mask = mask_from_depth(spoof_depth())
-        assert not mask.values.any()
+        assert not mask.any()
 
     def test_hemisphere_mask_matches_support_oracle(self):
         depth = generate_living_depth(hemisphere_cloud())
@@ -384,14 +384,14 @@ class TestMaskFromDepth:
                     j = min(int((x - 4.0) / 24.0 * 32), 31)
                     i = min(int((y - 4.0) / 24.0 * 32), 31)
                     expected[i, j] = 1
-        assert np.array_equal(mask.values, expected)
+        assert np.array_equal(mask, expected)
 
     def test_threshold_one_keeps_at_most_one_cell(self):
         depth = generate_living_depth(hemisphere_cloud())
         mask = mask_from_depth(depth, threshold=1.0)
-        assert mask.values.sum() <= 1
+        assert mask.sum() <= 1
 
     def test_living_mask_nonempty(self):
         depth = generate_living_depth(hemisphere_cloud())
-        assert mask_from_depth(depth).values.sum() >= 1
+        assert mask_from_depth(depth).sum() >= 1
 

@@ -325,12 +325,15 @@ class TestOffSequence:
         rng = np.random.default_rng(21)
         w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4,
                                    prev_channels=2)
-        frames = [rng.standard_normal((6, 6, 3)) for _ in range(4)]
-        prev = [rng.standard_normal((6, 6, 2)) for _ in range(3)]
-        assert len(off_sequence(frames, w, prev)) == 3
-        for wrong in (prev[:2], prev + prev[:1], []):
-            with pytest.raises(ValueError, match="frame pairs"):
+        frames = rng.standard_normal((4, 6, 6, 3))
+        prev = rng.standard_normal((3, 6, 6, 2))
+        assert off_sequence(frames, w, prev).shape == (3, 6, 6, 4)
+        for wrong in (prev[:2], np.concatenate([prev, prev[:1]]), prev[:0],
+                      prev[:, :5]):
+            with pytest.raises(ValueError, match="one output per frame pair"):
                 off_sequence(frames, w, wrong)
+        with pytest.raises(ValueError, match=r"prev must be \(T, H, W, C\)"):
+            off_sequence(frames, w, prev[0])
 
 
 @st.composite

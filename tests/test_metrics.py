@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from depthpad.depthlabel import FaceMask
 from depthpad.metrics import (
     ATTACK,
     LIVING,
@@ -74,26 +73,27 @@ class TestCheckRecord:
 class TestLivingScore:
     def test_arithmetic_example(self):
         # beta 0.9, confident b_hat, mean masked depth 0.5.
-        fused = [np.full((32, 32), 0.5)]
-        masks = [FaceMask(np.ones((32, 32), dtype=int))]
-        depth = masked_depth_term(fused, masks)
+        fused = np.full((1, 32, 32), 0.5)
+        depth = masked_depth_term(fused, np.ones((32, 32), dtype=int))
         assert living_score(1.0, depth, 0.9) == pytest.approx(0.95)
 
     def test_spoof_scores_zero(self):
-        fused = [np.zeros((32, 32))] * 4
-        masks = [FaceMask(np.ones((32, 32), dtype=int))] * 4
-        assert living_score(0.0, masked_depth_term(fused, masks), 0.9) == 0.0
+        fused = np.zeros((4, 32, 32))
+        mask = np.ones((32, 32), dtype=int)
+        assert living_score(0.0, masked_depth_term(fused, mask), 0.9) == 0.0
 
     def test_beta_one_ignores_depth(self):
-        fused = [np.full((32, 32), 0.7)]
-        masks = [FaceMask(np.ones((32, 32), dtype=int))]
-        depth = masked_depth_term(fused, masks)
+        fused = np.full((1, 32, 32), 0.7)
+        depth = masked_depth_term(fused, np.ones((32, 32), dtype=int))
         assert living_score(0.42, depth, 1.0) == pytest.approx(0.42)
 
     def test_empty_mask_rejected(self):
-        fused = [np.ones((32, 32))]
-        masks = [FaceMask(np.zeros((32, 32), dtype=int))]
-        with pytest.raises(ValueError):
+        fused = np.ones((3, 32, 32))
+        with pytest.raises(ValueError, match="empty face mask"):
+            masked_depth_term(fused, np.zeros((32, 32), dtype=int))
+        masks = np.ones((3, 32, 32), dtype=int)
+        masks[1] = 0  # one empty frame is enough
+        with pytest.raises(ValueError, match="empty face mask"):
             masked_depth_term(fused, masks)
 
     def test_masked_term_uses_only_face_cells(self):
@@ -112,6 +112,44 @@ class TestLivingScore:
         m2 = np.zeros((4, 4), dtype=int)
         m2[1, 1] = 1
         assert masked_depth_term([g1, g2], [m1, m2]) == pytest.approx((0.5 + 0.9) / 2)
+
+    def test_stack_equals_list(self):
+        # A (T, H, W) stack and the same frames as a list give one result.
+        rng = np.random.default_rng(31)
+        frames = [rng.random((6, 5)) for _ in range(3)]
+        masks = [(rng.random((6, 5)) < 0.5).astype(int) for _ in range(3)]
+        for mask in masks:
+            mask[0, 0] = 1
+        for frame_mask in (masks, masks[0]):
+            want = masked_depth_term(frames, frame_mask)
+            assert masked_depth_term(np.stack(frames), np.asarray(frame_mask)) == want
+
+    def test_one_mask_equals_repeated_mask(self):
+        rng = np.random.default_rng(32)
+        fused = rng.random((4, 6, 6))
+        mask = (rng.random((6, 6)) < 0.5).astype(np.int64)
+        mask[2, 3] = 1
+        assert masked_depth_term(fused, mask) == masked_depth_term(
+            fused, np.broadcast_to(mask, fused.shape))
+
+    def test_mask_binary_enforced(self):
+        for value in (2, -1, 0.5, np.nan):
+            mask = np.ones((3, 3))
+            mask[1, 1] = value
+            with pytest.raises(ValueError, match="mask values must be 0 or 1"):
+                masked_depth_term(np.ones((2, 3, 3)), mask)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 5), (5, 4), (2, 4, 4),
+                                       (1, 3, 4, 4), (4, 4, 1)])
+    def test_mask_shape_must_match_frame_or_stack(self, shape):
+        with pytest.raises(ValueError, match="mask is"):
+            masked_depth_term(np.ones((3, 4, 4)), np.ones(shape, dtype=int))
+
+    @pytest.mark.parametrize("fused", [np.ones((4, 4)), np.ones((0, 4, 4)),
+                                       np.ones((2, 1, 4, 4))])
+    def test_depth_must_be_a_nonempty_stack(self, fused):
+        with pytest.raises(ValueError, match=r"\(T, H, W\) stack"):
+            masked_depth_term(fused, np.ones((4, 4), dtype=int))
 
 
 def make_records(per_pai_counts, living_counts, threshold=0.5):

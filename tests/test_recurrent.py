@@ -202,6 +202,19 @@ class TestConvGruRun:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             convgru_run(zero_cell(), np.zeros((4, 4, 1)), [])
+        with pytest.raises(ValueError, match="at least one input"):
+            convgru_run(zero_cell(), np.zeros((4, 4, 1)), np.zeros((0, 4, 4, 1)))
+
+    def test_returns_the_stack_of_step_states(self):
+        cell = ConvGruCell.seeded(input_channels=3, hidden_channels=2, seed=11)
+        rng = np.random.default_rng(12)
+        h = rng.uniform(-1, 1, (5, 6, 2))
+        xs = rng.standard_normal((4, 5, 6, 3))
+        states = convgru_run(cell, h, xs)
+        assert states.shape == (4, 5, 6, 2)
+        for x, state in zip(xs, states):
+            h, _ = convgru_step(cell, h, x)
+            assert np.array_equal(state, h)
 
 
 class TestFuseDepth:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthpad import cli, depthlabel
+from depthpad import cli, depthlabel, model
 from depthpad.features import OffBlockWeights
 from depthpad.recurrent import ConvGruCell
 from depthpad.supervision import BinaryHead, contrastive_kernels
@@ -164,3 +164,11 @@ def test_full_mode_matches_the_unfolded_model(seed, n_frames, alpha, beta):
 def test_oracle_mode_equals_the_unfolded_model(seed, n_frames, alpha, beta):
     got = model_fields(cli.run_demo(alpha, beta, n_frames, seed, oracle=True))
     assert got == reference_demo(alpha, beta, n_frames, seed, oracle=True)
+
+
+def test_demo_frames_are_the_rolled_frames_stacked():
+    base = np.random.default_rng(5).random((GRID, GRID))
+    for n_frames in (2, 9, 40):
+        stack = model._demo_frames(base, n_frames)
+        assert stack.shape == (n_frames, GRID, GRID, 3)
+        assert np.array_equal(stack, np.stack(demo_frames(base, n_frames)))

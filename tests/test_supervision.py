@@ -257,11 +257,20 @@ class TestMultiFrameDepthLoss:
 
     @pytest.mark.parametrize("which", ["preds", "labels"])
     def test_frame_shapes_must_agree(self, which):
+        # A ragged list is no stack; a stack of another length is no pair.
         frames = {"preds": [np.zeros((4, 4))] * 2, "labels": [np.zeros((4, 4))] * 2}
         frames[which] = [np.zeros((4, 4)), np.zeros((4, 5))]
-        with pytest.raises(ValueError, match=rf"{which} frame shapes differ: "
-                                             rf"\(4, 4\) vs \(4, 5\) at frame 1"):
+        with pytest.raises(ValueError):
             depth_report(frames["preds"], frames["labels"])
+        frames[which] = np.zeros((3, 4, 4))
+        with pytest.raises(ValueError, match=r"\(T, H, W\) stacks of one shape"):
+            depth_report(frames["preds"], frames["labels"])
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (4, 4), (1, 2, 4, 4)])
+    def test_needs_a_nonempty_stack(self, shape):
+        grids = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"\(T, H, W\) stacks"):
+            depth_report(grids, grids)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 12),
@@ -362,6 +371,19 @@ class TestMultiFrameReport:
         assert b_hat == zero_b_hat == 0.5
         assert report == multi_frame_report(preds, labels, zero_head(3 * 1024),
                                             binary_label=label, beta=0.9)[0]
+
+    @pytest.mark.parametrize("head_seed", [None, 4])
+    def test_stack_equals_list(self, head_seed):
+        # A (T, H, W) stack and the same frames as a list give one result.
+        rng = np.random.default_rng(20)
+        preds = [rng.random((8, 8)) for _ in range(3)]
+        labels = [rng.random((8, 8)) for _ in range(3)]
+        head = (None if head_seed is None
+                else BinaryHead.seeded(input_dim=3 * 64, seed=head_seed))
+        want = multi_frame_report(preds, labels, head, binary_label=1, beta=0.9)
+        got = multi_frame_report(np.stack(preds), np.stack(labels), head,
+                                 binary_label=1, beta=0.9)
+        assert got == want
 
     def test_no_head_rejects_bad_label(self):
         grids = [np.zeros((32, 32))]
