@@ -383,6 +383,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     threshold = s.get("threshold")
     if not math.isfinite(threshold):
         raise UsageError(f"--threshold must be finite, got {threshold}")
+    if "\0" in args.records:
+        raise UsageError(f"the records path must not hold a NUL byte, "
+                         f"got {args.records!r}")
     # Imported here, not at the top: simulate, --help and usage errors then
     # never load numpy.
     from . import metrics

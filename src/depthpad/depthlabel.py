@@ -1,8 +1,9 @@
 """Ground-truth depth grids and face masks.
 
-Living samples get a normalized depth map in [0, 1] built from a facial
-vertex cloud (nearest point 1, farthest point 0, background 0); spoof samples
-get the all-zero map. A parametric dome surface stands in for a real face
+Living samples get a GRID_SIZE x GRID_SIZE depth map in [0, 1] built from a
+facial vertex cloud over its own x/y extent (nearest point 1, farthest point
+0, background 0); spoof samples get the all-zero map. The face mask is the
+label's nonzero cells. A parametric dome surface stands in for a real face
 reconstruction so the whole path stays deterministic and mesh free.
 """
 
@@ -63,22 +64,20 @@ class DepthMap:
         object.__setattr__(self, "values", v)
 
 
-def spoof_depth(grid: int = GRID_SIZE) -> DepthMap:
+def spoof_depth() -> DepthMap:
     """All-zero depth label for any spoof sample."""
-    return DepthMap(np.zeros((grid, grid)), SPOOF)
+    return DepthMap(np.zeros((GRID_SIZE, GRID_SIZE)), SPOOF)
 
 
 def synthesize_face_surface(amplitude: float = 8.0,
                             center: tuple[float, float] = (16.0, 16.0),
                             radius: float = 12.0,
-                            grid_size: int = 32,
-                            jitter: float = 0.0,
-                            seed: int = 0) -> VertexSet:
+                            grid_size: int = 32) -> VertexSet:
     """Deterministic dome-shaped vertex cloud usable as a living face proxy.
 
     Samples a grid_size x grid_size lattice over the square circumscribing the
     dome; z follows a hemisphere profile (amplitude at the apex, 0 outside the
-    radius). Optional jitter perturbs x/y reproducibly from the seed.
+    radius).
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -88,21 +87,18 @@ def synthesize_face_surface(amplitude: float = 8.0,
     gx, gy = np.meshgrid(xs, ys)
     x = gx.ravel()
     y = gy.ravel()
-    if jitter:
-        rng = np.random.default_rng(seed)
-        x = x + rng.uniform(-jitter, jitter, x.shape)
-        y = y + rng.uniform(-jitter, jitter, y.shape)
     r2 = ((x - cx) ** 2 + (y - cy) ** 2) / radius ** 2
     z = amplitude * np.sqrt(np.clip(1.0 - r2, 0.0, None))
     return VertexSet(np.column_stack([x, y, z]))
 
 
-def _cell_indices(coords, low, high, grid):
-    span = high - low
-    if span <= 0:
-        raise ValueError(f"bounds span must be positive, got [{low}, {high}]")
-    idx = np.floor((coords - low) / span * grid).astype(int)
-    return np.clip(idx, 0, grid - 1)
+def _cell_indices(coords: np.ndarray) -> np.ndarray:
+    """Each coordinate's cell among GRID_SIZE cells spanning their extent."""
+    low, high = coords.min(), coords.max()
+    if high <= low:
+        raise ValueError(f"vertex extent must be positive, got [{low}, {high}]")
+    idx = np.floor((coords - low) / (high - low) * GRID_SIZE).astype(int)
+    return np.clip(idx, 0, GRID_SIZE - 1)
 
 
 def _cross(o, a, b) -> int:
@@ -168,30 +164,18 @@ def _fill_holes(values: np.ndarray, filled: np.ndarray, hull: np.ndarray) -> np.
         filled |= ready
 
 
-def generate_living_depth(vertex_set: VertexSet,
-                          bounds: tuple[float, float, float, float] | None = None,
-                          grid: int = GRID_SIZE) -> DepthMap:
+def generate_living_depth(vertex_set: VertexSet) -> DepthMap:
     """Splat a vertex cloud onto the grid and normalize it into a living label.
 
-    Each vertex lands in its nearest cell; a cell keeps the z closest to the
-    camera. Holes inside the occupied cells' exact lattice hull are filled by
+    The GRID_SIZE x GRID_SIZE grid spans the vertices' x/y extent. Each vertex
+    lands in its nearest cell; a cell keeps the z closest to the camera.
+    Holes inside the occupied cells' exact lattice hull are filled by
     iterative neighbor averaging, then values are min-max normalized: nearest
     point 1, farthest 0, cells outside the hull 0.
-
-    bounds is (x_min, x_max, y_min, y_max); by default the vertex extent.
     """
     v = vertex_set.vertices
-    if bounds is None:
-        bounds = (v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
-    x_min, x_max, y_min, y_max = bounds
-    if (v[:, 0] < x_min).any() or (v[:, 0] > x_max).any() \
-            or (v[:, 1] < y_min).any() or (v[:, 1] > y_max).any():
-        raise ValueError("vertices fall outside the declared image bounds")
-
-    cols = _cell_indices(v[:, 0], x_min, x_max, grid)
-    rows = _cell_indices(v[:, 1], y_min, y_max, grid)
-
-    splat = np.full((grid, grid), -np.inf)
+    cols, rows = _cell_indices(v[:, 0]), _cell_indices(v[:, 1])
+    splat = np.full((GRID_SIZE, GRID_SIZE), -np.inf)
     np.maximum.at(splat, (rows, cols), v[:, 2])
     occupied = splat > -np.inf
 
@@ -206,6 +190,6 @@ def generate_living_depth(vertex_set: VertexSet,
     return DepthMap(np.clip(normalized, 0.0, 1.0), LIVING)
 
 
-def mask_from_depth(depth: DepthMap, threshold: float = 0.0) -> np.ndarray:
-    """Face mask: an int64 grid, 1 at cells strictly above the threshold, else 0."""
-    return (depth.values > threshold).astype(np.int64)
+def mask_from_depth(depth: DepthMap) -> np.ndarray:
+    """Face mask: an int64 grid, 1 at cells of positive depth, else 0."""
+    return (depth.values > 0).astype(np.int64)

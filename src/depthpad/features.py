@@ -1,6 +1,6 @@
 """Flow-guided feature computations on H x W x C grids.
 
-Forward passes only: plain same-padded convolution, Sobel spatial gradients,
+Forward passes only: replicate-padded convolution, Sobel spatial gradients,
 frame-difference temporal gradients, the flow-orthogonality residual, and the
 five-branch motion block. off_sequence is the one motion-block entry: it
 takes a (T, H, W, C) frame stack and returns the (T - 1, H, W, Cout) stack of
@@ -26,8 +26,6 @@ import numpy as np
 
 SOBEL_GAIN = 8.0  # response of the 3x3 stencil on a unit ramp
 
-_PADDINGS = ("replicate", "zero")
-
 
 def _require_hwc(name: str, x: np.ndarray, stacked: bool = False) -> np.ndarray:
     """x as a finite float array shaped (H, W, C), or (T, H, W, C) if stacked."""
@@ -40,24 +38,19 @@ def _require_hwc(name: str, x: np.ndarray, stacked: bool = False) -> np.ndarray:
     return x
 
 
-def _pad(x: np.ndarray, ph: int, pw: int, padding: str) -> np.ndarray:
-    """x (H, W, C) padded by ph rows and pw columns on each side.
+def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """x (H, W, C) replicate-padded by ph rows and pw columns on each side.
 
     One allocation and slice assignment, equal bit for bit to numpy's pad in
-    "constant" (zero) or "edge" (replicate) mode, for any widths, including
-    ones wider than x: edge rows are broadcast first, then edge columns
-    (corners included) are copied from the padded columns. Zero widths
-    return x itself, not a copy.
+    "edge" mode, for any widths, including ones wider than x: edge rows are
+    broadcast first, then edge columns (corners included) are copied from
+    the padded columns. Zero widths return x itself, not a copy. The ConvGRU
+    zero-pads in its own buffer.
     """
     if not (ph or pw):
         return x
     h, w, c = x.shape
-    shape = (h + 2 * ph, w + 2 * pw, c)
-    if padding == "zero":
-        out = np.zeros(shape, dtype=x.dtype)
-        out[ph:ph + h, pw:pw + w] = x
-        return out
-    out = np.empty(shape, dtype=x.dtype)
+    out = np.empty((h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
     out[ph:ph + h, pw:pw + w] = x
     out[:ph, pw:pw + w] = x[:1]
     out[ph + h:, pw:pw + w] = x[-1:]
@@ -82,13 +75,13 @@ def _correlate(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d(x: np.ndarray, kernel: np.ndarray, padding: str = "replicate") -> np.ndarray:
-    """Same-padded stride-1 cross-correlation mixing channels.
+def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Same-size stride-1 cross-correlation mixing channels, replicate-padded.
 
     x is (H, W, Cin), kernel is (kH, kW, Cin, Cout) with odd kH and kW. The
-    input is padded into one fresh buffer (a 1x1 kernel reads x itself) and
-    the taps are summed as _correlate sums them, so the result equals
-    numpy's pad followed by the same tap sum bit for bit.
+    input is edge-padded into one fresh buffer (a 1x1 kernel reads x itself)
+    and the taps are summed as _correlate sums them, so the result equals
+    numpy's "edge" pad followed by the same tap sum bit for bit.
     """
     x = _require_hwc("input", x)
     kernel = np.asarray(kernel, dtype=float)
@@ -99,9 +92,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, padding: str = "replicate") -> np.
         raise ValueError(f"kernel dims must be odd for same padding, got {kh}x{kw}")
     if cin != x.shape[2]:
         raise ValueError(f"kernel expects {cin} input channels, tensor has {x.shape[2]}")
-    if padding not in _PADDINGS:
-        raise ValueError(f"padding must be one of {sorted(_PADDINGS)}, got {padding!r}")
-    return _correlate(_pad(x, kh // 2, kw // 2, padding), kernel)
+    return _correlate(_pad(x, kh // 2, kw // 2), kernel)
 
 
 def spatial_gradient(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +105,7 @@ def spatial_gradient(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h, w, _ = x.shape
     if h < 3 or w < 3:
         raise ValueError(f"spatial gradient needs at least 3x3 input, got {h}x{w}")
-    p = _pad(x, 1, 1, "replicate")
+    p = _pad(x, 1, 1)
     dx = p[:, 2:, :] - p[:, :-2, :]          # east minus west, (H+2, W, C)
     gx = dx[:-2] + 2.0 * dx[1:-1] + dx[2:]
     dy = p[2:, :, :] - p[:-2, :, :]          # south minus north, (H, W+2, C)

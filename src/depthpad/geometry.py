@@ -8,10 +8,11 @@ true ratio. For attacks the recording camera and the realistic camera compose,
 and carrier shake or carrier rotation distorts the estimate in ways computed
 here in closed form.
 
-Each replay and rotation formula takes its stepped value as an optional last
-argument: the carrier shake dv, or the (start, end) recording-plane endpoints
-of the three points. Left out, it falls back to the config (cfg.dv, or the
-endpoints from cfg.ul1, um1, ur1). simulate_sequence steps a scene by calling
+Each replay formula takes the carrier shake dv of its frame step as a
+required argument; shake is a per-step quantity, not part of the scene. Each
+rotation formula takes the (start, end) recording-plane endpoints of the
+three points as an optional last argument; left out, they are the first
+step's, from cfg.ul1, um1, ur1. simulate_sequence steps a scene by calling
 these same functions with each step's value.
 
 Every quantity shares one arbitrary length unit (only ratios matter) and all
@@ -88,11 +89,11 @@ class AttackSceneConfig:
     fa, za describe the recording camera (za measured to the nearest facial
     point in the recorded scene); fb, zb describe the realistic camera watching
     the carrier. dx is the facial displacement inside the recorded content
-    (0 for a print) and theta the carrier rotation angle in radians. dv is the
-    vertical carrier shake per frame step that the replay formulas fall back
-    to; a rotated carrier is modeled without shake, so it needs dv = 0.
-    ul1, um1, ur1 are the recording-plane start coordinates of the three
-    points that the rotation formulas fall back to.
+    (0 for a print) and theta the carrier rotation angle in radians. Carrier
+    shake varies per frame step, so it is an argument of the replay formulas
+    and simulate_sequence, not a field. ul1, um1, ur1 are the recording-plane
+    start coordinates of the three points that the rotation formulas fall
+    back to.
     """
 
     fa: float
@@ -102,15 +103,14 @@ class AttackSceneConfig:
     d1: float
     d2: float
     dx: float = 0.0
-    dv: float = 0.0
     theta: float = 0.0
     ul1: float = 1.0
     um1: float = 1.2
     ur1: float = 0.8
 
     def __post_init__(self) -> None:
-        for name in ("fa", "fb", "za", "zb", "d1", "d2", "dx", "dv",
-                     "theta", "ul1", "um1", "ur1"):
+        for name in ("fa", "fb", "za", "zb", "d1", "d2", "dx", "theta",
+                     "ul1", "um1", "ur1"):
             _check_finite(name, getattr(self, name))
         for name in ("fa", "fb", "za", "zb"):
             if getattr(self, name) <= 0:
@@ -121,8 +121,6 @@ class AttackSceneConfig:
             raise ValueError(f"need 0 <= d1 <= d2, got d1={self.d1}, d2={self.d2}")
         if not -math.pi / 2 < self.theta < math.pi / 2:
             raise ValueError(f"theta must lie in (-pi/2, pi/2), got {self.theta}")
-        if self.theta != 0.0 and self.dv != 0.0:
-            raise ValueError("a rotated carrier with nonzero shake is not modeled")
 
     @property
     def relative_depth(self) -> float:
@@ -172,8 +170,8 @@ def estimate_relative_depth(obs: FlowObservation) -> RelativeDepthEstimate:
 
     Returns the flat estimate when both flow ratios are within EPS_FLAT of 1
     (all three flows coincide, so the scene is a plane). Raises
-    InconsistentFlowError when only the denominator ratio collapses, or when
-    du_m or du_r is exactly zero.
+    InconsistentFlowError when only the denominator ratio collapses, when
+    du_m or du_r is exactly zero, or when a ratio overflows.
     """
     if obs.du_m == 0.0 or obs.du_r == 0.0:
         raise InconsistentFlowError(
@@ -186,20 +184,22 @@ def estimate_relative_depth(obs: FlowObservation) -> RelativeDepthEstimate:
         raise InconsistentFlowError(
             "far-point flow matches near-point flow while middle does not; "
             "the estimate denominator vanishes")
-    return RelativeDepthEstimate(degenerate_flat=False, ratio=num / den)
+    ratio = num / den
+    # x * 0.0 is NaN unless x is finite; a finite num / inf den reads 0.0.
+    if not math.isfinite(num * 0.0 + den * 0.0 + ratio):
+        raise InconsistentFlowError(
+            f"the flow ratios overflow: estimate {num!r} / {den!r}")
+    return RelativeDepthEstimate(degenerate_flat=False, ratio=ratio)
 
 
-def flow_replay(cfg: AttackSceneConfig,
-                dv: Optional[float] = None) -> FlowObservation:
+def flow_replay(cfg: AttackSceneConfig, dv: float) -> FlowObservation:
     """Realistic-camera flows for a translating carrier (theta must be 0).
 
-    The recorded motion and the carrier shake dv (cfg.dv when None) compose;
-    a print attack is the sub-case dx = 0.
+    The recorded motion and the carrier shake dv compose; a print attack is
+    the sub-case dx = 0.
     """
     if cfg.theta != 0.0:
         raise ValueError("replay formulas model a translating carrier; theta must be 0")
-    if dv is None:
-        dv = cfg.dv
     fa, fb, za, zb = cfg.fa, cfg.fb, cfg.za, cfg.zb
     return FlowObservation(
         du_l=(fa * fb * cfg.dx + za * fb * dv) / (za * zb),
@@ -208,16 +208,13 @@ def flow_replay(cfg: AttackSceneConfig,
     )
 
 
-def replay_distortion_factor(cfg: AttackSceneConfig,
-                             dv: Optional[float] = None) -> float:
+def replay_distortion_factor(cfg: AttackSceneConfig, dv: float) -> float:
     """Multiplier turning the true d1/d2 into the replay-scene estimate.
 
     Equals 1 exactly when dv = 0 (the perfect spoofing scene) or d1 = d2.
     """
     if cfg.theta != 0.0:
         raise ValueError("replay formulas model a translating carrier; theta must be 0")
-    if dv is None:
-        dv = cfg.dv
     den = cfg.fa * cfg.dx + (cfg.za + cfg.d1) * dv
     if den == 0.0:
         raise SingularConfigError(
@@ -225,8 +222,7 @@ def replay_distortion_factor(cfg: AttackSceneConfig,
     return (cfg.fa * cfg.dx + (cfg.za + cfg.d2) * dv) / den
 
 
-def closed_form_replay_ratio(cfg: AttackSceneConfig,
-                             dv: Optional[float] = None) -> float:
+def closed_form_replay_ratio(cfg: AttackSceneConfig, dv: float) -> float:
     """Replay-scene relative-depth estimate without simulating flows."""
     ratio = cfg.relative_depth * replay_distortion_factor(cfg, dv)
     if not math.isfinite(ratio):
@@ -337,10 +333,10 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
     """Per-frame relative-depth estimates over an n_frames video.
 
     n_frames frames yield n_frames - 1 flow observations. A dv schedule holds
-    one shake value per frame step; real scenes reject it and rotated carriers
-    accept only zeros. Rotated carriers advance their recording-plane
-    coordinates by each step's recording flows, so their estimates drift over
-    time while a real scene's series stays constant.
+    one shake value per frame step (none: no shake); real scenes reject it
+    and rotated carriers accept only zeros. Rotated carriers advance their
+    recording-plane coordinates by each step's recording flows, so their
+    estimates drift over time while a real scene's series stays constant.
     """
     if n_frames < 2:
         raise ValueError(f"a sequence needs at least 2 frames, got {n_frames}")
@@ -374,7 +370,7 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
         return records
 
     if dv_schedule is None:
-        dv_schedule = [cfg.dv] * n_steps
+        dv_schedule = [0.0] * n_steps
     for t, dv in enumerate(dv_schedule):
         _check_finite("dv", dv)
         obs = flow_replay(cfg, dv)

@@ -41,7 +41,7 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
 
     surface = depthlabel.synthesize_face_surface(**DEMO_SURFACE)
     living_label = depthlabel.generate_living_depth(surface)
-    spoof_label = depthlabel.spoof_depth(grid)
+    spoof_label = depthlabel.spoof_depth()
     mask = depthlabel.mask_from_depth(living_label)
     steps = (n_steps, grid, grid)  # one label per step, as read-only views
     labels = {"living": np.broadcast_to(living_label.values, steps),

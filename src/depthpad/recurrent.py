@@ -81,7 +81,7 @@ def convgru_step(cell: ConvGruCell, h_prev: np.ndarray, x: np.ndarray
     h_prev and x must be finite (H, W, C) tensors. Both convs run on one
     zero-padded [h, x] buffer with conv2d's tap sum, and the candidate pass
     overwrites only the hidden channels, so the result equals concatenating,
-    then conv2d with zero padding, bit for bit.
+    zero-padding with numpy's pad, then that tap sum, bit for bit.
     """
     h_prev = _require_hwc("hidden state", h_prev)
     x = _require_hwc("input", x)

@@ -67,9 +67,9 @@ def test_geometry_closed_form_suite():
         d2 = rng.uniform(0.1, 5)
         cfg = AttackSceneConfig(fa=rng.uniform(0.5, 3), fb=rng.uniform(0.5, 3),
                                 za=rng.uniform(0.5, 8), zb=rng.uniform(0.5, 8),
-                                d1=rng.uniform(0, 1) * d2, d2=d2, dx=0.0,
-                                dv=rng.uniform(0.01, 1) * rng.choice([-1, 1]))
-        assert estimate_relative_depth(flow_replay(cfg)).degenerate_flat
+                                d1=rng.uniform(0, 1) * d2, d2=d2, dx=0.0)
+        dv = rng.uniform(0.01, 1) * rng.choice([-1, 1])
+        assert estimate_relative_depth(flow_replay(cfg, dv)).degenerate_flat
 
     # (c) static carrier: the perfect spoofing scene reproduces d1/d2.
     for _ in range(N_CONFIGS):
@@ -77,9 +77,8 @@ def test_geometry_closed_form_suite():
         cfg = AttackSceneConfig(fa=rng.uniform(0.5, 3), fb=rng.uniform(0.5, 3),
                                 za=rng.uniform(0.5, 8), zb=rng.uniform(0.5, 8),
                                 d1=rng.uniform(0.01, 0.99) * d2, d2=d2,
-                                dx=rng.uniform(0.1, 2) * rng.choice([-1, 1]),
-                                dv=0.0)
-        est = estimate_relative_depth(flow_replay(cfg))
+                                dx=rng.uniform(0.1, 2) * rng.choice([-1, 1]))
+        est = estimate_relative_depth(flow_replay(cfg, 0.0))
         assert est.ratio == pytest.approx(cfg.relative_depth, rel=1e-9)
 
     # (d) shaking carrier: the estimate is the true ratio times the closed-form
@@ -90,17 +89,17 @@ def test_geometry_closed_form_suite():
         cfg = AttackSceneConfig(fa=rng.uniform(0.5, 3), fb=rng.uniform(0.5, 3),
                                 za=rng.uniform(0.5, 8), zb=rng.uniform(0.5, 8),
                                 d1=rng.uniform(0.1, 0.9) * d2, d2=d2,
-                                dx=rng.uniform(0.1, 2) * rng.choice([-1, 1]),
-                                dv=rng.uniform(0.05, 0.5) * rng.choice([-1, 1]))
-        den_l = cfg.fa * cfg.dx + cfg.za * cfg.dv
-        den_m = cfg.fa * cfg.dx + (cfg.za + cfg.d1) * cfg.dv
-        den_r = cfg.fa * cfg.dx + (cfg.za + cfg.d2) * cfg.dv
+                                dx=rng.uniform(0.1, 2) * rng.choice([-1, 1]))
+        dv = rng.uniform(0.05, 0.5) * rng.choice([-1, 1])
+        den_l = cfg.fa * cfg.dx + cfg.za * dv
+        den_m = cfg.fa * cfg.dx + (cfg.za + cfg.d1) * dv
+        den_r = cfg.fa * cfg.dx + (cfg.za + cfg.d2) * dv
         if min(abs(den_l), abs(den_m), abs(den_r)) < 0.05:
             continue
-        factor = replay_distortion_factor(cfg)
+        factor = replay_distortion_factor(cfg, dv)
         if abs(factor - 1.0) < 1e-3:
             continue
-        est = estimate_relative_depth(flow_replay(cfg))
+        est = estimate_relative_depth(flow_replay(cfg, dv))
         if est.degenerate_flat:
             continue
         assert est.ratio == pytest.approx(cfg.relative_depth * factor, rel=1e-9)

@@ -322,6 +322,18 @@ class TestSimulate:
         assert "closed-form replay ratio overflows" in err
         assert not (tmp_path / "simulation.csv").exists()
 
+    def test_overflowing_flow_ratio_is_data_error(self, tmp_path, capsys):
+        # The flows are finite, but du_l / du_m and du_l / du_r overflow, so
+        # the estimate is inf / inf, which must not reach the CSV as nan.
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text("scenes = real\nz = 1e-308\nd1 = 1e10\nd2 = 2e10\n")
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: scene 'real' cannot be simulated: "
+                              "the flow ratios overflow")
+        assert not out.exists()
+
 
 class TestDemo:
     def test_report_schema(self, tmp_path):
@@ -518,6 +530,15 @@ class TestMetricsCommand:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["metrics", tmp_path / "absent.csv", "--out", tmp_path]) == 3
+
+    def test_nul_in_records_path_is_usage_error(self, tmp_path, capsys):
+        # An OS command line cannot carry a NUL; an in-process caller can.
+        out = tmp_path / "out"
+        assert run(["metrics", "a\0b.csv", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == ("usage error: the records path must not hold a NUL "
+                       "byte, got 'a\\x00b.csv'\n")
+        assert not out.exists()
 
     def test_single_class_is_data_error(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -733,7 +754,8 @@ def invocations(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     argv = [command]
     if command == "metrics":
-        argv.append(draw(either(["records.csv"], ["absent.csv", "."])))
+        argv.append(draw(either(["records.csv"],
+                                ["absent.csv", ".", "records.csv\0"])))
     for flag, values in FLAGS[command].items():
         if draw(st.booleans()):
             argv.append(f"{flag}={draw(values)}")
@@ -947,6 +969,101 @@ def test_unused_import_check_sees_what_it_should():
     ) == ["Sequence"]
     assert unused_top_level_imports(
         "import os.path\nfrom a import B\ndef f() -> 'B': return os.sep\n") == []
+
+
+# Every defaulted parameter and defaulted dataclass field in src/depthpad, as
+# module.Class.function(param) or module.Class(field). A default is a second
+# configuration of the code; one that no command, workload or other library
+# function sets is better a constant. Adding a setting means adding it here.
+SETTINGS = (
+    "cli.main(argv)",
+    "depthlabel.synthesize_face_surface(amplitude)",
+    "depthlabel.synthesize_face_surface(center)",
+    "depthlabel.synthesize_face_surface(radius)",
+    "depthlabel.synthesize_face_surface(grid_size)",
+    "features._require_hwc(stacked)",
+    "features.OffBlockWeights.seeded(prev_channels)",
+    "features.OffBlockWeights.seeded(seed)",
+    "features.off_sequence(prev)",
+    "geometry.AttackSceneConfig(dx)",
+    "geometry.AttackSceneConfig(theta)",
+    "geometry.AttackSceneConfig(ul1)",
+    "geometry.AttackSceneConfig(um1)",
+    "geometry.AttackSceneConfig(ur1)",
+    "geometry.flow_rotated(ends)",
+    "geometry.rotation_beta_factors(ends)",
+    "geometry.closed_form_rotated_ratio(ends)",
+    "geometry.simulate_sequence(dv_schedule)",
+    "recurrent.ConvGruCell.seeded(scale)",
+    "recurrent.ConvGruCell.seeded(seed)",
+    "supervision._shift_responses(offsets)",
+    "supervision.BinaryHead.seeded(seed)",
+)
+
+
+def defaulted_settings(source: str, module: str) -> list:
+    """The module's defaulted parameters and dataclass fields, in order."""
+    found = []
+
+    def is_dataclass(node):
+        return any(ast.unparse(d).split("(")[0].endswith("dataclass")
+                   for d in node.decorator_list)
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            name = ".".join([module, *path, getattr(child, "name", "")])
+            if isinstance(child, ast.ClassDef):
+                if is_dataclass(child):
+                    found.extend(
+                        f"{name}({item.target.id})" for item in child.body
+                        if isinstance(item, ast.AnnAssign)
+                        and item.value is not None)
+                visit(child, [*path, child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [arg for arg, default in
+                              zip(args.kwonlyargs, args.kw_defaults)
+                              if default is not None]
+                found.extend(f"{name}({arg.arg})" for arg in defaulted)
+                visit(child, [*path, child.name])
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_every_setting_is_in_the_table():
+    found = []
+    for path in sorted(Path(depthpad.__file__).parent.glob("*.py")):
+        found += defaulted_settings(path.read_text(), path.stem)
+    assert sorted(found) == sorted(SETTINGS)
+    assert len(SETTINGS) == len(set(SETTINGS)) == 22
+
+
+def test_settings_census_sees_what_it_should():
+    source = """
+from dataclasses import dataclass
+import dataclasses
+
+@dataclass(frozen=True)
+class A:
+    x: int
+    y: int = 0
+    def f(self, a, b=1, *args, c, d=2, **kw):
+        def inner(e=3): pass
+
+@dataclasses.dataclass
+class B:
+    z: float = 1.0
+
+class C:
+    w: int = 5
+    def g(self, p=None, /, q=0): pass
+"""
+    assert defaulted_settings(source, "m") == [
+        "m.A(y)", "m.A.f(b)", "m.A.f(d)", "m.A.f.inner(e)", "m.B(z)",
+        "m.C.g(p)", "m.C.g(q)"]
 
 
 class TestArgparseContract:

@@ -26,6 +26,16 @@ def hemisphere_cloud(grid_size=65):
                                    radius=12.0, grid_size=grid_size)
 
 
+def jittered(cloud, amount, seed):
+    """The cloud's vertices with x, then y, moved by uniform draws in
+    [-amount, amount]; z is kept, as only x and y place a vertex in a cell."""
+    rng = np.random.default_rng(seed)
+    v = cloud.vertices.copy()
+    v[:, 0] += rng.uniform(-amount, amount, len(v))
+    v[:, 1] += rng.uniform(-amount, amount, len(v))
+    return v
+
+
 def reference_hull_mask(occupied):
     # Triangulation path: a cell is inside when its centre falls in some
     # Delaunay simplex of the occupied cell centres.
@@ -115,12 +125,10 @@ def reference_fill_holes(values, filled, hull):
     return values
 
 
-def occupied_cells(vertices, grid=32):
+def occupied_cells(vertices):
     v = np.asarray(vertices, dtype=float)
-    occupied = np.zeros((grid, grid), dtype=bool)
-    cols = _cell_indices(v[:, 0], v[:, 0].min(), v[:, 0].max(), grid)
-    rows = _cell_indices(v[:, 1], v[:, 1].min(), v[:, 1].max(), grid)
-    occupied[rows, cols] = True
+    occupied = np.zeros((32, 32), dtype=bool)
+    occupied[_cell_indices(v[:, 1]), _cell_indices(v[:, 0])] = True
     return occupied
 
 
@@ -162,11 +170,6 @@ class TestSynthesizeFaceSurface:
         assert len(synthesize_face_surface(grid_size=32)) == 32 * 32
         assert len(synthesize_face_surface(grid_size=17)) == 17 * 17
 
-    def test_deterministic(self):
-        a = synthesize_face_surface(jitter=0.2, seed=5)
-        b = synthesize_face_surface(jitter=0.2, seed=5)
-        assert np.array_equal(a.vertices, b.vertices)
-
     def test_flat_surface_rejected_downstream(self):
         flat = synthesize_face_surface(amplitude=0.0)
         with pytest.raises(ValueError):
@@ -184,6 +187,13 @@ class TestGenerateLivingDepth:
                              np.full(50, 3.0)])
         with pytest.raises(ValueError):
             generate_living_depth(VertexSet(v))
+
+    def test_zero_extent_rejected(self):
+        # The grid spans the vertex extent, so a cloud on one vertical line
+        # has no width to rasterize over.
+        line = np.column_stack([np.full(5, 3.0), np.arange(5.0), np.arange(5.0)])
+        with pytest.raises(ValueError, match="vertex extent must be positive"):
+            generate_living_depth(VertexSet(line))
 
     def test_hemisphere_against_analytic_profile(self):
         depth = generate_living_depth(hemisphere_cloud())
@@ -227,15 +237,19 @@ class TestGenerateLivingDepth:
         from depthpad.depthlabel import _hull_mask
         cloud = hemisphere_cloud(grid_size=65)
         sparse = VertexSet(cloud.vertices[::7])
-        depth = generate_living_depth(sparse, bounds=(4.0, 28.0, 4.0, 28.0))
+        depth = generate_living_depth(sparse)
         v = depth.values
         assert np.all(np.isfinite(v))
         assert v.max() == 1.0
-        # Re-derive the occupied cells to check every in-hull cell got a value
-        # strictly inside the normalized range of its neighbors.
+        # Re-derive the occupied cells on the vertex extent to check every
+        # in-hull cell got a value strictly inside the normalized range of
+        # its neighbors.
         verts = sparse.vertices
-        cols = np.clip(((verts[:, 0] - 4.0) / 24.0 * 32).astype(int), 0, 31)
-        rows = np.clip(((verts[:, 1] - 4.0) / 24.0 * 32).astype(int), 0, 31)
+        low, high = verts[:, :2].min(axis=0), verts[:, :2].max(axis=0)
+        assert low.tolist() == [4.0, 4.0] and high.tolist() == [28.0, 28.0]
+        cells = np.clip(((verts[:, :2] - low) / (high - low) * 32).astype(int),
+                        0, 31)
+        cols, rows = cells[:, 0], cells[:, 1]
         occupied = np.zeros((32, 32), dtype=bool)
         occupied[rows, cols] = True
         assert occupied.sum() < 32 * 32  # the cloud really is sparse
@@ -250,18 +264,14 @@ class TestGenerateLivingDepth:
         ring = np.column_stack([16 + 10 * np.cos(angles), 16 + 10 * np.sin(angles),
                                 np.ones(60)])
         peak = np.array([[16.0, 16.0, 5.0]])
-        depth = generate_living_depth(VertexSet(np.vstack([ring, peak])),
-                                      bounds=(0.0, 32.0, 0.0, 32.0))
+        depth = generate_living_depth(VertexSet(np.vstack([ring, peak])))
         v = depth.values
+        # The grid spans the ring's extent [6, 26] in x and y, so the peak
+        # lands in cell 16 and cell 12 holds x or y of about 13.8.
         assert v[16, 16] == 1.0
         # Interior cells between ring and peak were holes; all filled > 0.
         assert v[16, 12] > 0.0
         assert v[12, 16] > 0.0
-
-    def test_out_of_bounds_vertices_rejected(self):
-        cloud = hemisphere_cloud(grid_size=20)
-        with pytest.raises(ValueError):
-            generate_living_depth(cloud, bounds=(10.0, 20.0, 10.0, 20.0))
 
 
 class TestLivingDepthProperties:
@@ -311,11 +321,11 @@ class TestHullMask:
     def test_dome_clouds(self):
         # The unjittered 65x65 dome is the demo's living surface.
         for grid_size in (12, 20, 65):
-            clouds = [synthesize_face_surface(grid_size=grid_size)]
-            clouds += [synthesize_face_surface(grid_size=grid_size, jitter=0.4,
-                                               seed=seed) for seed in range(10)]
+            dome = synthesize_face_surface(grid_size=grid_size)
+            clouds = [dome.vertices]
+            clouds += [jittered(dome, 0.4, seed) for seed in range(10)]
             for cloud in clouds:
-                self.assert_matches_reference(occupied_cells(cloud.vertices))
+                self.assert_matches_reference(occupied_cells(cloud))
 
     def test_sparse_random_clouds(self):
         rng = np.random.default_rng(7)
@@ -373,7 +383,7 @@ class TestMaskFromDepth:
 
     def test_hemisphere_mask_matches_support_oracle(self):
         depth = generate_living_depth(hemisphere_cloud())
-        mask = mask_from_depth(depth, threshold=0.0)
+        mask = mask_from_depth(depth)
         # Oracle: a cell belongs to the face if any of its lattice points falls
         # strictly inside the dome support; re-derived with plain loops.
         xs = np.linspace(4.0, 28.0, 65)
@@ -385,11 +395,6 @@ class TestMaskFromDepth:
                     i = min(int((y - 4.0) / 24.0 * 32), 31)
                     expected[i, j] = 1
         assert np.array_equal(mask, expected)
-
-    def test_threshold_one_keeps_at_most_one_cell(self):
-        depth = generate_living_depth(hemisphere_cloud())
-        mask = mask_from_depth(depth, threshold=1.0)
-        assert mask.sum() <= 1
 
     def test_living_mask_nonempty(self):
         depth = generate_living_depth(hemisphere_cloud())

@@ -55,11 +55,8 @@ class TestConv2d:
     def test_averaging_kernel_on_constant(self):
         x = np.full((6, 6, 1), 3.7)
         k = np.full((3, 3, 1, 1), 1.0 / 9.0)
-        out = conv2d(x, k, padding="replicate")
-        assert np.allclose(out, 3.7, atol=1e-12)
-        zero_pad = conv2d(x, k, padding="zero")
-        assert np.allclose(zero_pad[1:-1, 1:-1], 3.7, atol=1e-12)
-        assert zero_pad[0, 0, 0] < 3.7  # zero padding bleeds into the border
+        out = conv2d(x, k)
+        assert np.allclose(out, 3.7, atol=1e-12)  # borders included
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
@@ -77,10 +74,8 @@ class TestConv2d:
             for kh, kw in ((1, 1), (3, 3), (5, 5), (1, 3), (5, 3)):
                 x = rng.standard_normal(shape)
                 k = rng.standard_normal((kh, kw, shape[2], 3))
-                for padding in ("replicate", "zero"):
-                    assert np.allclose(conv2d(x, k, padding),
-                                       reference_conv2d(x, k, padding),
-                                       atol=1e-12)
+                assert np.allclose(conv2d(x, k), reference_conv2d(x, k),
+                                   atol=1e-12)
 
     def test_shape_and_parity_errors(self):
         x = np.zeros((5, 5, 2))
@@ -88,8 +83,6 @@ class TestConv2d:
             conv2d(x, np.zeros((3, 3, 3, 1)))  # channel mismatch
         with pytest.raises(ValueError):
             conv2d(x, np.zeros((2, 3, 2, 1)))  # even kernel dim
-        with pytest.raises(ValueError):
-            conv2d(x, np.zeros((3, 3, 2, 1)), padding="reflect")
 
 
 class TestSpatialGradient:
@@ -428,7 +421,6 @@ def np_pad_sobel(x):
 
 
 odd_kernel_dims = st.sampled_from([1, 3, 5, 7])
-paddings = st.sampled_from(sorted(NP_PAD_MODES))
 
 
 @st.composite
@@ -439,32 +431,31 @@ def hwc_tensors(draw, min_side=1):
 
 
 class TestOneBufferPadding:
-    """The slice-assigned padding equals numpy's pad bit for bit."""
+    """The slice-assigned replicate padding equals numpy's edge pad bit for bit."""
 
     @settings(max_examples=150, deadline=None)
-    @given(hwc_tensors(), odd_kernel_dims, odd_kernel_dims, paddings)
-    def test_pad_matches_numpy_pad(self, x, kh, kw, padding):
-        got = features._pad(x, kh // 2, kw // 2, padding)
-        assert np.array_equal(got, np_pad_hwc(x, kh // 2, kw // 2, padding))
+    @given(hwc_tensors(), odd_kernel_dims, odd_kernel_dims)
+    def test_pad_matches_numpy_pad(self, x, kh, kw):
+        got = features._pad(x, kh // 2, kw // 2)
+        assert np.array_equal(got, np_pad_hwc(x, kh // 2, kw // 2, "replicate"))
 
     @settings(max_examples=60, deadline=None)
-    @given(hwc_tensors(), st.integers(0, 12), st.integers(0, 12), paddings)
-    def test_pad_wider_than_the_input(self, x, ph, pw, padding):
-        assert np.array_equal(features._pad(x, ph, pw, padding),
-                              np_pad_hwc(x, ph, pw, padding))
+    @given(hwc_tensors(), st.integers(0, 12), st.integers(0, 12))
+    def test_pad_wider_than_the_input(self, x, ph, pw):
+        assert np.array_equal(features._pad(x, ph, pw),
+                              np_pad_hwc(x, ph, pw, "replicate"))
 
     def test_zero_widths_return_the_input(self):
         x = np.random.default_rng(22).standard_normal((4, 5, 2))
-        for padding in NP_PAD_MODES:
-            assert features._pad(x, 0, 0, padding) is x
+        assert features._pad(x, 0, 0) is x
 
     @settings(max_examples=120, deadline=None)
-    @given(hwc_tensors(), odd_kernel_dims, odd_kernel_dims, paddings,
+    @given(hwc_tensors(), odd_kernel_dims, odd_kernel_dims,
            st.integers(1, 4), st.integers(0, 2**32 - 1))
-    def test_conv2d_matches_numpy_pad_tap_sum(self, x, kh, kw, padding, cout, seed):
+    def test_conv2d_matches_numpy_pad_tap_sum(self, x, kh, kw, cout, seed):
         kernel = np.random.default_rng(seed).standard_normal((kh, kw, x.shape[2], cout))
-        assert np.array_equal(conv2d(x, kernel, padding),
-                              tap_sum_conv2d(x, kernel, padding))
+        assert np.array_equal(conv2d(x, kernel),
+                              tap_sum_conv2d(x, kernel, "replicate"))
 
     @settings(max_examples=80, deadline=None)
     @given(hwc_tensors(min_side=3))

@@ -104,6 +104,21 @@ class TestEstimateRelativeDepth:
         est = estimate_relative_depth(FlowObservation(2, 1, 0.8))
         assert est.ratio == pytest.approx(2 / 3, rel=1e-12)
 
+    @pytest.mark.parametrize("flows", [
+        (1e308, 1e-10, 1e-10),       # num and den overflow: inf / inf
+        (1e308, 5e307, 1e-10),       # den overflows: num / inf reads 0.0
+        (1e308, 1e-10, 5e307),       # num overflows: inf / 1
+        (1e305, 1.0, 1e305 / (1.0 + 1e-5)),  # both finite, the ratio overflows
+    ])
+    def test_overflowing_ratio_is_inconsistent(self, flows):
+        with pytest.raises(InconsistentFlowError, match="flow ratios overflow"):
+            estimate_relative_depth(FlowObservation(*flows))
+
+    def test_overflowing_real_scene_cannot_be_simulated(self):
+        cfg = RealSceneConfig(f=1.0, z=1e-308, d1=1e10, d2=2e10, dx=0.3)
+        with pytest.raises(InconsistentFlowError, match="flow ratios overflow"):
+            simulate_sequence(cfg, 3)
+
     def test_vanishing_denominator_is_inconsistent(self):
         with pytest.raises(InconsistentFlowError):
             estimate_relative_depth(FlowObservation(1.0, 0.7, 1.0))
@@ -122,19 +137,19 @@ class TestEstimateRelativeDepth:
 
 class TestReplayScene:
     def test_static_carrier_matches_real_scene(self):
-        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=1, dv=0)
-        obs = flow_replay(cfg)
+        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=1)
+        obs = flow_replay(cfg, 0.0)
         assert (obs.du_l, obs.du_m, obs.du_r) == pytest.approx((1, 0.5, 1 / 3))
 
     def test_print_attack_flows_coincide(self):
-        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=0, dv=1)
-        obs = flow_replay(cfg)
+        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=0)
+        obs = flow_replay(cfg, 1.0)
         assert (obs.du_l, obs.du_m, obs.du_r) == pytest.approx((1, 1, 1))
         assert estimate_relative_depth(obs).degenerate_flat
 
     def test_hand_evaluated_shaking_carrier(self):
-        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=1, dv=0.1)
-        obs = flow_replay(cfg)
+        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=1)
+        obs = flow_replay(cfg, 0.1)
         assert obs.du_l == pytest.approx(1.1)
         assert obs.du_m == pytest.approx(0.6)
         assert obs.du_r == pytest.approx(1.3 / 3)
@@ -142,34 +157,33 @@ class TestReplayScene:
     def test_rotated_config_rejected(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=1, theta=0.1)
         with pytest.raises(ValueError):
-            flow_replay(cfg)
+            flow_replay(cfg, 0.0)
         with pytest.raises(ValueError):
-            replay_distortion_factor(cfg)
+            replay_distortion_factor(cfg, 0.0)
 
 
 class TestReplayDistortionFactor:
     def test_static_carrier_is_perfect_spoof(self):
-        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=1, dv=0)
-        assert replay_distortion_factor(cfg) == 1.0
+        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=1)
+        assert replay_distortion_factor(cfg, 0.0) == 1.0
 
     def test_hand_evaluated_factor_and_estimate(self):
-        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=1, dv=0.1)
-        factor = replay_distortion_factor(cfg)
+        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=1)
+        factor = replay_distortion_factor(cfg, 0.1)
         assert factor == pytest.approx(1.3 / 1.2, rel=1e-12)
-        est = estimate_relative_depth(flow_replay(cfg))
+        est = estimate_relative_depth(flow_replay(cfg, 0.1))
         assert est.ratio == pytest.approx(0.5 * factor, rel=1e-9)
         assert est.ratio == pytest.approx(0.5416666666666666, rel=1e-9)
 
     def test_equal_offsets_always_undistorted(self):
+        cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=3, d1=1.5, d2=1.5, dx=0.7)
         for dv in (0.0, 0.3, -2.0):
-            cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=3, d1=1.5, d2=1.5,
-                                    dx=0.7, dv=dv)
-            assert replay_distortion_factor(cfg) == 1.0
+            assert replay_distortion_factor(cfg, dv) == 1.0
 
     def test_vanishing_denominator_raises(self):
-        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=0, d2=1, dx=1, dv=-1)
+        cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=0, d2=1, dx=1)
         with pytest.raises(SingularConfigError):
-            replay_distortion_factor(cfg)
+            replay_distortion_factor(cfg, -1.0)
 
 
 class TestRotatedCarrier:
@@ -197,14 +211,15 @@ class TestRotatedCarrier:
                 ray_plane_remap(u, zb, theta), rel=1e-12)
 
     def test_shaking_rotated_carrier_rejected(self):
-        # Rotation formulas take no shake, so a nonzero dv would be ignored;
-        # it is refused as the same shake in a dv schedule is.
-        common = dict(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0.3)
-        for theta, dv in ((0.1, 0.05), (-0.1, -1e-300)):
+        # Rotation formulas take no shake, so a nonzero schedule entry would
+        # be ignored; it is refused, however small, while zeros are stepped.
+        cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0,
+                                dx=0.3, theta=-0.1)
+        for schedule in ([0.05, 0.0, 0.0], [0.0, 0.0, -1e-300]):
             with pytest.raises(ValueError, match="nonzero shake is not modeled"):
-                AttackSceneConfig(theta=theta, dv=dv, **common)
-        AttackSceneConfig(theta=0.1, dv=0.0, **common)
-        AttackSceneConfig(theta=0.0, dv=0.05, **common)
+                simulate_sequence(cfg, 4, dv_schedule=schedule)
+        assert (repr(simulate_sequence(cfg, 4, dv_schedule=[0.0, -0.0, 0.0]))
+                == repr(simulate_sequence(cfg, 4)))
 
     def test_degenerate_intersection_rejected(self):
         with pytest.raises(DegenerateRotationError):
@@ -213,7 +228,7 @@ class TestRotatedCarrier:
     def test_zero_angle_equals_static_replay(self):
         cfg = AttackSceneConfig(fa=1, fb=2, za=2, zb=3, d1=0.5, d2=1.5, dx=0.4)
         rot = flow_rotated(cfg)
-        rep = flow_replay(cfg)
+        rep = flow_replay(cfg, 0.0)
         assert rot.du_l == pytest.approx(rep.du_l, rel=1e-12)
         assert rot.du_m == pytest.approx(rep.du_m, rel=1e-12)
         assert rot.du_r == pytest.approx(rep.du_r, rel=1e-12)
@@ -308,11 +323,11 @@ class TestSimulateSequence:
         ratios = [r.estimate.ratio for r in records]
         assert np.var(ratios) > 0
         for rec, dv in zip(records, schedule):
-            frame_cfg = replace(cfg, dv=dv)
             assert rec.estimate.ratio == pytest.approx(
-                closed_form_replay_ratio(frame_cfg), rel=1e-9)
+                closed_form_replay_ratio(cfg, dv), rel=1e-9)
             assert rec.closed_form_ratio == pytest.approx(
-                closed_form_replay_ratio(frame_cfg), rel=1e-12)
+                closed_form_replay_ratio(cfg, dv), rel=1e-12)
+
 
     def test_rotated_series_drifts(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=4, zb=10, d1=1, d2=3, dx=0.4,
@@ -403,16 +418,17 @@ def reference_simulate_sequence(cfg, n_frames, dv_schedule=None):
         return records
 
     if dv_schedule is None:
-        dv_schedule = [cfg.dv] * n_steps
+        dv_schedule = [0.0] * n_steps
     if len(dv_schedule) != n_steps:
         raise ValueError(
             f"dv schedule has {len(dv_schedule)} entries for {n_steps} frame steps")
     records = []
     for t, dv in enumerate(dv_schedule):
-        frame_cfg = replace(cfg, dv=dv)
-        obs = flow_replay(frame_cfg)
+        if not math.isfinite(dv):
+            raise ValueError(f"dv must be finite, got {dv!r}")
+        obs = flow_replay(cfg, dv)
         est = estimate_relative_depth(obs)
-        closed = None if frame_cfg.dx == 0.0 else closed_form_replay_ratio(frame_cfg)
+        closed = None if cfg.dx == 0.0 else closed_form_replay_ratio(cfg, dv)
         records.append(FrameRecord(t + 1, obs, est, closed))
     return records
 
@@ -466,10 +482,12 @@ def scenes_and_schedules(draw):
         schedule = draw(st.one_of(st.none(), st.just([0.0] * n_steps),
                                   steps_st))
         return cfg, n_frames, schedule
-    cfg = AttackSceneConfig(zb=draw(length_st), dv=draw(nonzero(-1.0, 1.0)),
+    cfg = AttackSceneConfig(zb=draw(length_st),
                             dx=0.0 if kind == "print" else draw(motion_st),
                             **common)
-    schedule = draw(st.one_of(st.none(), steps_st))
+    # A constant shake as well as a drawn one per step; None is no shake.
+    shake = draw(nonzero(-1.0, 1.0))
+    schedule = draw(st.one_of(st.none(), st.just([shake] * n_steps), steps_st))
     if schedule and draw(st.booleans()):
         # The shake that cancels the recorded motion at the middle point.
         i = draw(st.integers(0, n_steps - 1))
@@ -591,23 +609,21 @@ class TestBoundaryProperties:
     def test_exact_replay_cancellation_is_singular(self, cfg):
         dv = cancelling_shake(cfg)
         assume(cfg.fa * cfg.dx + (cfg.za + cfg.d1) * dv == 0.0)
-        cfg = replace(cfg, dv=dv)
         with pytest.raises(SingularConfigError):
-            replay_distortion_factor(cfg)
+            replay_distortion_factor(cfg, dv)
         with pytest.raises(SingularConfigError):
-            closed_form_replay_ratio(cfg)
+            closed_form_replay_ratio(cfg, dv)
         # The middle flow's numerator may cancel to exactly 0 first.
         with pytest.raises((SingularConfigError, InconsistentFlowError)):
-            simulate_sequence(cfg, 2)
+            simulate_sequence(cfg, 2, dv_schedule=[dv])
 
     @settings(max_examples=150, deadline=None)
     @given(replay_scenes(), sign_st, st.floats(-6.0, -3.0))
     def test_closed_form_agrees_near_replay_cancellation(self, cfg, sign,
                                                          exponent):
         dv = cancelling_shake(cfg) * (1.0 + sign * 10.0 ** exponent)
-        cfg = replace(cfg, dv=dv)
-        closed = closed_form_replay_ratio(cfg)
-        est = estimate_relative_depth(flow_replay(cfg))
+        closed = closed_form_replay_ratio(cfg, dv)
+        est = estimate_relative_depth(flow_replay(cfg, dv))
         assert not est.degenerate_flat
         assert est.ratio == pytest.approx(closed, rel=1e-9)
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthpad.features import conv2d
 from depthpad.recurrent import (
     ConvGruCell,
     convgru_run,
@@ -11,6 +10,8 @@ from depthpad.recurrent import (
     fuse_depth,
     sigmoid,
 )
+
+from test_features import reference_conv2d, tap_sum_conv2d
 
 
 def zero_cell(input_channels=1, hidden_channels=1):
@@ -55,10 +56,10 @@ class TestConvGruStep:
             h = rng.uniform(-1, 1, (7, 9, hidden))
             x = rng.standard_normal((7, 9, 4))
             hx = np.concatenate([h, x], axis=2)
-            r = 1.0 / (1.0 + np.exp(-conv2d(hx, cell.k_r, padding="zero")))
-            u = 1.0 / (1.0 + np.exp(-conv2d(hx, cell.k_u, padding="zero")))
-            c = np.tanh(conv2d(np.concatenate([r * h, x], axis=2), cell.k_h,
-                               padding="zero"))
+            r = 1.0 / (1.0 + np.exp(-reference_conv2d(hx, cell.k_r, "zero")))
+            u = 1.0 / (1.0 + np.exp(-reference_conv2d(hx, cell.k_u, "zero")))
+            c = np.tanh(reference_conv2d(np.concatenate([r * h, x], axis=2),
+                                         cell.k_h, "zero"))
             h_new, (r_got, u_got) = convgru_step(cell, h, x)
             assert np.allclose(r_got, r, rtol=0, atol=1e-12)
             assert np.allclose(u_got, u, rtol=0, atol=1e-12)
@@ -66,19 +67,20 @@ class TestConvGruStep:
 
     def test_matches_concatenate_and_conv2d_bit_for_bit(self):
         # The shared buffer's r * h overwrite must leave the x channels and
-        # the zero border exactly as a fresh concatenate-and-pad would.
+        # the zero border exactly as a fresh concatenate-and-pad would; the
+        # reference is numpy's zero pad plus conv2d's tap sum.
         rng = np.random.default_rng(24)
         for hidden in (1, 3):
             cell = ConvGruCell.seeded(input_channels=4, hidden_channels=hidden,
                                       scale=0.5, seed=10 + hidden)
             h = rng.uniform(-1, 1, (7, 9, hidden))
             x = rng.standard_normal((7, 9, 4))
-            gates = sigmoid(conv2d(np.concatenate([h, x], axis=2),
-                                   np.concatenate([cell.k_r, cell.k_u], axis=3),
-                                   padding="zero"))
+            gates = sigmoid(tap_sum_conv2d(
+                np.concatenate([h, x], axis=2),
+                np.concatenate([cell.k_r, cell.k_u], axis=3), "zero"))
             r, u = gates[:, :, :hidden], gates[:, :, hidden:]
-            c = np.tanh(conv2d(np.concatenate([r * h, x], axis=2), cell.k_h,
-                               padding="zero"))
+            c = np.tanh(tap_sum_conv2d(np.concatenate([r * h, x], axis=2),
+                                       cell.k_h, "zero"))
             h_new, (r_got, u_got) = convgru_step(cell, h, x)
             assert np.array_equal(r_got, r)
             assert np.array_equal(u_got, u)
