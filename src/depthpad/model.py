@@ -7,6 +7,9 @@ score. All randomness flows from the seed; the weights are fixed, not trained.
 
 from __future__ import annotations
 
+import functools
+import types
+
 import numpy as np
 
 from . import depthlabel, metrics
@@ -14,8 +17,8 @@ from .features import OffBlockWeights, off_sequence
 from .recurrent import ConvGruCell, convgru_run, fuse_depth, sigmoid
 from .supervision import BinaryHead, LossReport, multi_frame_report
 
-DEMO_SURFACE = {"amplitude": 8.0, "center": (16.0, 16.0), "radius": 12.0,
-                "grid_size": 65}
+DEMO_SURFACE = types.MappingProxyType(
+    {"amplitude": 8.0, "center": (16.0, 16.0), "radius": 12.0, "grid_size": 65})
 DEMO_REDUCE_CHANNELS = 16
 DEMO_FUSE_CHANNELS = 32
 
@@ -27,6 +30,34 @@ def _demo_frames(base: np.ndarray, n_frames: int) -> np.ndarray:
     return stacked[rows % len(base)]
 
 
+@functools.cache
+def demo_labels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(living label, spoof label, int64 face mask) of DEMO_SURFACE, read-only.
+
+    None depends on the seed, so they are built once per process.
+    """
+    living = depthlabel.generate_living_depth(
+        depthlabel.synthesize_face_surface(**DEMO_SURFACE))
+    grids = (living.values, depthlabel.spoof_depth().values,
+             depthlabel.mask_from_depth(living))
+    for values in grids:
+        values.flags.writeable = False
+    return grids
+
+
+def _fused_maps(base: np.ndarray, frames: int, single_kernel: np.ndarray,
+                off_weights: OffBlockWeights, cell: ConvGruCell,
+                alpha: float) -> np.ndarray:
+    """(T - 1, H, W) fused depth of one sample; its motion tensors die here."""
+    frame_stack = _demo_frames(base, frames)
+    # Step t fuses frame t + 1's single-frame map (a 1x1 conv, one matmul over
+    # the stack); frame 0 needs none.
+    single = sigmoid((frame_stack[1:] @ single_kernel[0, 0])[..., 0])
+    motion = off_sequence(frame_stack, off_weights)
+    states = convgru_run(cell, np.zeros(base.shape + (1,)), motion)
+    return fuse_depth(single, states[..., 0], alpha)
+
+
 def run_model(alpha: float, beta: float, frames: int, seed: int,
               oracle: bool
               ) -> dict[str, tuple[LossReport, float, float, float]]:
@@ -34,24 +65,21 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
 
     The keys are "living" and "spoof", in that order. In oracle mode the
     ground-truth depth maps stand in for the fused maps and no binary head is
-    drawn, so b_hat is 0.5.
+    drawn, so b_hat is 0.5. The labels and mask are demo_labels, shared
+    read-only; full mode draws the head only after both fused maps exist.
     """
     n_steps = frames - 1
     grid = depthlabel.GRID_SIZE
 
-    surface = depthlabel.synthesize_face_surface(**DEMO_SURFACE)
-    living_label = depthlabel.generate_living_depth(surface)
-    spoof_label = depthlabel.spoof_depth()
-    mask = depthlabel.mask_from_depth(living_label)
+    living_label, spoof_label, mask = demo_labels()
     steps = (n_steps, grid, grid)  # one label per step, as read-only views
-    labels = {"living": np.broadcast_to(living_label.values, steps),
-              "spoof": np.broadcast_to(spoof_label.values, steps)}
+    labels = {"living": np.broadcast_to(living_label, steps),
+              "spoof": np.broadcast_to(spoof_label, steps)}
 
     if oracle:
         head = None
         fused = labels
     else:
-        head = BinaryHead.seeded(n_steps * grid * grid, seed=seed + 3)
         off_weights = OffBlockWeights.seeded(
             3, reduce_channels=DEMO_REDUCE_CHANNELS,
             out_channels=DEMO_FUSE_CHANNELS, seed=seed + 1)
@@ -61,16 +89,12 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
                          .standard_normal((1, 1, 3, 1)))
         # A planar ramp stands in for the flat printed texture.
         ramp = np.tile(np.linspace(0.0, 1.0, grid)[:, None], (1, grid))
-        bases = {"living": living_label.values, "spoof": ramp}
-        fused = {}
-        for kind, base in bases.items():
-            frame_stack = _demo_frames(base, frames)
-            # Step t fuses frame t + 1's single-frame map (a 1x1 conv, one
-            # matmul over the stack); frame 0 needs none.
-            single = sigmoid((frame_stack[1:] @ single_kernel[0, 0])[..., 0])
-            motion = off_sequence(frame_stack, off_weights)
-            states = convgru_run(cell, np.zeros((grid, grid, 1)), motion)
-            fused[kind] = fuse_depth(single, states[..., 0], alpha)
+        fused = {kind: _fused_maps(base, frames, single_kernel, off_weights,
+                                   cell, alpha)
+                 for kind, base in (("living", living_label), ("spoof", ramp))}
+        # Drawn last so the largest array never meets the motion tensors; each
+        # weight set has its own generator, so the order changes no value.
+        head = BinaryHead.seeded(n_steps * grid * grid, seed=seed + 3)
 
     results = {}
     for kind, binary_label in (("living", 1), ("spoof", 0)):
