@@ -109,7 +109,8 @@ def parse_config_file(path, command: str) -> dict:
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        # Lines break where splitlines breaks them, as for a decodable file.
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise UsageError(f"{path}:{line_no}: {exc}")
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -279,9 +280,9 @@ def _build_scene(name: str, s: Settings):
         return geometry.AttackSceneConfig(dx=0.0, **common)
     if name == "replay":
         return geometry.AttackSceneConfig(dx=s.get("dx"), **common)
+    geometry.check_starts((s.get("ul1"), s.get("um1"), s.get("ur1")))
     return geometry.AttackSceneConfig(dx=s.get("dx"), theta=s.get("theta"),
-                                      ul1=s.get("ul1"), um1=s.get("um1"),
-                                      ur1=s.get("ur1"), **common)
+                                      **common)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -298,12 +299,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(f"bad setting for scene {name!r}: {exc}")
 
+    starts = (s.get("ul1"), s.get("um1"), s.get("ur1"))
     results = {}
     for name, cfg in scenes.items():
         per_scene_schedule = schedule if name in ("print", "replay") else None
         try:
-            results[name] = geometry.simulate_sequence(cfg, frames,
-                                                       per_scene_schedule)
+            results[name] = geometry.simulate_sequence(
+                cfg, frames, per_scene_schedule, starts=starts)
         except ValueError as exc:
             raise DataError(f"scene {name!r} cannot be simulated: {exc}")
 

@@ -69,10 +69,8 @@ def spoof_depth() -> DepthMap:
     return DepthMap(np.zeros((GRID_SIZE, GRID_SIZE)), SPOOF)
 
 
-def synthesize_face_surface(amplitude: float = 8.0,
-                            center: tuple[float, float] = (16.0, 16.0),
-                            radius: float = 12.0,
-                            grid_size: int = 32) -> VertexSet:
+def synthesize_face_surface(*, amplitude: float, center: tuple[float, float],
+                            radius: float, grid_size: int) -> VertexSet:
     """Deterministic dome-shaped vertex cloud usable as a living face proxy.
 
     Samples a grid_size x grid_size lattice over the square circumscribing the

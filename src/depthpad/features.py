@@ -164,8 +164,8 @@ class OffBlockWeights:
 
     @classmethod
     def seeded(cls, in_channels: int, reduce_channels: int,
-               out_channels: int, prev_channels: int = 0,
-               seed: int = 0) -> "OffBlockWeights":
+               out_channels: int, prev_channels: int = 0, *,
+               seed: int) -> "OffBlockWeights":
         """Random weights scaled by fan-in, reproducible from the seed."""
         rng = np.random.default_rng(seed)
         reduce = rng.standard_normal((1, 1, in_channels, reduce_channels))

@@ -9,11 +9,11 @@ and carrier shake or carrier rotation distorts the estimate in ways computed
 here in closed form.
 
 Each replay formula takes the carrier shake dv of its frame step as a
-required argument; shake is a per-step quantity, not part of the scene. Each
-rotation formula takes the (start, end) recording-plane endpoints of the
-three points as an optional last argument; left out, they are the first
-step's, from cfg.ul1, um1, ur1. simulate_sequence steps a scene by calling
-these same functions with each step's value.
+required argument, and each rotation formula the (start, end) recording-plane
+endpoints of the three points of its step (see rotated_endpoints): both are
+per-step quantities, not part of the scene. simulate_sequence takes the
+rotated carrier's start coordinates and steps a scene by calling these same
+functions with each step's value.
 
 Every quantity shares one arbitrary length unit (only ratios matter) and all
 motion is restricted to the vertical axis. All functions are pure.
@@ -90,10 +90,9 @@ class AttackSceneConfig:
     point in the recorded scene); fb, zb describe the realistic camera watching
     the carrier. dx is the facial displacement inside the recorded content
     (0 for a print) and theta the carrier rotation angle in radians. Carrier
-    shake varies per frame step, so it is an argument of the replay formulas
-    and simulate_sequence, not a field. ul1, um1, ur1 are the recording-plane
-    start coordinates of the three points that the rotation formulas fall
-    back to.
+    shake and a rotated carrier's recording-plane coordinates vary per frame
+    step, so they are arguments of the formulas and simulate_sequence, not
+    fields.
     """
 
     fa: float
@@ -102,15 +101,11 @@ class AttackSceneConfig:
     zb: float
     d1: float
     d2: float
-    dx: float = 0.0
+    dx: float
     theta: float = 0.0
-    ul1: float = 1.0
-    um1: float = 1.2
-    ur1: float = 0.8
 
     def __post_init__(self) -> None:
-        for name in ("fa", "fb", "za", "zb", "d1", "d2", "dx", "theta",
-                     "ul1", "um1", "ur1"):
+        for name in ("fa", "fb", "za", "zb", "d1", "d2", "dx", "theta"):
             _check_finite(name, getattr(self, name))
         for name in ("fa", "fb", "za", "zb"):
             if getattr(self, name) <= 0:
@@ -250,30 +245,35 @@ def map_rotated_coordinate(u: float, zb: float, theta: float) -> float:
 Endpoints = tuple[tuple[float, float], ...]
 
 
-def _rotated_endpoints(cfg: AttackSceneConfig,
-                       starts: tuple[float, float, float]) -> Endpoints:
+def check_starts(starts: Sequence[float]) -> None:
+    """Reject anything but three finite start coordinates (ul1, um1, ur1)."""
+    if len(starts) != 3:
+        raise ValueError(f"a rotated carrier needs three start coordinates "
+                         f"(ul1, um1, ur1), got {starts!r}")
+    for name, u in zip(("ul1", "um1", "ur1"), starts):
+        _check_finite(name, u)
+
+
+def rotated_endpoints(cfg: AttackSceneConfig,
+                      starts: Sequence[float]) -> Endpoints:
     """(start, end) recording-plane coordinates of the near, middle, far points.
 
-    starts holds the near, middle and far start coordinates (cfg.ul1, um1,
-    ur1 on the first frame step); each end is its start displaced by that
-    point's recording flow fa*dx / (za + depth offset) inside the recorded
-    content.
+    starts holds the near, middle and far start coordinates of the frame
+    step; each end is its start displaced by that point's recording flow
+    fa*dx / (za + depth offset) inside the recorded content.
     """
     depths = (cfg.za, cfg.za + cfg.d1, cfg.za + cfg.d2)
     return tuple((u1, u1 + cfg.fa * cfg.dx / z) for u1, z in zip(starts, depths))
 
 
-def flow_rotated(cfg: AttackSceneConfig,
-                 ends: Optional[Endpoints] = None) -> FlowObservation:
+def flow_rotated(cfg: AttackSceneConfig, ends: Endpoints) -> FlowObservation:
     """Realistic-camera flows for a carrier rotated by cfg.theta.
 
     Each recording-plane flow is mapped through the rotated plane as the
     difference of map_rotated_coordinate at its start and end coordinates,
     then scaled onto the realistic image plane. ends holds the three points'
-    (start, end) pairs; None means the first step from cfg.ul1, um1, ur1.
+    (start, end) pairs.
     """
-    if ends is None:
-        ends = _rotated_endpoints(cfg, (cfg.ul1, cfg.um1, cfg.ur1))
     mapped = [map_rotated_coordinate(u2, cfg.zb, cfg.theta)
               - map_rotated_coordinate(u1, cfg.zb, cfg.theta)
               for u1, u2 in ends]
@@ -282,15 +282,13 @@ def flow_rotated(cfg: AttackSceneConfig,
 
 
 def rotation_beta_factors(cfg: AttackSceneConfig,
-                          ends: Optional[Endpoints] = None) -> tuple[float, float]:
+                          ends: Endpoints) -> tuple[float, float]:
     """Distortion factors (beta1, beta2) introduced by carrier rotation.
 
     beta1 scales the near/middle flow ratio, beta2 the near/far one; both are
     products of the per-endpoint intersection denominators. With theta = 0
     both collapse to exactly 1.
     """
-    if ends is None:
-        ends = _rotated_endpoints(cfg, (cfg.ul1, cfg.um1, cfg.ur1))
     s = math.sin(cfg.theta)
     den = {}
     for key, (u1, u2) in zip("lmr", ends):
@@ -303,8 +301,7 @@ def rotation_beta_factors(cfg: AttackSceneConfig,
     return den["m"] / den["l"], den["r"] / den["l"]
 
 
-def closed_form_rotated_ratio(cfg: AttackSceneConfig,
-                              ends: Optional[Endpoints] = None) -> float:
+def closed_form_rotated_ratio(cfg: AttackSceneConfig, ends: Endpoints) -> float:
     """Rotated-carrier relative-depth estimate without simulating flows."""
     beta1, beta2 = rotation_beta_factors(cfg, ends)
     num = (cfg.d1 / cfg.za + 1.0) * beta1 - 1.0
@@ -328,15 +325,17 @@ SceneConfig = RealSceneConfig | AttackSceneConfig
 
 
 def simulate_sequence(cfg: SceneConfig, n_frames: int,
-                      dv_schedule: Optional[Sequence[float]] = None
+                      dv_schedule: Optional[Sequence[float]] = None, *,
+                      starts: Optional[Sequence[float]]
                       ) -> list[FrameRecord]:
     """Per-frame relative-depth estimates over an n_frames video.
 
     n_frames frames yield n_frames - 1 flow observations. A dv schedule holds
     one shake value per frame step (none: no shake); real scenes reject it
-    and rotated carriers accept only zeros. Rotated carriers advance their
-    recording-plane coordinates by each step's recording flows, so their
-    estimates drift over time while a real scene's series stays constant.
+    and rotated carriers accept only zeros. A rotated carrier (theta != 0)
+    advances its start coordinates starts = (ul1, um1, ur1) by each step's
+    recording flows, so its estimates drift while a real scene's series stays
+    constant; other scenes ignore starts.
     """
     if n_frames < 2:
         raise ValueError(f"a sequence needs at least 2 frames, got {n_frames}")
@@ -358,15 +357,14 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
     if cfg.theta != 0.0:
         if dv_schedule is not None and any(v != 0.0 for v in dv_schedule):
             raise ValueError("a rotated carrier with nonzero shake is not modeled")
-        starts = (cfg.ul1, cfg.um1, cfg.ur1)
+        check_starts(starts)
         for t in range(n_steps):
-            ends = _rotated_endpoints(cfg, starts)
+            ends = rotated_endpoints(cfg, starts)
             obs = flow_rotated(cfg, ends)
             records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
                                        closed_form_rotated_ratio(cfg, ends)))
             starts = tuple(u2 for _, u2 in ends)
-            for name, u in zip(("ul1", "um1", "ur1"), starts):
-                _check_finite(name, u)
+            check_starts(starts)
         return records
 
     if dv_schedule is None:

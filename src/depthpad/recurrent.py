@@ -67,8 +67,8 @@ class ConvGruCell:
         return self.k_r.shape[2] - self.hidden_channels
 
     @classmethod
-    def seeded(cls, input_channels: int, hidden_channels: int,
-               scale: float = 0.1, seed: int = 0) -> "ConvGruCell":
+    def seeded(cls, input_channels: int, hidden_channels: int, *,
+               scale: float, seed: int) -> "ConvGruCell":
         rng = np.random.default_rng(seed)
         shape = (3, 3, hidden_channels + input_channels, hidden_channels)
         return cls(*(scale * rng.standard_normal(shape) for _ in range(3)))

@@ -153,7 +153,7 @@ class BinaryHead:
         return self.w1.shape[0]
 
     @classmethod
-    def seeded(cls, input_dim: int, seed: int = 0) -> "BinaryHead":
+    def seeded(cls, input_dim: int, *, seed: int) -> "BinaryHead":
         rng = np.random.default_rng(seed)
         w1 = rng.standard_normal((input_dim, HEAD_HIDDEN))
         w1 /= math.sqrt(input_dim)

@@ -26,6 +26,7 @@ from depthpad.geometry import (
     map_rotated_coordinate,
     replay_distortion_factor,
     rotation_beta_factors,
+    rotated_endpoints,
 )
 from depthpad.recurrent import ConvGruCell, convgru_run, convgru_step
 from depthpad.supervision import (
@@ -116,24 +117,23 @@ def test_geometry_closed_form_suite():
             za=rng.uniform(2, 8), zb=rng.uniform(5, 15),
             d1=rng.uniform(0.05, 0.95) * d2, d2=d2,
             dx=rng.uniform(0.05, 0.5) * rng.choice([-1, 1]),
-            theta=rng.uniform(0.05, math.pi / 4) * rng.choice([-1, 1]),
-            ul1=rng.uniform(0.1, 2), um1=rng.uniform(0.1, 2),
-            ur1=rng.uniform(0.1, 2))
+            theta=rng.uniform(0.05, math.pi / 4) * rng.choice([-1, 1]))
+        starts = (rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0.1, 2))
+        ends = rotated_endpoints(cfg, starts)
         try:
-            closed = closed_form_rotated_ratio(cfg)
+            closed = closed_form_rotated_ratio(cfg, ends)
         except (DegenerateRotationError, SingularConfigError):
             continue
-        num = (cfg.d1 / cfg.za + 1.0) * rotation_beta_factors(cfg)[0] - 1.0
-        den = (cfg.d2 / cfg.za + 1.0) * rotation_beta_factors(cfg)[1] - 1.0
+        num = (cfg.d1 / cfg.za + 1.0) * rotation_beta_factors(cfg, ends)[0] - 1.0
+        den = (cfg.d2 / cfg.za + 1.0) * rotation_beta_factors(cfg, ends)[1] - 1.0
         if abs(den) < 1e-6 or abs(num) < 1e-6:
             continue
-        obs = flow_rotated(cfg)
+        obs = flow_rotated(cfg, ends)
         flows = (cfg.fa * cfg.dx / cfg.za,
                  cfg.fa * cfg.dx / (cfg.za + cfg.d1),
                  cfg.fa * cfg.dx / (cfg.za + cfg.d2))
         scale = cfg.fb / cfg.zb
-        for got, u1, du in zip((obs.du_l, obs.du_m, obs.du_r),
-                               (cfg.ul1, cfg.um1, cfg.ur1), flows):
+        for got, u1, du in zip((obs.du_l, obs.du_m, obs.du_r), starts, flows):
             expected = scale * (
                 map_rotated_coordinate(u1 + du, cfg.zb, cfg.theta)
                 - map_rotated_coordinate(u1, cfg.zb, cfg.theta))
@@ -150,10 +150,10 @@ def test_geometry_closed_form_suite():
         cfg = AttackSceneConfig(fa=rng.uniform(0.5, 2), fb=rng.uniform(0.5, 2),
                                 za=rng.uniform(2, 8), zb=rng.uniform(5, 15),
                                 d1=rng.uniform(0, 1) * d2, d2=d2,
-                                dx=rng.uniform(0.05, 0.5), theta=0.0,
-                                ul1=rng.uniform(0.1, 2), um1=rng.uniform(0.1, 2),
-                                ur1=rng.uniform(0.1, 2))
-        assert rotation_beta_factors(cfg) == (1.0, 1.0)
+                                dx=rng.uniform(0.05, 0.5), theta=0.0)
+        starts = (rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0.1, 2))
+        ends = rotated_endpoints(cfg, starts)
+        assert rotation_beta_factors(cfg, ends) == (1.0, 1.0)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"geometry suite took {elapsed:.2f}s, budget 5s"

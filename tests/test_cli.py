@@ -290,6 +290,9 @@ class TestSimulate:
         ("theta = 2\n", "rotated", "theta must lie in (-pi/2, pi/2), got 2.0"),
         ("d1 = 2\nd2 = 1\n", "real", "need 0 <= d1 <= d2, got d1=2.0, d2=1.0"),
         ("f = nan\n", "real", "f must be finite, got nan"),
+        ("ul1 = nan\n", "rotated", "ul1 must be finite, got nan"),
+        ("um1 = inf\n", "rotated", "um1 must be finite, got inf"),
+        ("ur1 = -inf\n", "rotated", "ur1 must be finite, got -inf"),
     ])
     def test_bad_scene_setting_is_usage_error(self, tmp_path, capsys, text,
                                               scene, rule):
@@ -300,6 +303,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"usage error: bad setting for scene {scene!r}: {rule}" in err
         assert not out.exists()
+
+    def test_unrotated_carrier_is_a_still_replay(self, tmp_path):
+        # At theta = 0 the start coordinates are checked but never stepped:
+        # the carrier replays its content without shake.
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("scenes = rotated\ntheta = 0\n")
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+        digest = hashlib.sha256((out / "simulation.csv").read_bytes()).hexdigest()
+        assert digest == ("928285fb1fbc4f20b228a08b55ee4464"
+                          "cd8533c5d60a48f9fac99d2d66f1aa9c")
 
     def test_unusable_scene_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "still.cfg"
@@ -663,11 +677,17 @@ class TestOutputAndConfigErrors:
                                     "--out (config field 'out') must be")
 
     def test_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        # The bad byte's line is numbered by the breaks that number the lines
+        # of a decodable file: str.splitlines, so "\r\n" is one break.
         cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(f"out = {tmp_path / 'out'}\n".encode() + b"\xff = 1\n")
         argv = command_argv(command, tmp_path)
-        self.assert_usage_error(tmp_path, capsys, [*argv, "--config", cfg],
-                                f"{cfg}:2: 'utf-8' codec can't decode byte 0xff")
+        for head, line_no in ((f"out = {tmp_path / 'out'}\n", 2),
+                              ("# a\r# b\r\n", 3),
+                              ("# a\u2028# b\n\n", 4)):
+            cfg.write_bytes(head.encode() + b"\xff = 1\n")
+            self.assert_usage_error(
+                tmp_path, capsys, [*argv, "--config", cfg],
+                f"{cfg}:{line_no}: 'utf-8' codec can't decode byte 0xff")
 
     def test_duplicate_config_key(self, tmp_path, capsys, command):
         cfg = tmp_path / "twice.cfg"
@@ -974,30 +994,16 @@ def test_unused_import_check_sees_what_it_should():
 # Every defaulted parameter and defaulted dataclass field in src/depthpad, as
 # module.Class.function(param) or module.Class(field). A default is a second
 # configuration of the code; one that no command, workload or other library
-# function sets is better a constant. Adding a setting means adding it here.
+# function sets is better a constant, and a default whose value only tests
+# reach is better a required argument. Adding a setting means adding it here.
 SETTINGS = (
     "cli.main(argv)",
-    "depthlabel.synthesize_face_surface(amplitude)",
-    "depthlabel.synthesize_face_surface(center)",
-    "depthlabel.synthesize_face_surface(radius)",
-    "depthlabel.synthesize_face_surface(grid_size)",
     "features._require_hwc(stacked)",
     "features.OffBlockWeights.seeded(prev_channels)",
-    "features.OffBlockWeights.seeded(seed)",
     "features.off_sequence(prev)",
-    "geometry.AttackSceneConfig(dx)",
     "geometry.AttackSceneConfig(theta)",
-    "geometry.AttackSceneConfig(ul1)",
-    "geometry.AttackSceneConfig(um1)",
-    "geometry.AttackSceneConfig(ur1)",
-    "geometry.flow_rotated(ends)",
-    "geometry.rotation_beta_factors(ends)",
-    "geometry.closed_form_rotated_ratio(ends)",
     "geometry.simulate_sequence(dv_schedule)",
-    "recurrent.ConvGruCell.seeded(scale)",
-    "recurrent.ConvGruCell.seeded(seed)",
     "supervision._shift_responses(offsets)",
-    "supervision.BinaryHead.seeded(seed)",
 )
 
 
@@ -1038,7 +1044,7 @@ def test_every_setting_is_in_the_table():
     for path in sorted(Path(depthpad.__file__).parent.glob("*.py")):
         found += defaulted_settings(path.read_text(), path.stem)
     assert sorted(found) == sorted(SETTINGS)
-    assert len(SETTINGS) == len(set(SETTINGS)) == 22
+    assert len(SETTINGS) == len(set(SETTINGS)) == 7
 
 
 def test_settings_census_sees_what_it_should():

@@ -167,17 +167,19 @@ class TestSpoofDepth:
 
 class TestSynthesizeFaceSurface:
     def test_vertex_count_contract(self):
-        assert len(synthesize_face_surface(grid_size=32)) == 32 * 32
-        assert len(synthesize_face_surface(grid_size=17)) == 17 * 17
+        assert len(hemisphere_cloud(grid_size=32)) == 32 * 32
+        assert len(hemisphere_cloud(grid_size=17)) == 17 * 17
 
     def test_flat_surface_rejected_downstream(self):
-        flat = synthesize_face_surface(amplitude=0.0)
+        flat = synthesize_face_surface(amplitude=0.0, center=(16.0, 16.0),
+                                       radius=12.0, grid_size=32)
         with pytest.raises(ValueError):
             generate_living_depth(flat)
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
-            synthesize_face_surface(radius=0.0)
+            synthesize_face_surface(amplitude=8.0, center=(16.0, 16.0),
+                                    radius=0.0, grid_size=32)
 
 
 class TestGenerateLivingDepth:
@@ -321,7 +323,7 @@ class TestHullMask:
     def test_dome_clouds(self):
         # The unjittered 65x65 dome is the demo's living surface.
         for grid_size in (12, 20, 65):
-            dome = synthesize_face_surface(grid_size=grid_size)
+            dome = hemisphere_cloud(grid_size=grid_size)
             clouds = [dome.vertices]
             clouds += [jittered(dome, 0.4, seed) for seed in range(10)]
             for cloud in clouds:

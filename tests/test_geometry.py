@@ -23,10 +23,15 @@ from depthpad.geometry import (
     map_rotated_coordinate,
     read_sweep_csv,
     replay_distortion_factor,
+    rotated_endpoints,
     rotation_beta_factors,
     simulate_sequence,
     write_sweep_csv,
 )
+
+
+# Near, middle and far start coordinates of a rotated carrier.
+STARTS = (1.0, 1.2, 0.8)
 
 
 def ray_plane_remap(u, zb, theta):
@@ -117,7 +122,7 @@ class TestEstimateRelativeDepth:
     def test_overflowing_real_scene_cannot_be_simulated(self):
         cfg = RealSceneConfig(f=1.0, z=1e-308, d1=1e10, d2=2e10, dx=0.3)
         with pytest.raises(InconsistentFlowError, match="flow ratios overflow"):
-            simulate_sequence(cfg, 3)
+            simulate_sequence(cfg, 3, starts=None)
 
     def test_vanishing_denominator_is_inconsistent(self):
         with pytest.raises(InconsistentFlowError):
@@ -217,9 +222,10 @@ class TestRotatedCarrier:
                                 dx=0.3, theta=-0.1)
         for schedule in ([0.05, 0.0, 0.0], [0.0, 0.0, -1e-300]):
             with pytest.raises(ValueError, match="nonzero shake is not modeled"):
-                simulate_sequence(cfg, 4, dv_schedule=schedule)
-        assert (repr(simulate_sequence(cfg, 4, dv_schedule=[0.0, -0.0, 0.0]))
-                == repr(simulate_sequence(cfg, 4)))
+                simulate_sequence(cfg, 4, dv_schedule=schedule, starts=STARTS)
+        assert (repr(simulate_sequence(cfg, 4, dv_schedule=[0.0, -0.0, 0.0],
+                                       starts=STARTS))
+                == repr(simulate_sequence(cfg, 4, starts=STARTS)))
 
     def test_degenerate_intersection_rejected(self):
         with pytest.raises(DegenerateRotationError):
@@ -227,7 +233,7 @@ class TestRotatedCarrier:
 
     def test_zero_angle_equals_static_replay(self):
         cfg = AttackSceneConfig(fa=1, fb=2, za=2, zb=3, d1=0.5, d2=1.5, dx=0.4)
-        rot = flow_rotated(cfg)
+        rot = flow_rotated(cfg, rotated_endpoints(cfg, STARTS))
         rep = flow_replay(cfg, 0.0)
         assert rot.du_l == pytest.approx(rep.du_l, rel=1e-12)
         assert rot.du_m == pytest.approx(rep.du_m, rel=1e-12)
@@ -235,15 +241,15 @@ class TestRotatedCarrier:
 
     def test_flow_is_exactly_endpoint_difference(self):
         cfg = AttackSceneConfig(fa=1, fb=1.5, za=2, zb=10, d1=0.5, d2=1.5,
-                                dx=0.4, theta=math.pi / 12,
-                                ul1=1.0, um1=1.3, ur1=0.7)
-        obs = flow_rotated(cfg)
+                                dx=0.4, theta=math.pi / 12)
+        starts = (1.0, 1.3, 0.7)
+        obs = flow_rotated(cfg, rotated_endpoints(cfg, starts))
         dul, dum, dur = (cfg.fa * cfg.dx / cfg.za,
                          cfg.fa * cfg.dx / (cfg.za + cfg.d1),
                          cfg.fa * cfg.dx / (cfg.za + cfg.d2))
         scale = cfg.fb / cfg.zb
-        for got, u1, du in ((obs.du_l, cfg.ul1, dul), (obs.du_m, cfg.um1, dum),
-                            (obs.du_r, cfg.ur1, dur)):
+        for got, u1, du in zip((obs.du_l, obs.du_m, obs.du_r), starts,
+                               (dul, dum, dur)):
             expected = scale * (map_rotated_coordinate(u1 + du, cfg.zb, cfg.theta)
                                 - map_rotated_coordinate(u1, cfg.zb, cfg.theta))
             assert got == expected  # same construction, bit for bit
@@ -251,28 +257,31 @@ class TestRotatedCarrier:
     def test_flow_matches_ray_plane_oracle(self):
         zb, theta, fb = 10.0, math.pi / 12, 1.0
         cfg = AttackSceneConfig(fa=1, fb=fb, za=4, zb=zb, d1=1, d2=3, dx=0.4,
-                                theta=theta, ul1=1.0, um1=1.4, ur1=0.6)
-        obs = flow_rotated(cfg)
+                                theta=theta)
+        ul1 = 1.0
+        obs = flow_rotated(cfg, rotated_endpoints(cfg, (ul1, 1.4, 0.6)))
         dul = cfg.fa * cfg.dx / cfg.za  # 0.1
-        expected = fb / zb * (ray_plane_remap(cfg.ul1 + dul, zb, theta)
-                              - ray_plane_remap(cfg.ul1, zb, theta))
+        expected = fb / zb * (ray_plane_remap(ul1 + dul, zb, theta)
+                              - ray_plane_remap(ul1, zb, theta))
         assert obs.du_l == pytest.approx(expected, rel=1e-12)
 
     def test_beta_factors_collapse_without_rotation(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=3, d1=0.5, d2=1.5, dx=0.4)
-        assert rotation_beta_factors(cfg) == (1.0, 1.0)
+        assert rotation_beta_factors(cfg, rotated_endpoints(cfg, STARTS)) == (1.0, 1.0)
 
     def test_beta_ordering_under_positive_rotation(self):
         # Middle point above the near point, far point below it, both before
         # and after the motion, with a positive angle and positive coordinates.
         cfg = AttackSceneConfig(fa=1, fb=1, za=5, zb=10, d1=0.05, d2=2.5,
-                                dx=0.5, theta=0.6, ul1=1.0, um1=1.6, ur1=0.4)
+                                dx=0.5, theta=0.6)
+        ul1, um1, ur1 = 1.0, 1.6, 0.4
         dul, dum, dur = (cfg.fa * cfg.dx / cfg.za,
                          cfg.fa * cfg.dx / (cfg.za + cfg.d1),
                          cfg.fa * cfg.dx / (cfg.za + cfg.d2))
-        assert cfg.um1 > cfg.ul1 and cfg.um1 + dum > cfg.ul1 + dul
-        assert cfg.ur1 < cfg.ul1 and cfg.ur1 + dur < cfg.ul1 + dul
-        beta1, beta2 = rotation_beta_factors(cfg)
+        assert um1 > ul1 and um1 + dum > ul1 + dul
+        assert ur1 < ul1 and ur1 + dur < ul1 + dul
+        beta1, beta2 = rotation_beta_factors(
+            cfg, rotated_endpoints(cfg, (ul1, um1, ur1)))
         assert beta1 < 1
         assert beta2 > 1
 
@@ -286,14 +295,14 @@ class TestRotatedCarrier:
                 za=rng.uniform(2, 8), zb=rng.uniform(5, 15),
                 d1=rng.uniform(0.05, 0.95) * d2, d2=d2,
                 dx=rng.uniform(0.05, 0.5) * rng.choice([-1, 1]),
-                theta=rng.uniform(0.05, math.pi / 4) * rng.choice([-1, 1]),
-                ul1=rng.uniform(0.1, 2), um1=rng.uniform(0.1, 2),
-                ur1=rng.uniform(0.1, 2))
+                theta=rng.uniform(0.05, math.pi / 4) * rng.choice([-1, 1]))
+            ends = rotated_endpoints(cfg, (rng.uniform(0.1, 2), rng.uniform(0.1, 2),
+                                           rng.uniform(0.1, 2)))
             try:
-                closed = closed_form_rotated_ratio(cfg)
+                closed = closed_form_rotated_ratio(cfg, ends)
             except (DegenerateRotationError, SingularConfigError):
                 continue
-            est = estimate_relative_depth(flow_rotated(cfg))
+            est = estimate_relative_depth(flow_rotated(cfg, ends))
             if est.degenerate_flat:
                 continue
             assert est.ratio == pytest.approx(closed, rel=1e-9)
@@ -303,7 +312,7 @@ class TestRotatedCarrier:
 class TestSimulateSequence:
     def test_real_scene_series_is_constant(self):
         cfg = RealSceneConfig(f=1, z=2, d1=0.4, d2=1.0, dx=0.3)
-        records = simulate_sequence(cfg, 10)
+        records = simulate_sequence(cfg, 10, starts=None)
         assert len(records) == 9
         assert [r.frame for r in records] == list(range(1, 10))
         for rec in records:
@@ -312,14 +321,15 @@ class TestSimulateSequence:
 
     def test_print_scene_flat_every_frame(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0)
-        records = simulate_sequence(cfg, 6, dv_schedule=[0.05, 0.1, -0.05, 0.02, 0.3])
+        records = simulate_sequence(cfg, 6, dv_schedule=[0.05, 0.1, -0.05, 0.02, 0.3],
+                                    starts=None)
         assert all(r.estimate.degenerate_flat for r in records)
         assert all(r.closed_form_ratio is None for r in records)
 
     def test_replay_series_varies_with_shake(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0.3)
         schedule = [0.05, 0.1, -0.05, 0.02]
-        records = simulate_sequence(cfg, 5, dv_schedule=schedule)
+        records = simulate_sequence(cfg, 5, dv_schedule=schedule, starts=None)
         ratios = [r.estimate.ratio for r in records]
         assert np.var(ratios) > 0
         for rec, dv in zip(records, schedule):
@@ -331,37 +341,52 @@ class TestSimulateSequence:
 
     def test_rotated_series_drifts(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=4, zb=10, d1=1, d2=3, dx=0.4,
-                                theta=math.pi / 12, ul1=1.0, um1=1.4, ur1=0.6)
-        records = simulate_sequence(cfg, 6)
+                                theta=math.pi / 12)
+        records = simulate_sequence(cfg, 6, starts=(1.0, 1.4, 0.6))
         ratios = [r.estimate.ratio for r in records]
         assert np.var(ratios) > 0
         for rec in records:
             assert rec.estimate.ratio == pytest.approx(rec.closed_form_ratio, rel=1e-9)
 
+    def test_rotated_carrier_needs_finite_starts(self):
+        cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0,
+                                dx=0.3, theta=0.1)
+        with pytest.raises(ValueError, match="needs three start coordinates"):
+            simulate_sequence(cfg, 3, starts=(1.0, 1.2))
+        with pytest.raises(ValueError, match="um1 must be finite, got nan"):
+            simulate_sequence(cfg, 3, starts=(1.0, math.nan, 0.8))
+        # A carrier that is not rotated never reads its starts.
+        still = replace(cfg, theta=0.0)
+        assert (repr(simulate_sequence(still, 3, starts=(math.nan,) * 3))
+                == repr(simulate_sequence(still, 3, starts=None)))
+
     def test_bad_requests_rejected(self):
         real = RealSceneConfig(f=1, z=2, d1=0.4, d2=1.0, dx=0.3)
         with pytest.raises(ValueError):
-            simulate_sequence(real, 1)
+            simulate_sequence(real, 1, starts=None)
         with pytest.raises(ValueError):
-            simulate_sequence(real, 5, dv_schedule=[0.1] * 4)
+            simulate_sequence(real, 5, dv_schedule=[0.1] * 4, starts=None)
         replay = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0.3)
         with pytest.raises(ValueError):
-            simulate_sequence(replay, 5, dv_schedule=[0.1] * 3)  # wrong length
+            simulate_sequence(replay, 5, dv_schedule=[0.1] * 3,  # wrong length
+                              starts=None)
         rotated = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0,
                                     dx=0.3, theta=0.1)
         with pytest.raises(ValueError):
-            simulate_sequence(rotated, 5, dv_schedule=[0.1] * 4)
+            simulate_sequence(rotated, 5, dv_schedule=[0.1] * 4, starts=STARTS)
         for length in (0, 2, 40):  # an all-zero schedule still needs 4 entries
             with pytest.raises(ValueError, match=f"has {length} entries for 4"):
-                simulate_sequence(rotated, 5, dv_schedule=[0.0] * length)
+                simulate_sequence(rotated, 5, dv_schedule=[0.0] * length,
+                                  starts=STARTS)
 
 
 class TestSweepCsv:
     def test_round_trip(self, tmp_path):
-        real = simulate_sequence(RealSceneConfig(f=1, z=2, d1=0.4, d2=1.0, dx=0.3), 4)
+        real = simulate_sequence(RealSceneConfig(f=1, z=2, d1=0.4, d2=1.0, dx=0.3), 4,
+                                 starts=None)
         print_recs = simulate_sequence(
             AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0),
-            4, dv_schedule=[0.05, 0.1, -0.05])
+            4, dv_schedule=[0.05, 0.1, -0.05], starts=None)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, {"real": real, "print": print_recs})
         rows = read_sweep_csv(path)
@@ -385,8 +410,19 @@ class TestSweepCsv:
 
 # -- differential test: stepping one checked scene against per-frame configs --
 
-def reference_simulate_sequence(cfg, n_frames, dv_schedule=None):
-    """The loop that rebuilt a checked config per frame, kept as the reference."""
+def finite_starts(coords):
+    """The start coordinates, each checked finite as a per-frame config did."""
+    for name, u in zip(("ul1", "um1", "ur1"), coords):
+        if not math.isfinite(u):
+            raise ValueError(f"{name} must be finite, got {u!r}")
+    return coords
+
+
+def reference_simulate_sequence(cfg, n_frames, dv_schedule=None, starts=None):
+    """The loop that rebuilt a checked config per frame, kept as the reference.
+
+    A rotated carrier's start coordinates are checked and advanced inline.
+    """
     if n_frames < 2:
         raise ValueError(f"a sequence needs at least 2 frames, got {n_frames}")
     n_steps = n_frames - 1
@@ -405,16 +441,17 @@ def reference_simulate_sequence(cfg, n_frames, dv_schedule=None):
         if dv_schedule is not None and any(v != 0.0 for v in dv_schedule):
             raise ValueError("a rotated carrier with nonzero shake is not modeled")
         records = []
-        frame_cfg = cfg
+        c = cfg
+        ul1, um1, ur1 = finite_starts(starts)
         for t in range(n_steps):
-            obs = flow_rotated(frame_cfg)
-            records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
-                                       closed_form_rotated_ratio(frame_cfg)))
-            c = frame_cfg
             ul2, um2, ur2 = (u1 + c.fa * c.dx / z for u1, z in
-                             zip((c.ul1, c.um1, c.ur1),
+                             zip((ul1, um1, ur1),
                                  (c.za, c.za + c.d1, c.za + c.d2)))
-            frame_cfg = replace(frame_cfg, ul1=ul2, um1=um2, ur1=ur2)
+            ends = ((ul1, ul2), (um1, um2), (ur1, ur2))
+            obs = flow_rotated(cfg, ends)
+            records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
+                                       closed_form_rotated_ratio(cfg, ends)))
+            ul1, um1, ur1 = finite_starts((ul2, um2, ur2))
         return records
 
     if dv_schedule is None:
@@ -433,9 +470,9 @@ def reference_simulate_sequence(cfg, n_frames, dv_schedule=None):
     return records
 
 
-def simulate_outcome(simulate, cfg, n_frames, schedule):
+def simulate_outcome(simulate, cfg, n_frames, schedule, starts):
     try:
-        return simulate(cfg, n_frames, schedule)
+        return simulate(cfg, n_frames, schedule, starts=starts)
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -454,7 +491,8 @@ dv_st = st.one_of(nonzero(-1.0, 1.0), st.just(0.0), huge_st,
 
 @st.composite
 def scenes_and_schedules(draw):
-    """(cfg, n_frames, dv_schedule) for any of the four scene kinds."""
+    """(cfg, n_frames, dv_schedule, starts) for any of the four scene kinds;
+    starts is None but for a rotated carrier."""
     n_frames = draw(st.integers(2, 10))
     n_steps = n_frames - 1
     d2 = draw(length_st)
@@ -463,7 +501,7 @@ def scenes_and_schedules(draw):
     if kind == "real":
         cfg = RealSceneConfig(f=draw(length_st), z=draw(length_st), d1=d1,
                               d2=d2, dx=draw(motion_st))
-        return cfg, n_frames, None
+        return cfg, n_frames, None, None
     common = dict(fa=draw(length_st), fb=draw(length_st), za=draw(length_st),
                   d1=d1, d2=d2)
     steps_st = st.lists(dv_st, min_size=n_steps, max_size=n_steps)
@@ -476,12 +514,10 @@ def scenes_and_schedules(draw):
             starts[draw(st.integers(0, 2))] = draw(huge_st)
         cfg = AttackSceneConfig(zb=draw(st.floats(5.0, 20.0)),
                                 dx=draw(st.one_of(nonzero(-0.5, 0.5), motion_st)),
-                                theta=draw(nonzero(-1.5, 1.5)),
-                                ul1=starts[0], um1=starts[1], ur1=starts[2],
-                                **common)
+                                theta=draw(nonzero(-1.5, 1.5)), **common)
         schedule = draw(st.one_of(st.none(), st.just([0.0] * n_steps),
                                   steps_st))
-        return cfg, n_frames, schedule
+        return cfg, n_frames, schedule, tuple(starts)
     cfg = AttackSceneConfig(zb=draw(length_st),
                             dx=0.0 if kind == "print" else draw(motion_st),
                             **common)
@@ -492,21 +528,22 @@ def scenes_and_schedules(draw):
         # The shake that cancels the recorded motion at the middle point.
         i = draw(st.integers(0, n_steps - 1))
         schedule[i] = -(cfg.fa * cfg.dx) / (cfg.za + cfg.d1)
-    return cfg, n_frames, schedule
+    return cfg, n_frames, schedule, None
 
 
 NON_FINITE_DV = (AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1,
-                                   dx=0.3), 4, [0.1, math.nan, 0.2])
+                                   dx=0.3), 4, [0.1, math.nan, 0.2], None)
 OVERFLOWING_START = (AttackSceneConfig(fa=1e300, fb=1, za=2, zb=4, d1=0.4,
-                                       d2=1, dx=1e300, theta=-0.2), 3, None)
+                                       d2=1, dx=1e300, theta=-0.2), 3, None,
+                     STARTS)
 LEAVING_ROTATION = (AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1,
-                                      dx=1.5, theta=1.2), 12, None)
+                                      dx=1.5, theta=1.2), 12, None, STARTS)
 # fa*dx overflows but fa*fb*dx does not: finite flows, an inf / inf closed form.
 OVERFLOWING_CLOSED_FORM = (AttackSceneConfig(fa=2, fb=0.5, za=1, zb=1, d1=0,
-                                             d2=1, dx=1.7e308), 3, None)
+                                             d2=1, dx=1.7e308), 3, None, None)
 EXACT_CANCELLATION = (AttackSceneConfig(fa=0.5, fb=0.68, za=1, zb=4, d1=0.5,
                                         d2=1, dx=0.15), 3,
-                      [0.1, -0.049999999999999996])
+                      [0.1, -0.049999999999999996], None)
 
 
 class TestSteppedSequenceMatchesPerFrameConfigs:
@@ -518,10 +555,11 @@ class TestSteppedSequenceMatchesPerFrameConfigs:
         (OVERFLOWING_CLOSED_FORM, "closed-form replay ratio overflows to nan"),
     ])
     def test_boundary_cases_raise(self, case, error):
+        cfg, n_frames, schedule, starts = case
         with pytest.raises(ValueError, match=error):
-            reference_simulate_sequence(*case)
+            reference_simulate_sequence(cfg, n_frames, schedule, starts)
         with pytest.raises(ValueError, match=error):
-            simulate_sequence(*case)
+            simulate_sequence(cfg, n_frames, schedule, starts=starts)
 
     @settings(max_examples=400, deadline=None)
     @given(scenes_and_schedules())
@@ -566,8 +604,8 @@ def cancelling_shake(cfg):
 
 @st.composite
 def rotated_near_the_edge(draw):
-    """A rotated carrier with one endpoint within a few ulps, or a relative
-    1e-3, of the intersection limit u = zb / sin(theta)."""
+    """(cfg, starts) of a rotated carrier with one endpoint within a few ulps,
+    or a relative 1e-3, of the intersection limit u = zb / sin(theta)."""
     d2 = draw(st.floats(0.2, 3.0))
     theta = draw(sign_st) * draw(st.floats(0.05, 1.4))
     zb = draw(st.floats(5.0, 15.0))
@@ -589,16 +627,15 @@ def rotated_near_the_edge(draw):
     start = edge if draw(st.booleans()) else edge - cfg.fa * cfg.dx / depth
     starts = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
     starts[point] = start
-    return replace(cfg, ul1=starts[0], um1=starts[1], ur1=starts[2])
+    return cfg, tuple(starts)
 
 
-def endpoint_gaps(cfg):
+def endpoint_gaps(cfg, starts):
     """zb - u*sin(theta) at the start and end of each point, as the module
     evaluates it."""
     s = math.sin(cfg.theta)
     gaps = []
-    for u1, z in zip((cfg.ul1, cfg.um1, cfg.ur1),
-                     (cfg.za, cfg.za + cfg.d1, cfg.za + cfg.d2)):
+    for u1, z in zip(starts, (cfg.za, cfg.za + cfg.d1, cfg.za + cfg.d2)):
         gaps += [cfg.zb - u1 * s, cfg.zb - (u1 + cfg.fa * cfg.dx / z) * s]
     return gaps
 
@@ -615,7 +652,7 @@ class TestBoundaryProperties:
             closed_form_replay_ratio(cfg, dv)
         # The middle flow's numerator may cancel to exactly 0 first.
         with pytest.raises((SingularConfigError, InconsistentFlowError)):
-            simulate_sequence(cfg, 2, dv_schedule=[dv])
+            simulate_sequence(cfg, 2, dv_schedule=[dv], starts=None)
 
     @settings(max_examples=150, deadline=None)
     @given(replay_scenes(), sign_st, st.floats(-6.0, -3.0))
@@ -629,17 +666,18 @@ class TestBoundaryProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(rotated_near_the_edge())
-    def test_rotation_edge(self, cfg):
-        gaps = endpoint_gaps(cfg)
-        if min(gaps) <= 0.0:
+    def test_rotation_edge(self, case):
+        cfg, starts = case
+        ends = rotated_endpoints(cfg, starts)
+        if min(endpoint_gaps(cfg, starts)) <= 0.0:
             with pytest.raises(DegenerateRotationError):
-                rotation_beta_factors(cfg)
+                rotation_beta_factors(cfg, ends)
             with pytest.raises(DegenerateRotationError):
-                closed_form_rotated_ratio(cfg)
+                closed_form_rotated_ratio(cfg, ends)
             with pytest.raises(DegenerateRotationError):
-                flow_rotated(cfg)
+                flow_rotated(cfg, ends)
             return
-        closed = closed_form_rotated_ratio(cfg)
-        est = estimate_relative_depth(flow_rotated(cfg))
+        closed = closed_form_rotated_ratio(cfg, ends)
+        est = estimate_relative_depth(flow_rotated(cfg, ends))
         assert not est.degenerate_flat
         assert est.ratio == pytest.approx(closed, rel=1e-9)

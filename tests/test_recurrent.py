@@ -161,7 +161,8 @@ class TestConvGruRun:
             assert np.abs(state - expected).max() <= 1e-12
 
     def test_single_step_equals_step(self):
-        cell = ConvGruCell.seeded(input_channels=2, hidden_channels=1, seed=2)
+        cell = ConvGruCell.seeded(input_channels=2, hidden_channels=1,
+                                  scale=0.1, seed=2)
         rng = np.random.default_rng(3)
         h0 = rng.uniform(-1, 1, (6, 6, 1))
         x = rng.standard_normal((6, 6, 2))
@@ -170,7 +171,8 @@ class TestConvGruRun:
         assert np.array_equal(run_state, step_state)
 
     def test_deterministic(self):
-        cell = ConvGruCell.seeded(input_channels=2, hidden_channels=1, seed=5)
+        cell = ConvGruCell.seeded(input_channels=2, hidden_channels=1,
+                                  scale=0.1, seed=5)
         rng = np.random.default_rng(6)
         h0 = rng.uniform(-1, 1, (6, 6, 1))
         xs = [rng.standard_normal((6, 6, 2)) for _ in range(4)]
@@ -208,7 +210,8 @@ class TestConvGruRun:
             convgru_run(zero_cell(), np.zeros((4, 4, 1)), np.zeros((0, 4, 4, 1)))
 
     def test_returns_the_stack_of_step_states(self):
-        cell = ConvGruCell.seeded(input_channels=3, hidden_channels=2, seed=11)
+        cell = ConvGruCell.seeded(input_channels=3, hidden_channels=2,
+                                  scale=0.1, seed=11)
         rng = np.random.default_rng(12)
         h = rng.uniform(-1, 1, (5, 6, 2))
         xs = rng.standard_normal((4, 5, 6, 3))
