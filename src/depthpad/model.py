@@ -58,44 +58,11 @@ def _fused_maps(base: np.ndarray, frames: int, single_kernel: np.ndarray,
     return fuse_depth(single, states[..., 0], alpha)
 
 
-def run_model(alpha: float, beta: float, frames: int, seed: int,
-              oracle: bool
-              ) -> dict[str, tuple[LossReport, float, float, float]]:
-    """(loss report, b_hat, masked depth term, live score) per sample.
-
-    The keys are "living" and "spoof", in that order. In oracle mode the
-    ground-truth depth maps stand in for the fused maps and no binary head is
-    drawn, so b_hat is 0.5. The labels and mask are demo_labels, shared
-    read-only; full mode draws the head only after both fused maps exist.
-    """
-    n_steps = frames - 1
-    grid = depthlabel.GRID_SIZE
-
-    living_label, spoof_label, mask = demo_labels()
-    steps = (n_steps, grid, grid)  # one label per step, as read-only views
-    labels = {"living": np.broadcast_to(living_label, steps),
-              "spoof": np.broadcast_to(spoof_label, steps)}
-
-    if oracle:
-        head = None
-        fused = labels
-    else:
-        off_weights = OffBlockWeights.seeded(
-            3, reduce_channels=DEMO_REDUCE_CHANNELS,
-            out_channels=DEMO_FUSE_CHANNELS, seed=seed + 1)
-        cell = ConvGruCell.seeded(input_channels=DEMO_FUSE_CHANNELS,
-                                  hidden_channels=1, scale=0.1, seed=seed + 2)
-        single_kernel = (np.random.default_rng(seed)
-                         .standard_normal((1, 1, 3, 1)))
-        # A planar ramp stands in for the flat printed texture.
-        ramp = np.tile(np.linspace(0.0, 1.0, grid)[:, None], (1, grid))
-        fused = {kind: _fused_maps(base, frames, single_kernel, off_weights,
-                                   cell, alpha)
-                 for kind, base in (("living", living_label), ("spoof", ramp))}
-        # Drawn last so the largest array never meets the motion tensors; each
-        # weight set has its own generator, so the order changes no value.
-        head = BinaryHead.seeded(n_steps * grid * grid, seed=seed + 3)
-
+def _sample_results(fused: dict, labels: dict, head: BinaryHead | None,
+                    beta: float
+                    ) -> dict[str, tuple[LossReport, float, float, float]]:
+    """(loss report, b_hat, masked depth term, live score) per kind."""
+    mask = demo_labels()[2]
     results = {}
     for kind, binary_label in (("living", 1), ("spoof", 0)):
         report, b_hat = multi_frame_report(fused[kind], labels[kind], head,
@@ -104,3 +71,56 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
         results[kind] = (report, b_hat, depth_term,
                          metrics.living_score(b_hat, depth_term, beta))
     return results
+
+
+def _step_labels(frames: int) -> dict[str, np.ndarray]:
+    """One label per step and kind, as read-only views of demo_labels."""
+    living_label, spoof_label, _ = demo_labels()
+    steps = (frames - 1, depthlabel.GRID_SIZE, depthlabel.GRID_SIZE)
+    return {"living": np.broadcast_to(living_label, steps),
+            "spoof": np.broadcast_to(spoof_label, steps)}
+
+
+@functools.lru_cache(maxsize=1)
+def oracle_results(beta: float, frames: int
+                   ) -> tuple[tuple[str, tuple[LossReport, float, float, float]], ...]:
+    """run_model's oracle-mode results as (kind, result) pairs, immutable.
+
+    They depend only on beta and frames, so the last request is kept.
+    """
+    labels = _step_labels(frames)
+    return tuple(_sample_results(labels, labels, None, beta).items())
+
+
+def run_model(alpha: float, beta: float, frames: int, seed: int,
+              oracle: bool
+              ) -> dict[str, tuple[LossReport, float, float, float]]:
+    """(loss report, b_hat, masked depth term, live score) per sample.
+
+    The keys are "living" and "spoof", in that order. In oracle mode the
+    ground-truth depth maps stand in for the fused maps and no binary head is
+    drawn, so b_hat is 0.5; those results do not depend on alpha or seed, and
+    oracle_results keeps the last (beta, frames) request's, so a warm call
+    with the same two only copies them into a new dict. The labels and mask
+    are demo_labels, shared read-only; full mode draws the head only after
+    both fused maps exist.
+    """
+    if oracle:
+        return dict(oracle_results(beta, frames))
+    grid = depthlabel.GRID_SIZE
+    off_weights = OffBlockWeights.seeded(
+        3, reduce_channels=DEMO_REDUCE_CHANNELS,
+        out_channels=DEMO_FUSE_CHANNELS, seed=seed + 1)
+    cell = ConvGruCell.seeded(input_channels=DEMO_FUSE_CHANNELS,
+                              hidden_channels=1, scale=0.1, seed=seed + 2)
+    single_kernel = (np.random.default_rng(seed)
+                     .standard_normal((1, 1, 3, 1)))
+    # A planar ramp stands in for the flat printed texture.
+    ramp = np.tile(np.linspace(0.0, 1.0, grid)[:, None], (1, grid))
+    fused = {kind: _fused_maps(base, frames, single_kernel, off_weights,
+                               cell, alpha)
+             for kind, base in (("living", demo_labels()[0]), ("spoof", ramp))}
+    # Drawn last so the largest array never meets the motion tensors; each
+    # weight set has its own generator, so the order changes no value.
+    head = BinaryHead.seeded((frames - 1) * grid * grid, seed=seed + 3)
+    return _sample_results(fused, _step_labels(frames), head, beta)
