@@ -392,13 +392,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     # never load numpy.
     from . import metrics
     try:
-        records = metrics.read_records_csv(args.records)
+        counts = metrics.read_records_csv(args.records, threshold)
     except OSError as exc:
         raise DataError(f"cannot read records file: {exc}")
     except ValueError as exc:
         raise DataError(f"bad records file {args.records}: {exc}")
     try:
-        summary = metrics.metrics_summary(records, threshold)
+        summary = metrics.metrics_summary(counts)
     except ValueError as exc:
         raise DataError(str(exc))
     text = json.dumps(summary, indent=2) + "\n"

@@ -8,19 +8,22 @@ with the acceptance rate pooled over all attacks.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .depthlabel import LIVING
+from .supervision import multi_frame_loss
 
 ATTACK = "attack"
 RECORD_FIELDS = ["score", "label", "attack_kind"]
+BLOCK_BYTES = 1 << 16    # bytes read and decoded at a time
+CHUNK_ROWS = 1 << 13     # rows split before their scores are checked
 
 
 def check_record(score: float, label: str) -> None:
@@ -31,41 +34,22 @@ def check_record(score: float, label: str) -> None:
         raise ValueError(f"label must be {LIVING!r} or {ATTACK!r}, got {label!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class RecordColumns:
-    """Checked records as read-only columns, the input of the metrics core.
+@dataclass(frozen=True)
+class RecordCounts:
+    """What the metrics need of a records file: its counts at one threshold.
 
-    scores is float64 and living a boolean mask. groups holds each record's
-    index into group_names, the PAI groups in order of first appearance: a
-    record's tag, or ATTACK when untagged. Only attack records are counted
-    by group. Codes, not a numpy string array, keep the memory at one int
-    per record however long a tag is.
+    living is the living records' (records, accepted) pair. groups holds
+    one (name, (records, accepted)) item per PAI group of attack records,
+    sorted by name; a group is a record's tag, or ATTACK when untagged. A
+    record is accepted when its score reaches the threshold.
     """
 
-    scores: np.ndarray
-    living: np.ndarray
-    groups: np.ndarray
-    group_names: tuple[str, ...]
-
-    @classmethod
-    def from_codes(cls, scores: np.ndarray, keys: np.ndarray,
-                   pairs) -> "RecordColumns":
-        """Columns from checked scores and codebook keys.
-
-        keys[i] is record i's index into pairs, the distinct
-        (label, attack_kind) pairs in order of first appearance.
-        """
-        names: dict[str, int] = {}
-        living = np.array([label == LIVING for label, _ in pairs], dtype=bool)
-        group = np.array([names.setdefault(kind or ATTACK, len(names))
-                          for _, kind in pairs], dtype=np.intp)
-        columns = (scores, living[keys], group[keys])
-        for column in columns:
-            column.flags.writeable = False
-        return cls(*columns, tuple(names))
+    threshold: float
+    living: tuple[int, int]
+    groups: tuple[tuple[str, tuple[int, int]], ...]
 
     def __len__(self) -> int:
-        return len(self.scores)
+        return self.living[0] + sum(total for _, (total, _) in self.groups)
 
 
 def masked_depth_term(fused: np.ndarray, mask: np.ndarray) -> float:
@@ -91,35 +75,26 @@ def masked_depth_term(fused: np.ndarray, mask: np.ndarray) -> float:
 
 def living_score(b_hat: float, depth_term: float, beta: float) -> float:
     """Final live score: beta * b_hat + (1 - beta) * masked_depth_term."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return beta * b_hat + (1.0 - beta) * depth_term
+    return multi_frame_loss(depth_term, b_hat, beta)
 
 
-def metrics_summary(records: RecordColumns, threshold: float) -> dict:
+def metrics_summary(counts: RecordCounts) -> dict:
     """All metrics in one JSON-ready dict with fixed keys.
 
-    The attacks are grouped by tag once; untagged attacks share the ATTACK
-    group with attacks tagged "attack", so apcer is max(per_pai_apcer).
-    Rates are Python int / int and the groups are in sorted order.
+    Untagged attacks share the ATTACK group with attacks tagged "attack",
+    so apcer is max(per_pai_apcer). Rates are Python int / int and the
+    groups are in sorted order.
     """
-    accepted = records.scores >= threshold
-    attack = ~records.living
-    n_living = int(np.count_nonzero(records.living))
-    n_attack = len(records) - n_living
+    n_living, living_hits = counts.living
+    n_attack = sum(total for _, (total, _) in counts.groups)
     if not n_living or not n_attack:
         raise ValueError("need at least one living and one attack record")
-    n_groups = len(records.group_names)
-    totals = np.bincount(records.groups[attack], minlength=n_groups).tolist()
-    hits = np.bincount(records.groups[attack & accepted],
-                       minlength=n_groups).tolist()
-    per_pai = {name: hit / total for name, hit, total
-               in sorted(zip(records.group_names, hits, totals)) if total}
+    per_pai = {name: hits / total for name, (total, hits) in counts.groups}
     apcer = max(per_pai.values())
-    bpcer = int(np.count_nonzero(records.living & ~accepted)) / n_living
-    far = sum(hits) / n_attack
+    bpcer = (n_living - living_hits) / n_living
+    far = sum(hits for _, (_, hits) in counts.groups) / n_attack
     return {
-        "threshold": threshold,
+        "threshold": counts.threshold,
         "apcer": apcer,
         "bpcer": bpcer,
         "acer": (apcer + bpcer) / 2.0,
@@ -130,127 +105,150 @@ def metrics_summary(records: RecordColumns, threshold: float) -> dict:
     }
 
 
-def read_records_csv(path) -> RecordColumns:
-    """Load records from a CSV with columns score,label,attack_kind.
+def read_records_csv(path, threshold: float) -> RecordCounts:
+    """Count the records of a CSV with columns score,label,attack_kind.
 
     The file is UTF-8 with strict quoting, so a quote left open is an
     error rather than a field that runs to the end of the file. Every data
     row has exactly three fields; blank lines are skipped, and an error
-    names the physical line of the first bad row in file order. One pass
-    only splits rows; the scores are then checked as one column and the
-    labels once per distinct (label, attack_kind) pair.
+    names the physical line of the first bad row in file order. The path
+    is opened once and read in one pass, so a pipe works, and memory holds
+    one chunk of rows plus the tally of each PAI group.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, strict=True)
-            texts, keys, book, stop = _split_rows(reader, reader)
-    except UnicodeDecodeError:
-        texts, keys, book, stop = _split_rows_above_bad_byte(path)
-    pairs = list(book)
-    keys = np.array(keys, dtype=np.intp)
-    try:
-        scores = np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        first = 0    # some score does not parse; the walk below finds it
-    else:
-        # check_record's rule by column: NaN fails both comparisons.
-        known = np.array([label in (LIVING, ATTACK) for label, _ in pairs],
-                         dtype=bool)
-        good = (scores >= 0.0) & (scores <= 1.0) & known[keys]
-        first = len(texts) if good.all() else int(np.argmin(good))
-    # Messages come from the per-row rule alone, at the first row it fails.
-    for index in range(first, len(texts)):
-        text, (label, _) = texts[index], pairs[keys[index]]
+    living, groups = [0, 0], {}
+    with open(path, "rb") as fh:
+        reader = csv.reader(itertools.chain.from_iterable(_text_blocks(fh)),
+                            strict=True)
         try:
-            score = float(text)
-        except ValueError:
-            raise ValueError(f"line {_line_of(path, index)}: bad score {text!r}")
-        try:
-            check_record(score, label)
-        except ValueError as exc:
-            raise ValueError(f"line {_line_of(path, index)}: {exc}")
-    if stop is not None:
-        raise stop
-    if not texts:
+            header = next(reader, None)
+        except (csv.Error, _BadByte) as exc:
+            raise _located(exc, reader)
+        if header != RECORD_FIELDS:
+            raise ValueError(f"records CSV must have columns {RECORD_FIELDS}, "
+                             f"got {header}")
+        while _count_chunk(reader, threshold, living, groups) == CHUNK_ROWS:
+            pass
+    counts = RecordCounts(threshold, tuple(living),
+                          tuple((name, tuple(tally))
+                                for name, tally in sorted(groups.items())))
+    if not len(counts):
         raise ValueError("records CSV holds no data rows")
-    return RecordColumns.from_codes(scores, keys, pairs)
+    return counts
 
 
-def _split_rows(reader, rows) -> tuple[list, list, dict, Optional[ValueError]]:
-    """Check the header and split the data rows, parsing nothing.
+class _BadByte(ValueError):
+    """An undecodable byte, worded as decoding the whole file words it."""
 
-    rows yields the rows of the csv reader (the reader itself, or a prefix
-    of it). Returns each row's score text, its index into the codebook of
-    (label, attack_kind) pairs, that codebook, and the error that ended the
-    pass early, or None.
+
+def _located(exc: Exception, reader) -> ValueError:
+    """exc, raised by reader, as an error that names its physical line."""
+    # A bad byte sits on the line after the last one the reader was given.
+    line = reader.line_num + isinstance(exc, _BadByte)
+    return ValueError(f"line {line}: {exc}")
+
+
+def _text_blocks(fh):
+    """The lines of binary file fh as text streams that end at a line break.
+
+    Each is read as the file would be (UTF-8, newline=""). Line breaks are
+    ASCII, so a cut after one never splits a UTF-8 sequence, and a cut
+    after a carriage return waits for the next byte, so a CRLF stays whole.
+    At an undecodable byte the lines above its line come first, then
+    _BadByte with the byte's offset in the file.
     """
-    try:
-        header = next(rows, None)
-    except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}")
-    if header != RECORD_FIELDS:
-        raise ValueError(f"records CSV must have columns {RECORD_FIELDS}, "
-                         f"got {header}")
-    texts, keys, book = [], [], {}
+    parts, offset = [], 0
+    while True:
+        block = fh.read(BLOCK_BYTES)
+        cut = 1 + max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1))
+        if block and not cut:
+            parts.append(block)
+            continue
+        data = b"".join([*parts, block[:cut]])
+        parts, bad = [block[cut:]], None
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start, end = offset + exc.start, offset + exc.end - 1
+            where = (f"byte 0x{data[exc.start]:02x} in position {start}"
+                     if start == end else f"bytes in position {start}-{end}")
+            bad = _BadByte(f"{exc.encoding!r} codec can't decode {where}: "
+                           f"{exc.reason}")
+            head = data[:exc.start]
+            data = head[:1 + max(head.rfind(b"\n"), head.rfind(b"\r"))]
+        yield io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        if bad is not None:
+            raise bad
+        offset += len(data)
+        if not block:
+            return
+
+
+def _count_chunk(reader, threshold: float, living: list, groups: dict) -> int:
+    """Split, check and count the next CHUNK_ROWS rows, blank ones included.
+
+    Returns how many rows were read. living is the living records'
+    [records, accepted] tally and groups maps each PAI group to its own;
+    both are updated in place. Scores are checked as one column and labels
+    once per distinct (label, attack_kind) pair; a chunk's rows are let go
+    before the next chunk is split.
+    """
+    start = reader.line_num
+    texts, keys, book, blanks, stop = [], [], {}, [], None
     width = len(RECORD_FIELDS)
     try:
-        for row in rows:
+        for row in itertools.islice(reader, CHUNK_ROWS):
             if len(row) == width:
                 text, label, kind = row
                 texts.append(text)
                 keys.append(book.setdefault((label, kind), len(book)))
             elif row:
-                return texts, keys, book, ValueError(
-                    f"line {reader.line_num}: expected {width} fields, "
-                    f"got {len(row)}")
-    except csv.Error as exc:
-        return texts, keys, book, ValueError(f"line {reader.line_num}: {exc}")
-    return texts, keys, book, None
-
-
-def _split_rows_above_bad_byte(path) -> tuple[list, list, dict, ValueError]:
-    """_split_rows over the rows that end above the first undecodable byte.
-
-    The text layer decodes in chunks and rejects a whole chunk, rows above
-    the bad byte included, so those rows are split again from a read that
-    replaces the byte. The decode error names the byte's physical line and
-    its offset in the file (decoding the raw bytes gives the offset), and it
-    ends the pass unless a row above that line already did.
-    """
-    raw = Path(path).read_bytes()
+                stop = ValueError(f"line {reader.line_num}: expected {width} "
+                                  f"fields, got {len(row)}")
+                break
+            else:
+                blanks.append(len(texts))    # the data row it comes before
+    except (csv.Error, _BadByte) as exc:
+        stop = _located(exc, reader)
+    pairs, keys = list(book), np.array(keys, dtype=np.intp)
     try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = raw[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        error = ValueError(f"line {line}: {exc}")
-    else:
-        raise ValueError(f"{path} changed while it was read")
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh, strict=True)
-        above = itertools.takewhile(lambda _: reader.line_num < line, reader)
-        try:
-            texts, keys, book, stop = _split_rows(reader, above)
-        except ValueError:
-            if reader.line_num < line:
-                raise
-            raise error from None
-    if reader.line_num >= line:
-        stop = error
-    return texts, keys, book, stop
+        scores = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        raise _first_bad_row(texts, keys, pairs, blanks, start)
+    known = np.array([label in (LIVING, ATTACK) for label, _ in pairs],
+                     dtype=bool)
+    # check_record's rule by column: NaN fails both comparisons.
+    if not np.all((scores >= 0.0) & (scores <= 1.0) & known[keys]):
+        raise _first_bad_row(texts, keys, pairs, blanks, start)
+    if stop is not None:
+        raise stop
+    totals = np.bincount(keys, minlength=len(pairs)).tolist()
+    hits = np.bincount(keys[scores >= threshold], minlength=len(pairs)).tolist()
+    for (label, kind), total, hit in zip(pairs, totals, hits):
+        tally = (living if label == LIVING
+                 else groups.setdefault(kind or ATTACK, [0, 0]))
+        tally[0] += total
+        tally[1] += hit
+    return len(texts) + len(blanks)
 
 
-def _line_of(path, index: int) -> int:
-    """Physical line on which data row index (blank lines not counted) ends.
+def _first_bad_row(texts, keys, pairs, blanks, start) -> ValueError:
+    """check_record's error at a chunk's first bad row, naming its line.
 
-    Undecodable bytes are replaced, as when the rows above them were split.
+    start is the physical line the chunk's first row follows. A row ends
+    one line on from the row or blank line before it, plus the line breaks
+    in its fields: the reader keeps a quoted field's breaks verbatim.
     """
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh, strict=True)
-        next(reader)
-        for row in reader:
-            if row:
-                if not index:
-                    return reader.line_num
-                index -= 1
-    raise ValueError(f"{path} changed while it was read")
+    breaks = 0
+    for index, text in enumerate(texts):
+        label, kind = pairs[keys[index]]
+        breaks += sum(field.count("\n") + field.count("\r") - field.count("\r\n")
+                      for field in (text, label, kind))
+        line = start + index + 1 + bisect.bisect_right(blanks, index) + breaks
+        try:
+            score = float(text)
+        except ValueError:
+            return ValueError(f"line {line}: bad score {text!r}")
+        try:
+            check_record(score, label)
+        except ValueError as exc:
+            return ValueError(f"line {line}: {exc}")

@@ -1,8 +1,6 @@
 import time
 
-import numpy as np
-
-from depthpad.metrics import RecordColumns, check_record
+from depthpad.metrics import ATTACK, LIVING, RecordCounts, check_record
 
 FULL_SUITE_BUDGET_S = 60.0
 
@@ -19,13 +17,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         f"(budget {FULL_SUITE_BUDGET_S:.0f}s)")
 
 
-def record_columns(records) -> RecordColumns:
-    """Columns of (score, label, attack_kind) tuples, each checked by
-    check_record as the records reader checks a row."""
-    book, keys = {}, []
+def record_counts(records, threshold) -> RecordCounts:
+    """Counts of (score, label, attack_kind) tuples at threshold, each
+    checked by check_record as the records reader checks a row."""
+    living, groups = [0, 0], {}
     for score, label, kind in records:
         check_record(score, label)
-        keys.append(book.setdefault((label, kind), len(book)))
-    return RecordColumns.from_codes(
-        np.array([score for score, _, _ in records], dtype=np.float64),
-        np.array(keys, dtype=np.intp), list(book))
+        tally = (living if label == LIVING
+                 else groups.setdefault(kind or ATTACK, [0, 0]))
+        tally[0] += 1
+        tally[1] += score >= threshold
+    return RecordCounts(threshold, tuple(living),
+                        tuple((name, tuple(tally))
+                              for name, tally in sorted(groups.items())))

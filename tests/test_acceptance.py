@@ -35,7 +35,7 @@ from depthpad.supervision import (
     depth_loss_gradient,
 )
 
-from conftest import record_columns
+from conftest import record_counts
 from fdcheck import fd_gradient
 from test_metrics import brute_force_rates
 from test_supervision import reference_contrastive_loss, reference_kernel_response
@@ -297,7 +297,7 @@ def test_metrics_suite():
     records = [(0.7, "attack", "print1")]
     records += [(0.3, "attack", "print1")] * 39
     records += [(0.9, "living", None)] * 10
-    summary = metrics.metrics_summary(record_columns(records), 0.5)
+    summary = metrics.metrics_summary(record_counts(records, 0.5))
     assert summary["apcer"] == pytest.approx(0.025)
     assert summary["bpcer"] == 0.0
     assert summary["acer"] == pytest.approx(0.0125)
@@ -318,7 +318,7 @@ def test_metrics_suite():
                     + [(0.2, "attack", "print")] * pr
                     + [(0.8, "attack", "replay")] * ra
                     + [(0.2, "attack", "replay")] * rr)
-            summary = metrics.metrics_summary(record_columns(recs), 0.5)
+            summary = metrics.metrics_summary(record_counts(recs, 0.5))
             got = tuple(summary[k] for k in ("apcer", "bpcer", "acer", "hter"))
             assert got == pytest.approx(brute_force_rates(recs, 0.5))
             checked += 1
@@ -330,11 +330,10 @@ def test_metrics_suite():
                 for _ in range(rng.integers(2, 9))]
         recs += [(rng.random(), "attack", rng.choice(["print1", "replay1"]))
                  for _ in range(rng.integers(2, 9))]
-        columns = record_columns(recs)
         thresholds = np.linspace(0.0, 1.0001, 9)
         prev_bpcer, prev_accept = -1.0, None
         for th in thresholds:
-            bpcer = metrics.metrics_summary(columns, th)["bpcer"]
+            bpcer = metrics.metrics_summary(record_counts(recs, th))["bpcer"]
             assert bpcer >= prev_bpcer
             pooled_accept = sum(score >= th for score, label, _ in recs
                                 if label == "attack")

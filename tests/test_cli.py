@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from depthpad.cli import (
 )
 from depthpad.geometry import read_sweep_csv
 
-from conftest import record_columns
+from conftest import record_counts
 from test_metrics import write_records
 
 
@@ -487,7 +488,7 @@ class TestMetricsCommand:
         assert run(["metrics", path, "--threshold", 0.5,
                     "--out", tmp_path]) == 0
         summary = json.loads((tmp_path / "metrics.json").read_text())
-        direct = metrics.metrics_summary(record_columns(records), 0.5)
+        direct = metrics.metrics_summary(record_counts(records, 0.5))
         assert summary == json.loads(json.dumps(direct))
 
     def test_non_finite_threshold_is_usage_error(self, tmp_path):
@@ -558,6 +559,66 @@ class TestMetricsCommand:
         path = tmp_path / "records.csv"
         path.write_text("score,label,attack_kind\n0.9,living,\n")
         assert run(["metrics", path, "--out", tmp_path]) == 3
+
+
+PIPED_RECORDS = {
+    "bad row": (b"score,label,attack_kind\n0.5,living,\nnope,attack,print1\n",
+                "line 3: bad score 'nope'"),
+    "bad byte": (b"score,label,attack_kind\n0.5,living,\n0.2,attack,\xff\n",
+                 "line 3: 'utf-8' codec can't decode byte 0xff in position 47: "
+                 "invalid start byte"),
+    "valid": (b"score,label,attack_kind\n0.9,living,\n0.4,living,\n"
+              b"0.7,attack,print1\n0.2,attack,\n", None),
+}
+
+
+def metrics_through_a_pipe(tmp_path, data: bytes, source: str):
+    """Run depthpad metrics in a fresh process on data that arrives through
+    a named FIFO (source "fifo") or a pipe to /dev/stdin (source "stdin").
+
+    The process is given 10 s, so a reader that waits for a writer that has
+    gone fails the test instead of hanging the suite.
+    """
+    out = tmp_path / "out"
+    fifo = tmp_path / "records.fifo"
+    argv = [sys.executable, "-m", "depthpad.cli", "metrics",
+            "/dev/stdin" if source == "stdin" else str(fifo), "--out", str(out)]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(depthpad.__file__).resolve().parents[1]))
+    if source == "stdin":
+        return subprocess.run(argv, input=data, env=env, capture_output=True,
+                              timeout=10), out
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=10)
+    finally:
+        if writer.is_alive():    # the reader never opened the FIFO
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    return done, out
+
+
+@pytest.mark.parametrize("source", ["fifo", "stdin"])
+@pytest.mark.parametrize("case", list(PIPED_RECORDS))
+def test_metrics_reads_a_pipe_once(tmp_path, source, case):
+    # The records path is opened once, so a stream that can be read only
+    # once gives the same exit code, message and metrics.json as a file.
+    data, message = PIPED_RECORDS[case]
+    done, out = metrics_through_a_pipe(tmp_path, data, source)
+    if message is not None:
+        assert done.returncode == 3, done.stderr
+        assert message in done.stderr.decode()
+        assert not out.exists()
+        return
+    assert done.returncode == 0, done.stderr
+    path = tmp_path / "records.csv"
+    path.write_bytes(data)
+    assert run(["metrics", path, "--out", tmp_path / "regular"]) == 0
+    assert ((out / "metrics.json").read_bytes()
+            == (tmp_path / "regular" / "metrics.json").read_bytes())
 
 
 class TestConfigFields:

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import tempfile
+import tracemalloc
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 from depthpad.metrics import (
     ATTACK,
+    BLOCK_BYTES,
+    CHUNK_ROWS,
     LIVING,
     RECORD_FIELDS,
     check_record,
@@ -20,7 +24,7 @@ from depthpad.metrics import (
     read_records_csv,
 )
 
-from conftest import record_columns
+from conftest import record_counts
 
 
 def brute_force_rates(records, threshold):
@@ -153,7 +157,7 @@ class TestLivingScore:
 
 
 def make_records(per_pai_counts, living_counts, threshold=0.5):
-    """Columns with exact accept/reject counts at the threshold."""
+    """Counts with exact accept/reject numbers at the threshold."""
     hi, lo = threshold + 0.2, threshold - 0.2
     records = []
     for kind, (accepted, rejected) in per_pai_counts.items():
@@ -162,7 +166,7 @@ def make_records(per_pai_counts, living_counts, threshold=0.5):
     accepted, rejected = living_counts
     records += [(hi, LIVING, None)] * accepted
     records += [(lo, LIVING, None)] * rejected
-    return record_columns(records)
+    return record_counts(records, threshold)
 
 
 class TestApcerBpcerAcer:
@@ -171,7 +175,7 @@ class TestApcerBpcerAcer:
         # mean lands at 1.25%, shown as 1.3 at one decimal with halves
         # rounding up.
         records = make_records({"print1": (1, 39)}, (10, 0))
-        summary = metrics_summary(records, 0.5)
+        summary = metrics_summary(records)
         assert summary["apcer"] == pytest.approx(0.025)
         assert summary["bpcer"] == 0.0
         assert summary["acer"] == pytest.approx(0.0125)
@@ -181,12 +185,12 @@ class TestApcerBpcerAcer:
 
     def test_perfect_separation(self):
         records = make_records({"print1": (0, 5), "replay1": (0, 5)}, (5, 0))
-        summary = metrics_summary(records, 0.5)
+        summary = metrics_summary(records)
         assert (summary["apcer"], summary["bpcer"], summary["acer"]) == (0.0, 0.0, 0.0)
 
     def test_worst_pai_wins(self):
         records = make_records({"print1": (1, 9), "replay1": (3, 3)}, (4, 1))
-        summary = metrics_summary(records, 0.5)
+        summary = metrics_summary(records)
         assert summary["apcer"] == pytest.approx(0.5)  # replay1 is the weak spot
         assert summary["bpcer"] == pytest.approx(0.2)
         assert summary["acer"] == pytest.approx(0.35)
@@ -200,7 +204,7 @@ class TestApcerBpcerAcer:
             records += [(rng.random(), ATTACK, kinds[rng.integers(len(kinds))])
                         for _ in range(rng.integers(1, 12))]
             threshold = rng.random()
-            summary = metrics_summary(record_columns(records), threshold)
+            summary = metrics_summary(record_counts(records, threshold))
             got = tuple(summary[k] for k in ("apcer", "bpcer", "acer", "hter"))
             assert got == pytest.approx(brute_force_rates(records, threshold))
             assert summary["apcer"] == got[0]
@@ -209,24 +213,25 @@ class TestApcerBpcerAcer:
     def test_untagged_attacks_group_with_attack_tag(self):
         # One accepted untagged attack and two rejected "attack"-tagged ones
         # form a single group of three.
-        records = record_columns([(0.9, ATTACK, None), (0.1, ATTACK, ATTACK),
-                                  (0.1, ATTACK, ATTACK), (0.9, LIVING, None)])
-        summary = metrics_summary(records, 0.5)
+        records = record_counts([(0.9, ATTACK, None), (0.1, ATTACK, ATTACK),
+                                 (0.1, ATTACK, ATTACK), (0.9, LIVING, None)],
+                                0.5)
+        summary = metrics_summary(records)
         assert summary["per_pai_apcer"] == {ATTACK: pytest.approx(1 / 3)}
         assert summary["apcer"] == max(summary["per_pai_apcer"].values())
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            metrics_summary(record_columns([(0.5, LIVING, None)]), 0.5)
+            metrics_summary(record_counts([(0.5, LIVING, None)], 0.5))
         with pytest.raises(ValueError):
-            metrics_summary(record_columns([(0.5, ATTACK, "print1")]), 0.5)
+            metrics_summary(record_counts([(0.5, ATTACK, "print1")], 0.5))
 
     def test_acer_dominates_half_of_worst_rate(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             records = [(rng.random(), LIVING, None) for _ in range(5)]
             records += [(rng.random(), ATTACK, "print1") for _ in range(5)]
-            summary = metrics_summary(record_columns(records), 0.5)
+            summary = metrics_summary(record_counts(records, 0.5))
             acer = summary["acer"]
             assert 0.0 <= acer <= 1.0
             assert acer >= max(summary["apcer"], summary["bpcer"]) / 2
@@ -235,16 +240,16 @@ class TestApcerBpcerAcer:
 class TestHter:
     def test_perfect_separation(self):
         records = make_records({"print1": (0, 5)}, (5, 0))
-        assert metrics_summary(records, 0.5)["hter"] == 0.0
+        assert metrics_summary(records)["hter"] == 0.0
 
     def test_everything_wrong(self):
         records = make_records({"print1": (5, 0)}, (0, 5))
-        assert metrics_summary(records, 0.5)["hter"] == 1.0
+        assert metrics_summary(records)["hter"] == 1.0
 
     def test_pooled_attacks(self):
         # Per-PAI rates 0.5 and 0.0 pool to 3/12, not to the max.
         records = make_records({"print1": (3, 3), "replay1": (0, 6)}, (6, 0))
-        assert metrics_summary(records, 0.5)["hter"] == pytest.approx(
+        assert metrics_summary(records)["hter"] == pytest.approx(
             (0.0 + 3 / 12) / 2)
 
 
@@ -255,11 +260,10 @@ class TestThresholdMonotonicity:
             records = [(rng.random(), LIVING, None) for _ in range(8)]
             records += [(rng.random(), ATTACK, rng.choice(["print1", "replay1"]))
                         for _ in range(8)]
-            records = record_columns(records)
             thresholds = np.linspace(0, 1.0001, 12)
             bpcers, apcers = [], []
             for th in thresholds:
-                summary = metrics_summary(records, th)
+                summary = metrics_summary(record_counts(records, th))
                 apcers.append(summary["apcer"])
                 bpcers.append(summary["bpcer"])
             assert all(b2 >= b1 for b1, b2 in zip(bpcers, bpcers[1:]))
@@ -269,7 +273,7 @@ class TestThresholdMonotonicity:
 class TestSummaryAndCsv:
     def test_summary_keys_and_values(self):
         records = make_records({"print1": (1, 39)}, (10, 0))
-        summary = metrics_summary(records, 0.5)
+        summary = metrics_summary(records)
         assert list(summary) == ["threshold", "apcer", "bpcer", "acer", "hter",
                                  "per_pai_apcer", "n_living", "n_attack"]
         assert summary["acer"] == pytest.approx(0.0125)
@@ -282,36 +286,39 @@ class TestSummaryAndCsv:
                    (0.4, ATTACK, None), (0.6, ATTACK, ATTACK)]
         path = tmp_path / "records.csv"
         write_records(path, records)
-        back = read_records_csv(path)
-        want = record_columns(records)
-        assert len(back) == len(want) == 4
-        assert back.scores.dtype == np.float64
-        assert np.array_equal(back.scores, want.scores)
-        assert np.array_equal(back.living, want.living)
-        assert np.array_equal(back.groups, want.groups)
-        assert back.group_names == want.group_names == ("attack", "print1")
+        back = read_records_csv(path, 0.5)
+        assert back == record_counts(records, 0.5)
+        assert len(back) == 4
+        assert back.living == (1, 1)
+        assert back.groups == (("attack", (2, 1)), ("print1", (1, 0)))
 
-    def test_columns_are_read_only(self):
-        columns = record_columns([(0.9, LIVING, None), (0.2, ATTACK, "print1")])
-        for column in (columns.scores, columns.living, columns.groups):
-            with pytest.raises(ValueError):
-                column[0] = column[1]
+    def test_counts_are_immutable(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(path, [(0.9, LIVING, None), (0.2, ATTACK, "print1")])
+        counts = read_records_csv(path, 0.5)
+        for field in ("threshold", "living", "groups"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(counts, field, getattr(counts, field))
+        assert isinstance(counts.living, tuple)
+        assert all(isinstance(item, tuple) and isinstance(item[1], tuple)
+                   for item in counts.groups)
 
     def test_bad_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("score,label,attack_kind\n0.5,living,\nnope,attack,print1\n")
         with pytest.raises(ValueError, match="line 3"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
 
     def test_blank_lines_skipped_and_counted(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("score,label,attack_kind\n\n0.5,living,\n\nnope,attack,x\n")
         with pytest.raises(ValueError, match="^line 5: bad score 'nope'$"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
         path.write_text("score,label,attack_kind\n\n0.5,living,\n\n0.2,attack,x\n\n")
-        columns = read_records_csv(path)
-        assert len(columns) == 2
-        assert columns.scores.tolist() == [0.5, 0.2]
+        counts = read_records_csv(path, 0.3)
+        assert len(counts) == 2
+        assert counts.living == (1, 1)
+        assert counts.groups == (("x", (1, 0)),)
 
     def test_rule_errors_name_the_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -320,22 +327,22 @@ class TestSummaryAndCsv:
                              ("0.5,genuine,", "label must be")):
             path.write_text(f"score,label,attack_kind\n0.5,living,\n{row}\n")
             with pytest.raises(ValueError, match=f"^line 3: {message}"):
-                read_records_csv(path)
+                read_records_csv(path, 0.5)
 
     def test_over_long_field_names_its_line(self, tmp_path):
         path = tmp_path / "long.csv"
         long_tag = "x" * (csv.field_size_limit() + 1)
         path.write_text(f"score,label,{long_tag}\n0.5,living,\n")
         with pytest.raises(ValueError, match="^line 1: field larger than"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
         body = f"score,label,attack_kind\n0.5,living,\n0.2,attack,{long_tag}\n"
         path.write_text(body)
         with pytest.raises(ValueError, match="^line 3: field larger than"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
         # A bad row above the over-long field is the one reported.
         path.write_text(body.replace("0.5,living", "nope,living"))
         with pytest.raises(ValueError, match="^line 2: bad score 'nope'$"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
 
     def test_bad_row_above_undecodable_bytes_wins(self, tmp_path):
         path = tmp_path / "bytes.csv"
@@ -343,33 +350,33 @@ class TestSummaryAndCsv:
         path.write_bytes(b"score,label,attack_kind\n0.5,living,\nnope,attack,\n"
                          + rows + b"0.2,attack,\xff\xfe\n")
         with pytest.raises(ValueError, match="^line 3: bad score 'nope'$"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
 
     def test_bad_row_in_the_undecodable_chunk_wins(self, tmp_path):
         path = tmp_path / "bytes.csv"
         head = b"score,label,attack_kind\n0.5,living,\n"
         path.write_bytes(head + b"nope,attack,\n0.2,attack,\xff\n")
         with pytest.raises(ValueError, match="^line 3: bad score 'nope'$"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
         path.write_bytes(head + b"0.5,attack\n0.2,attack,\xff\n")
         with pytest.raises(ValueError, match="^line 3: expected 3 fields, got 2$"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
         # The row that holds the byte is not checked: the byte comes first.
         path.write_bytes(head + b"nope,attack,\xff\n")
         with pytest.raises(ValueError, match="^line 3: 'utf-8' codec"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
 
     def test_unclosed_quote_names_its_line(self, tmp_path):
         path = tmp_path / "quote.csv"
         path.write_text('score,label,attack_kind\n0.9,living,\n'
                         '0.5,attack,"abc\n0.2,living,\n0.3,attack,x\n')
         with pytest.raises(ValueError, match="^line 5: unexpected end of data$"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
         # A bad row above the open quote is the one reported.
         path.write_text('score,label,attack_kind\nnope,living,\n'
                         '0.5,attack,"abc\n0.2,living,\n')
         with pytest.raises(ValueError, match="^line 2: bad score 'nope'$"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_undecodable_byte_names_its_line(self, tmp_path, newline):
@@ -380,22 +387,22 @@ class TestSummaryAndCsv:
             path.write_bytes(newline.join(lines) + newline)
             with pytest.raises(ValueError, match=f"^line {rows + 2}: 'utf-8' "
                                                  "codec can't decode byte 0xff"):
-                read_records_csv(path)
+                read_records_csv(path, 0.5)
         path.write_bytes(b"score,label,\xffattack_kind\n0.5,living,\n")
         with pytest.raises(ValueError, match="^line 1: 'utf-8' codec"):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("score,label,attack_kind\n")
         with pytest.raises(ValueError):
-            read_records_csv(path)
+            read_records_csv(path, 0.5)
 
 
 # -- property tests: the columnar core against the per-record recount -------
@@ -425,7 +432,7 @@ class TestColumnarCoreProperties:
     @given(scored_sets())
     def test_summary_equals_brute_force(self, drawn):
         records, threshold = drawn
-        summary = metrics_summary(record_columns(records), threshold)
+        summary = metrics_summary(record_counts(records, threshold))
         got = (summary["apcer"], summary["bpcer"], summary["acer"],
                summary["hter"])
         assert got == brute_force_rates(records, threshold)
@@ -443,7 +450,7 @@ class TestColumnarCoreProperties:
     def test_tied_score_is_accepted(self, drawn):
         records, _ = drawn
         score, label, kind = records[0]
-        summary = metrics_summary(record_columns(records), score)
+        summary = metrics_summary(record_counts(records, score))
         # The record at the threshold counts as accepted: a living one keeps
         # BPCER below 1, an attack lifts its PAI's APCER above 0.
         if label == LIVING:
@@ -459,9 +466,10 @@ class TestColumnarCoreProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "records.csv"
             write_records(path, records)
-            back = read_records_csv(path)
-        assert metrics_summary(back, threshold) == metrics_summary(
-            record_columns(records), threshold)
+            back = read_records_csv(path, threshold)
+        assert back == record_counts(records, threshold)
+        assert metrics_summary(back) == metrics_summary(
+            record_counts(records, threshold))
 
 
 # -- differential test: the column reader against the row-at-a-time one ------
@@ -541,29 +549,132 @@ def records_csv_texts(draw):
     return out.getvalue()
 
 
-def read_outcome(read, path):
+def read_outcome(read, *args):
     try:
-        return read(path)
+        return read(*args)
     except ValueError as exc:
         return str(exc)
+
+
+def counts_of_columns(columns, threshold):
+    """Counts of the reference reader's columns at threshold."""
+    scores, living, groups, group_names = columns
+    return record_counts([(score, LIVING if is_living else ATTACK,
+                           group_names[group])
+                          for score, is_living, group
+                          in zip(scores.tolist(), living.tolist(),
+                                 groups.tolist())], threshold)
 
 
 class TestReaderMatchesRowAtATimeReference:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(records_csv_texts())
-    def test_same_columns_or_same_message(self, text):
+    @given(records_csv_texts(), st.floats(0.0, 1.0))
+    def test_same_columns_or_same_message(self, text, threshold):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "records.csv"
             path.write_text(text, newline="")
             want = read_outcome(reference_read_records_csv, path)
-            got = read_outcome(read_records_csv, path)
+            got = read_outcome(read_records_csv, path, threshold)
         if isinstance(want, str):
             assert got == want
             return
-        assert not isinstance(got, str), got
-        for column, expected in zip((got.scores, got.living, got.groups),
-                                    want[:3]):
-            assert column.dtype == expected.dtype
-            assert np.array_equal(column, expected)
-        assert got.group_names == want[3]
+        assert got == counts_of_columns(want, threshold)
+
+
+# -- the streaming reader at its chunk and block boundaries ------------------
+
+HEADER = "score,label,attack_kind\n"
+GOOD_ROW = "0.5,living,\n"
+
+
+def read_both(path, threshold=0.5):
+    """The reader's outcome, asserted equal to the reference reader's."""
+    got = read_outcome(read_records_csv, path, threshold)
+    want = read_outcome(reference_read_records_csv, path)
+    assert got == (want if isinstance(want, str)
+                   else counts_of_columns(want, threshold))
+    return got
+
+
+class TestChunkBoundaries:
+    def test_first_bad_row_in_the_second_chunk(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(HEADER + GOOD_ROW * (CHUNK_ROWS + 10) + "\n\n"
+                        + '0.2,attack,"a\nb"\nnope,attack,x\n')
+        assert read_both(path) == (f"line {CHUNK_ROWS + 16}: "
+                                   "bad score 'nope'")
+
+    def test_earlier_bad_row_wins_across_chunks(self, tmp_path):
+        # The last row of the first chunk breaks the rule; the second chunk
+        # starts with a row of two fields.
+        path = tmp_path / "records.csv"
+        path.write_text(HEADER + GOOD_ROW * (CHUNK_ROWS - 1) + "1.5,living,\n"
+                        + "0.5,attack\n" + GOOD_ROW)
+        assert read_both(path) == (f"line {CHUNK_ROWS + 1}: score must be "
+                                   "finite in [0, 1], got 1.5")
+
+    @pytest.mark.parametrize("where", ["last row of a chunk",
+                                       "first row of a chunk", "block cut"])
+    def test_multi_line_tag_at_a_boundary(self, tmp_path, where):
+        tag = '0.2,attack,"a\nb\r\nc\rd"\n'     # three line breaks
+        before = {"last row of a chunk": CHUNK_ROWS - 1,
+                  "first row of a chunk": CHUNK_ROWS,
+                  "block cut": (BLOCK_BYTES - len(HEADER)) // len(GOOD_ROW)}
+        rows = [GOOD_ROW] * (CHUNK_ROWS + 20)
+        rows.insert(before[where], tag)
+        path = tmp_path / "records.csv"
+        path.write_text(HEADER + "".join(rows), newline="")
+        counts = read_both(path)
+        assert counts.groups == (("a\nb\r\nc\rd", (1, 0)),)
+        path.write_text(HEADER + "".join(rows) + "nope,attack,\n", newline="")
+        assert read_both(path) == (f"line {len(rows) + 5}: "
+                                   "bad score 'nope'")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_bad_byte_right_after_the_block_cut(self, tmp_path, newline):
+        # The line above the bad byte ends on the block's last byte; a
+        # line break whose next byte is unread is no cut, so for CRLF the
+        # cut waits for the LF in the next block.
+        row = GOOD_ROW.replace("\n", newline)
+        head = HEADER.replace("\n", newline) + row * (BLOCK_BYTES // len(row) - 9)
+        end = BLOCK_BYTES + len(newline) - 1
+        fill = "0.5,attack," + "x" * (end - len(head) - 11 - len(newline))
+        raw = (head + fill + newline).encode()
+        assert len(raw) == end
+        path = tmp_path / "records.csv"
+        path.write_bytes(raw + b"\xff,attack,\n".replace(b"\n",
+                                                          newline.encode()))
+        line = raw.count(newline.encode()) + 1
+        with pytest.raises(ValueError, match=(
+                f"^line {line}: 'utf-8' codec can't decode byte 0xff in "
+                f"position {len(raw)}: invalid start byte$")):
+            read_records_csv(path, 0.5)
+
+    def test_bad_byte_after_a_line_longer_than_a_block(self, tmp_path):
+        # The bad byte is in the block after the one the long line ends in.
+        raw = (HEADER + f"0.5,attack,{'x' * (BLOCK_BYTES + 100)}\n"
+               + GOOD_ROW * (BLOCK_BYTES // len(GOOD_ROW))).encode()
+        path = tmp_path / "records.csv"
+        path.write_bytes(raw + b"0.2,attack,\xe2\x82\n")
+        line = raw.count(b"\n") + 1
+        with pytest.raises(ValueError, match=(
+                f"^line {line}: 'utf-8' codec can't decode bytes in position "
+                f"{len(raw) + 11}-{len(raw) + 12}: invalid continuation byte$")):
+            read_records_csv(path, 0.5)
+
+    def test_memory_is_one_chunk_however_long_the_file(self, tmp_path):
+        # Eight chunks of records peak within 1.5x of one chunk's peak.
+        peaks = []
+        for chunks in (1, 8):
+            path = tmp_path / f"{chunks}.csv"
+            rows = ["0.25,attack,print\n", "0.75,living,\n", "0.5,attack,\n"]
+            path.write_text(HEADER + "".join(rows) * (chunks * CHUNK_ROWS // 3))
+            tracemalloc.start()
+            try:
+                counts = read_records_csv(path, 0.5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(counts) == chunks * CHUNK_ROWS // 3 * 3
+        assert peaks[1] <= 1.5 * peaks[0], peaks
