@@ -186,6 +186,8 @@ def svg_line_plot(path, series: dict, title: str, x_label: str,
     """Minimal native SVG: axes, one polyline per series, inline legend.
 
     series maps a name to a list of (x, y) points; y may be None for gaps.
+    Each distinct x and y coordinate is formatted once; the bytes are those
+    of formatting every point on its own.
     """
     width, height, margin = 640, 420, 56
     xs = [x for points in series.values() for x, y in points if y is not None]
@@ -232,6 +234,10 @@ def svg_line_plot(path, series: dict, title: str, x_label: str,
         f'<text x="{margin - 6}" y="{sy(y_hi):.2f}" text-anchor="end" '
         f'font-family="sans-serif" font-size="10">{y_hi:.3f}</text>',
     ]
+    # Each distinct coordinate is formatted once per plot; the x texts are
+    # shared by all series. sx and sy add a nonzero margin, so 0.0 and -0.0
+    # format alike and a key by value is safe.
+    x_texts, y_texts = {}, {}
     for idx, (name, points) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         runs, current = [], []
@@ -242,7 +248,13 @@ def svg_line_plot(path, series: dict, title: str, x_label: str,
                 current = []
             else:
                 # Each point's text serves both its polyline vertex and its circle.
-                current.append((f"{sx(x):.2f}", f"{sy(y):.2f}"))
+                px = x_texts.get(x)
+                if px is None:
+                    px = x_texts[x] = f"{sx(x):.2f}"
+                py = y_texts.get(y)
+                if py is None:
+                    py = y_texts[y] = f"{sy(y):.2f}"
+                current.append((px, py))
         if current:
             runs.append(current)
         for run in runs:

@@ -336,6 +336,12 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
     advances its start coordinates starts = (ul1, um1, ur1) by each step's
     recording flows, so its estimates drift while a real scene's series stays
     constant; other scenes ignore starts.
+
+    Each distinct step is computed once: the records of a real scene, and
+    the records of an attack scene's steps with the same dv, share one
+    observation, estimate and closed form. Every value is what computing
+    each step on its own gives, and an invalid dv still fails at its first
+    step.
     """
     if n_frames < 2:
         raise ValueError(f"a sequence needs at least 2 frames, got {n_frames}")
@@ -369,12 +375,19 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
 
     if dv_schedule is None:
         dv_schedule = [0.0] * n_steps
+    # A step depends only on its dv, so repeated values share one result.
+    # The key keeps the sign of a zero shake, as repr does.
+    steps = {}
     for t, dv in enumerate(dv_schedule):
         _check_finite("dv", dv)
-        obs = flow_replay(cfg, dv)
-        est = estimate_relative_depth(obs)
-        closed = None if cfg.dx == 0.0 else closed_form_replay_ratio(cfg, dv)
-        records.append(FrameRecord(t + 1, obs, est, closed))
+        key = (dv, math.copysign(1.0, dv))
+        step = steps.get(key)
+        if step is None:
+            obs = flow_replay(cfg, dv)
+            est = estimate_relative_depth(obs)
+            closed = None if cfg.dx == 0.0 else closed_form_replay_ratio(cfg, dv)
+            step = steps[key] = (obs, est, closed)
+        records.append(FrameRecord(t + 1, *step))
     return records
 
 
@@ -383,24 +396,43 @@ SWEEP_CSV_COLUMNS = ("scene_type", "frame", "du_l", "du_m", "du_r",
 
 
 def write_sweep_csv(path, records_by_scene: dict[str, Sequence[FrameRecord]]) -> None:
-    """Serialize sweep results; floats use repr so parsing round-trips exactly."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for scene_type, records in records_by_scene.items():
-            for rec in records:
-                est = rec.estimate
-                writer.writerow([
-                    scene_type,
-                    rec.frame,
-                    repr(float(rec.observation.du_l)),
-                    repr(float(rec.observation.du_m)),
-                    repr(float(rec.observation.du_r)),
+    """Serialize sweep results; floats use repr so parsing round-trips exactly.
+
+    Each distinct step, one set of observation, estimate and closed-form
+    objects shared by its records, is formatted once, and the file is
+    written with a single call. The bytes are those of csv.writer writing
+    every row on its own: minimal quoting and CRLF line ends.
+    """
+    lines = [",".join(SWEEP_CSV_COLUMNS)]
+    # Keyed by identity, not value: 0.0 == -0.0, but repr tells them apart.
+    # Each entry holds its record, so no keyed id is freed and reused while
+    # the dict lives, even when the records are made as they are read.
+    tails = {}
+    for scene_type, records in records_by_scene.items():
+        name = _csv_cell(scene_type)
+        for rec in records:
+            obs, est, closed = rec.observation, rec.estimate, rec.closed_form_ratio
+            key = (id(obs), id(est), id(closed))
+            entry = tails.get(key)
+            if entry is None:
+                entry = tails[key] = (rec, ",".join((
+                    repr(float(obs.du_l)),
+                    repr(float(obs.du_m)),
+                    repr(float(obs.du_r)),
                     "" if est.ratio is None else repr(float(est.ratio)),
                     "true" if est.degenerate_flat else "false",
-                    "" if rec.closed_form_ratio is None
-                    else repr(float(rec.closed_form_ratio)),
-                ])
+                    "" if closed is None else repr(float(closed)),
+                )))
+            lines.append(f"{name},{rec.frame},{entry[1]}")
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def _csv_cell(text: str) -> str:
+    """text as csv.writer's default dialect writes it in a row of cells."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def read_sweep_csv(path) -> list[dict]:

@@ -9,6 +9,7 @@ with the acceptance rate pooled over all attacks.
 from __future__ import annotations
 
 import bisect
+import codecs
 import csv
 import io
 import itertools
@@ -154,9 +155,13 @@ def _text_blocks(fh):
     ASCII, so a cut after one never splits a UTF-8 sequence, and a cut
     after a carriage return waits for the next byte, so a CRLF stays whole.
     At an undecodable byte the lines above its line come first, then
-    _BadByte with the byte's offset in the file.
+    _BadByte with the byte's offset in the file. One leading UTF-8 byte
+    order mark, as spreadsheet tools write, is read as the encoding mark
+    and not as text; offsets still count it.
     """
-    parts, offset = [], 0
+    parts, offset = [fh.read(len(codecs.BOM_UTF8))], 0
+    if parts[0] == codecs.BOM_UTF8:
+        parts, offset = [], len(codecs.BOM_UTF8)
     while True:
         block = fh.read(BLOCK_BYTES)
         cut = 1 + max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1))

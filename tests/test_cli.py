@@ -54,6 +54,19 @@ SIMULATE_SHA256 = {
     },
 }
 
+# A sweep whose files hold both 0.0 and -0.0: with d1 = 0 every ratio is a
+# zero, signed by the shake of its step. 0.0 == -0.0, so a writer that
+# formats a value once and keys it by value would write the wrong sign.
+SIGNED_ZERO_CONFIG = ("scenes = real,replay\nd1 = 0.0\ndx = 0.1\nza = 2\n"
+                      "zb = 4\nd2 = 1\ndv_schedule = -0.04,0.05,-0.04\n")
+SIGNED_ZERO_FRAMES = 9
+SIGNED_ZERO_SHA256 = {
+    "simulation.csv":
+        "f90fa799302fbb5b81bcd22d341b6fc70ec376830392765c694c2aae202b3624",
+    "simulation.svg":
+        "7ea9efa5fb6473aeca6a80b77453d56e29d029594e8c7d01b906180eb95166a7",
+}
+
 
 # sha256 of the oracle-mode demo.json for seeds 0-19 at 2, 5 and 9 frames.
 # Oracle mode draws no weights and makes no conv call, so the seed changes
@@ -198,6 +211,18 @@ class TestSimulate:
     def test_frame_cap_outputs_match_golden_bytes(self, tmp_path):
         assert run(["simulate", "--out", tmp_path, "--frames", MAX_FRAMES]) == 0
         self.assert_golden_bytes(tmp_path, MAX_FRAMES)
+
+    def test_signed_zero_outputs_match_golden_bytes(self, tmp_path):
+        cfg = tmp_path / "signed_zero.cfg"
+        cfg.write_text(SIGNED_ZERO_CONFIG)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--out", out,
+                    "--frames", SIGNED_ZERO_FRAMES]) == 0
+        text = (out / "simulation.csv").read_text()
+        assert ",0.0," in text and ",-0.0," in text
+        for name, digest in SIGNED_ZERO_SHA256.items():
+            data = (out / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_seed_flag_is_demo_only(self, tmp_path):
         # simulate and metrics draw nothing at random, so they take no seed.
@@ -542,6 +567,36 @@ class TestMetricsCommand:
         assert ("line 2589: 'utf-8' codec can't decode byte 0xff in position "
                 f"{offset}:") in capsys.readouterr().err
         assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("body, line, position", [
+        (b"0.9,living,\n0.1,attack,print\n", None, None),
+        (b"0.9,living,\n0.1,atk,print\n", 3, None),
+        (b"0.9,living,\n0.1,attack,pr\xffint\n", 3, 49),
+    ], ids=["valid", "bad-row", "bad-byte"])
+    def test_byte_order_mark_is_not_text(self, tmp_path, capsys, body, line,
+                                         position):
+        # Spreadsheet tools start a UTF-8 CSV with EF BB BF. It is read as
+        # the encoding mark, and byte positions still count it.
+        outcomes = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "records.csv"
+            path.write_bytes(bom + b"score,label,attack_kind\n" + body)
+            out = tmp_path / f"out{len(bom)}"
+            code = run(["metrics", path, "--out", out])
+            result = out / "metrics.json"
+            outcomes.append((code, capsys.readouterr().err.replace(str(out), "OUT"),
+                             result.read_bytes() if result.exists() else None))
+        plain, marked = outcomes
+        if line is None:
+            assert plain[0] == 0 and plain[2] is not None
+        else:
+            assert plain[0] == 3 and f": line {line}: " in plain[1]
+        if position is not None:
+            assert f"in position {position}:" in plain[1]
+            plain = (plain[0], plain[1].replace(f"position {position}:",
+                                                f"position {position + 3}:"),
+                     plain[2])
+        assert marked == plain
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["metrics", tmp_path / "absent.csv", "--out", tmp_path]) == 3

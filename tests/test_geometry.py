@@ -1,18 +1,22 @@
+import csv
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from depthpad import geometry
 from depthpad.geometry import (
+    SWEEP_CSV_COLUMNS,
     AttackSceneConfig,
     DegenerateRotationError,
     FlowObservation,
     FrameRecord,
     InconsistentFlowError,
     RealSceneConfig,
+    RelativeDepthEstimate,
     SingularConfigError,
     closed_form_replay_ratio,
     closed_form_rotated_ratio,
@@ -360,6 +364,44 @@ class TestSimulateSequence:
         assert (repr(simulate_sequence(still, 3, starts=(math.nan,) * 3))
                 == repr(simulate_sequence(still, 3, starts=None)))
 
+    @pytest.mark.parametrize("dx, schedule, distinct", [
+        # A zero shake keeps its sign, so -0.0 and 0.0 are distinct steps.
+        (0.3, [0.1, -0.0, 0.1, 0.0, 0.2, -0.0, 0.1, 0.2, 0.0],
+         "[0.1, -0.0, 0.0, 0.2]"),
+        (0.0, [0.1, -0.2, 0.1, 0.3, -0.2, 0.1], "[0.1, -0.2, 0.3]"),  # print
+    ])
+    def test_one_formula_call_per_distinct_dv(self, monkeypatch, dx, schedule,
+                                              distinct):
+        calls = {"flow_replay": [], "closed_form_replay_ratio": []}
+        for name, log in calls.items():
+            def counted(cfg, dv, _formula=getattr(geometry, name), _log=log):
+                _log.append(dv)
+                return _formula(cfg, dv)
+            monkeypatch.setattr(geometry, name, counted)
+        cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=dx)
+        records = simulate_sequence(cfg, len(schedule) + 1, schedule,
+                                    starts=None)
+        assert repr(calls["flow_replay"]) == distinct
+        assert repr(calls["closed_form_replay_ratio"]) == (distinct if dx
+                                                          else "[]")
+        assert repr(records) == repr(reference_simulate_sequence(
+            cfg, len(schedule) + 1, schedule))
+        first = {}
+        for rec, dv in zip(records, schedule):
+            step = first.setdefault(repr(dv), rec)
+            assert rec.observation is step.observation
+            assert rec.estimate is step.estimate
+            assert rec.closed_form_ratio is step.closed_form_ratio
+
+        # A non-finite shake fails at its first step, after the distinct
+        # steps before it and no step after it.
+        for log in calls.values():
+            log.clear()
+        with pytest.raises(ValueError, match=r"^dv must be finite, got nan$"):
+            simulate_sequence(cfg, 7, [0.1, 0.1, math.nan, 0.2, math.inf, 0.3],
+                              starts=None)
+        assert calls["flow_replay"] == [0.1]
+
     def test_bad_requests_rejected(self):
         real = RealSceneConfig(f=1, z=2, d1=0.4, d2=1.0, dx=0.3)
         with pytest.raises(ValueError):
@@ -378,6 +420,64 @@ class TestSimulateSequence:
             with pytest.raises(ValueError, match=f"has {length} entries for 4"):
                 simulate_sequence(rotated, 5, dv_schedule=[0.0] * length,
                                   starts=STARTS)
+
+
+def reference_write_sweep_csv(path, records_by_scene):
+    """The csv.writer loop that formatted every row, kept as the reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_CSV_COLUMNS)
+        for scene_type, records in records_by_scene.items():
+            for rec in records:
+                est = rec.estimate
+                writer.writerow([
+                    scene_type,
+                    rec.frame,
+                    repr(float(rec.observation.du_l)),
+                    repr(float(rec.observation.du_m)),
+                    repr(float(rec.observation.du_r)),
+                    "" if est.ratio is None else repr(float(est.ratio)),
+                    "true" if est.degenerate_flat else "false",
+                    "" if rec.closed_form_ratio is None
+                    else repr(float(rec.closed_form_ratio)),
+                ])
+
+
+def flip_zero(value):
+    """value, but a zero of the other sign: equal under ==, apart under repr."""
+    return -value if value == 0.0 else value
+
+
+value_st = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+optional_st = st.one_of(st.none(), value_st)
+# Names csv.writer must quote (comma, quote, CR, LF) and names it must not.
+scene_name_st = st.text(st.sampled_from('ab ,"\r\n\'\t'), max_size=6)
+
+
+@st.composite
+def sweep_records(draw):
+    """records_by_scene whose records share step objects, and records whose
+    steps are equal in value, or equal but for the sign of a zero, in
+    objects of their own."""
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        obs = FlowObservation(*(draw(value_st) for _ in range(3)))
+        est = RelativeDepthEstimate(draw(st.booleans()), draw(optional_st))
+        steps.append((obs, est, draw(optional_st)))
+    for obs, est, closed in list(steps):
+        steps.append((replace(obs), replace(est), closed))
+        steps.append((FlowObservation(flip_zero(obs.du_l), flip_zero(obs.du_m),
+                                      flip_zero(obs.du_r)),
+                      replace(est, ratio=None if est.ratio is None
+                              else flip_zero(est.ratio)),
+                      None if closed is None else flip_zero(closed)))
+    by_scene = {}
+    for name in draw(st.lists(scene_name_st, max_size=4, unique=True)):
+        by_scene[name] = [FrameRecord(draw(st.integers(-3, 10**6)),
+                                      *draw(st.sampled_from(steps)))
+                          for _ in range(draw(st.integers(0, 6)))]
+    return by_scene
 
 
 class TestSweepCsv:
@@ -406,6 +506,29 @@ class TestSweepCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_sweep_csv(path)
+
+    def test_records_made_as_they_are_read(self, tmp_path):
+        # Each record is freed once written, so CPython may give the next
+        # record's objects the same ids; no formatted row may be reused.
+        def made_on_the_fly():
+            for i in range(50):
+                yield FrameRecord(i, FlowObservation(float(i), i + 0.5, i + 0.25),
+                                  RelativeDepthEstimate(False, i / 7), i / 3)
+
+        write_sweep_csv(tmp_path / "got.csv", {"a": made_on_the_fly()})
+        reference_write_sweep_csv(tmp_path / "want.csv", {"a": made_on_the_fly()})
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sweep_records())
+    def test_same_bytes_as_a_row_at_a_time_writer(self, tmp_path, by_scene):
+        write_sweep_csv(tmp_path / "got.csv", by_scene)
+        reference_write_sweep_csv(tmp_path / "want.csv", by_scene)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
 
 
 # -- differential test: stepping one checked scene against per-frame configs --
