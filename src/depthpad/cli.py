@@ -100,12 +100,21 @@ COMMAND_FIELDS = {
 }
 
 
+# A config file is a few lines of settings. A larger one is refused once one
+# byte past the cap is read, so its size costs no memory.
+MAX_CONFIG_BYTES = 64 * 1024
+
+
 def parse_config_file(path, command: str) -> dict:
     values, seen = {}, {}
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise UsageError(f"cannot read config file {path}: {exc}")
+    if len(data) > MAX_CONFIG_BYTES:
+        raise UsageError(f"config file {path} is larger than the "
+                         f"{MAX_CONFIG_BYTES}-byte cap")
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -234,10 +243,11 @@ def svg_line_plot(path, series: dict, title: str, x_label: str,
         f'<text x="{margin - 6}" y="{sy(y_hi):.2f}" text-anchor="end" '
         f'font-family="sans-serif" font-size="10">{y_hi:.3f}</text>',
     ]
-    # Each distinct coordinate is formatted once per plot; the x texts are
-    # shared by all series. sx and sy add a nonzero margin, so 0.0 and -0.0
-    # format alike and a key by value is safe.
-    x_texts, y_texts = {}, {}
+    # Each distinct coordinate is formatted once per plot, and each point's
+    # texts serve both its polyline vertex and its circle. sx and sy add a
+    # nonzero margin, so 0.0 and -0.0 format alike and a key by value is safe.
+    x_texts = {x: f"{sx(x):.2f}" for x in set(xs)}
+    y_texts = {y: f"{sy(y):.2f}" for y in set(ys)}
     for idx, (name, points) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         runs, current = [], []
@@ -247,14 +257,7 @@ def svg_line_plot(path, series: dict, title: str, x_label: str,
                     runs.append(current)
                 current = []
             else:
-                # Each point's text serves both its polyline vertex and its circle.
-                px = x_texts.get(x)
-                if px is None:
-                    px = x_texts[x] = f"{sx(x):.2f}"
-                py = y_texts.get(y)
-                if py is None:
-                    py = y_texts[y] = f"{sy(y):.2f}"
-                current.append((px, py))
+                current.append((x_texts[x], y_texts[y]))
         if current:
             runs.append(current)
         for run in runs:
@@ -322,8 +325,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise DataError(f"scene {name!r} cannot be simulated: {exc}")
 
     series = {
-        name: [(rec.frame, rec.estimate.ratio) for rec in records]
-        for name, records in results.items()
+        name: [(frame, sweep.steps[i][1].ratio)
+               for frame, i in enumerate(sweep.index, start=1)]
+        for name, sweep in results.items()
     }
     with _output_dir(s) as out_dir:
         csv_path = out_dir / "simulation.csv"

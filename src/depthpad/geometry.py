@@ -5,15 +5,11 @@ a screen replaying a recorded face). Three facial points at different depths
 move vertically; their image-plane optical flows let an observer estimate the
 relative depth d1/d2 between the points. For a live face that estimate is the
 true ratio. For attacks the recording camera and the realistic camera compose,
-and carrier shake or carrier rotation distorts the estimate in ways computed
-here in closed form.
-
-Each replay formula takes the carrier shake dv of its frame step as a
-required argument, and each rotation formula the (start, end) recording-plane
-endpoints of the three points of its step (see rotated_endpoints): both are
-per-step quantities, not part of the scene. simulate_sequence takes the
-rotated carrier's start coordinates and steps a scene by calling these same
-functions with each step's value.
+and carrier shake dv or carrier rotation distorts the estimate in ways
+computed here in closed form, per frame step: each replay formula takes its
+step's dv and each rotation formula its step's (start, end) endpoints (see
+rotated_endpoints). simulate_sequence steps a scene through these formulas
+and returns a Sweep: its distinct steps and the step of each frame step.
 
 Every quantity shares one arbitrary length unit (only ratios matter) and all
 motion is restricted to the vertical axis. All functions are pure.
@@ -23,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -225,6 +222,22 @@ def closed_form_replay_ratio(cfg: AttackSceneConfig, dv: float) -> float:
     return ratio
 
 
+def _projector(zb: float, theta: float):
+    """project(u) -> (gap, image) of rotated-plane coordinate u, with sin and
+    cos of theta computed once: the viewing ray meets the plane where
+    gap = zb - u*sin(theta) > 0, at image zb*u*cos(theta) / gap."""
+    sin, cos = math.sin(theta), math.cos(theta)
+
+    def project(u: float) -> tuple[float, float]:
+        gap = zb - u * sin
+        if gap <= 0:
+            raise DegenerateRotationError(
+                f"rotated plane coordinate {u} at angle {theta} has no valid "
+                f"intersection (zb - u*sin(theta) = {gap})")
+        return gap, zb * u * cos / gap
+    return project
+
+
 def map_rotated_coordinate(u: float, zb: float, theta: float) -> float:
     """Re-project a rotated-plane coordinate onto the vertical carrier plane.
 
@@ -234,12 +247,7 @@ def map_rotated_coordinate(u: float, zb: float, theta: float) -> float:
     """
     if zb <= 0:
         raise ValueError(f"camera-to-carrier distance must be positive, got {zb}")
-    den = zb - u * math.sin(theta)
-    if den <= 0:
-        raise DegenerateRotationError(
-            f"rotated plane coordinate {u} at angle {theta} has no valid "
-            f"intersection (zb - u*sin(theta) = {den})")
-    return zb * u * math.cos(theta) / den
+    return _projector(zb, theta)(u)[1]
 
 
 Endpoints = tuple[tuple[float, float], ...]
@@ -254,6 +262,10 @@ def check_starts(starts: Sequence[float]) -> None:
         _check_finite(name, u)
 
 
+def _recording_flows(cfg: AttackSceneConfig) -> list[float]:
+    return [cfg.fa * cfg.dx / z for z in (cfg.za, cfg.za + cfg.d1, cfg.za + cfg.d2)]
+
+
 def rotated_endpoints(cfg: AttackSceneConfig,
                       starts: Sequence[float]) -> Endpoints:
     """(start, end) recording-plane coordinates of the near, middle, far points.
@@ -262,23 +274,38 @@ def rotated_endpoints(cfg: AttackSceneConfig,
     step; each end is its start displaced by that point's recording flow
     fa*dx / (za + depth offset) inside the recorded content.
     """
-    depths = (cfg.za, cfg.za + cfg.d1, cfg.za + cfg.d2)
-    return tuple((u1, u1 + cfg.fa * cfg.dx / z) for u1, z in zip(starts, depths))
+    return tuple((u1, u1 + du) for u1, du in zip(starts, _recording_flows(cfg)))
+
+
+def _project_ends(cfg: AttackSceneConfig, ends: Endpoints) -> tuple:
+    """(start gaps, start images, end gaps, end images) of the three points,
+    near to far, each point's end projected before its start."""
+    project = _projector(cfg.zb, cfg.theta)
+    last, first = zip(*((project(u2), project(u1)) for u1, u2 in ends))
+    return (*zip(*first), *zip(*last))
+
+
+def _rotated_flow(scale: float, first, last) -> FlowObservation:
+    return FlowObservation(scale * (last[0] - first[0]),
+                           scale * (last[1] - first[1]),
+                           scale * (last[2] - first[2]))
 
 
 def flow_rotated(cfg: AttackSceneConfig, ends: Endpoints) -> FlowObservation:
     """Realistic-camera flows for a carrier rotated by cfg.theta.
 
     Each recording-plane flow is mapped through the rotated plane as the
-    difference of map_rotated_coordinate at its start and end coordinates,
-    then scaled onto the realistic image plane. ends holds the three points'
-    (start, end) pairs.
+    difference of map_rotated_coordinate at its end and start coordinates,
+    then scaled onto the realistic image plane by fb/zb. ends holds the three
+    points' (start, end) pairs.
     """
-    mapped = [map_rotated_coordinate(u2, cfg.zb, cfg.theta)
-              - map_rotated_coordinate(u1, cfg.zb, cfg.theta)
-              for u1, u2 in ends]
-    scale = cfg.fb / cfg.zb
-    return FlowObservation(*(scale * m for m in mapped))
+    _, first, _, last = _project_ends(cfg, ends)
+    return _rotated_flow(cfg.fb / cfg.zb, first, last)
+
+
+def _beta_factors(first, last) -> tuple[float, float]:
+    den_l = first[0] * last[0]
+    return first[1] * last[1] / den_l, first[2] * last[2] / den_l
 
 
 def rotation_beta_factors(cfg: AttackSceneConfig,
@@ -287,23 +314,14 @@ def rotation_beta_factors(cfg: AttackSceneConfig,
 
     beta1 scales the near/middle flow ratio, beta2 the near/far one; both are
     products of the per-endpoint intersection denominators. With theta = 0
-    both collapse to exactly 1.
+    both collapse to exactly 1. An endpoint outside the rotated plane's
+    domain fails as in flow_rotated.
     """
-    s = math.sin(cfg.theta)
-    den = {}
-    for key, (u1, u2) in zip("lmr", ends):
-        a = cfg.zb - u1 * s
-        b = cfg.zb - u2 * s
-        if a <= 0 or b <= 0:
-            raise DegenerateRotationError(
-                f"point {key} leaves the valid rotation domain (factors {a}, {b})")
-        den[key] = a * b
-    return den["m"] / den["l"], den["r"] / den["l"]
+    first, _, last, _ = _project_ends(cfg, ends)
+    return _beta_factors(first, last)
 
 
-def closed_form_rotated_ratio(cfg: AttackSceneConfig, ends: Endpoints) -> float:
-    """Rotated-carrier relative-depth estimate without simulating flows."""
-    beta1, beta2 = rotation_beta_factors(cfg, ends)
+def _rotated_ratio(cfg: AttackSceneConfig, beta1: float, beta2: float) -> float:
     num = (cfg.d1 / cfg.za + 1.0) * beta1 - 1.0
     den = (cfg.d2 / cfg.za + 1.0) * beta2 - 1.0
     if den == 0.0:
@@ -311,37 +329,41 @@ def closed_form_rotated_ratio(cfg: AttackSceneConfig, ends: Endpoints) -> float:
     return num / den
 
 
+def closed_form_rotated_ratio(cfg: AttackSceneConfig, ends: Endpoints) -> float:
+    """Rotated-carrier relative-depth estimate without simulating flows."""
+    return _rotated_ratio(cfg, *rotation_beta_factors(cfg, ends))
+
+
 @dataclass(frozen=True)
-class FrameRecord:
-    """One frame step of a simulated sequence (frame indices start at 1)."""
+class Sweep:
+    """A simulated sequence: distinct (observation, estimate,
+    closed_form_ratio) steps, and index[t], the position in steps of frame
+    step t (frame t + 1). len() is the number of frame steps."""
 
-    frame: int
-    observation: FlowObservation
-    estimate: RelativeDepthEstimate
-    closed_form_ratio: Optional[float]
+    steps: tuple[tuple[FlowObservation, RelativeDepthEstimate,
+                       Optional[float]], ...]
+    index: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
-SceneConfig = RealSceneConfig | AttackSceneConfig
-
-
-def simulate_sequence(cfg: SceneConfig, n_frames: int,
+def simulate_sequence(cfg: RealSceneConfig | AttackSceneConfig, n_frames: int,
                       dv_schedule: Optional[Sequence[float]] = None, *,
-                      starts: Optional[Sequence[float]]
-                      ) -> list[FrameRecord]:
-    """Per-frame relative-depth estimates over an n_frames video.
+                      starts: Optional[Sequence[float]]) -> Sweep:
+    """The relative-depth estimates of an n_frames video, as a Sweep.
 
-    n_frames frames yield n_frames - 1 flow observations. A dv schedule holds
-    one shake value per frame step (none: no shake); real scenes reject it
-    and rotated carriers accept only zeros. A rotated carrier (theta != 0)
+    n_frames frames yield n_frames - 1 frame steps. A dv schedule holds one
+    shake value per frame step (none: no shake); real scenes reject it and
+    rotated carriers accept only zeros. A rotated carrier (theta != 0)
     advances its start coordinates starts = (ul1, um1, ur1) by each step's
     recording flows, so its estimates drift while a real scene's series stays
     constant; other scenes ignore starts.
 
-    Each distinct step is computed once: the records of a real scene, and
-    the records of an attack scene's steps with the same dv, share one
-    observation, estimate and closed form. Every value is what computing
-    each step on its own gives, and an invalid dv still fails at its first
-    step.
+    A real scene has one step, a translating carrier one per distinct dv (a
+    zero keeps its sign) and a rotated carrier one per frame step. Every value
+    and every error is what the public formulas give for each step on its
+    own; an invalid dv fails at its first step.
     """
     if n_frames < 2:
         raise ValueError(f"a sequence needs at least 2 frames, got {n_frames}")
@@ -352,78 +374,77 @@ def simulate_sequence(cfg: SceneConfig, n_frames: int,
         if dv_schedule is not None:
             raise ValueError("dv schedules apply to attack scenes only")
         obs = flow_real(cfg)
-        est = estimate_relative_depth(obs)
-        closed = cfg.relative_depth
-        return [FrameRecord(t + 1, obs, est, closed) for t in range(n_steps)]
+        return Sweep(((obs, estimate_relative_depth(obs), cfg.relative_depth),),
+                     (0,) * n_steps)
 
     if dv_schedule is not None and len(dv_schedule) != n_steps:
         raise ValueError(
             f"dv schedule has {len(dv_schedule)} entries for {n_steps} frame steps")
-    records = []
+    steps = []
     if cfg.theta != 0.0:
         if dv_schedule is not None and any(v != 0.0 for v in dv_schedule):
             raise ValueError("a rotated carrier with nonzero shake is not modeled")
         check_starts(starts)
+        # A step's start is the last step's end, so after step 0 each step
+        # projects only its ends. A non-finite end fails in its own step (it
+        # leaves the domain or makes a non-finite flow), so it needs no check.
+        ends = rotated_endpoints(cfg, starts)
+        gaps0, images0, gaps, images = _project_ends(cfg, ends)
+        project, scale = _projector(cfg.zb, cfg.theta), cfg.fb / cfg.zb
+        coords, flows = [u2 for _, u2 in ends], _recording_flows(cfg)
         for t in range(n_steps):
-            ends = rotated_endpoints(cfg, starts)
-            obs = flow_rotated(cfg, ends)
-            records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
-                                       closed_form_rotated_ratio(cfg, ends)))
-            starts = tuple(u2 for _, u2 in ends)
-            check_starts(starts)
-        return records
+            if t:
+                coords = list(map(operator.add, coords, flows))
+                gaps0, images0 = gaps, images
+                gaps, images = zip(*map(project, coords))
+            obs = _rotated_flow(scale, images0, images)
+            steps.append((obs, estimate_relative_depth(obs),
+                          _rotated_ratio(cfg, *_beta_factors(gaps0, gaps))))
+        return Sweep(tuple(steps), tuple(range(n_steps)))
 
     if dv_schedule is None:
         dv_schedule = [0.0] * n_steps
-    # A step depends only on its dv, so repeated values share one result.
-    # The key keeps the sign of a zero shake, as repr does.
-    steps = {}
-    for t, dv in enumerate(dv_schedule):
-        _check_finite("dv", dv)
+    # A step depends only on its dv, so a repeated value shares its step and
+    # is checked once. The key keeps the sign of a zero shake, as repr does.
+    index, seen = [], {}
+    for dv in dv_schedule:
         key = (dv, math.copysign(1.0, dv))
-        step = steps.get(key)
-        if step is None:
+        i = seen.get(key)
+        if i is None:
+            _check_finite("dv", dv)
             obs = flow_replay(cfg, dv)
             est = estimate_relative_depth(obs)
             closed = None if cfg.dx == 0.0 else closed_form_replay_ratio(cfg, dv)
-            step = steps[key] = (obs, est, closed)
-        records.append(FrameRecord(t + 1, *step))
-    return records
+            i = seen[key] = len(steps)
+            steps.append((obs, est, closed))
+        index.append(i)
+    return Sweep(tuple(steps), tuple(index))
 
 
 SWEEP_CSV_COLUMNS = ("scene_type", "frame", "du_l", "du_m", "du_r",
                      "ratio", "degenerate_flat", "closed_form_ratio")
 
 
-def write_sweep_csv(path, records_by_scene: dict[str, Sequence[FrameRecord]]) -> None:
+def write_sweep_csv(path, sweeps_by_scene: dict[str, Sweep]) -> None:
     """Serialize sweep results; floats use repr so parsing round-trips exactly.
 
-    Each distinct step, one set of observation, estimate and closed-form
-    objects shared by its records, is formatted once, and the file is
-    written with a single call. The bytes are those of csv.writer writing
-    every row on its own: minimal quoting and CRLF line ends.
+    Each distinct step is formatted once and the file is written with a
+    single call. The bytes are those of csv.writer writing every frame
+    step's row on its own: minimal quoting and CRLF line ends.
     """
     lines = [",".join(SWEEP_CSV_COLUMNS)]
-    # Keyed by identity, not value: 0.0 == -0.0, but repr tells them apart.
-    # Each entry holds its record, so no keyed id is freed and reused while
-    # the dict lives, even when the records are made as they are read.
-    tails = {}
-    for scene_type, records in records_by_scene.items():
+    for scene_type, sweep in sweeps_by_scene.items():
         name = _csv_cell(scene_type)
-        for rec in records:
-            obs, est, closed = rec.observation, rec.estimate, rec.closed_form_ratio
-            key = (id(obs), id(est), id(closed))
-            entry = tails.get(key)
-            if entry is None:
-                entry = tails[key] = (rec, ",".join((
-                    repr(float(obs.du_l)),
-                    repr(float(obs.du_m)),
-                    repr(float(obs.du_r)),
-                    "" if est.ratio is None else repr(float(est.ratio)),
-                    "true" if est.degenerate_flat else "false",
-                    "" if closed is None else repr(float(closed)),
-                )))
-            lines.append(f"{name},{rec.frame},{entry[1]}")
+        tails = [",".join((
+            repr(float(obs.du_l)),
+            repr(float(obs.du_m)),
+            repr(float(obs.du_r)),
+            "" if est.ratio is None else repr(float(est.ratio)),
+            "true" if est.degenerate_flat else "false",
+            "" if closed is None else repr(float(closed)),
+        )) for obs, est, closed in sweep.steps]
+        lines += [f"{name},{frame},{tails[i]}"
+                  for frame, i in enumerate(sweep.index, start=1)]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 

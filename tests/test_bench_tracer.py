@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import depthpad
+from depthpad.geometry import AttackSceneConfig, simulate_sequence, write_sweep_csv
 from depthpad.metrics import read_records_csv
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -35,5 +36,17 @@ def test_tracer_binds_every_traced_function(monkeypatch, tmp_path):
         assert len(counts) == 3
         assert tracing._records_read((path, 0.5), {}, counts) == {
             "metrics.read_records_csv.records": 3}
+        # A sweep counts its frame steps, not its distinct steps, and the
+        # written sweep counts its file's bytes.
+        cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1, dx=0.3)
+        sweep = simulate_sequence(cfg, 9, [0.1, -0.1] * 4, starts=None)
+        assert len(sweep.steps) == 2
+        assert tracing._frames_simulated((cfg, 9), {}, sweep) == {
+            "geometry.frames_simulated": 8}
+        csv_path = tmp_path / "sweep.csv"
+        write_sweep_csv(csv_path, {"replay": sweep})
+        assert tracing._sweep_csv_bytes((csv_path, {"replay": sweep}), {},
+                                        None) == {
+            "geometry.write_sweep_csv.bytes": len(csv_path.read_bytes())}
     finally:
         sys.modules.pop("tracing", None)

@@ -21,6 +21,7 @@ from depthpad import cli, depthlabel, metrics, supervision
 from depthpad.cli import (
     COMMAND_FIELDS,
     CONFIG_FIELDS,
+    MAX_CONFIG_BYTES,
     MAX_FRAMES,
     UsageError,
     main,
@@ -138,6 +139,116 @@ DEMO_ORACLE_SHA256 = {
         "b21aa3160de1bf86771ac23187ee7d54f0ccf4afe9f56c5070507a5507778117",
         "280f4062308ca5056e755f00a97db594bc754472bf778ba80119ffcdaa141345",
     ),
+}
+
+
+# sha256 of the full-mode demo.json for seeds 0-19 at 2, 5 and 9 frames and
+# seeds 0-2 at the 64-frame cap. Full mode draws the motion, GRU and head
+# weights from the seed, so the table pins each draw's order, dtype and
+# scaling. The bytes do not change between one BLAS thread and the default
+# thread count.
+DEMO_FULL_SHA256 = {
+    2: (
+        "f936ac8169748ff92032558c8f2846ff62021867d7753d53a7226543ddca2d07",
+        "a98327e64bb14ae7d18ddc1bc8a317e4529890c5395665f70b21541b14c05a3a",
+        "007597ee7d7d3b78da7a2472e6117e34a12dc79a06e6a6d634f70b58fad22a0b",
+        "919298db2d6fe32e20f4ba7d622cc281e3cf903d9ed981e9ee416a033ffa2e65",
+        "c1f195e8355f2e237e3f2e253929527b060b57e858d3ebddae8effc7b728671b",
+        "2c68b218528c4a7a5282f74ccc16026b8947923e74aa472a579035fc99864052",
+        "2c6faa77725cc77b78d379b69697d14701540b74a0428ae50482e9346b037bb8",
+        "265b581390dd4f3503bc642afcc3d53414f239a93ca51cdaa4528b2d30336b27",
+        "52d9b4fca638973370eeca85792fd5d4bc7e946c7d7786c285e0cc3d7598a74a",
+        "78dd5ef88448d0d0439763629a8e1b21ae6cc989e0c4f1acedcccd943b586a33",
+        "1919677d049c94f4fb6626000d83878efe2fbee435eaed9acd1c55a462db877c",
+        "fbe261d9d05e4445ea4990366383441b177dfa89114785d405da5e9d2d01213a",
+        "9c2ffcf561675877d7af7047d4e85e4f31f86af2fff83e565f8fea27c7d22d51",
+        "0ea4db42c9d30f8a27b553d5422f130ee5c210dd5136c1fa24a0b8d318318aee",
+        "05071afa03526adec922093536c2820bb7088cab39e7dfcbb897371b1b5db1be",
+        "6aa77c70557a5220711c652c981f4d4f914023785e04007813c8ef4f0d969213",
+        "2012ed1036efb64f2a97a8118cd54a58b9915c1a4f03266d8e5b16760b9fd946",
+        "d156b9ada8f37925cf37beda4f6e0e7258407c1326b619765dafbe874bce1edf",
+        "3bdb510f6b148bed96f66c47e18adb01cfdf7d72037be72ae403b991070976cf",
+        "3eb3308dc479ef088f7c6d91e32dc82c93a0da8d1b8348faf1af1225c67968af",
+    ),
+    5: (
+        "bda5993df18d2b592480e5273ad34bfe878c70819909cb83b7df5834761aaa2a",
+        "18632eaf997fee92430db3851cbf88e55378446fc83fd99c67186813a769f133",
+        "a0d7aa1fcda0efbbd3bbb8583e1f52bca5108a6e9106618d07938ae1008b8124",
+        "1275512180a0fa1719b51f7939c3316827a5970f1fa4134821e0702fc6dd21d0",
+        "2fe999f611f2ef50be23405494962a345e2c6aa21e5ba41f7a11c5bbac867d06",
+        "2f428a9a3f523d6e31b631b85c9180b6a5fb2616899eec2e957183a4b4b95cbe",
+        "a131478f656765bf0701a30eb1fadae4c3bdc32d401a4b97650fef64a100a40a",
+        "b24f9bf9f1ca54453eb22d89abf83cc77fd3508577b5e79352f3cbca14b1527e",
+        "1dd9479291822ed1bb46a057875521607d7811b27f1a5e28f2444e0fed1679cd",
+        "6cbcb7de5a8eb71323fe7a2fb04bf0b3a403d24b9e58875bbf1396547cf84eec",
+        "1c40ccd8cca90728f66f4a7782201e9683863f98ed28a9a921d76ad7a5ac5311",
+        "6baf4a01c1752dff55c051eb9d1a3e1744b42f108d3af6e0b4d049437c7f7137",
+        "5ee33ba055e5c78accbccdae10ae4b998d6fc559d41f27a90316d79985675824",
+        "96777339ae68627b2629886559a034ce78b19405a9ab09b2dff98d38aaf949b8",
+        "3de4b2a0a59e9deca0902eb94d8def072f423ae13bf62cff3972691821711b3f",
+        "12383fa4b1ea66afb10e7a104010e054940333018e7e8ccb71d9362da19bcffe",
+        "068ccaeaad8a81debe4adf72597c9504aed9bafee9d484bab6d4e0ef21f7797c",
+        "68606ed609984c2ea2286b7a61c2791a680c58b862519b6f4a8368ab6dfa6259",
+        "6e442aff8f9389379e14a417d21a943141fe1672089fa1ef9231abe1a2480098",
+        "af1fbf8b46d095e016d6d066404eca685129a3ec38305de5c3a78fd965781469",
+    ),
+    9: (
+        "f536f3caaf5d7d176e75b30665f31bbdeeee8172318c36eaf422fdc3094bd25a",
+        "5a68dca667250d85e98070cdfad32d760ff695fd0c637a7adfce9213b386153f",
+        "1ad47e9e7d89b814c5469fe1a170f69374ac80f31bb61aa68e42655ea697fb7d",
+        "4468073806d9ce33844c353b68597ca15995ffad328c4d6fd150874694d2f57e",
+        "4d5be18dd74ec6c44909cf24242f761937d51a3c057632ca9216e22a8919567b",
+        "fa0fdf84393bf17899c8b7b98e146112b70e27fc76669ff48495fbc190e70dd5",
+        "e519c9ff9b70f128c359be1d69b9e33204ea4faaca8b87cbe4174854d5d22b3b",
+        "4af6b23ed998164d6058a76b1e4fafb0ba99bad8c8860916bef48426305efdb6",
+        "37e36812fd035ddbc8cb38fcd2046cde9b689461eec63efd34089957aa57dc67",
+        "15e977c6952ce28248e07fd2d41a3730f9baa5e7b3d149aac3a044566f0c521f",
+        "887b2cd2622ddd55d4730bffb88afce965c2db43a9378920747c0263558a0641",
+        "da727addfe42678debfa37dce60f1b1088ddeaceb190afe2f141ba10cf5704b6",
+        "ffebcc09f4760ff08e67ce1baa710a9542f26e7fce3d401fc7089a48c017353a",
+        "950ea1e21bf2410c27160ffa5e69ea4d0a1e257aa855fdfcf7176d9afcaa8367",
+        "1d7ace78e1f6ecf087ddaabf3aa089d476912077ecbe734696e16375978a0a74",
+        "881fe603df6b2b9b2e6768be9606e374226e9131d60fed9931022ddb550cc5ff",
+        "8cbbce22265808cbf403b22f2d69983d8f9ca376e98a18e92704502a5ad3b0f7",
+        "312dd241fae8f59135bb4757ef20eae4766f08ac2dd477b46a7f7197dccc2bec",
+        "10ada466bcf39b1427d2375c5ec9e0153a3f9d5e24ad234bf121d53aa0f7c881",
+        "08979e6d502155c243f92724c425ddb48c4b8aab4601e59a288b34505e76c9a4",
+    ),
+    64: (
+        "fe7fe8ee01df8512c7a152647d97ec3ccc1aefb29a7493f644064122b58ffe73",
+        "330c6f265b0d5148619b075e9aadab5a627540caacb7ed0c586bb0fefbaa2354",
+        "16d1baecda454d29ce9539471e19b2ba88aa3ac38aef68d517dc0379ff32bfac",
+    ),
+}
+
+# (score, b_hat, absolute, contrastive, depth_total, binary, multi_total) of
+# each kind in a few full-mode runs, by (seed, frames): where a BLAS that
+# rounds otherwise fails DEMO_FULL_SHA256, this table shows by how much.
+DEMO_FULL_VALUES = {
+    (0, 2): {
+        "living": (0.5031772989043012, 0.5111586242569836,
+                   120.11680319960183, 104.19037491680649, 224.30717811640832,
+                   0.6710753176589359, 23.034685597533873),
+        "spoof": (0.5180698041720241, 0.5271955189999561,
+                  198.24751110824627, 115.0757553596909, 313.3232664679372,
+                  0.7490733353546956, 32.006492648612934),
+    },
+    (3, 9): {
+        "living": (0.47736332027787626, 0.5012989919368406,
+                   1962.3918177145301, 1000.7760347274269, 2963.167852441957,
+                   0.6905525656126853, 296.93828255324706),
+        "spoof": (0.43172791878503103, 0.4492638943602466,
+                  710.3188131683445, 408.8455877716317, 1119.164400939976,
+                  0.5964995216891777, 112.45328966351784),
+    },
+    (1, 64): {
+        "living": (0.5309970209091269, 0.5332753424064257,
+                   6597.578046655635, 7707.854333117036, 14305.432379772672,
+                   0.6287173983221858, 1431.1090836357569),
+        "spoof": (0.5096219302053437, 0.5129470973926625,
+                  15082.572692758391, 6295.9239026207315, 21378.49659537912,
+                  0.7193825322154581, 2138.4971038169056),
+    },
 }
 
 
@@ -409,6 +520,27 @@ class TestDemo:
                             frames, "--out", tmp_path]) == 0
                 data = (tmp_path / "demo.json").read_bytes()
                 assert hashlib.sha256(data).hexdigest() == digest, (frames, seed)
+
+    def test_full_outputs_match_golden_bytes(self, tmp_path):
+        for frames, digests in DEMO_FULL_SHA256.items():
+            for seed, digest in enumerate(digests):
+                assert run(["demo", "--seed", seed, "--frames", frames,
+                            "--out", tmp_path]) == 0
+                data = (tmp_path / "demo.json").read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, (frames, seed)
+
+    @pytest.mark.parametrize("seed, frames", list(DEMO_FULL_VALUES))
+    def test_full_values_match_table(self, tmp_path, seed, frames):
+        assert run(["demo", "--seed", seed, "--frames", frames,
+                    "--out", tmp_path]) == 0
+        report = json.loads((tmp_path / "demo.json").read_text())
+        for kind, want in DEMO_FULL_VALUES[seed, frames].items():
+            got = report[kind]
+            losses = got["losses"]
+            assert (got["score"], got["b_hat"], losses["absolute"],
+                    losses["contrastive"], losses["depth_total"],
+                    losses["binary"], losses["multi_total"]) == pytest.approx(
+                        want, rel=1e-12, abs=0.0), kind
 
     def test_deterministic_per_seed(self, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -818,6 +950,73 @@ class TestOutputAndConfigErrors:
         self.assert_usage_error(tmp_path, capsys,
                                 [*argv, f"--config={tmp_path}/a\0b"],
                                 "cannot read config file", "embedded null byte")
+
+
+class TestConfigByteCap:
+    """A config file is read through a MAX_CONFIG_BYTES cap, so no config
+    costs more memory than the cap, whatever its size or source."""
+
+    def test_cap_is_inclusive(self, tmp_path):
+        cfg = tmp_path / "cap.cfg"
+        line = b"# " + b"x" * 60 + b"\n"
+        at_cap = (line * (MAX_CONFIG_BYTES // len(line) + 1))[:MAX_CONFIG_BYTES]
+        cfg.write_bytes(at_cap)
+        assert parse_config_file(cfg, "simulate") == {}
+        cfg.write_bytes(at_cap + b"#")
+        with pytest.raises(UsageError, match=f"^config file {cfg} is larger "
+                           f"than the {MAX_CONFIG_BYTES}-byte cap$"):
+            parse_config_file(cfg, "simulate")
+
+    def test_oversized_fifo_is_usage_error(self, tmp_path, capsys):
+        fifo = tmp_path / "config.fifo"
+        os.mkfifo(fifo)
+
+        def write_until_closed():
+            with contextlib.suppress(BrokenPipeError):
+                fifo.write_bytes(b"# comment\n" * 100_000)
+
+        writer = threading.Thread(target=write_until_closed)
+        writer.start()
+        try:
+            code = run(["simulate", "--config", fifo, "--out", tmp_path / "out"])
+        finally:
+            if writer.is_alive():    # the reader never opened the FIFO
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"usage error: config file {fifo} is larger than the "
+            f"{MAX_CONFIG_BYTES}-byte cap\n")
+        assert not (tmp_path / "out").exists()
+
+
+# Runs cli.main on sys.argv[1:] and prints its exit code and the process's
+# peak resident set size in KiB.
+PEAK_PROBE = """
+import resource, sys
+from depthpad import cli
+code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_huge_config_costs_no_memory(tmp_path):
+    # 50 MB of comments once made simulate exit 0 at a 192.6 MB peak, against
+    # 16.0 MB for an empty config; it is refused within a few MB of that.
+    peaks = {}
+    for name, size, code in (("empty", 0, 0), ("huge", 50_000_000, 2)):
+        cfg = tmp_path / f"{name}.cfg"
+        with open(cfg, "wb") as fh:
+            for _ in range(size // 1_000_000):
+                fh.write(b"# a comment line of the config file, not a setting\n"
+                         * 20_000)
+        done = run_fresh("-c", PEAK_PROBE, "simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / name))
+        status, peaks[name] = map(int, done.stdout.split()[-2:])
+        assert status == code, done.stderr
+        cfg.unlink()
+    assert peaks["huge"] <= peaks["empty"] + 4096, peaks
 
 
 # -- the exit-code contract under drawn argv and config-file bytes ----------

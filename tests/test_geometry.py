@@ -13,11 +13,11 @@ from depthpad.geometry import (
     AttackSceneConfig,
     DegenerateRotationError,
     FlowObservation,
-    FrameRecord,
     InconsistentFlowError,
     RealSceneConfig,
     RelativeDepthEstimate,
     SingularConfigError,
+    Sweep,
     closed_form_replay_ratio,
     closed_form_rotated_ratio,
     estimate_relative_depth,
@@ -36,6 +36,11 @@ from depthpad.geometry import (
 
 # Near, middle and far start coordinates of a rotated carrier.
 STARTS = (1.0, 1.2, 0.8)
+
+
+def frame_steps(sweep):
+    """The (observation, estimate, closed_form_ratio) step of each frame step."""
+    return [sweep.steps[i] for i in sweep.index]
 
 
 def ray_plane_remap(u, zb, theta):
@@ -235,6 +240,20 @@ class TestRotatedCarrier:
         with pytest.raises(DegenerateRotationError):
             map_rotated_coordinate(2.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("formula", [flow_rotated, rotation_beta_factors])
+    def test_each_end_is_mapped_before_its_start(self, formula):
+        # Near, middle, far in turn, the end first: the first coordinate
+        # outside the domain (u < 4.29) in that order is the one named.
+        cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0,
+                                dx=0.5, theta=1.2)
+        for ends, named in ((((5.0, 5.25), (0.5, 0.7)), 5.25),
+                            (((0.5, 0.7), (4.0, 4.5)), 4.5),
+                            (((0.5, 0.7), (5.0, 4.0)), 5.0)):
+            ends += ((0.1, 0.2),)
+            with pytest.raises(DegenerateRotationError,
+                               match=f"^rotated plane coordinate {named} "):
+                formula(cfg, ends)
+
     def test_zero_angle_equals_static_replay(self):
         cfg = AttackSceneConfig(fa=1, fb=2, za=2, zb=3, d1=0.5, d2=1.5, dx=0.4)
         rot = flow_rotated(cfg, rotated_endpoints(cfg, STARTS))
@@ -316,41 +335,44 @@ class TestRotatedCarrier:
 class TestSimulateSequence:
     def test_real_scene_series_is_constant(self):
         cfg = RealSceneConfig(f=1, z=2, d1=0.4, d2=1.0, dx=0.3)
-        records = simulate_sequence(cfg, 10, starts=None)
-        assert len(records) == 9
-        assert [r.frame for r in records] == list(range(1, 10))
-        for rec in records:
-            assert rec.estimate.ratio == pytest.approx(0.4, rel=1e-9)
-            assert rec.closed_form_ratio == pytest.approx(0.4)
+        sweep = simulate_sequence(cfg, 10, starts=None)
+        assert len(sweep) == 9
+        assert sweep.index == (0,) * 9
+        (_, est, closed), = sweep.steps
+        assert est.ratio == pytest.approx(0.4, rel=1e-9)
+        assert closed == pytest.approx(0.4)
 
     def test_print_scene_flat_every_frame(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0)
-        records = simulate_sequence(cfg, 6, dv_schedule=[0.05, 0.1, -0.05, 0.02, 0.3],
-                                    starts=None)
-        assert all(r.estimate.degenerate_flat for r in records)
-        assert all(r.closed_form_ratio is None for r in records)
+        sweep = simulate_sequence(cfg, 6, dv_schedule=[0.05, 0.1, -0.05, 0.02, 0.3],
+                                  starts=None)
+        assert len(sweep) == 5
+        assert all(est.degenerate_flat for _, est, _ in frame_steps(sweep))
+        assert all(closed is None for _, _, closed in frame_steps(sweep))
 
     def test_replay_series_varies_with_shake(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0.3)
         schedule = [0.05, 0.1, -0.05, 0.02]
-        records = simulate_sequence(cfg, 5, dv_schedule=schedule, starts=None)
-        ratios = [r.estimate.ratio for r in records]
+        steps = frame_steps(simulate_sequence(cfg, 5, dv_schedule=schedule,
+                                              starts=None))
+        ratios = [est.ratio for _, est, _ in steps]
         assert np.var(ratios) > 0
-        for rec, dv in zip(records, schedule):
-            assert rec.estimate.ratio == pytest.approx(
+        for (_, est, closed), dv in zip(steps, schedule, strict=True):
+            assert est.ratio == pytest.approx(
                 closed_form_replay_ratio(cfg, dv), rel=1e-9)
-            assert rec.closed_form_ratio == pytest.approx(
+            assert closed == pytest.approx(
                 closed_form_replay_ratio(cfg, dv), rel=1e-12)
 
 
     def test_rotated_series_drifts(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=4, zb=10, d1=1, d2=3, dx=0.4,
                                 theta=math.pi / 12)
-        records = simulate_sequence(cfg, 6, starts=(1.0, 1.4, 0.6))
-        ratios = [r.estimate.ratio for r in records]
+        sweep = simulate_sequence(cfg, 6, starts=(1.0, 1.4, 0.6))
+        assert sweep.index == tuple(range(5))
+        ratios = [est.ratio for _, est, _ in sweep.steps]
         assert np.var(ratios) > 0
-        for rec in records:
-            assert rec.estimate.ratio == pytest.approx(rec.closed_form_ratio, rel=1e-9)
+        for _, est, closed in sweep.steps:
+            assert est.ratio == pytest.approx(closed, rel=1e-9)
 
     def test_rotated_carrier_needs_finite_starts(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0,
@@ -379,19 +401,18 @@ class TestSimulateSequence:
                 return _formula(cfg, dv)
             monkeypatch.setattr(geometry, name, counted)
         cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=dx)
-        records = simulate_sequence(cfg, len(schedule) + 1, schedule,
-                                    starts=None)
+        sweep = simulate_sequence(cfg, len(schedule) + 1, schedule,
+                                  starts=None)
         assert repr(calls["flow_replay"]) == distinct
         assert repr(calls["closed_form_replay_ratio"]) == (distinct if dx
                                                           else "[]")
-        assert repr(records) == repr(reference_simulate_sequence(
+        assert repr(frame_steps(sweep)) == repr(reference_simulate_sequence(
             cfg, len(schedule) + 1, schedule))
+        # One step per distinct dv, in order of first use.
         first = {}
-        for rec, dv in zip(records, schedule):
-            step = first.setdefault(repr(dv), rec)
-            assert rec.observation is step.observation
-            assert rec.estimate is step.estimate
-            assert rec.closed_form_ratio is step.closed_form_ratio
+        for i, dv in zip(sweep.index, schedule, strict=True):
+            assert first.setdefault(repr(dv), len(first)) == i
+        assert len(sweep.steps) == len(first)
 
         # A non-finite shake fails at its first step, after the distinct
         # steps before it and no step after it.
@@ -422,24 +443,24 @@ class TestSimulateSequence:
                                   starts=STARTS)
 
 
-def reference_write_sweep_csv(path, records_by_scene):
+def reference_write_sweep_csv(path, sweeps_by_scene):
     """The csv.writer loop that formatted every row, kept as the reference."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_COLUMNS)
-        for scene_type, records in records_by_scene.items():
-            for rec in records:
-                est = rec.estimate
+        for scene_type, sweep in sweeps_by_scene.items():
+            for frame, (observation, est, closed_form_ratio) in enumerate(
+                    frame_steps(sweep), start=1):
                 writer.writerow([
                     scene_type,
-                    rec.frame,
-                    repr(float(rec.observation.du_l)),
-                    repr(float(rec.observation.du_m)),
-                    repr(float(rec.observation.du_r)),
+                    frame,
+                    repr(float(observation.du_l)),
+                    repr(float(observation.du_m)),
+                    repr(float(observation.du_r)),
                     "" if est.ratio is None else repr(float(est.ratio)),
                     "true" if est.degenerate_flat else "false",
-                    "" if rec.closed_form_ratio is None
-                    else repr(float(rec.closed_form_ratio)),
+                    "" if closed_form_ratio is None
+                    else repr(float(closed_form_ratio)),
                 ])
 
 
@@ -456,10 +477,9 @@ scene_name_st = st.text(st.sampled_from('ab ,"\r\n\'\t'), max_size=6)
 
 
 @st.composite
-def sweep_records(draw):
-    """records_by_scene whose records share step objects, and records whose
-    steps are equal in value, or equal but for the sign of a zero, in
-    objects of their own."""
+def sweeps(draw):
+    """sweeps_by_scene whose frame steps share steps, and whose steps are
+    equal in value, or equal but for the sign of a zero, to other steps."""
     steps = []
     for _ in range(draw(st.integers(1, 4))):
         obs = FlowObservation(*(draw(value_st) for _ in range(3)))
@@ -474,9 +494,8 @@ def sweep_records(draw):
                       None if closed is None else flip_zero(closed)))
     by_scene = {}
     for name in draw(st.lists(scene_name_st, max_size=4, unique=True)):
-        by_scene[name] = [FrameRecord(draw(st.integers(-3, 10**6)),
-                                      *draw(st.sampled_from(steps)))
-                          for _ in range(draw(st.integers(0, 6)))]
+        index = draw(st.lists(st.integers(0, len(steps) - 1), max_size=6))
+        by_scene[name] = Sweep(tuple(steps), tuple(index))
     return by_scene
 
 
@@ -484,17 +503,18 @@ class TestSweepCsv:
     def test_round_trip(self, tmp_path):
         real = simulate_sequence(RealSceneConfig(f=1, z=2, d1=0.4, d2=1.0, dx=0.3), 4,
                                  starts=None)
-        print_recs = simulate_sequence(
+        print_sweep = simulate_sequence(
             AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0),
             4, dv_schedule=[0.05, 0.1, -0.05], starts=None)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, {"real": real, "print": print_recs})
+        write_sweep_csv(path, {"real": real, "print": print_sweep})
         rows = read_sweep_csv(path)
         assert len(rows) == 6
+        assert [row["frame"] for row in rows] == [1, 2, 3] * 2
+        obs, est, _ = real.steps[0]
         assert rows[0]["scene_type"] == "real"
-        assert rows[0]["frame"] == 1
-        assert rows[0]["du_l"] == real[0].observation.du_l
-        assert rows[0]["ratio"] == real[0].estimate.ratio
+        assert rows[0]["du_l"] == obs.du_l
+        assert rows[0]["ratio"] == est.ratio
         assert rows[0]["degenerate_flat"] is False
         assert rows[3]["scene_type"] == "print"
         assert rows[3]["ratio"] is None
@@ -507,22 +527,9 @@ class TestSweepCsv:
         with pytest.raises(ValueError):
             read_sweep_csv(path)
 
-    def test_records_made_as_they_are_read(self, tmp_path):
-        # Each record is freed once written, so CPython may give the next
-        # record's objects the same ids; no formatted row may be reused.
-        def made_on_the_fly():
-            for i in range(50):
-                yield FrameRecord(i, FlowObservation(float(i), i + 0.5, i + 0.25),
-                                  RelativeDepthEstimate(False, i / 7), i / 3)
-
-        write_sweep_csv(tmp_path / "got.csv", {"a": made_on_the_fly()})
-        reference_write_sweep_csv(tmp_path / "want.csv", {"a": made_on_the_fly()})
-        assert ((tmp_path / "got.csv").read_bytes()
-                == (tmp_path / "want.csv").read_bytes())
-
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(sweep_records())
+    @given(sweeps())
     def test_same_bytes_as_a_row_at_a_time_writer(self, tmp_path, by_scene):
         write_sweep_csv(tmp_path / "got.csv", by_scene)
         reference_write_sweep_csv(tmp_path / "want.csv", by_scene)
@@ -544,7 +551,9 @@ def finite_starts(coords):
 def reference_simulate_sequence(cfg, n_frames, dv_schedule=None, starts=None):
     """The loop that rebuilt a checked config per frame, kept as the reference.
 
-    A rotated carrier's start coordinates are checked and advanced inline.
+    It returns each frame step's (observation, estimate, closed_form_ratio).
+    A rotated carrier's start coordinates are checked and advanced inline,
+    and each of its steps calls the public formulas on its own endpoints.
     """
     if n_frames < 2:
         raise ValueError(f"a sequence needs at least 2 frames, got {n_frames}")
@@ -553,17 +562,16 @@ def reference_simulate_sequence(cfg, n_frames, dv_schedule=None, starts=None):
     if isinstance(cfg, RealSceneConfig):
         if dv_schedule is not None:
             raise ValueError("dv schedules apply to attack scenes only")
-        records = []
+        steps = []
         for t in range(n_steps):
             obs = flow_real(cfg)
-            records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
-                                       cfg.relative_depth))
-        return records
+            steps.append((obs, estimate_relative_depth(obs), cfg.relative_depth))
+        return steps
 
     if cfg.theta != 0.0:
         if dv_schedule is not None and any(v != 0.0 for v in dv_schedule):
             raise ValueError("a rotated carrier with nonzero shake is not modeled")
-        records = []
+        steps = []
         c = cfg
         ul1, um1, ur1 = finite_starts(starts)
         for t in range(n_steps):
@@ -572,32 +580,40 @@ def reference_simulate_sequence(cfg, n_frames, dv_schedule=None, starts=None):
                                  (c.za, c.za + c.d1, c.za + c.d2)))
             ends = ((ul1, ul2), (um1, um2), (ur1, ur2))
             obs = flow_rotated(cfg, ends)
-            records.append(FrameRecord(t + 1, obs, estimate_relative_depth(obs),
-                                       closed_form_rotated_ratio(cfg, ends)))
+            steps.append((obs, estimate_relative_depth(obs),
+                          closed_form_rotated_ratio(cfg, ends)))
             ul1, um1, ur1 = finite_starts((ul2, um2, ur2))
-        return records
+        return steps
 
     if dv_schedule is None:
         dv_schedule = [0.0] * n_steps
     if len(dv_schedule) != n_steps:
         raise ValueError(
             f"dv schedule has {len(dv_schedule)} entries for {n_steps} frame steps")
-    records = []
-    for t, dv in enumerate(dv_schedule):
+    steps = []
+    for dv in dv_schedule:
         if not math.isfinite(dv):
             raise ValueError(f"dv must be finite, got {dv!r}")
         obs = flow_replay(cfg, dv)
         est = estimate_relative_depth(obs)
         closed = None if cfg.dx == 0.0 else closed_form_replay_ratio(cfg, dv)
-        records.append(FrameRecord(t + 1, obs, est, closed))
-    return records
+        steps.append((obs, est, closed))
+    return steps
 
 
 def simulate_outcome(simulate, cfg, n_frames, schedule, starts):
+    """Each frame step's step, or the error's type and message."""
     try:
-        return simulate(cfg, n_frames, schedule, starts=starts)
+        result = simulate(cfg, n_frames, schedule, starts=starts)
     except ValueError as exc:
         return type(exc), str(exc)
+    if isinstance(result, Sweep):
+        # Every step is some frame step's, numbered by first use.
+        assert len(result) == n_frames - 1
+        assert [i for k, i in enumerate(result.index)
+                if i not in result.index[:k]] == list(range(len(result.steps)))
+        result = frame_steps(result)
+    return result
 
 
 def nonzero(lo, hi):
@@ -654,6 +670,33 @@ def scenes_and_schedules(draw):
     return cfg, n_frames, schedule, None
 
 
+@st.composite
+def rotated_leaving(draw):
+    """(cfg, n_frames, None, starts) of a rotated carrier one of whose points
+    has its end cross the edge u = zb/sin(theta) at a drawn step, now and
+    then with a later point's start already at or beyond the edge."""
+    n_frames = draw(st.integers(2, 10))
+    theta = draw(sign_st) * draw(st.floats(0.1, 1.4))
+    d2 = draw(length_st)
+    cfg = AttackSceneConfig(fa=draw(st.floats(0.1, 2.0)), fb=draw(length_st),
+                            za=draw(st.floats(1.0, 20.0)),
+                            zb=draw(st.floats(5.0, 20.0)),
+                            d1=draw(st.floats(0.0, 1.0)) * d2, d2=d2,
+                            dx=math.copysign(draw(st.floats(0.05, 0.5)), theta),
+                            theta=theta)
+    edge = cfg.zb / math.sin(theta)
+    depths = (cfg.za, cfg.za + cfg.d1, cfg.za + cfg.d2)
+    point = draw(st.integers(0, 2))
+    step = draw(st.integers(0, n_frames - 2))
+    starts = [draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+    flow = cfg.fa * cfg.dx / depths[point]
+    starts[point] = edge - flow * (step + draw(st.floats(0.05, 0.95)))
+    if point < 2 and draw(st.booleans()):
+        later = draw(st.integers(point + 1, 2))
+        starts[later] = edge + math.copysign(draw(st.floats(0.0, 1.0)), theta)
+    return cfg, n_frames, None, tuple(starts)
+
+
 NON_FINITE_DV = (AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1,
                                    dx=0.3), 4, [0.1, math.nan, 0.2], None)
 OVERFLOWING_START = (AttackSceneConfig(fa=1e300, fb=1, za=2, zb=4, d1=0.4,
@@ -667,6 +710,15 @@ OVERFLOWING_CLOSED_FORM = (AttackSceneConfig(fa=2, fb=0.5, za=1, zb=1, d1=0,
 EXACT_CANCELLATION = (AttackSceneConfig(fa=0.5, fb=0.68, za=1, zb=4, d1=0.5,
                                         d2=1, dx=0.15), 3,
                       [0.1, -0.049999999999999996], None)
+# The near point's end (4.45) leaves the domain (u < 4.29) at step 0, and so
+# does the middle point's start (5.0): the near end is the one named.
+END_BEFORE_LATER_START = (AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4,
+                                            d2=1, dx=0.5, theta=1.2), 3, None,
+                          (4.2, 5.0, 0.5))
+# The middle point's end leaves the domain (u > -4.29) at step 3 of 7.
+MIDDLE_LEAVES_LATER = (AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1,
+                                         dx=-0.5, theta=-1.2), 8, None,
+                       (0.0, -3.5, 0.0))
 
 
 class TestSteppedSequenceMatchesPerFrameConfigs:
@@ -676,6 +728,9 @@ class TestSteppedSequenceMatchesPerFrameConfigs:
         (LEAVING_ROTATION, "has no valid intersection"),
         (EXACT_CANCELLATION, "exactly cancels carrier shake"),
         (OVERFLOWING_CLOSED_FORM, "closed-form replay ratio overflows to nan"),
+        (END_BEFORE_LATER_START, "^rotated plane coordinate 4.45 at angle 1.2 "),
+        (MIDDLE_LEAVES_LATER,
+         "^rotated plane coordinate -4.333333333333333 at angle -1.2 "),
     ])
     def test_boundary_cases_raise(self, case, error):
         cfg, n_frames, schedule, starts = case
@@ -684,13 +739,15 @@ class TestSteppedSequenceMatchesPerFrameConfigs:
         with pytest.raises(ValueError, match=error):
             simulate_sequence(cfg, n_frames, schedule, starts=starts)
 
-    @settings(max_examples=400, deadline=None)
-    @given(scenes_and_schedules())
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(scenes_and_schedules(), rotated_leaving()))
     @example(NON_FINITE_DV)
     @example(OVERFLOWING_START)
     @example(LEAVING_ROTATION)
     @example(EXACT_CANCELLATION)
     @example(OVERFLOWING_CLOSED_FORM)
+    @example(END_BEFORE_LATER_START)
+    @example(MIDDLE_LEAVES_LATER)
     def test_same_records_or_same_error(self, case):
         want = simulate_outcome(reference_simulate_sequence, *case)
         got = simulate_outcome(simulate_sequence, *case)
