@@ -284,6 +284,11 @@ def svg_line_plot(path, series: dict, title: str, x_label: str,
 MAX_FRAMES = 64
 
 
+def _check_frames(frames: int) -> None:
+    if not 2 <= frames <= MAX_FRAMES:
+        raise UsageError(f"--frames must lie in [2, {MAX_FRAMES}], got {frames}")
+
+
 def _build_scene(name: str, s: Settings):
     if name == "real":
         return geometry.RealSceneConfig(f=s.get("f"), z=s.get("z"),
@@ -303,8 +308,7 @@ def _build_scene(name: str, s: Settings):
 def cmd_simulate(args: argparse.Namespace) -> int:
     s = Settings(args)
     frames = s.get("frames")
-    if not 2 <= frames <= MAX_FRAMES:
-        raise UsageError(f"--frames must lie in [2, {MAX_FRAMES}], got {frames}")
+    _check_frames(frames)
     schedule = list(itertools.islice(itertools.cycle(s.get("dv_schedule")),
                                      frames - 1))
     scenes = {}
@@ -320,7 +324,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         per_scene_schedule = schedule if name in ("print", "replay") else None
         try:
             results[name] = geometry.simulate_sequence(
-                cfg, frames, per_scene_schedule, starts=starts)
+                cfg, frames, dv_schedule=per_scene_schedule, starts=starts)
         except ValueError as exc:
             raise DataError(f"scene {name!r} cannot be simulated: {exc}")
 
@@ -344,8 +348,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def run_demo(alpha: float, beta: float, frames: int, seed: int,
              oracle: bool) -> dict:
-    if not 2 <= frames <= MAX_FRAMES:
-        raise UsageError(f"--frames must lie in [2, {MAX_FRAMES}], got {frames}")
+    _check_frames(frames)
     if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
         raise UsageError("alpha and beta must lie in [0, 1]")
     if seed < 0:

@@ -5,12 +5,10 @@ frame-difference temporal gradients, the flow-orthogonality residual, and the
 five-branch motion block. off_sequence is the one motion-block entry: it
 takes a (T, H, W, C) frame stack and returns the (T - 1, H, W, Cout) stack of
 blocks. Block t fuses, with a 3x3 kernel, the concatenation of a reduced
-feature map, both frames' spatial gradients, the temporal gradient, and
-(above the first level) the previous-level output. The block is linear, so
-the 1x1 reduce is folded into the fuse kernel: each frame gets one Sobel,
-and each pair one conv over both frames' input channels (plus the
-previous-level output), which pays while the input is narrower than the
-reduced map.
+feature map, both frames' spatial gradients and the temporal gradient. The
+block is linear, so the 1x1 reduce is folded into the fuse kernel: each
+frame gets one Sobel, and each pair one conv over both frames' input
+channels, which pays while the input is narrower than the reduced map.
 
 The Sobel stencils carry their conventional gain: a unit ramp reads 8, not 1,
 so velocity vectors fed to off_vector_residual must absorb that factor.
@@ -139,10 +137,9 @@ def off_vector_residual(x_t: np.ndarray, x_t1: np.ndarray,
 class OffBlockWeights:
     """Weights of one motion block.
 
-    reduce_1x1 maps the incoming features to the working width; fuse_3x3
-    consumes the channel concatenation of the five branches
-    [reduced(t), gx(t), gy(t), gx(t+dt), gy(t+dt), temporal, previous]
-    (the previous branch only when a previous-level output is supplied).
+    reduce_1x1 maps the incoming features to the working width Cr; fuse_3x3
+    consumes the 6 * Cr channels of the five branches
+    [reduced(t), gx(t), gy(t), gx(t+dt), gy(t+dt), temporal].
     """
 
     reduce_1x1: np.ndarray
@@ -155,45 +152,39 @@ class OffBlockWeights:
             raise ValueError(f"reduce kernel must be (1, 1, Cin, Cr), got {r.shape}")
         if f.ndim != 4 or f.shape[:2] != (3, 3):
             raise ValueError(f"fuse kernel must be (3, 3, Ccat, Cout), got {f.shape}")
-        if f.shape[2] < 6 * r.shape[3]:
-            raise ValueError(
-                f"fuse kernel consumes {f.shape[2]} channels but the gradient "
-                f"branches alone produce {6 * r.shape[3]}")
+        if f.shape[2] != 6 * r.shape[3]:
+            raise ValueError(f"fuse kernel consumes {f.shape[2]} channels but "
+                             f"the branches produce {6 * r.shape[3]}")
         object.__setattr__(self, "reduce_1x1", r)
         object.__setattr__(self, "fuse_3x3", f)
 
     @classmethod
     def seeded(cls, in_channels: int, reduce_channels: int,
-               out_channels: int, prev_channels: int = 0, *,
-               seed: int) -> "OffBlockWeights":
+               out_channels: int, *, seed: int) -> "OffBlockWeights":
         """Random weights scaled by fan-in, reproducible from the seed."""
         rng = np.random.default_rng(seed)
         reduce = rng.standard_normal((1, 1, in_channels, reduce_channels))
         reduce /= np.sqrt(in_channels)
-        cat = 6 * reduce_channels + prev_channels
+        cat = 6 * reduce_channels
         fuse = rng.standard_normal((3, 3, cat, out_channels)) / np.sqrt(9 * cat)
         return cls(reduce, fuse)
 
 
-def off_sequence(frames: np.ndarray, weights: OffBlockWeights,
-                 prev: np.ndarray | None = None) -> np.ndarray:
+def off_sequence(frames: np.ndarray, weights: OffBlockWeights) -> np.ndarray:
     """Motion blocks for every consecutive pair of a (T, H, W, C) frame stack.
 
     Returns the (T - 1, H, W, Cout) stack whose block t fuses the branches of
-    frames t and t + 1 with the 3x3 kernel; no nonlinearity follows. prev is
-    the (T - 1, H, W, Cprev) stack of previous-level outputs, one per pair,
-    or None at the first level (when the fuse kernel has no spare channels).
+    frames t and t + 1 with the 3x3 kernel; no nonlinearity follows.
 
     The block is linear, and the 1x1 reduce R commutes with replicate padding
     and with the per-channel Sobel, so it is computed folded: with F0..F5 the
     fuse slices of [r_t, gx_t, gy_t, gx_t1, gy_t1, r_t1 - r_t], block t is one
-    conv of [x_t, Sx x_t, Sy x_t, x_t1, Sx x_t1, Sy x_t1] (then prev[t]) with
-    the kernel [(F0 - F5) R, F1 R, F2 R, F5 R, F3 R, F4 R] (then the fuse's
-    prev slice) stacked on the input axis. Each frame gets one Sobel over its
-    input channels, kept for the next pair, and each pair one conv. This costs
-    6 * Cin * Cout multiply-adds per pixel and tap per pair against
-    6 * Cr * Cout unfolded, so it pays while the input width Cin is below the
-    reduce width Cr.
+    conv of [x_t, Sx x_t, Sy x_t, x_t1, Sx x_t1, Sy x_t1] with the kernel
+    [(F0 - F5) R, F1 R, F2 R, F5 R, F3 R, F4 R] stacked on the input axis.
+    Each frame gets one Sobel over its input channels, kept for the next
+    pair, and each pair one conv. This costs 6 * Cin * Cout multiply-adds per
+    pixel and tap per pair against 6 * Cr * Cout unfolded, so it pays while
+    the input width Cin is below the reduce width Cr.
     """
     frames = _require_hwc("frames", frames, stacked=True)
     n_frames, h, w, _ = frames.shape
@@ -201,19 +192,8 @@ def off_sequence(frames: np.ndarray, weights: OffBlockWeights,
         raise ValueError(f"a motion sequence needs at least 2 frames, got {n_frames}")
     reduce, fuse = weights.reduce_1x1[0, 0], weights.fuse_3x3
     cr = reduce.shape[1]
-    spare = fuse.shape[2] - 6 * cr
-    if (prev is None) != (spare == 0):
-        raise ValueError(f"the fuse kernel has {spare} spare channels for a "
-                         f"previous-level output, but prev is "
-                         f"{'None' if prev is None else 'given'}")
-    if prev is not None:
-        # conv2d checks the channel count against the prev slice.
-        prev = _require_hwc("prev", prev, stacked=True)
-        if prev.shape[:3] != (n_frames - 1, h, w):
-            raise ValueError(f"prev is {prev.shape[:3]}, expected "
-                             f"{(n_frames - 1, h, w)}: one output per frame pair")
     f0, f1, f2, f3, f4, f5 = (reduce @ fuse[:, :, k * cr:(k + 1) * cr] for k in range(6))
-    folded = np.concatenate([f0 - f5, f1, f2, f5, f3, f4, fuse[:, :, 6 * cr:]], axis=2)
+    folded = np.concatenate([f0 - f5, f1, f2, f5, f3, f4], axis=2)
     # Blocks go into one preallocated stack: a list of blocks stacked at the
     # end made glibc trim and re-fault its heap on every demo op. Only the
     # previous frame's Sobel stack is held while streaming.
@@ -222,7 +202,6 @@ def off_sequence(frames: np.ndarray, weights: OffBlockWeights,
     for t, x in enumerate(frames):
         stack = np.concatenate([x, *spatial_gradient(x)], axis=2)
         if t:
-            parts = [held, stack] if prev is None else [held, stack, prev[t - 1]]
-            blocks[t - 1] = conv2d(np.concatenate(parts, axis=2), folded)
+            blocks[t - 1] = conv2d(np.concatenate([held, stack], axis=2), folded)
         held = stack
     return blocks

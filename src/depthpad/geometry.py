@@ -45,6 +45,13 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_depth_offsets(d1: float, d2: float) -> None:
+    if d2 <= 0:
+        raise ValueError(f"largest depth offset must be positive, got {d2}")
+    if not 0 <= d1 <= d2:
+        raise ValueError(f"need 0 <= d1 <= d2, got d1={d1}, d2={d2}")
+
+
 @dataclass(frozen=True)
 class RealSceneConfig:
     """A live face in front of the camera.
@@ -68,10 +75,7 @@ class RealSceneConfig:
             raise ValueError(f"focal distance must be positive, got {self.f}")
         if self.z <= 0:
             raise ValueError(f"near-point distance must be positive, got {self.z}")
-        if self.d2 <= 0:
-            raise ValueError(f"largest depth offset must be positive, got {self.d2}")
-        if not 0 <= self.d1 <= self.d2:
-            raise ValueError(f"need 0 <= d1 <= d2, got d1={self.d1}, d2={self.d2}")
+        _check_depth_offsets(self.d1, self.d2)
 
     @property
     def relative_depth(self) -> float:
@@ -107,10 +111,7 @@ class AttackSceneConfig:
         for name in ("fa", "fb", "za", "zb"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.d2 <= 0:
-            raise ValueError(f"largest depth offset must be positive, got {self.d2}")
-        if not 0 <= self.d1 <= self.d2:
-            raise ValueError(f"need 0 <= d1 <= d2, got d1={self.d1}, d2={self.d2}")
+        _check_depth_offsets(self.d1, self.d2)
         if not -math.pi / 2 < self.theta < math.pi / 2:
             raise ValueError(f"theta must lie in (-pi/2, pi/2), got {self.theta}")
 
@@ -184,14 +185,18 @@ def estimate_relative_depth(obs: FlowObservation) -> RelativeDepthEstimate:
     return RelativeDepthEstimate(degenerate_flat=False, ratio=ratio)
 
 
+def _check_translating(cfg: AttackSceneConfig) -> None:
+    if cfg.theta != 0.0:
+        raise ValueError("replay formulas model a translating carrier; theta must be 0")
+
+
 def flow_replay(cfg: AttackSceneConfig, dv: float) -> FlowObservation:
     """Realistic-camera flows for a translating carrier (theta must be 0).
 
     The recorded motion and the carrier shake dv compose; a print attack is
     the sub-case dx = 0.
     """
-    if cfg.theta != 0.0:
-        raise ValueError("replay formulas model a translating carrier; theta must be 0")
+    _check_translating(cfg)
     fa, fb, za, zb = cfg.fa, cfg.fb, cfg.za, cfg.zb
     return FlowObservation(
         du_l=(fa * fb * cfg.dx + za * fb * dv) / (za * zb),
@@ -205,8 +210,7 @@ def replay_distortion_factor(cfg: AttackSceneConfig, dv: float) -> float:
 
     Equals 1 exactly when dv = 0 (the perfect spoofing scene) or d1 = d2.
     """
-    if cfg.theta != 0.0:
-        raise ValueError("replay formulas model a translating carrier; theta must be 0")
+    _check_translating(cfg)
     den = cfg.fa * cfg.dx + (cfg.za + cfg.d1) * dv
     if den == 0.0:
         raise SingularConfigError(
@@ -349,16 +353,16 @@ class Sweep:
 
 
 def simulate_sequence(cfg: RealSceneConfig | AttackSceneConfig, n_frames: int,
-                      dv_schedule: Optional[Sequence[float]] = None, *,
+                      dv_schedule: Optional[Sequence[float]], *,
                       starts: Optional[Sequence[float]]) -> Sweep:
     """The relative-depth estimates of an n_frames video, as a Sweep.
 
     n_frames frames yield n_frames - 1 frame steps. A dv schedule holds one
-    shake value per frame step (none: no shake); real scenes reject it and
-    rotated carriers accept only zeros. A rotated carrier (theta != 0)
-    advances its start coordinates starts = (ul1, um1, ur1) by each step's
-    recording flows, so its estimates drift while a real scene's series stays
-    constant; other scenes ignore starts.
+    shake value per frame step, or is None for no shake; real scenes accept
+    only None and rotated carriers only None or zeros. A rotated carrier
+    (theta != 0) advances its start coordinates starts = (ul1, um1, ur1) by
+    each step's recording flows, so its estimates drift while a real scene's
+    series stays constant; other scenes ignore starts.
 
     A real scene has one step, a translating carrier one per distinct dv (a
     zero keeps its sign) and a rotated carrier one per frame step. Every value
@@ -402,12 +406,10 @@ def simulate_sequence(cfg: RealSceneConfig | AttackSceneConfig, n_frames: int,
                           _rotated_ratio(cfg, *_beta_factors(gaps0, gaps))))
         return Sweep(tuple(steps), tuple(range(n_steps)))
 
-    if dv_schedule is None:
-        dv_schedule = [0.0] * n_steps
     # A step depends only on its dv, so a repeated value shares its step and
     # is checked once. The key keeps the sign of a zero shake, as repr does.
     index, seen = [], {}
-    for dv in dv_schedule:
+    for dv in [0.0] * n_steps if dv_schedule is None else dv_schedule:
         key = (dv, math.copysign(1.0, dv))
         i = seen.get(key)
         if i is None:

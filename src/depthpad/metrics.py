@@ -158,18 +158,32 @@ def _text_blocks(fh):
     _BadByte with the byte's offset in the file. One leading UTF-8 byte
     order mark, as spreadsheet tools write, is read as the encoding mark
     and not as text; offsets still count it.
+
+    A line longer than three maximal csv fields is never held whole: its
+    first bytes to that length, less their last character, are the last
+    text, and csv fails within them (or the line is an error of its own).
+    The limit is csv.field_size_limit() at the time.
     """
     parts, offset = [fh.read(len(codecs.BOM_UTF8))], 0
     if parts[0] == codecs.BOM_UTF8:
         parts, offset = [], len(codecs.BOM_UTF8)
     while True:
-        block = fh.read(BLOCK_BYTES)
+        block, bad = fh.read(BLOCK_BYTES), None
         cut = 1 + max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1))
         if block and not cut:
             parts.append(block)
-            continue
+            # Three fields of 4-byte characters, quotes and delimiters, and one.
+            cap = 3 * (4 * csv.field_size_limit() + 3) + 4
+            if sum(map(len, parts)) <= cap:
+                continue
+            data, parts = b"".join(parts), []
+            cut = cap - 1
+            while cut > cap - 4 and data[cut] & 0xC0 == 0x80:
+                cut -= 1    # a continuation byte: the character began earlier
+            block = data[:cut]
+            bad = csv.Error(f"a line longer than {cap} bytes is not a record")
         data = b"".join([*parts, block[:cut]])
-        parts, bad = [block[cut:]], None
+        parts = [block[cut:]]
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:

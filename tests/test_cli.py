@@ -2,9 +2,12 @@ import argparse
 import ast
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -17,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import depthpad
-from depthpad import cli, depthlabel, metrics, supervision
+from depthpad import cli, depthlabel, metrics, model, supervision
 from depthpad.cli import (
     COMMAND_FIELDS,
     CONFIG_FIELDS,
@@ -992,12 +995,19 @@ class TestConfigByteCap:
 
 
 # Runs cli.main on sys.argv[1:] and prints its exit code and the process's
-# peak resident set size in KiB.
+# own peak resident set size in KiB. That is VmHWM where /proc has it: a
+# child that subprocess starts with vfork reports at least its parent's peak
+# as ru_maxrss, so under pytest ru_maxrss reads the test runner's peak.
 PEAK_PROBE = """
 import resource, sys
 from depthpad import cli
 code = cli.main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, peak)
 """
 
 
@@ -1017,6 +1027,23 @@ def test_huge_config_costs_no_memory(tmp_path):
         assert status == code, done.stderr
         cfg.unlink()
     assert peaks["huge"] <= peaks["empty"] + 4096, peaks
+
+
+def test_long_records_line_costs_no_memory(tmp_path):
+    # A 20 MB tag on line 3 once peaked 56 MB above the same file with a
+    # short tag; the line is now read only as far as csv needs to fail.
+    peaks = {}
+    for name, size, code in (("short", 1, 0), ("long", 20_000_000, 3)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"score,label,attack_kind\n0.9,living,\n"
+                        f"0.5,attack,{'x' * size}\n")
+        done = run_fresh("-c", PEAK_PROBE, "metrics", str(path),
+                         "--out", str(tmp_path / name))
+        status, peaks[name] = map(int, done.stdout.split()[-2:])
+        assert status == code, done.stderr
+    assert done.stderr == (f"data error: bad records file {path}: line 3: "
+                           f"field larger than field limit (131072)\n")
+    assert peaks["long"] <= peaks["short"] + 8192, peaks
 
 
 # -- the exit-code contract under drawn argv and config-file bytes ----------
@@ -1314,10 +1341,7 @@ def test_unused_import_check_sees_what_it_should():
 SETTINGS = (
     "cli.main(argv)",
     "features._require_hwc(stacked)",
-    "features.OffBlockWeights.seeded(prev_channels)",
-    "features.off_sequence(prev)",
     "geometry.AttackSceneConfig(theta)",
-    "geometry.simulate_sequence(dv_schedule)",
     "supervision._shift_responses(offsets)",
 )
 
@@ -1359,7 +1383,7 @@ def test_every_setting_is_in_the_table():
     for path in sorted(Path(depthpad.__file__).parent.glob("*.py")):
         found += defaulted_settings(path.read_text(), path.stem)
     assert sorted(found) == sorted(SETTINGS)
-    assert len(SETTINGS) == len(set(SETTINGS)) == 7
+    assert len(SETTINGS) == len(set(SETTINGS)) == 4
 
 
 def test_settings_census_sees_what_it_should():
@@ -1385,6 +1409,98 @@ class C:
     assert defaulted_settings(source, "m") == [
         "m.A(y)", "m.A.f(b)", "m.A.f(d)", "m.A.f.inner(e)", "m.B(z)",
         "m.C.g(p)", "m.C.g(q)"]
+
+
+# Every public depthpad function or method that no command reaches, with the
+# reason it is kept. A function that no command runs and nothing else needs
+# is better deleted; adding one means naming its reason here.
+CLOSED_FORM = "the paper's closed form, the reference for simulate"
+FD_CHECKED = "checked against finite differences"
+UNREACHED = {
+    "cli.cli": "the console-script entry; it only calls main",
+    "features.off_vector_residual": "brightness constancy, checked by the "
+                                    "acceptance gate",
+    "features.temporal_gradient": "the frame difference that "
+                                  "off_vector_residual reads",
+    "geometry.closed_form_rotated_ratio": CLOSED_FORM,
+    "geometry.flow_rotated": CLOSED_FORM,
+    "geometry.map_rotated_coordinate": CLOSED_FORM,
+    "geometry.rotation_beta_factors": CLOSED_FORM,
+    "geometry.read_sweep_csv": "the benchmark's parser of simulation.csv",
+    "supervision.contrastive_kernels": "the kernels the reference model "
+                                       "convolves with",
+    "supervision.contrastive_loss_gradient": FD_CHECKED,
+    "supervision.depth_loss_gradient": FD_CHECKED,
+    "supervision.euclidean_loss_gradient": FD_CHECKED,
+}
+
+
+def public_functions() -> dict:
+    """module.name or module.Class.name -> code object, for every public
+    function and public method, classmethod or property getter defined in
+    a depthpad module. A cached function is named by what it wraps."""
+    found = {}
+    for info in pkgutil.iter_modules(depthpad.__path__):
+        module = importlib.import_module(f"depthpad.{info.name}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_")
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            members = {name: obj}
+            if inspect.isclass(obj):
+                members = {f"{name}.{attr}": member
+                           for attr, member in vars(obj).items()
+                           if not attr.startswith("_")}
+            for key, member in members.items():
+                for unwrap in ("__func__", "fget", "__wrapped__"):
+                    member = getattr(member, unwrap, member)
+                if inspect.isfunction(member):
+                    found[f"{info.name}.{key}"] = member.__code__
+    return found
+
+
+def test_every_unreached_function_is_in_the_table(tmp_path, capsys):
+    cfg = tmp_path / "simulate.cfg"
+    cfg.write_text("frames = 3\n")
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_records(good, [(0.9, "living", None), (0.2, "attack", "print")])
+    bad.write_text("score,label,attack_kind\n0.9,living,\nnope,attack,\n")
+    runs = [(["simulate", "--config", cfg], 0), (["demo", "--frames", 3], 0),
+            (["demo", "--oracle"], 0), (["metrics", good], 0),
+            (["metrics", bad], 3)]
+    # Cold caches, so that a cached function's body runs.
+    for cached in (cli.build_parser, model.demo_labels, model.oracle_results):
+        cached.cache_clear()
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [run([*argv, "--out", tmp_path / "out"]) for argv, _ in runs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [code for _, code in runs], capsys.readouterr().err
+    unreached = sorted(name for name, code in public_functions().items()
+                       if code not in reached)
+    assert unreached == sorted(UNREACHED)
+
+
+def test_reach_census_sees_what_it_should():
+    found = public_functions()
+    # Functions, a cached function, a classmethod and two property getters.
+    for name in ("cli.main", "model.demo_labels",
+                 "supervision.BinaryHead.seeded",
+                 "geometry.RealSceneConfig.relative_depth",
+                 "recurrent.ConvGruCell.hidden_channels"):
+        assert name in found, name
+    # Private names, dunder methods and names a module imports.
+    for name in ("cli._check_frames", "geometry.Sweep.__len__",
+                 "metrics.multi_frame_loss", "metrics.np"):
+        assert name not in found, name
+    assert "supervision.multi_frame_loss" in found
 
 
 class TestArgparseContract:

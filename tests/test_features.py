@@ -177,7 +177,7 @@ class TestOffVectorResidual:
         assert np.array_equal(doubled, 2 * off_vector_residual(x_t, x_t1, v))
 
 
-def manual_block(f_t, f_t1, prev, w):
+def manual_block(f_t, f_t1, w):
     # Independent assembly of one motion block from the reference conv loops.
     cr = w.reduce_1x1.shape[3]
     r_t = reference_conv2d(f_t, w.reduce_1x1)
@@ -187,45 +187,42 @@ def manual_block(f_t, f_t1, prev, w):
         branches += [reference_conv2d(r, depthwise_kernel(SOBEL_X, cr)),
                      reference_conv2d(r, depthwise_kernel(SOBEL_Y, cr))]
     branches.append(r_t1 - r_t)
-    if prev is not None:
-        branches.append(prev)
     return reference_conv2d(np.concatenate(branches, axis=2), w.fuse_3x3)
 
 
-def off_pair(f_t, f_t1, prev, w):
+def off_pair(f_t, f_t1, w):
     """One motion block: a two-frame sequence."""
-    blocks = off_sequence([f_t, f_t1], w, None if prev is None else [prev])
+    blocks = off_sequence([f_t, f_t1], w)
     assert len(blocks) == 1
     return blocks[0]
 
 
 class TestOffBlock:
-    def _weights(self, cin=3, cr=2, cout=4, cprev=0, seed=0):
+    def _weights(self, cin=3, cr=2, cout=4, seed=0):
         return OffBlockWeights.seeded(cin, reduce_channels=cr, out_channels=cout,
-                                      prev_channels=cprev, seed=seed)
+                                      seed=seed)
 
     def test_zero_weights_zero_output(self):
         w = OffBlockWeights(np.zeros((1, 1, 3, 2)), np.zeros((3, 3, 12, 4)))
         rng = np.random.default_rng(11)
         out = off_pair(rng.standard_normal((6, 6, 3)),
-                       rng.standard_normal((6, 6, 3)), None, w)
+                       rng.standard_normal((6, 6, 3)), w)
         assert out.shape == (6, 6, 4)
         assert not out.any()
 
     def test_matches_manual_assembly(self):
         rng = np.random.default_rng(12)
-        w = self._weights(cprev=2, seed=3)
+        w = self._weights(seed=3)
         f_t = rng.standard_normal((8, 8, 3))
         f_t1 = rng.standard_normal((8, 8, 3))
-        prev = rng.standard_normal((8, 8, 2))
-        got = off_pair(f_t, f_t1, prev, w)
-        assert np.allclose(got, manual_block(f_t, f_t1, prev, w), atol=1e-10)
+        got = off_pair(f_t, f_t1, w)
+        assert np.allclose(got, manual_block(f_t, f_t1, w), atol=1e-10)
 
     def test_identical_frames_zero_temporal_branch(self):
         rng = np.random.default_rng(13)
         w = self._weights()
         f = rng.standard_normal((6, 6, 3))
-        got = off_pair(f, f, None, w)
+        got = off_pair(f, f, w)
         r = conv2d(f, w.reduce_1x1)
         gx, gy = spatial_gradient(r)
         cat = np.concatenate([r, gx, gy, gx, gy, np.zeros_like(r)], axis=2)
@@ -235,52 +232,48 @@ class TestOffBlock:
         rng = np.random.default_rng(14)
         w = self._weights(cin=5, cr=3, cout=7)
         out = off_pair(rng.standard_normal((9, 10, 5)),
-                       rng.standard_normal((9, 10, 5)), None, w)
+                       rng.standard_normal((9, 10, 5)), w)
         assert out.shape == (9, 10, 7)
 
     def test_channel_arithmetic_errors(self):
+        # The fuse kernel reads exactly the 6 * Cr branch channels, so a
+        # kernel of any other width fails when it is built.
+        reduce = np.zeros((1, 1, 3, 2))
+        for width in (11, 13, 14):
+            with pytest.raises(ValueError, match=f"consumes {width} channels "
+                               "but the branches produce 12"):
+                OffBlockWeights(reduce, np.zeros((3, 3, width, 4)))
         rng = np.random.default_rng(15)
         f = rng.standard_normal((6, 6, 3))
-        expects_prev = self._weights(cprev=2)
-        with pytest.raises(ValueError, match="has 2 spare channels"):
-            off_pair(f, f, None, expects_prev)
-        no_prev = self._weights(cprev=0)
-        with pytest.raises(ValueError, match="has 0 spare channels"):
-            off_pair(f, f, rng.standard_normal((6, 6, 2)), no_prev)
         with pytest.raises(ValueError):
-            off_pair(f, f, rng.standard_normal((6, 5, 2)), expects_prev)
-        with pytest.raises(ValueError):
-            off_pair(f, rng.standard_normal((6, 5, 3)), None, no_prev)
+            off_pair(f, rng.standard_normal((6, 5, 3)), self._weights())
+        with pytest.raises(ValueError, match="expects 12 input channels, "
+                           "tensor has 18"):
+            off_pair(f, f, self._weights(cin=2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(16)
         w = self._weights(seed=9)
         f_t = rng.standard_normal((6, 6, 3))
         f_t1 = rng.standard_normal((6, 6, 3))
-        assert np.array_equal(off_pair(f_t, f_t1, None, w),
-                              off_pair(f_t, f_t1, None, w))
+        assert np.array_equal(off_pair(f_t, f_t1, w), off_pair(f_t, f_t1, w))
 
 
 class TestOffSequence:
     def test_every_block_matches_manual_assembly(self):
         rng = np.random.default_rng(18)
         for n_frames, shape in ((3, (6, 6, 3)), (4, (5, 7, 3))):
-            for cprev in (0, 2):
-                w = OffBlockWeights.seeded(3, reduce_channels=3, out_channels=4,
-                                           prev_channels=cprev, seed=n_frames)
-                frames = [rng.standard_normal(shape) for _ in range(n_frames)]
-                prev = ([rng.standard_normal(shape[:2] + (cprev,))
-                         for _ in range(n_frames - 1)] if cprev else None)
-                got = off_sequence(frames, w, prev)
-                assert len(got) == n_frames - 1
-                for t, block in enumerate(got):
-                    want = manual_block(frames[t], frames[t + 1],
-                                        prev[t] if prev else None, w)
-                    assert block.shape == want.shape
-                    assert np.allclose(block, want, rtol=0, atol=1e-12)
+            w = OffBlockWeights.seeded(3, reduce_channels=3, out_channels=4,
+                                       seed=n_frames)
+            frames = [rng.standard_normal(shape) for _ in range(n_frames)]
+            got = off_sequence(frames, w)
+            assert len(got) == n_frames - 1
+            for t, block in enumerate(got):
+                want = manual_block(frames[t], frames[t + 1], w)
+                assert block.shape == want.shape
+                assert np.allclose(block, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("cprev", [0, 2])
-    def test_one_conv_per_pair(self, monkeypatch, cprev):
+    def test_one_conv_per_pair(self, monkeypatch):
         calls = []
 
         def counted(x, kernel, *args, **kwargs):
@@ -289,49 +282,28 @@ class TestOffSequence:
 
         monkeypatch.setattr(features, "conv2d", counted)
         rng = np.random.default_rng(19)
-        w = OffBlockWeights.seeded(3, reduce_channels=4, out_channels=5,
-                                   prev_channels=cprev, seed=0)
+        w = OffBlockWeights.seeded(3, reduce_channels=4, out_channels=5, seed=0)
         for n_frames in (2, 3, 5):
             calls.clear()
             frames = [rng.standard_normal((6, 6, 3)) for _ in range(n_frames)]
-            prev = ([rng.standard_normal((6, 6, cprev))
-                     for _ in range(n_frames - 1)] if cprev else None)
-            off_sequence(frames, w, prev)
-            assert calls == [(3, 3, 6 * 3 + cprev, 5)] * (n_frames - 1)
+            off_sequence(frames, w)
+            assert calls == [(3, 3, 6 * 3, 5)] * (n_frames - 1)
 
     def test_sequence_errors(self):
         rng = np.random.default_rng(20)
         w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4, seed=0)
         f = rng.standard_normal((6, 6, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 frames, got 1"):
             off_sequence([f], w)  # no pair
         with pytest.raises(ValueError):
             off_sequence([f, f, rng.standard_normal((6, 5, 3))], w)
-        with pytest.raises(ValueError, match="has 2 spare channels"):
-            off_sequence([f, f], OffBlockWeights.seeded(3, reduce_channels=2,
-                                                       out_channels=4,
-                                                       prev_channels=2, seed=0))
-        with pytest.raises(ValueError, match="has 0 spare channels"):
-            off_sequence([f, f], w, [rng.standard_normal((6, 6, 2))])
-
-    def test_prev_length_must_match_pairs(self):
-        rng = np.random.default_rng(21)
-        w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4,
-                                   prev_channels=2, seed=0)
-        frames = rng.standard_normal((4, 6, 6, 3))
-        prev = rng.standard_normal((3, 6, 6, 2))
-        assert off_sequence(frames, w, prev).shape == (3, 6, 6, 4)
-        for wrong in (prev[:2], np.concatenate([prev, prev[:1]]), prev[:0],
-                      prev[:, :5]):
-            with pytest.raises(ValueError, match="one output per frame pair"):
-                off_sequence(frames, w, wrong)
-        with pytest.raises(ValueError, match=r"prev must be \(T, H, W, C\)"):
-            off_sequence(frames, w, prev[0])
+        with pytest.raises(ValueError, match=r"frames must be \(T, H, W, C\)"):
+            off_sequence(f, w)
 
 
 @st.composite
 def motion_cases(draw):
-    """Seeded weights (no prev branch) and a frame sequence of drawn sizes."""
+    """Seeded weights and a frame sequence of drawn sizes."""
     seed = draw(st.integers(0, 2**32 - 1))
     h, w = draw(st.integers(3, 10)), draw(st.integers(3, 10))
     n_frames = draw(st.integers(2, 4))

@@ -131,7 +131,7 @@ class TestEstimateRelativeDepth:
     def test_overflowing_real_scene_cannot_be_simulated(self):
         cfg = RealSceneConfig(f=1.0, z=1e-308, d1=1e10, d2=2e10, dx=0.3)
         with pytest.raises(InconsistentFlowError, match="flow ratios overflow"):
-            simulate_sequence(cfg, 3, starts=None)
+            simulate_sequence(cfg, 3, None, starts=None)
 
     def test_vanishing_denominator_is_inconsistent(self):
         with pytest.raises(InconsistentFlowError):
@@ -234,7 +234,7 @@ class TestRotatedCarrier:
                 simulate_sequence(cfg, 4, dv_schedule=schedule, starts=STARTS)
         assert (repr(simulate_sequence(cfg, 4, dv_schedule=[0.0, -0.0, 0.0],
                                        starts=STARTS))
-                == repr(simulate_sequence(cfg, 4, starts=STARTS)))
+                == repr(simulate_sequence(cfg, 4, None, starts=STARTS)))
 
     def test_degenerate_intersection_rejected(self):
         with pytest.raises(DegenerateRotationError):
@@ -335,7 +335,7 @@ class TestRotatedCarrier:
 class TestSimulateSequence:
     def test_real_scene_series_is_constant(self):
         cfg = RealSceneConfig(f=1, z=2, d1=0.4, d2=1.0, dx=0.3)
-        sweep = simulate_sequence(cfg, 10, starts=None)
+        sweep = simulate_sequence(cfg, 10, None, starts=None)
         assert len(sweep) == 9
         assert sweep.index == (0,) * 9
         (_, est, closed), = sweep.steps
@@ -367,7 +367,7 @@ class TestSimulateSequence:
     def test_rotated_series_drifts(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=4, zb=10, d1=1, d2=3, dx=0.4,
                                 theta=math.pi / 12)
-        sweep = simulate_sequence(cfg, 6, starts=(1.0, 1.4, 0.6))
+        sweep = simulate_sequence(cfg, 6, None, starts=(1.0, 1.4, 0.6))
         assert sweep.index == tuple(range(5))
         ratios = [est.ratio for _, est, _ in sweep.steps]
         assert np.var(ratios) > 0
@@ -378,13 +378,13 @@ class TestSimulateSequence:
         cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0,
                                 dx=0.3, theta=0.1)
         with pytest.raises(ValueError, match="needs three start coordinates"):
-            simulate_sequence(cfg, 3, starts=(1.0, 1.2))
+            simulate_sequence(cfg, 3, None, starts=(1.0, 1.2))
         with pytest.raises(ValueError, match="um1 must be finite, got nan"):
-            simulate_sequence(cfg, 3, starts=(1.0, math.nan, 0.8))
+            simulate_sequence(cfg, 3, None, starts=(1.0, math.nan, 0.8))
         # A carrier that is not rotated never reads its starts.
         still = replace(cfg, theta=0.0)
-        assert (repr(simulate_sequence(still, 3, starts=(math.nan,) * 3))
-                == repr(simulate_sequence(still, 3, starts=None)))
+        assert (repr(simulate_sequence(still, 3, None, starts=(math.nan,) * 3))
+                == repr(simulate_sequence(still, 3, None, starts=None)))
 
     @pytest.mark.parametrize("dx, schedule, distinct", [
         # A zero shake keeps its sign, so -0.0 and 0.0 are distinct steps.
@@ -426,7 +426,9 @@ class TestSimulateSequence:
     def test_bad_requests_rejected(self):
         real = RealSceneConfig(f=1, z=2, d1=0.4, d2=1.0, dx=0.3)
         with pytest.raises(ValueError):
-            simulate_sequence(real, 1, starts=None)
+            simulate_sequence(real, 1, None, starts=None)
+        with pytest.raises(TypeError, match="dv_schedule"):
+            simulate_sequence(real, 5, starts=None)  # None must be said
         with pytest.raises(ValueError):
             simulate_sequence(real, 5, dv_schedule=[0.1] * 4, starts=None)
         replay = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0.3)
@@ -502,7 +504,7 @@ def sweeps(draw):
 class TestSweepCsv:
     def test_round_trip(self, tmp_path):
         real = simulate_sequence(RealSceneConfig(f=1, z=2, d1=0.4, d2=1.0, dx=0.3), 4,
-                                 starts=None)
+                                 None, starts=None)
         print_sweep = simulate_sequence(
             AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0, dx=0),
             4, dv_schedule=[0.05, 0.1, -0.05], starts=None)

@@ -663,6 +663,52 @@ class TestChunkBoundaries:
                 f"{len(raw) + 11}-{len(raw) + 12}: invalid continuation byte$")):
             read_records_csv(path, 0.5)
 
+    @pytest.mark.parametrize("pad", range(4))
+    def test_line_past_the_cap_fails_as_if_read_whole(self, tmp_path, pad):
+        # Four-byte characters, shifted so that the cap falls on every byte
+        # of one: the cut never splits a character into a bad byte.
+        path = tmp_path / "records.csv"
+        tag = "x" * pad + "\U0001f600" * (3 * csv.field_size_limit() + 9)
+        message = (f"^line 3: field larger than field limit "
+                   f"\\({csv.field_size_limit()}\\)$")
+        path.write_text(HEADER + GOOD_ROW + f"0.2,attack,{tag}\n" + GOOD_ROW)
+        assert path.stat().st_size > 12 * csv.field_size_limit()
+        with pytest.raises(ValueError, match=message):
+            read_records_csv(path, 0.5)
+        path.write_text(HEADER + GOOD_ROW + '0.2,attack,"'
+                        + '""' * (csv.field_size_limit() * 7) + '"\n')
+        with pytest.raises(ValueError, match=message):
+            read_records_csv(path, 0.5)
+
+    def test_line_past_the_cap_is_held_only_to_the_cap(self, tmp_path):
+        # 20 million empty fields would take 160 MB of pointers; the first
+        # cap bytes' fields take 8 bytes each.
+        cap = 3 * (4 * csv.field_size_limit() + 3) + 4
+        path = tmp_path / "records.csv"
+        path.write_text(HEADER + GOOD_ROW + "," * 20_000_000 + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^line 3: expected 3 "
+                               r"fields, got (\d+)$") as exc_info:
+                read_records_csv(path, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(str(exc_info.value).split()[-1]) <= cap
+        assert peak < 16 * cap, peak
+
+    def test_line_past_the_cap_never_reads_as_a_row(self, tmp_path,
+                                                      monkeypatch):
+        # With the cap below csv's own limit the cut line splits into three
+        # fields, yet the line is still an error.
+        monkeypatch.setattr(csv, "field_size_limit", lambda: 4)
+        path = tmp_path / "records.csv"
+        path.write_text(HEADER + f"0.5,attack,{'x' * 3 * BLOCK_BYTES}\n"
+                        + GOOD_ROW)
+        with pytest.raises(ValueError, match="^line 2: a line longer than "
+                           "61 bytes is not a record$"):
+            read_records_csv(path, 0.5)
+
     def test_memory_is_one_chunk_however_long_the_file(self, tmp_path):
         # Eight chunks of records peak within 1.5x of one chunk's peak.
         peaks = []

@@ -5,13 +5,15 @@ the reduced maps, the frame difference, the five-branch concatenation and
 the 3x3 fuse (manual_block); runs the ConvGRU from the gate equations with a
 concatenation, zero-padded convs and a two-branch sigmoid; fuses step t with
 frame t + 1's single-frame map; and sums the losses, the head input and the
-masked depth frame by frame. It draws the weights through the library's
-seeded factories, because the seed offsets are part of the model: seed for
-the single-frame kernel, seed + 1 for the motion block, seed + 2 for the
-ConvGRU and seed + 3 for the binary head.
+masked depth frame by frame. It draws every weight set itself, in the
+order and scaling of the library's seeded factories, so a change to any draw
+fails here: seed for the single-frame kernel, seed + 1 for the motion block,
+seed + 2 for the ConvGRU and seed + 3 for the binary head, each from its own
+np.random.default_rng.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,9 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthpad import cli, depthlabel, model
-from depthpad.features import OffBlockWeights
-from depthpad.recurrent import ConvGruCell
-from depthpad.supervision import BinaryHead, contrastive_kernels
+from depthpad.supervision import contrastive_kernels
 
 from test_features import manual_block, reference_conv2d
 
@@ -30,6 +30,8 @@ SURFACE = {"amplitude": 8.0, "center": (16.0, 16.0), "radius": 12.0,
            "grid_size": 65}
 REDUCE_CHANNELS = 16
 FUSE_CHANNELS = 32
+GRU_SCALE = 0.1
+HEAD_HIDDEN = 128
 # The 8 contrastive kernels as one (3, 3, 1, 8) conv kernel.
 CONTRAST_KERNEL = contrastive_kernels().transpose(1, 2, 0)[:, :, None, :]
 
@@ -60,17 +62,43 @@ def demo_frames(base, n_frames):
     return [np.roll(stacked, t, axis=0) for t in range(n_frames)]
 
 
+def motion_weights(seed):
+    # The 1x1 reduce, then the 3x3 fuse over the six branch widths, each
+    # scaled by its fan-in.
+    rng = np.random.default_rng(seed)
+    reduce = rng.standard_normal((1, 1, 3, REDUCE_CHANNELS)) / math.sqrt(3)
+    fan_in = 9 * 6 * REDUCE_CHANNELS
+    fuse = (rng.standard_normal((3, 3, 6 * REDUCE_CHANNELS, FUSE_CHANNELS))
+            / math.sqrt(fan_in))
+    return SimpleNamespace(reduce_1x1=reduce, fuse_3x3=fuse)
+
+
+def gru_weights(seed):
+    # Reset, update and candidate kernels over [h, x], in that order.
+    rng = np.random.default_rng(seed)
+    shape = (3, 3, 1 + FUSE_CHANNELS, 1)
+    k_r, k_u, k_h = (GRU_SCALE * rng.standard_normal(shape) for _ in range(3))
+    return SimpleNamespace(k_r=k_r, k_u=k_u, k_h=k_h)
+
+
+def head_weights(input_dim, seed):
+    # Each layer's weights scaled by its fan-in; zero biases.
+    rng = np.random.default_rng(seed)
+    w1 = rng.standard_normal((input_dim, HEAD_HIDDEN)) / math.sqrt(input_dim)
+    w2 = rng.standard_normal((HEAD_HIDDEN, 2)) / math.sqrt(HEAD_HIDDEN)
+    return SimpleNamespace(w1=w1, b1=np.zeros(HEAD_HIDDEN), w2=w2,
+                           b2=np.zeros(2))
+
+
 def fused_maps(base, n_frames, alpha, seed):
     single_kernel = np.random.default_rng(seed).standard_normal((1, 1, 3, 1))
-    off = OffBlockWeights.seeded(3, reduce_channels=REDUCE_CHANNELS,
-                                 out_channels=FUSE_CHANNELS, seed=seed + 1)
-    cell = ConvGruCell.seeded(input_channels=FUSE_CHANNELS, hidden_channels=1,
-                              scale=0.1, seed=seed + 2)
+    off = motion_weights(seed + 1)
+    cell = gru_weights(seed + 2)
     frames = demo_frames(base, n_frames)
     h = np.zeros((GRID, GRID, 1))
     fused = []
     for t in range(n_frames - 1):
-        h = gru_step(cell, h, manual_block(frames[t], frames[t + 1], None, off))
+        h = gru_step(cell, h, manual_block(frames[t], frames[t + 1], off))
         single = two_branch_sigmoid(reference_conv2d(frames[t + 1],
                                                      single_kernel)[:, :, 0])
         fused.append(alpha * single + (1.0 - alpha) * h[:, :, 0])
@@ -119,8 +147,7 @@ def reference_demo(alpha, beta, n_frames, seed, oracle):
             fused, head = [label] * (n_frames - 1), None
         else:
             fused = fused_maps(base, n_frames, alpha, seed)
-            head = BinaryHead.seeded((n_frames - 1) * GRID * GRID,
-                                     seed=seed + 3)
+            head = head_weights((n_frames - 1) * GRID * GRID, seed + 3)
         report[kind] = sample_entry(fused, label, mask, head, binary_label, beta)
     report["score_gap"] = report["living"]["score"] - report["spoof"]["score"]
     if oracle:
