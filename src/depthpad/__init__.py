@@ -10,8 +10,8 @@ Modules:
   metrics     - PAD error rates and the living score
   model       - the demo's forward pass, from depth labels to live scores
   cli         - simulate / demo / metrics command line front end (standard
-                library only; demo and metrics import their numpy modules
-                when they run)
+                library only; each command imports the modules it computes
+                with when it runs)
 """
 
 __version__ = "0.1.0"

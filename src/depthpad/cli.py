@@ -9,21 +9,21 @@ Subcommands:
 Settings resolve as command line > config file > defaults. The config file is
 flat "key = value" text with '#' comments. Exit codes: 0 success, 2 usage
 error, 3 data error.
+
+Each command imports the modules it computes and writes with (geometry, the
+numpy modules, json) when it runs, so importing the CLI loads none of them,
+and simulate, --help and argument errors never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import itertools
-import json
 import math
 import sys
 from pathlib import Path
-
-from . import geometry
 
 
 class UsageError(Exception):
@@ -290,6 +290,7 @@ def _check_frames(frames: int) -> None:
 
 
 def _build_scene(name: str, s: Settings):
+    from . import geometry
     if name == "real":
         return geometry.RealSceneConfig(f=s.get("f"), z=s.get("z"),
                                         d1=s.get("d1"), d2=s.get("d2"),
@@ -306,6 +307,7 @@ def _build_scene(name: str, s: Settings):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import geometry
     s = Settings(args)
     frames = s.get("frames")
     _check_frames(frames)
@@ -353,8 +355,8 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
         raise UsageError("alpha and beta must lie in [0, 1]")
     if seed < 0:
         raise UsageError(f"--seed must be non-negative, got {seed}")
-    # Imported here, not at the top: simulate, --help and usage errors then
-    # never load numpy.
+    import dataclasses
+
     from . import depthlabel, model
     samples = model.run_model(alpha, beta, frames, seed, oracle)
 
@@ -380,6 +382,7 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    import json
     s = Settings(args)
     oracle = s.get("oracle")
     report = run_demo(alpha=s.get("alpha"), beta=s.get("beta"),
@@ -400,6 +403,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # -- metrics -----------------------------------------------------------------
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    import json
     s = Settings(args)
     threshold = s.get("threshold")
     if not math.isfinite(threshold):
@@ -407,8 +411,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if "\0" in args.records:
         raise UsageError(f"the records path must not hold a NUL byte, "
                          f"got {args.records!r}")
-    # Imported here, not at the top: simulate, --help and usage errors then
-    # never load numpy.
     from . import metrics
     try:
         counts = metrics.read_records_csv(args.records, threshold)

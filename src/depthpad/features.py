@@ -3,12 +3,15 @@
 Forward passes only: replicate-padded convolution, Sobel spatial gradients,
 frame-difference temporal gradients, the flow-orthogonality residual, and the
 five-branch motion block. off_sequence is the one motion-block entry: it
-takes a (T, H, W, C) frame stack and returns the (T - 1, H, W, Cout) stack of
-blocks. Block t fuses, with a 3x3 kernel, the concatenation of a reduced
+takes the motion_stacks of a (T, H, W, C) frame sequence, each frame's
+replicate-padded [x, Sx x, Sy x], and returns the (T - 1, H, W, Cout) stack
+of blocks. Block t fuses, with a 3x3 kernel, the concatenation of a reduced
 feature map, both frames' spatial gradients and the temporal gradient. The
 block is linear, so the 1x1 reduce is folded into the fuse kernel: each
 frame gets one Sobel, and each pair one conv over both frames' input
-channels, which pays while the input is narrower than the reduced map.
+channels, which pays while the input is narrower than the reduced map. The
+stacks do not depend on the weights, so a caller with fixed frames builds
+them once.
 
 The Sobel stencils carry their conventional gain: a unit ramp reads 8, not 1,
 so velocity vectors fed to off_vector_residual must absorb that factor.
@@ -170,38 +173,53 @@ class OffBlockWeights:
         return cls(reduce, fuse)
 
 
-def off_sequence(frames: np.ndarray, weights: OffBlockWeights) -> np.ndarray:
-    """Motion blocks for every consecutive pair of a (T, H, W, C) frame stack.
+def motion_stacks(frames: np.ndarray) -> np.ndarray:
+    """The (T, H + 2, W + 2, 3C) motion inputs of a (T, H, W, C) sequence.
 
-    Returns the (T - 1, H, W, Cout) stack whose block t fuses the branches of
-    frames t and t + 1 with the 3x3 kernel; no nonlinearity follows.
+    Entry t is [x_t, Sx x_t, Sy x_t] on the channel axis, replicate-padded by
+    one cell as conv2d pads a 3x3 input, with one Sobel per frame.
+    """
+    frames = _require_hwc("frames", frames, stacked=True)
+    n_frames, h, w, c = frames.shape
+    stacks = np.empty((n_frames, h + 2, w + 2, 3 * c))
+    for t, x in enumerate(frames):
+        stacks[t] = _pad(np.concatenate([x, *spatial_gradient(x)], axis=2), 1, 1)
+    return stacks
+
+
+def off_sequence(stacks: np.ndarray, weights: OffBlockWeights) -> np.ndarray:
+    """Motion blocks for every consecutive pair of a frame sequence.
+
+    stacks is the sequence's motion_stacks. Returns the (T - 1, H, W, Cout)
+    stack whose block t fuses the branches of frames t and t + 1 with the
+    3x3 kernel; no nonlinearity follows.
 
     The block is linear, and the 1x1 reduce R commutes with replicate padding
     and with the per-channel Sobel, so it is computed folded: with F0..F5 the
     fuse slices of [r_t, gx_t, gy_t, gx_t1, gy_t1, r_t1 - r_t], block t is one
     conv of [x_t, Sx x_t, Sy x_t, x_t1, Sx x_t1, Sy x_t1] with the kernel
     [(F0 - F5) R, F1 R, F2 R, F5 R, F3 R, F4 R] stacked on the input axis.
-    Each frame gets one Sobel over its input channels, kept for the next
-    pair, and each pair one conv. This costs 6 * Cin * Cout multiply-adds per
-    pixel and tap per pair against 6 * Cr * Cout unfolded, so it pays while
-    the input width Cin is below the reduce width Cr.
+    Replicate padding commutes with the channel concatenation, so that conv
+    is the valid correlation of the two padded stacks side by side. This
+    costs 6 * Cin * Cout multiply-adds per pixel and tap per pair against
+    6 * Cr * Cout unfolded, so it pays while the input width Cin is below
+    the reduce width Cr.
     """
-    frames = _require_hwc("frames", frames, stacked=True)
-    n_frames, h, w, _ = frames.shape
+    stacks = _require_hwc("stacks", stacks, stacked=True)
+    n_frames, hp, wp, channels = stacks.shape
     if n_frames < 2:
         raise ValueError(f"a motion sequence needs at least 2 frames, got {n_frames}")
     reduce, fuse = weights.reduce_1x1[0, 0], weights.fuse_3x3
+    if 2 * channels != 6 * reduce.shape[0]:
+        raise ValueError(f"kernel expects {6 * reduce.shape[0]} input channels, "
+                         f"tensor has {2 * channels}")
     cr = reduce.shape[1]
     f0, f1, f2, f3, f4, f5 = (reduce @ fuse[:, :, k * cr:(k + 1) * cr] for k in range(6))
     folded = np.concatenate([f0 - f5, f1, f2, f5, f3, f4], axis=2)
     # Blocks go into one preallocated stack: a list of blocks stacked at the
-    # end made glibc trim and re-fault its heap on every demo op. Only the
-    # previous frame's Sobel stack is held while streaming.
-    blocks = np.empty((n_frames - 1, h, w, fuse.shape[3]))
-    held = None
-    for t, x in enumerate(frames):
-        stack = np.concatenate([x, *spatial_gradient(x)], axis=2)
-        if t:
-            blocks[t - 1] = conv2d(np.concatenate([held, stack], axis=2), folded)
-        held = stack
+    # end made glibc trim and re-fault its heap on every demo op.
+    blocks = np.empty((n_frames - 1, hp - 2, wp - 2, fuse.shape[3]))
+    for t in range(n_frames - 1):
+        blocks[t] = _correlate(np.concatenate([stacks[t], stacks[t + 1]], axis=2),
+                               folded)
     return blocks

@@ -122,7 +122,7 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
                             strict=True)
         try:
             header = next(reader, None)
-        except (csv.Error, _BadByte) as exc:
+        except (csv.Error, _NextLineError) as exc:
             raise _located(exc, reader)
         if header != RECORD_FIELDS:
             raise ValueError(f"records CSV must have columns {RECORD_FIELDS}, "
@@ -137,14 +137,16 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
     return counts
 
 
-class _BadByte(ValueError):
-    """An undecodable byte, worded as decoding the whole file words it."""
+class _NextLineError(ValueError):
+    """An error on the line after the last one the reader was given.
+
+    An undecodable byte is worded as decoding the whole file words it.
+    """
 
 
 def _located(exc: Exception, reader) -> ValueError:
     """exc, raised by reader, as an error that names its physical line."""
-    # A bad byte sits on the line after the last one the reader was given.
-    line = reader.line_num + isinstance(exc, _BadByte)
+    line = reader.line_num + isinstance(exc, _NextLineError)
     return ValueError(f"line {line}: {exc}")
 
 
@@ -155,14 +157,16 @@ def _text_blocks(fh):
     ASCII, so a cut after one never splits a UTF-8 sequence, and a cut
     after a carriage return waits for the next byte, so a CRLF stays whole.
     At an undecodable byte the lines above its line come first, then
-    _BadByte with the byte's offset in the file. One leading UTF-8 byte
-    order mark, as spreadsheet tools write, is read as the encoding mark
-    and not as text; offsets still count it.
+    _NextLineError with the byte's offset in the file. One leading UTF-8
+    byte order mark, as spreadsheet tools write, is read as the encoding
+    mark and not as text; offsets still count it.
 
     A line longer than three maximal csv fields is never held whole: its
     first bytes to that length, less their last character, are the last
     text, and csv fails within them (or the line is an error of its own).
-    The limit is csv.field_size_limit() at the time.
+    The limit is csv.field_size_limit() at the time. When those bytes hold
+    more than a record's fields, csv never splits them: the line is the
+    _NextLineError that names their field count.
     """
     parts, offset = [fh.read(len(codecs.BOM_UTF8))], 0
     if parts[0] == codecs.BOM_UTF8:
@@ -190,16 +194,48 @@ def _text_blocks(fh):
             start, end = offset + exc.start, offset + exc.end - 1
             where = (f"byte 0x{data[exc.start]:02x} in position {start}"
                      if start == end else f"bytes in position {start}-{end}")
-            bad = _BadByte(f"{exc.encoding!r} codec can't decode {where}: "
-                           f"{exc.reason}")
+            bad = _NextLineError(f"{exc.encoding!r} codec can't decode "
+                                 f"{where}: {exc.reason}")
             head = data[:exc.start]
             data = head[:1 + max(head.rfind(b"\n"), head.rfind(b"\r"))]
+        if isinstance(bad, csv.Error):    # a long line's decodable start
+            start = 1 + max(data.rfind(b"\n"), data.rfind(b"\r"))
+            fields = _field_count(data, start)
+            if fields > len(RECORD_FIELDS):
+                bad = _NextLineError(f"expected {len(RECORD_FIELDS)} fields, "
+                                     f"got {fields}")
+                data = data[:start]
         yield io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
         if bad is not None:
             raise bad
         offset += len(data)
         if not block:
             return
+
+
+def _field_count(data: bytes, start: int) -> int:
+    """The fields csv splits the line data[start:] into, none of them built.
+
+    A field is quoted when it starts with a quote, and it runs to the quote
+    that is not doubled; a delimiter outside quoted fields ends a field.
+    """
+    if data.find(b'"', start) < 0:
+        return data.count(b",", start) + 1
+    fields, at = 1, start
+    while True:
+        if data.startswith(b'"', at):
+            at += 1
+            while True:    # to the quote that closes the field
+                at = data.find(b'"', at) + 1
+                if not at:
+                    return fields
+                if not data.startswith(b'"', at):
+                    break
+                at += 1
+        at = data.find(b",", at) + 1
+        if not at:
+            return fields
+        fields += 1
 
 
 def _count_chunk(reader, threshold: float, living: list, groups: dict) -> int:
@@ -226,7 +262,7 @@ def _count_chunk(reader, threshold: float, living: list, groups: dict) -> int:
                 break
             else:
                 blanks.append(len(texts))    # the data row it comes before
-    except (csv.Error, _BadByte) as exc:
+    except (csv.Error, _NextLineError) as exc:
         stop = _located(exc, reader)
     pairs, keys = list(book), np.array(keys, dtype=np.intp)
     try:

@@ -13,7 +13,7 @@ import types
 import numpy as np
 
 from . import depthlabel, metrics
-from .features import OffBlockWeights, off_sequence
+from .features import OffBlockWeights, motion_stacks, off_sequence
 from .recurrent import ConvGruCell, convgru_run, fuse_depth, sigmoid
 from .supervision import BinaryHead, LossReport, multi_frame_report
 
@@ -45,16 +45,34 @@ def demo_labels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return grids
 
 
-def _fused_maps(base: np.ndarray, frames: int, single_kernel: np.ndarray,
-                off_weights: OffBlockWeights, cell: ConvGruCell,
-                alpha: float) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def demo_inputs(frames: int) -> tuple[tuple[str, np.ndarray, np.ndarray], ...]:
+    """(kind, frame stack, motion stacks) per sample for full mode, read-only.
+
+    The living sample's base is its label grid; a planar ramp stands in for
+    the flat printed texture. Frames, their Sobel responses and the padding
+    depend on neither seed nor alpha, so the last frame count's are kept.
+    """
+    grid = depthlabel.GRID_SIZE
+    ramp = np.tile(np.linspace(0.0, 1.0, grid)[:, None], (1, grid))
+    inputs = []
+    for kind, base in (("living", demo_labels()[0]), ("spoof", ramp)):
+        frame_stack = _demo_frames(base, frames)
+        stacks = motion_stacks(frame_stack)
+        frame_stack.flags.writeable = stacks.flags.writeable = False
+        inputs.append((kind, frame_stack, stacks))
+    return tuple(inputs)
+
+
+def _fused_maps(frame_stack: np.ndarray, stacks: np.ndarray,
+                single_kernel: np.ndarray, off_weights: OffBlockWeights,
+                cell: ConvGruCell, alpha: float) -> np.ndarray:
     """(T - 1, H, W) fused depth of one sample; its motion tensors die here."""
-    frame_stack = _demo_frames(base, frames)
     # Step t fuses frame t + 1's single-frame map (a 1x1 conv, one matmul over
     # the stack); frame 0 needs none.
     single = sigmoid((frame_stack[1:] @ single_kernel[0, 0])[..., 0])
-    motion = off_sequence(frame_stack, off_weights)
-    states = convgru_run(cell, np.zeros(base.shape + (1,)), motion)
+    motion = off_sequence(stacks, off_weights)
+    states = convgru_run(cell, np.zeros(frame_stack.shape[1:3] + (1,)), motion)
     return fuse_depth(single, states[..., 0], alpha)
 
 
@@ -102,8 +120,9 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
     drawn, so b_hat is 0.5; those results do not depend on alpha or seed, and
     oracle_results keeps the last (beta, frames) request's, so a warm call
     with the same two only copies them into a new dict. The labels and mask
-    are demo_labels, shared read-only; full mode draws the head only after
-    both fused maps exist.
+    are demo_labels, shared read-only. Full mode reads its frames and motion
+    stacks from demo_inputs, built once per frame count, and draws the head
+    only after both fused maps exist.
     """
     if oracle:
         return dict(oracle_results(beta, frames))
@@ -115,11 +134,9 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
                               hidden_channels=1, scale=0.1, seed=seed + 2)
     single_kernel = (np.random.default_rng(seed)
                      .standard_normal((1, 1, 3, 1)))
-    # A planar ramp stands in for the flat printed texture.
-    ramp = np.tile(np.linspace(0.0, 1.0, grid)[:, None], (1, grid))
-    fused = {kind: _fused_maps(base, frames, single_kernel, off_weights,
-                               cell, alpha)
-             for kind, base in (("living", demo_labels()[0]), ("spoof", ramp))}
+    fused = {kind: _fused_maps(frame_stack, stacks, single_kernel,
+                               off_weights, cell, alpha)
+             for kind, frame_stack, stacks in demo_inputs(frames)}
     # Drawn last so the largest array never meets the motion tensors; each
     # weight set has its own generator, so the order changes no value.
     head = BinaryHead.seeded((frames - 1) * grid * grid, seed=seed + 3)

@@ -1031,19 +1031,27 @@ def test_huge_config_costs_no_memory(tmp_path):
 
 def test_long_records_line_costs_no_memory(tmp_path):
     # A 20 MB tag on line 3 once peaked 56 MB above the same file with a
-    # short tag; the line is now read only as far as csv needs to fail.
+    # short tag, and 20 MB of commas 18.6 MB above it, as csv split 1.57
+    # million empty fields; the line is now read only as far as csv needs
+    # to fail, and those fields are counted, not built.
     peaks = {}
-    for name, size, code in (("short", 1, 0), ("long", 20_000_000, 3)):
+    for name, line, error in (
+            ("short", "0.5,attack,x", None),
+            ("long", "0.5,attack," + "x" * 20_000_000,
+             "field larger than field limit (131072)"),
+            ("commas", "," * 20_000_000, "expected 3 fields, got 1572877")):
         path = tmp_path / f"{name}.csv"
-        path.write_text(f"score,label,attack_kind\n0.9,living,\n"
-                        f"0.5,attack,{'x' * size}\n")
+        path.write_text(f"score,label,attack_kind\n0.9,living,\n{line}\n")
         done = run_fresh("-c", PEAK_PROBE, "metrics", str(path),
                          "--out", str(tmp_path / name))
         status, peaks[name] = map(int, done.stdout.split()[-2:])
-        assert status == code, done.stderr
-    assert done.stderr == (f"data error: bad records file {path}: line 3: "
-                           f"field larger than field limit (131072)\n")
-    assert peaks["long"] <= peaks["short"] + 8192, peaks
+        if error is None:
+            assert status == 0, done.stderr
+            continue
+        assert status == 3
+        assert done.stderr == (f"data error: bad records file {path}: "
+                               f"line 3: {error}\n")
+        assert peaks[name] <= peaks["short"] + 8192, peaks
 
 
 # -- the exit-code contract under drawn argv and config-file bytes ----------
@@ -1189,6 +1197,17 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_command_module():
+    # The commands import what they compute and write with when they run, so
+    # a process that only imports the CLI starts quickly.
+    code = ("import sys; before = set(sys.modules); import depthpad.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    added = ast.literal_eval(run_fresh("-c", code).stdout)
+    assert "depthpad.cli" in added
+    for name in ("depthpad.geometry", "json", "dataclasses", "csv"):
+        assert name not in added, added
 
 
 def run_fresh(*args):
@@ -1418,6 +1437,8 @@ CLOSED_FORM = "the paper's closed form, the reference for simulate"
 FD_CHECKED = "checked against finite differences"
 UNREACHED = {
     "cli.cli": "the console-script entry; it only calls main",
+    "features.conv2d": "the same-size conv that each motion pair's "
+                       "correlation of padded stacks equals",
     "features.off_vector_residual": "brightness constancy, checked by the "
                                     "acceptance gate",
     "features.temporal_gradient": "the frame difference that "
@@ -1469,7 +1490,8 @@ def test_every_unreached_function_is_in_the_table(tmp_path, capsys):
             (["demo", "--oracle"], 0), (["metrics", good], 0),
             (["metrics", bad], 3)]
     # Cold caches, so that a cached function's body runs.
-    for cached in (cli.build_parser, model.demo_labels, model.oracle_results):
+    for cached in (cli.build_parser, model.demo_labels, model.demo_inputs,
+                   model.oracle_results):
         cached.cache_clear()
     reached = set()
 

@@ -9,6 +9,7 @@ from depthpad.features import (
     SOBEL_GAIN,
     OffBlockWeights,
     conv2d,
+    motion_stacks,
     off_sequence,
     off_vector_residual,
     spatial_gradient,
@@ -192,7 +193,7 @@ def manual_block(f_t, f_t1, w):
 
 def off_pair(f_t, f_t1, w):
     """One motion block: a two-frame sequence."""
-    blocks = off_sequence([f_t, f_t1], w)
+    blocks = off_sequence(motion_stacks([f_t, f_t1]), w)
     assert len(blocks) == 1
     return blocks[0]
 
@@ -266,7 +267,7 @@ class TestOffSequence:
             w = OffBlockWeights.seeded(3, reduce_channels=3, out_channels=4,
                                        seed=n_frames)
             frames = [rng.standard_normal(shape) for _ in range(n_frames)]
-            got = off_sequence(frames, w)
+            got = off_sequence(motion_stacks(frames), w)
             assert len(got) == n_frames - 1
             for t, block in enumerate(got):
                 want = manual_block(frames[t], frames[t + 1], w)
@@ -275,18 +276,21 @@ class TestOffSequence:
 
     def test_one_conv_per_pair(self, monkeypatch):
         calls = []
+        correlate = features._correlate
 
-        def counted(x, kernel, *args, **kwargs):
+        def counted(padded, kernel):
             calls.append(kernel.shape)
-            return conv2d(x, kernel, *args, **kwargs)
+            return correlate(padded, kernel)
 
-        monkeypatch.setattr(features, "conv2d", counted)
         rng = np.random.default_rng(19)
         w = OffBlockWeights.seeded(3, reduce_channels=4, out_channels=5, seed=0)
         for n_frames in (2, 3, 5):
-            calls.clear()
             frames = [rng.standard_normal((6, 6, 3)) for _ in range(n_frames)]
-            off_sequence(frames, w)
+            stacks = motion_stacks(frames)
+            with monkeypatch.context() as patch:
+                patch.setattr(features, "_correlate", counted)
+                calls.clear()
+                off_sequence(stacks, w)
             assert calls == [(3, 3, 6 * 3, 5)] * (n_frames - 1)
 
     def test_sequence_errors(self):
@@ -294,11 +298,15 @@ class TestOffSequence:
         w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4, seed=0)
         f = rng.standard_normal((6, 6, 3))
         with pytest.raises(ValueError, match="at least 2 frames, got 1"):
-            off_sequence([f], w)  # no pair
+            off_sequence(motion_stacks([f]), w)  # no pair
         with pytest.raises(ValueError):
-            off_sequence([f, f, rng.standard_normal((6, 5, 3))], w)
+            motion_stacks([f, f, rng.standard_normal((6, 5, 3))])
         with pytest.raises(ValueError, match=r"frames must be \(T, H, W, C\)"):
-            off_sequence(f, w)
+            motion_stacks(f)
+        with pytest.raises(ValueError, match=r"stacks must be \(T, H, W, C\)"):
+            off_sequence(motion_stacks([f, f])[0], w)
+        with pytest.raises(ValueError, match="stacks contains non-finite"):
+            off_sequence(np.full((2, 8, 8, 9), np.nan), w)
 
 
 @st.composite
@@ -316,6 +324,10 @@ def motion_cases(draw):
     return weights, frames, rng
 
 
+def motion(frames, w):
+    return off_sequence(motion_stacks(frames), w)
+
+
 class TestOffSequenceProperties:
     """Invariants the folded (reduce-into-fuse) evaluation relies on."""
 
@@ -324,15 +336,15 @@ class TestOffSequenceProperties:
     def test_linear_in_the_frames(self, case, a, b):
         w, xs, rng = case
         ys = [rng.standard_normal(x.shape) for x in xs]
-        mixed = off_sequence([a * x + b * y for x, y in zip(xs, ys)], w)
-        for got, bx, by in zip(mixed, off_sequence(xs, w), off_sequence(ys, w)):
+        mixed = motion([a * x + b * y for x, y in zip(xs, ys)], w)
+        for got, bx, by in zip(mixed, motion(xs, w), motion(ys, w)):
             assert np.allclose(got, a * bx + b * by, rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(motion_cases())
     def test_identical_frames_give_identical_blocks(self, case):
         w, xs, _ = case
-        blocks = off_sequence([xs[0]] * len(xs), w)
+        blocks = motion([xs[0]] * len(xs), w)
         for block in blocks[1:]:
             assert np.allclose(block, blocks[0], rtol=0, atol=1e-12)
 
@@ -344,7 +356,7 @@ class TestOffSequenceProperties:
         frame = np.broadcast_to(xs[0][:1, :1], xs[0].shape)
         cr = w.reduce_1x1.shape[3]
         want = conv2d(conv2d(frame, w.reduce_1x1), w.fuse_3x3[:, :, :cr])
-        for block in off_sequence([frame] * len(xs), w):
+        for block in motion([frame] * len(xs), w):
             assert np.allclose(block, want, rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -356,8 +368,8 @@ class TestOffSequenceProperties:
         h = xs[0].shape[0]
         rows = [(i + k) % h for i in range(2, h - 2) if 2 <= (i + k) % h < h - 2]
         assume(rows)
-        rolled = off_sequence([np.roll(x, k, axis=0) for x in xs], w)
-        for got, block in zip(rolled, off_sequence(xs, w)):
+        rolled = motion([np.roll(x, k, axis=0) for x in xs], w)
+        for got, block in zip(rolled, motion(xs, w)):
             want = np.roll(block, k, axis=0)
             assert np.allclose(got[rows], want[rows], rtol=0, atol=1e-12)
 
@@ -434,6 +446,16 @@ class TestOneBufferPadding:
     def test_spatial_gradient_matches_numpy_pad(self, x):
         for got, want in zip(spatial_gradient(x), np_pad_sobel(x)):
             assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), hwc_tensors(min_side=3))
+    def test_motion_stacks_match_numpy_pad(self, n_frames, x):
+        # Each frame's [x, Sx x, Sy x] padded as conv2d pads a 3x3 input, so a
+        # pair side by side is the padded pair conv2d would have built.
+        frames = np.stack([x * (t + 1) for t in range(n_frames)])
+        for got, frame in zip(motion_stacks(frames), frames):
+            branches = np.concatenate([frame, *np_pad_sobel(frame)], axis=2)
+            assert np.array_equal(got, np_pad_hwc(branches, 1, 1, "replicate"))
 
     def test_shift_responses_match_numpy_pad(self):
         grids = np.random.default_rng(23).standard_normal((3, 7, 5))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from depthpad import metrics
 from depthpad.metrics import (
     ATTACK,
     BLOCK_BYTES,
@@ -597,6 +598,19 @@ def read_both(path, threshold=0.5):
     return got
 
 
+class TestFieldCount:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet='a,"', min_size=1, max_size=12),
+           st.sampled_from(["", "x\n"]))
+    def test_matches_csv_on_each_line_it_parses(self, line, before):
+        try:
+            row = next(csv.reader([line], strict=True))
+        except csv.Error:
+            return    # strict csv refuses the line itself
+        data = (before + line).encode()
+        assert metrics._field_count(data, len(before)) == len(row)
+
+
 class TestChunkBoundaries:
     def test_first_bad_row_in_the_second_chunk(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -695,7 +709,28 @@ class TestChunkBoundaries:
         finally:
             tracemalloc.stop()
         assert int(str(exc_info.value).split()[-1]) <= cap
-        assert peak < 16 * cap, peak
+        assert peak < 4 * cap, peak
+
+    @pytest.mark.parametrize("unit", ['"a,""b",', 'x"y,'])
+    def test_long_line_fields_are_counted_as_csv_splits_them(self, tmp_path,
+                                                             unit):
+        # Quoted fields hide their delimiters and doubled quotes, a quote
+        # inside an unquoted field is text; the count is csv's own for the
+        # held start of the line, and no field of it is built.
+        cap = 3 * (4 * csv.field_size_limit() + 3) + 4
+        units = (cap - 1) // len(unit)
+        want = len(next(csv.reader([unit * units], strict=True)))
+        path = tmp_path / "records.csv"
+        path.write_text(HEADER + GOOD_ROW + unit * (2 * units) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^line 3: expected 3 "
+                               f"fields, got {want}$"):
+                read_records_csv(path, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * cap, peak
 
     def test_line_past_the_cap_never_reads_as_a_row(self, tmp_path,
                                                       monkeypatch):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from depthpad import cli, depthlabel, metrics, model
+from depthpad import cli, depthlabel, features, metrics, model
 from depthpad.supervision import HEAD_HIDDEN
 
 ALPHA, BETA = 0.8, 0.9
@@ -14,6 +14,7 @@ ALPHA, BETA = 0.8, 0.9
 
 def clear_caches():
     model.demo_labels.cache_clear()
+    model.demo_inputs.cache_clear()
     model.oracle_results.cache_clear()
 
 
@@ -50,6 +51,46 @@ def test_cached_grids_are_read_only(cold_labels):
         with pytest.raises(ValueError):
             grid[0, 0] = 0.5
     assert model.demo_labels() is model.demo_labels()
+
+
+def test_motion_stacks_built_once_across_seeds(cold_labels, monkeypatch):
+    sobels = count_calls(monkeypatch, features, "spatial_gradient")
+    for seed in (1, 2):
+        for alpha in (0.3, ALPHA):
+            model.run_model(alpha, BETA, 4, seed=seed, oracle=False)
+    assert len(sobels) == 2 * 4  # one per frame of each kind
+
+
+def test_demo_inputs_are_read_only(cold_labels):
+    inputs = model.demo_inputs(3)
+    assert [kind for kind, _, _ in inputs] == ["living", "spoof"]
+    for _, frame_stack, stacks in inputs:
+        assert frame_stack.shape == (3, depthlabel.GRID_SIZE,
+                                     depthlabel.GRID_SIZE, 3)
+        assert stacks.shape == (3, depthlabel.GRID_SIZE + 2,
+                                depthlabel.GRID_SIZE + 2, 9)
+        for array in (frame_stack, stacks):
+            with pytest.raises(ValueError):
+                array[0, 0, 0, 0] = 0.5
+    assert model.demo_inputs(3) is inputs
+
+
+def test_warm_full_result_equals_a_cold_one(cold_labels):
+    # Warm inputs, kept across seeds and rebuilt when the frame count
+    # changes, give the bytes a cold process gives.
+    for frames in (4, 3, 4):
+        model.run_model(ALPHA, BETA, frames, seed=1, oracle=False)
+    warm = model.run_model(0.3, BETA, 4, seed=9, oracle=False)
+    clear_caches()
+    cold = model.run_model(0.3, BETA, 4, seed=9, oracle=False)
+    assert repr(warm) == repr(cold)
+
+
+def test_demo_inputs_cache_stays_bounded(cold_labels):
+    for frames in (2, 3, 5, 3):
+        model.run_model(ALPHA, BETA, frames, seed=0, oracle=False)
+    info = model.demo_inputs.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
 
 
 def test_surface_is_read_only():
