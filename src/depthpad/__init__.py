@@ -3,7 +3,7 @@
 Modules:
   geometry    - two-camera attack scene models and relative-depth estimation
                 (standard library only)
-  depthlabel  - ground-truth depth grids and face masks
+  depthlabel  - ground-truth living depth labels from a vertex cloud
   features    - spatial/temporal gradients and the five-branch motion block
   recurrent   - convolutional GRU forward recurrence and depth fusion
   supervision - depth and binary losses with analytic gradients

@@ -1,15 +1,15 @@
-"""Ground-truth depth grids and face masks.
+"""Ground-truth depth labels of living faces.
 
-Living samples get a GRID_SIZE x GRID_SIZE depth map in [0, 1] built from a
-facial vertex cloud over its own x/y extent (nearest point 1, farthest point
-0, background 0); spoof samples get the all-zero map. The face mask is the
-label's nonzero cells. A parametric dome surface stands in for a real face
-reconstruction so the whole path stays deterministic and mesh free.
+A living sample's label is a GRID_SIZE x GRID_SIZE float array in [0, 1]
+built from an (n, 3) facial vertex array over its own x/y extent (nearest
+point 1, farthest point 0, background 0). A spoof's label is the all-zero
+grid and the face mask is a living label's positive cells; both are plain
+array expressions (see model.demo_labels). A parametric dome surface stands
+in for a real face reconstruction so the whole path stays deterministic and
+mesh free.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,61 +17,10 @@ from .supervision import CONTRAST_OFFSETS
 
 GRID_SIZE = 32
 
-LIVING = "living"
-SPOOF = "spoof"
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Facial vertex cloud, one (x, y, z) row per vertex, z toward the camera."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError(f"vertices must be an (n, 3) array, got shape {v.shape}")
-        if v.shape[0] < 3:
-            raise ValueError(f"need at least 3 vertices, got {v.shape[0]}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vertices contain non-finite coordinates")
-        object.__setattr__(self, "vertices", v)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class DepthMap:
-    """Square depth grid with values in [0, 1]; spoof maps are identically 0."""
-
-    values: np.ndarray
-    label_kind: str
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"depth map must be a square grid, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("depth map contains non-finite values")
-        if v.min() < 0 or v.max() > 1:
-            raise ValueError(f"depth values must lie in [0, 1], got "
-                             f"[{v.min()}, {v.max()}]")
-        if self.label_kind not in (LIVING, SPOOF):
-            raise ValueError(f"unknown label kind {self.label_kind!r}")
-        if self.label_kind == SPOOF and v.any():
-            raise ValueError("spoof depth maps must be identically zero")
-        object.__setattr__(self, "values", v)
-
-
-def spoof_depth() -> DepthMap:
-    """All-zero depth label for any spoof sample."""
-    return DepthMap(np.zeros((GRID_SIZE, GRID_SIZE)), SPOOF)
-
 
 def synthesize_face_surface(*, amplitude: float, center: tuple[float, float],
-                            radius: float, grid_size: int) -> VertexSet:
-    """Deterministic dome-shaped vertex cloud usable as a living face proxy.
+                            radius: float, grid_size: int) -> np.ndarray:
+    """Deterministic dome-shaped (n, 3) vertex cloud, a living face proxy.
 
     Samples a grid_size x grid_size lattice over the square circumscribing the
     dome; z follows a hemisphere profile (amplitude at the apex, 0 outside the
@@ -87,7 +36,7 @@ def synthesize_face_surface(*, amplitude: float, center: tuple[float, float],
     y = gy.ravel()
     r2 = ((x - cx) ** 2 + (y - cy) ** 2) / radius ** 2
     z = amplitude * np.sqrt(np.clip(1.0 - r2, 0.0, None))
-    return VertexSet(np.column_stack([x, y, z]))
+    return np.column_stack([x, y, z])
 
 
 def _cell_indices(coords: np.ndarray) -> np.ndarray:
@@ -162,16 +111,23 @@ def _fill_holes(values: np.ndarray, filled: np.ndarray, hull: np.ndarray) -> np.
         filled |= ready
 
 
-def generate_living_depth(vertex_set: VertexSet) -> DepthMap:
-    """Splat a vertex cloud onto the grid and normalize it into a living label.
+def generate_living_depth(vertices: np.ndarray) -> np.ndarray:
+    """Splat an (n, 3) vertex cloud onto the grid as a living label.
 
-    The GRID_SIZE x GRID_SIZE grid spans the vertices' x/y extent. Each vertex
+    Each row is one vertex's (x, y, z), z toward the camera. The
+    GRID_SIZE x GRID_SIZE grid spans the vertices' x/y extent. Each vertex
     lands in its nearest cell; a cell keeps the z closest to the camera.
     Holes inside the occupied cells' exact lattice hull are filled by
     iterative neighbor averaging, then values are min-max normalized: nearest
     point 1, farthest 0, cells outside the hull 0.
     """
-    v = vertex_set.vertices
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"vertices must be an (n, 3) array, got shape {v.shape}")
+    if v.shape[0] < 3:
+        raise ValueError(f"need at least 3 vertices, got {v.shape[0]}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vertices contain non-finite coordinates")
     cols, rows = _cell_indices(v[:, 0]), _cell_indices(v[:, 1])
     splat = np.full((GRID_SIZE, GRID_SIZE), -np.inf)
     np.maximum.at(splat, (rows, cols), v[:, 2])
@@ -185,9 +141,4 @@ def generate_living_depth(vertex_set: VertexSet) -> DepthMap:
     hull = _hull_mask(occupied)
     values = _fill_holes(np.where(occupied, splat, 0.0), occupied, hull)
     normalized = np.where(hull, (values - z_low) / (z_high - z_low), 0.0)
-    return DepthMap(np.clip(normalized, 0.0, 1.0), LIVING)
-
-
-def mask_from_depth(depth: DepthMap) -> np.ndarray:
-    """Face mask: an int64 grid, 1 at cells of positive depth, else 0."""
-    return (depth.values > 0).astype(np.int64)
+    return np.clip(normalized, 0.0, 1.0)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depthlabel import LIVING
 from .supervision import multi_frame_loss
 
+LIVING = "living"
 ATTACK = "attack"
 RECORD_FIELDS = ["score", "label", "attack_kind"]
 BLOCK_BYTES = 1 << 16    # bytes read and decoded at a time

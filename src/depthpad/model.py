@@ -38,41 +38,41 @@ def demo_labels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     living = depthlabel.generate_living_depth(
         depthlabel.synthesize_face_surface(**DEMO_SURFACE))
-    grids = (living.values, depthlabel.spoof_depth().values,
-             depthlabel.mask_from_depth(living))
+    grids = (living, np.zeros_like(living), (living > 0).astype(np.int64))
     for values in grids:
         values.flags.writeable = False
     return grids
 
 
 @functools.lru_cache(maxsize=1)
-def demo_inputs(frames: int) -> tuple[tuple[str, np.ndarray, np.ndarray], ...]:
-    """(kind, frame stack, motion stacks) per sample for full mode, read-only.
+def demo_inputs(frames: int) -> tuple[tuple[str, np.ndarray], ...]:
+    """(kind, motion stacks) per sample for full mode, read-only.
 
     The living sample's base is its label grid; a planar ramp stands in for
     the flat printed texture. Frames, their Sobel responses and the padding
     depend on neither seed nor alpha, so the last frame count's are kept.
+    The frames themselves are the stacks' interior first channels.
     """
     grid = depthlabel.GRID_SIZE
     ramp = np.tile(np.linspace(0.0, 1.0, grid)[:, None], (1, grid))
     inputs = []
     for kind, base in (("living", demo_labels()[0]), ("spoof", ramp)):
-        frame_stack = _demo_frames(base, frames)
-        stacks = motion_stacks(frame_stack)
-        frame_stack.flags.writeable = stacks.flags.writeable = False
-        inputs.append((kind, frame_stack, stacks))
+        stacks = motion_stacks(_demo_frames(base, frames))
+        stacks.flags.writeable = False
+        inputs.append((kind, stacks))
     return tuple(inputs)
 
 
-def _fused_maps(frame_stack: np.ndarray, stacks: np.ndarray,
-                single_kernel: np.ndarray, off_weights: OffBlockWeights,
-                cell: ConvGruCell, alpha: float) -> np.ndarray:
+def _fused_maps(stacks: np.ndarray, single_kernel: np.ndarray,
+                off_weights: OffBlockWeights, cell: ConvGruCell,
+                alpha: float) -> np.ndarray:
     """(T - 1, H, W) fused depth of one sample; its motion tensors die here."""
     # Step t fuses frame t + 1's single-frame map (a 1x1 conv, one matmul over
-    # the stack); frame 0 needs none.
-    single = sigmoid((frame_stack[1:] @ single_kernel[0, 0])[..., 0])
+    # the frames, read unpadded from the stacks); frame 0 needs none.
+    frames = stacks[1:, 1:-1, 1:-1, :stacks.shape[3] // 3]
+    single = sigmoid((frames @ single_kernel[0, 0])[..., 0])
     motion = off_sequence(stacks, off_weights)
-    states = convgru_run(cell, np.zeros(frame_stack.shape[1:3] + (1,)), motion)
+    states = convgru_run(cell, np.zeros(frames.shape[1:3] + (1,)), motion)
     return fuse_depth(single, states[..., 0], alpha)
 
 
@@ -120,9 +120,9 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
     drawn, so b_hat is 0.5; those results do not depend on alpha or seed, and
     oracle_results keeps the last (beta, frames) request's, so a warm call
     with the same two only copies them into a new dict. The labels and mask
-    are demo_labels, shared read-only. Full mode reads its frames and motion
-    stacks from demo_inputs, built once per frame count, and draws the head
-    only after both fused maps exist.
+    are demo_labels, shared read-only. Full mode reads its motion stacks,
+    and the frames inside them, from demo_inputs, built once per frame count,
+    and draws the head only after both fused maps exist.
     """
     if oracle:
         return dict(oracle_results(beta, frames))
@@ -134,9 +134,8 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
                               hidden_channels=1, scale=0.1, seed=seed + 2)
     single_kernel = (np.random.default_rng(seed)
                      .standard_normal((1, 1, 3, 1)))
-    fused = {kind: _fused_maps(frame_stack, stacks, single_kernel,
-                               off_weights, cell, alpha)
-             for kind, frame_stack, stacks in demo_inputs(frames)}
+    fused = {kind: _fused_maps(stacks, single_kernel, off_weights, cell, alpha)
+             for kind, stacks in demo_inputs(frames)}
     # Drawn last so the largest array never meets the motion tensors; each
     # weight set has its own generator, so the order changes no value.
     head = BinaryHead.seeded((frames - 1) * grid * grid, seed=seed + 3)

@@ -358,10 +358,10 @@ def test_demo_oracle_gap_and_determinism(tmp_path):
         radius=report["params"]["surface"]["radius"],
         grid_size=report["params"]["surface"]["grid_size"])
     label = depthlabel.generate_living_depth(surface)
-    mask = depthlabel.mask_from_depth(label)
+    mask = (label > 0).astype(np.int64)
     steps = report["params"]["frames"] - 1
     expected_gap = (1.0 - beta) * metrics.masked_depth_term(
-        [label.values] * steps, [mask] * steps)
+        [label] * steps, [mask] * steps)
     assert report["score_gap"] == pytest.approx(expected_gap, abs=1e-9)
 
     full_a, full_b = tmp_path / "full_a", tmp_path / "full_b"

@@ -6,17 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
+from depthpad import model
 from depthpad.depthlabel import (
-    LIVING,
-    SPOOF,
-    DepthMap,
-    VertexSet,
     _cell_indices,
     _fill_holes,
     _hull_mask,
     generate_living_depth,
-    mask_from_depth,
-    spoof_depth,
     synthesize_face_surface,
 )
 
@@ -30,7 +25,7 @@ def jittered(cloud, amount, seed):
     """The cloud's vertices with x, then y, moved by uniform draws in
     [-amount, amount]; z is kept, as only x and y place a vertex in a cell."""
     rng = np.random.default_rng(seed)
-    v = cloud.vertices.copy()
+    v = cloud.copy()
     v[:, 0] += rng.uniform(-amount, amount, len(v))
     v[:, 1] += rng.uniform(-amount, amount, len(v))
     return v
@@ -133,42 +128,36 @@ def occupied_cells(vertices):
 
 
 class TestTypes:
-    def test_depth_map_range_enforced(self):
-        with pytest.raises(ValueError):
-            DepthMap(np.full((32, 32), 1.5), LIVING)
-        with pytest.raises(ValueError):
-            DepthMap(np.full((32, 32), -0.1), LIVING)
-
-    def test_spoof_must_be_zero(self):
-        values = np.zeros((32, 32))
-        values[3, 3] = 0.5
-        with pytest.raises(ValueError):
-            DepthMap(values, SPOOF)
-
     def test_vertex_set_needs_three_points(self):
-        with pytest.raises(ValueError):
-            VertexSet(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0]]))
-        with pytest.raises(ValueError):
-            VertexSet(np.array([[0.0, 0.0, np.nan]] * 4))
+        # generate_living_depth's input checks: an (n, 3) array of at least
+        # three finite rows.
+        cloud = hemisphere_cloud(grid_size=8)
+        with pytest.raises(ValueError, match=r"an \(n, 3\) array, got shape"):
+            generate_living_depth(cloud[:, :2])
+        with pytest.raises(ValueError, match=r"an \(n, 3\) array, got shape"):
+            generate_living_depth(cloud.ravel())
+        with pytest.raises(ValueError, match="need at least 3 vertices, got 2"):
+            generate_living_depth(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0]]))
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            generate_living_depth(np.array([[0.0, 0.0, np.nan]] * 4))
 
 
 class TestSpoofDepth:
     def test_all_zero(self):
-        d = spoof_depth()
-        assert d.values.shape == (32, 32)
-        assert d.label_kind == SPOOF
-        assert not d.values.any()
+        living, spoof, _ = model.demo_labels()
+        assert spoof.shape == (32, 32) and spoof.dtype == living.dtype
+        assert not spoof.any()
 
     def test_sum_and_max(self):
-        d = spoof_depth()
-        assert d.values.sum() == 0
-        assert d.values.max() == 0
+        spoof = model.demo_labels()[1]
+        assert spoof.sum() == 0
+        assert spoof.max() == 0
 
 
 class TestSynthesizeFaceSurface:
     def test_vertex_count_contract(self):
-        assert len(hemisphere_cloud(grid_size=32)) == 32 * 32
-        assert len(hemisphere_cloud(grid_size=17)) == 17 * 17
+        assert hemisphere_cloud(grid_size=32).shape == (32 * 32, 3)
+        assert hemisphere_cloud(grid_size=17).shape == (17 * 17, 3)
 
     def test_flat_surface_rejected_downstream(self):
         flat = synthesize_face_surface(amplitude=0.0, center=(16.0, 16.0),
@@ -188,18 +177,17 @@ class TestGenerateLivingDepth:
         v = np.column_stack([rng.uniform(0, 32, 50), rng.uniform(0, 32, 50),
                              np.full(50, 3.0)])
         with pytest.raises(ValueError):
-            generate_living_depth(VertexSet(v))
+            generate_living_depth(v)
 
     def test_zero_extent_rejected(self):
         # The grid spans the vertex extent, so a cloud on one vertical line
         # has no width to rasterize over.
         line = np.column_stack([np.full(5, 3.0), np.arange(5.0), np.arange(5.0)])
         with pytest.raises(ValueError, match="vertex extent must be positive"):
-            generate_living_depth(VertexSet(line))
+            generate_living_depth(line)
 
     def test_hemisphere_against_analytic_profile(self):
-        depth = generate_living_depth(hemisphere_cloud())
-        v = depth.values
+        v = generate_living_depth(hemisphere_cloud())
         assert v.shape == (32, 32)
         assert v.min() == 0.0
         assert v.max() == 1.0
@@ -220,10 +208,10 @@ class TestGenerateLivingDepth:
 
     def test_z_translation_invariance(self):
         cloud = hemisphere_cloud(grid_size=40)
-        shifted = VertexSet(cloud.vertices + np.array([0.0, 0.0, 123.5]))
+        shifted = cloud + np.array([0.0, 0.0, 123.5])
         a = generate_living_depth(cloud)
         b = generate_living_depth(shifted)
-        assert np.allclose(a.values, b.values, atol=1e-12)
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_normalization_bounds_on_random_clouds(self):
         rng = np.random.default_rng(42)
@@ -231,22 +219,20 @@ class TestGenerateLivingDepth:
             n = rng.integers(50, 300)
             v = np.column_stack([rng.uniform(0, 32, n), rng.uniform(0, 32, n),
                                  rng.uniform(1, 7, n)])
-            depth = generate_living_depth(VertexSet(v))
-            assert depth.values.min() == 0.0
-            assert depth.values.max() == 1.0
+            depth = generate_living_depth(v)
+            assert depth.min() == 0.0
+            assert depth.max() == 1.0
 
     def test_sparse_cloud_holes_get_filled(self):
         from depthpad.depthlabel import _hull_mask
         cloud = hemisphere_cloud(grid_size=65)
-        sparse = VertexSet(cloud.vertices[::7])
-        depth = generate_living_depth(sparse)
-        v = depth.values
+        verts = cloud[::7]
+        v = generate_living_depth(verts)
         assert np.all(np.isfinite(v))
         assert v.max() == 1.0
         # Re-derive the occupied cells on the vertex extent to check every
         # in-hull cell got a value strictly inside the normalized range of
         # its neighbors.
-        verts = sparse.vertices
         low, high = verts[:, :2].min(axis=0), verts[:, :2].max(axis=0)
         assert low.tolist() == [4.0, 4.0] and high.tolist() == [28.0, 28.0]
         cells = np.clip(((verts[:, :2] - low) / (high - low) * 32).astype(int),
@@ -266,8 +252,7 @@ class TestGenerateLivingDepth:
         ring = np.column_stack([16 + 10 * np.cos(angles), 16 + 10 * np.sin(angles),
                                 np.ones(60)])
         peak = np.array([[16.0, 16.0, 5.0]])
-        depth = generate_living_depth(VertexSet(np.vstack([ring, peak])))
-        v = depth.values
+        v = generate_living_depth(np.vstack([ring, peak]))
         # The grid spans the ring's extent [6, 26] in x and y, so the peak
         # lands in cell 16 and cell 12 holds x or y of about 13.8.
         assert v[16, 16] == 1.0
@@ -286,7 +271,7 @@ class TestLivingDepthProperties:
                                                   radius, grid_size):
         cloud = synthesize_face_surface(amplitude=amplitude, center=center,
                                         radius=radius, grid_size=grid_size)
-        values = generate_living_depth(cloud).values
+        values = generate_living_depth(cloud)
         assert values.min() >= 0.0
         assert values.max() == 1.0
 
@@ -324,7 +309,7 @@ class TestHullMask:
         # The unjittered 65x65 dome is the demo's living surface.
         for grid_size in (12, 20, 65):
             dome = hemisphere_cloud(grid_size=grid_size)
-            clouds = [dome.vertices]
+            clouds = [dome]
             clouds += [jittered(dome, 0.4, seed) for seed in range(10)]
             for cloud in clouds:
                 self.assert_matches_reference(occupied_cells(cloud))
@@ -374,18 +359,21 @@ class TestHullMask:
 
 
 class TestMaskFromDepth:
+    """The demo's face mask, model.demo_labels()[2]: the living label's
+    positive cells as an int64 0/1 grid."""
+
     def test_int64_zero_one_grid(self):
-        mask = mask_from_depth(generate_living_depth(hemisphere_cloud()))
+        living, _, mask = model.demo_labels()
+        assert np.array_equal(living, generate_living_depth(hemisphere_cloud()))
         assert mask.dtype == np.int64 and mask.shape == (32, 32)
         assert set(np.unique(mask)) == {0, 1}
+        assert np.array_equal(mask, living > 0)
 
     def test_spoof_gives_empty_mask(self):
-        mask = mask_from_depth(spoof_depth())
-        assert not mask.any()
+        assert not (model.demo_labels()[1] > 0).any()
 
     def test_hemisphere_mask_matches_support_oracle(self):
-        depth = generate_living_depth(hemisphere_cloud())
-        mask = mask_from_depth(depth)
+        mask = model.demo_labels()[2]
         # Oracle: a cell belongs to the face if any of its lattice points falls
         # strictly inside the dome support; re-derived with plain loops.
         xs = np.linspace(4.0, 28.0, 65)
@@ -399,6 +387,5 @@ class TestMaskFromDepth:
         assert np.array_equal(mask, expected)
 
     def test_living_mask_nonempty(self):
-        depth = generate_living_depth(hemisphere_cloud())
-        assert mask_from_depth(depth).sum() >= 1
+        assert (generate_living_depth(hemisphere_cloud()) > 0).sum() >= 1
 

@@ -4,6 +4,7 @@ import json
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from depthpad import cli, depthlabel, features, metrics, model
@@ -63,16 +64,16 @@ def test_motion_stacks_built_once_across_seeds(cold_labels, monkeypatch):
 
 def test_demo_inputs_are_read_only(cold_labels):
     inputs = model.demo_inputs(3)
-    assert [kind for kind, _, _ in inputs] == ["living", "spoof"]
-    for _, frame_stack, stacks in inputs:
-        assert frame_stack.shape == (3, depthlabel.GRID_SIZE,
-                                     depthlabel.GRID_SIZE, 3)
+    assert [kind for kind, _ in inputs] == ["living", "spoof"]
+    for _, stacks in inputs:
         assert stacks.shape == (3, depthlabel.GRID_SIZE + 2,
                                 depthlabel.GRID_SIZE + 2, 9)
-        for array in (frame_stack, stacks):
-            with pytest.raises(ValueError):
-                array[0, 0, 0, 0] = 0.5
+        with pytest.raises(ValueError):
+            stacks[0, 0, 0, 0] = 0.5
     assert model.demo_inputs(3) is inputs
+    # Each frame is held once, inside its stack: the unpadded first channels.
+    living = inputs[0][1][0, 1:-1, 1:-1, 2]
+    assert np.array_equal(living, model.demo_labels()[0])
 
 
 def test_warm_full_result_equals_a_cold_one(cold_labels):

@@ -136,7 +136,7 @@ def reference_demo(alpha, beta, n_frames, seed, oracle):
     """The model fields of demo.json: both samples, the gap and, in oracle
     mode, the gap check."""
     living = depthlabel.generate_living_depth(
-        depthlabel.synthesize_face_surface(**SURFACE)).values
+        depthlabel.synthesize_face_surface(**SURFACE))
     spoof = np.zeros((GRID, GRID))
     mask = (living > 0).astype(np.int64)
     ramp = np.linspace(0.0, 1.0, GRID)[:, None] * np.ones(GRID)
