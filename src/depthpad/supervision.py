@@ -23,7 +23,7 @@ LOG_CLAMP = 1e-12  # floor inside the cross-entropy log
 HEAD_HIDDEN = 128  # width of the binary head's hidden layer
 
 # Neighbor offsets (row, col), row-major around the center: the +1 entry of
-# each contrastive kernel, and the neighbours depthlabel._fill_holes averages.
+# each contrastive kernel.
 CONTRAST_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
                     (0, 1), (1, -1), (1, 0), (1, 1))
 

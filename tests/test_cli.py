@@ -1196,7 +1196,8 @@ class TestExitCodeContract:
 
 
 def test_cli_import_loads_no_scipy():
-    # The CLI runs on numpy alone; scipy is a test-only reference.
+    # The CLI runs on numpy alone. The test extra keeps scipy only because
+    # the benchmark's environment report (bench/environment.py) imports it.
     src = str(Path(depthpad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, depthpad.cli; print(sorted(m for m in sys.modules "
@@ -1217,11 +1218,15 @@ def test_cli_import_loads_no_command_module():
         assert name not in added, added
 
 
-def test_metrics_import_loads_no_depth_labels():
+@pytest.mark.parametrize("module, absent", [
     # The records-file labels live in metrics itself, so reading records
     # never loads the label rasterizer.
-    code = ("import sys, depthpad.metrics; "
-            "print('depthpad.depthlabel' in sys.modules)")
+    ("depthpad.metrics", "depthpad.depthlabel"),
+    # The label rasterizer runs on numpy alone.
+    ("depthpad.depthlabel", "depthpad.supervision"),
+], ids=["metrics", "depthlabel"])
+def test_metrics_import_loads_no_depth_labels(module, absent):
+    code = f"import sys, {module}; print({absent!r} in sys.modules)"
     assert run_fresh("-c", code).stdout.strip() == "False"
 
 
