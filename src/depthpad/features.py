@@ -4,23 +4,24 @@ Forward passes only: replicate-padded convolution, Sobel spatial gradients,
 frame-difference temporal gradients, the flow-orthogonality residual, and the
 five-branch motion block. off_sequence is the one motion-block entry: it
 takes the motion_stacks of a (T, H, W, C) frame sequence, each frame's
-replicate-padded [x, Sx x, Sy x], and returns the (T - 1, H, W, Cout) stack
-of blocks. Block t fuses, with a 3x3 kernel, the concatenation of a reduced
-feature map, both frames' spatial gradients and the temporal gradient. The
-block is linear, so the 1x1 reduce is folded into the fuse kernel: each
-frame gets one Sobel, and each pair one conv over both frames' input
-channels, which pays while the input is narrower than the reduced map. The
-stacks do not depend on the weights, so a caller with fixed frames builds
-them once.
+replicate-padded [x, Sx x, Sy x], and yields the T - 1 (H, W, Cout) blocks
+one at a time. Block t fuses, with a 3x3 kernel, the concatenation of a
+reduced feature map, both frames' spatial gradients and the temporal
+gradient. The block is linear, so the 1x1 reduce is folded into the fuse
+kernel: each frame gets one Sobel, and each pair one conv over both frames'
+input channels, which pays while the input is narrower than the reduced
+map. The stacks do not depend on the weights, so a caller with fixed frames
+builds them once.
 
 The Sobel stencils carry their conventional gain: a unit ramp reads 8, not 1,
 so velocity vectors fed to off_vector_residual must absorb that factor.
-Tensors are plain numpy arrays shaped (height, width, channels); a sequence
-of them is one array with a leading time axis.
+Tensors are plain numpy arrays shaped (height, width, channels); a frame
+sequence is one array with a leading time axis.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,12 +188,15 @@ def motion_stacks(frames: np.ndarray) -> np.ndarray:
     return stacks
 
 
-def off_sequence(stacks: np.ndarray, weights: OffBlockWeights) -> np.ndarray:
+def off_sequence(stacks: np.ndarray, weights: OffBlockWeights
+                 ) -> Iterator[np.ndarray]:
     """Motion blocks for every consecutive pair of a frame sequence.
 
-    stacks is the sequence's motion_stacks. Returns the (T - 1, H, W, Cout)
-    stack whose block t fuses the branches of frames t and t + 1 with the
-    3x3 kernel; no nonlinearity follows.
+    stacks is the sequence's motion_stacks. Returns an iterator over the
+    T - 1 (H, W, Cout) blocks, block t fusing the branches of frames t and
+    t + 1 with the 3x3 kernel; no nonlinearity follows. The inputs are
+    checked by this call, and each block is computed when it is read, so a
+    consumer that folds them holds one block, not a stack.
 
     The block is linear, and the 1x1 reduce R commutes with replicate padding
     and with the per-channel Sobel, so it is computed folded: with F0..F5 the
@@ -206,7 +210,7 @@ def off_sequence(stacks: np.ndarray, weights: OffBlockWeights) -> np.ndarray:
     the reduce width Cr.
     """
     stacks = _require_hwc("stacks", stacks, stacked=True)
-    n_frames, hp, wp, channels = stacks.shape
+    n_frames, _, _, channels = stacks.shape
     if n_frames < 2:
         raise ValueError(f"a motion sequence needs at least 2 frames, got {n_frames}")
     reduce, fuse = weights.reduce_1x1[0, 0], weights.fuse_3x3
@@ -216,10 +220,5 @@ def off_sequence(stacks: np.ndarray, weights: OffBlockWeights) -> np.ndarray:
     cr = reduce.shape[1]
     f0, f1, f2, f3, f4, f5 = (reduce @ fuse[:, :, k * cr:(k + 1) * cr] for k in range(6))
     folded = np.concatenate([f0 - f5, f1, f2, f5, f3, f4], axis=2)
-    # Blocks go into one preallocated stack: a list of blocks stacked at the
-    # end made glibc trim and re-fault its heap on every demo op.
-    blocks = np.empty((n_frames - 1, hp - 2, wp - 2, fuse.shape[3]))
-    for t in range(n_frames - 1):
-        blocks[t] = _correlate(np.concatenate([stacks[t], stacks[t + 1]], axis=2),
-                               folded)
-    return blocks
+    return (_correlate(np.concatenate([stacks[t], stacks[t + 1]], axis=2), folded)
+            for t in range(n_frames - 1))

@@ -3,11 +3,16 @@
 Depth labels, then seeded three-channel frames through the motion block, the
 ConvGRU and fusion with the single-frame map, then the losses and the live
 score. All randomness flows from the seed; the weights are fixed, not trained.
+In full mode one worker thread draws the binary head while the calling
+thread runs the motion block and the ConvGRU.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import queue
+import threading
 import types
 
 import numpy as np
@@ -63,10 +68,64 @@ def demo_inputs(frames: int) -> tuple[tuple[str, np.ndarray], ...]:
     return tuple(inputs)
 
 
+class _HeadWorker:
+    """One daemon thread that draws binary heads in submission order.
+
+    The thread starts on the first submit, so importing this module or an
+    oracle run starts none. numpy releases the GIL inside the normal draw,
+    so a head drawn here overlaps the caller's motion pass.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._jobs: queue.SimpleQueue | None = None
+
+    def submit(self, input_dim: int, seed: int) -> queue.SimpleQueue:
+        """A queue that will hold BinaryHead.seeded's head, or what it raised."""
+        done = queue.SimpleQueue()
+        with self._lock:
+            if self._jobs is None:
+                self._jobs = queue.SimpleQueue()
+                threading.Thread(target=_draw_heads, args=(self._jobs,),
+                                 name="depthpad-head", daemon=True).start()
+            self._jobs.put((input_dim, seed, done))
+        return done
+
+    def stop(self) -> None:
+        """End the thread after its queued draws; the next submit starts one."""
+        with self._lock:
+            if self._jobs is not None:
+                self._jobs.put(None)
+                self._jobs = None
+
+
+def _draw_heads(jobs: queue.SimpleQueue) -> None:
+    # The head goes straight into its queue: a local here would keep the
+    # largest array of the run alive until the next job arrives. Whatever
+    # the draw raises goes to the caller, which raises it; a thread that
+    # died instead would leave the caller waiting forever.
+    while (job := jobs.get()) is not None:
+        input_dim, seed, done = job
+        try:
+            done.put(BinaryHead.seeded(input_dim, seed=seed))
+        except BaseException as exc:
+            done.put(exc)
+
+
+_HEADS = _HeadWorker()
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the queue and maybe a held lock, not the
+    # thread: it starts afresh, or its first draw would wait forever.
+    os.register_at_fork(after_in_child=_HEADS.__init__)
+
+
 def _fused_maps(stacks: np.ndarray, single_kernel: np.ndarray,
                 off_weights: OffBlockWeights, cell: ConvGruCell,
                 alpha: float) -> np.ndarray:
-    """(T - 1, H, W) fused depth of one sample; its motion tensors die here."""
+    """(T - 1, H, W) fused depth of one sample.
+
+    The motion blocks stream into the GRU, so one block is alive at a time.
+    """
     # Step t fuses frame t + 1's single-frame map (a 1x1 conv, one matmul over
     # the frames, read unpadded from the stacks); frame 0 needs none.
     frames = stacks[1:, 1:-1, 1:-1, :stacks.shape[3] // 3]
@@ -121,12 +180,15 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
     oracle_results keeps the last (beta, frames) request's, so a warm call
     with the same two only copies them into a new dict. The labels and mask
     are demo_labels, shared read-only. Full mode reads its motion stacks,
-    and the frames inside them, from demo_inputs, built once per frame count,
-    and draws the head only after both fused maps exist.
+    and the frames inside them, from demo_inputs, built once per frame count.
+    It hands the head's draw to the worker thread first and collects the
+    head once both fused maps exist; each weight set has its own generator,
+    so the order changes no value.
     """
     if oracle:
         return dict(oracle_results(beta, frames))
     grid = depthlabel.GRID_SIZE
+    pending = _HEADS.submit((frames - 1) * grid * grid, seed + 3)
     off_weights = OffBlockWeights.seeded(
         3, reduce_channels=DEMO_REDUCE_CHANNELS,
         out_channels=DEMO_FUSE_CHANNELS, seed=seed + 1)
@@ -134,9 +196,14 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
                               hidden_channels=1, scale=0.1, seed=seed + 2)
     single_kernel = (np.random.default_rng(seed)
                      .standard_normal((1, 1, 3, 1)))
-    fused = {kind: _fused_maps(stacks, single_kernel, off_weights, cell, alpha)
-             for kind, stacks in demo_inputs(frames)}
-    # Drawn last so the largest array never meets the motion tensors; each
-    # weight set has its own generator, so the order changes no value.
-    head = BinaryHead.seeded((frames - 1) * grid * grid, seed=seed + 3)
+    try:
+        fused = {kind: _fused_maps(stacks, single_kernel, off_weights, cell,
+                                   alpha)
+                 for kind, stacks in demo_inputs(frames)}
+    finally:
+        # Collected even when the motion pass fails, so no head outlives
+        # the call; that failure then takes precedence over the draw's.
+        head = pending.get()
+    if isinstance(head, BaseException):
+        raise head
     return _sample_results(fused, _step_labels(frames), head, beta)

@@ -14,6 +14,7 @@ a hidden state started inside [-1, 1] stays there for every step.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,17 +109,21 @@ def convgru_step(cell: ConvGruCell, h_prev: np.ndarray, x: np.ndarray
     return h_new, (r, u)
 
 
-def convgru_run(cell: ConvGruCell, h0: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Fold convgru_step over a (T, H, W, C) stack; returns the (T, H, W, Ch) states."""
-    xs = _require_hwc("inputs", xs, stacked=True)
-    if len(xs) < 1:
-        raise ValueError("convgru_run needs at least one input")
-    states = np.empty(xs.shape[:3] + (cell.hidden_channels,))
+def convgru_run(cell: ConvGruCell, h0: np.ndarray, xs: Iterable[np.ndarray]
+                ) -> np.ndarray:
+    """Fold convgru_step over (H, W, C) inputs; returns the (T, H, W, Ch) states.
+
+    xs is any iterable, a (T, H, W, C) array or off_sequence's blocks, and
+    is read once, one input per step; convgru_step checks each input.
+    """
+    states = []
     h = h0
-    for t, x in enumerate(xs):
+    for x in xs:
         h, _ = convgru_step(cell, h, x)
-        states[t] = h
-    return states
+        states.append(h)
+    if not states:
+        raise ValueError("convgru_run needs at least one input")
+    return np.stack(states)
 
 
 def fuse_depth(d_single: np.ndarray, d_multi: np.ndarray, alpha: float) -> np.ndarray:

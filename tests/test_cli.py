@@ -1519,11 +1519,17 @@ def test_every_unreached_function_is_in_the_table(tmp_path, capsys):
         if event == "call":
             reached.add(frame.f_code)
 
+    # sys.setprofile sees only this thread; the head is drawn on the model's
+    # worker, so a fresh one is started under threading.setprofile.
+    model._HEADS.stop()
+    threading.setprofile(profile)
     sys.setprofile(profile)
     try:
         codes = [run([*argv, "--out", tmp_path / "out"]) for argv, _ in runs]
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
+        model._HEADS.stop()
     assert codes == [code for _, code in runs], capsys.readouterr().err
     unreached = sorted(name for name, code in public_functions().items()
                        if code not in reached)

@@ -191,9 +191,14 @@ def manual_block(f_t, f_t1, w):
     return reference_conv2d(np.concatenate(branches, axis=2), w.fuse_3x3)
 
 
+def stacked_blocks(stacks, w):
+    """off_sequence's blocks, read in order, as one (T - 1, H, W, Cout) array."""
+    return np.stack(list(off_sequence(stacks, w)))
+
+
 def off_pair(f_t, f_t1, w):
     """One motion block: a two-frame sequence."""
-    blocks = off_sequence(motion_stacks([f_t, f_t1]), w)
+    blocks = stacked_blocks(motion_stacks([f_t, f_t1]), w)
     assert len(blocks) == 1
     return blocks[0]
 
@@ -267,7 +272,7 @@ class TestOffSequence:
             w = OffBlockWeights.seeded(3, reduce_channels=3, out_channels=4,
                                        seed=n_frames)
             frames = [rng.standard_normal(shape) for _ in range(n_frames)]
-            got = off_sequence(motion_stacks(frames), w)
+            got = stacked_blocks(motion_stacks(frames), w)
             assert len(got) == n_frames - 1
             for t, block in enumerate(got):
                 want = manual_block(frames[t], frames[t + 1], w)
@@ -290,23 +295,33 @@ class TestOffSequence:
             with monkeypatch.context() as patch:
                 patch.setattr(features, "_correlate", counted)
                 calls.clear()
-                off_sequence(stacks, w)
+                blocks = off_sequence(stacks, w)
+                assert calls == []  # a block is computed when it is read
+                assert len(list(blocks)) == n_frames - 1
             assert calls == [(3, 3, 6 * 3, 5)] * (n_frames - 1)
 
     def test_sequence_errors(self):
         rng = np.random.default_rng(20)
         w = OffBlockWeights.seeded(3, reduce_channels=2, out_channels=4, seed=0)
         f = rng.standard_normal((6, 6, 3))
+        # The checks run when off_sequence is called, before any block is
+        # read, so each raises block holds the call alone.
+        single, pair = motion_stacks([f]), motion_stacks([f, f])
+        nan_stacks = np.full((2, 8, 8, 9), np.nan)
+        narrow = OffBlockWeights.seeded(2, reduce_channels=2, out_channels=4,
+                                        seed=0)
         with pytest.raises(ValueError, match="at least 2 frames, got 1"):
-            off_sequence(motion_stacks([f]), w)  # no pair
+            off_sequence(single, w)  # no pair
         with pytest.raises(ValueError):
             motion_stacks([f, f, rng.standard_normal((6, 5, 3))])
         with pytest.raises(ValueError, match=r"frames must be \(T, H, W, C\)"):
             motion_stacks(f)
         with pytest.raises(ValueError, match=r"stacks must be \(T, H, W, C\)"):
-            off_sequence(motion_stacks([f, f])[0], w)
+            off_sequence(pair[0], w)
         with pytest.raises(ValueError, match="stacks contains non-finite"):
-            off_sequence(np.full((2, 8, 8, 9), np.nan), w)
+            off_sequence(nan_stacks, w)
+        with pytest.raises(ValueError, match="expects 12 input channels"):
+            off_sequence(pair, narrow)
 
 
 @st.composite
@@ -325,7 +340,7 @@ def motion_cases(draw):
 
 
 def motion(frames, w):
-    return off_sequence(motion_stacks(frames), w)
+    return stacked_blocks(motion_stacks(frames), w)
 
 
 class TestOffSequenceProperties:

@@ -1,14 +1,24 @@
-"""The demo model's process-wide caches and its allocation order."""
+"""The demo model's process-wide caches, its head worker and its memory."""
 
+import gc
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import depthpad
 from depthpad import cli, depthlabel, features, metrics, model
-from depthpad.supervision import HEAD_HIDDEN
+from depthpad.supervision import HEAD_HIDDEN, BinaryHead
 
 ALPHA, BETA = 0.8, 0.9
 
@@ -99,10 +109,10 @@ def test_surface_is_read_only():
         model.DEMO_SURFACE["radius"] = 1.0
 
 
-def test_head_is_drawn_after_the_motion_tensors_are_freed():
-    # The head's first layer is the largest array of a full-mode run; with
-    # the head drawn last, the motion blocks and GRU states never coexist
-    # with it, and the traced peak stays close to its size.
+def test_head_never_meets_a_whole_motion_stack():
+    # The head's first layer is the largest array of a full-mode run. It is
+    # drawn while the motion pass runs, and that pass streams one block at a
+    # time into the GRU, so the traced peak stays close to the head's size.
     frames = 64
     model.run_model(ALPHA, BETA, frames, seed=0, oracle=False)
     head_bytes = (frames - 1) * depthlabel.GRID_SIZE ** 2 * HEAD_HIDDEN * 8
@@ -195,3 +205,146 @@ def test_threads_on_a_cold_cache_get_one_result(cold_labels):
         assert not thread.is_alive()
     assert results[0] is not None
     assert repr(results[0]) == repr(results[1])
+
+
+def head_workers():
+    return [t for t in threading.enumerate() if t.name == "depthpad-head"]
+
+
+def test_threads_in_full_mode_get_their_serial_results(cold_labels,
+                                                       monkeypatch):
+    # More callers than cores race to start the worker on a cold cache; they
+    # share one worker, and each gets its own seed's head.
+    seeds = (3, 4, 5, 6)
+    serial = [repr(model.run_model(ALPHA, BETA, 5, seed=s, oracle=False))
+              for s in seeds]
+    clear_caches()
+    model._HEADS.stop()
+    real_queue = model.queue.SimpleQueue
+
+    def slow_queue():
+        # Widens the gap between seeing no worker and starting one.
+        time.sleep(0.01)
+        return real_queue()
+
+    monkeypatch.setattr(model.queue, "SimpleQueue", slow_queue)
+    deadline = time.monotonic() + 10
+    while head_workers() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not head_workers()
+    barrier = threading.Barrier(len(seeds), timeout=30)
+    results = [None] * len(seeds)
+
+    def work(i):
+        barrier.wait()
+        results[i] = repr(model.run_model(ALPHA, BETA, 5, seed=seeds[i],
+                                          oracle=False))
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == serial
+    assert len(head_workers()) == 1
+
+
+def test_a_failed_draw_raises_in_the_caller(monkeypatch):
+    want = repr(model.run_model(ALPHA, BETA, 3, seed=4, oracle=False))
+    error = RuntimeError("draw failed")
+
+    def failing(cls, input_dim, *, seed):
+        raise error
+
+    monkeypatch.setattr(BinaryHead, "seeded", classmethod(failing))
+    with pytest.raises(RuntimeError) as raised:
+        model.run_model(ALPHA, BETA, 3, seed=4, oracle=False)
+    assert raised.value is error
+    monkeypatch.undo()
+    # The worker survives its job's failure and draws the next head.
+    assert repr(model.run_model(ALPHA, BETA, 3, seed=4, oracle=False)) == want
+
+
+def test_a_failed_motion_pass_waits_for_its_head(monkeypatch):
+    # An out-of-range alpha fails in fuse_depth, after the head was handed
+    # to the worker. The caller still collects the head, so none is left
+    # queued or alive once the error has been handled.
+    drawn = []
+    real = BinaryHead.seeded.__func__
+
+    def slow(cls, input_dim, *, seed):
+        time.sleep(0.2)  # outlasts the motion pass
+        head = real(cls, input_dim, seed=seed)
+        drawn.append(weakref.ref(head))
+        return head
+
+    monkeypatch.setattr(BinaryHead, "seeded", classmethod(slow))
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        model.run_model(1.5, BETA, 3, seed=6, oracle=False)
+    gc.collect()
+    assert len(drawn) == 1
+    assert drawn[0]() is None
+
+
+# Imports the model, runs oracle mode, then a full-mode demo command, and
+# prints the Python thread count after each step and whether a module the
+# worker does not need was loaded.
+THREAD_PROBE = """
+import sys, tempfile, threading
+from depthpad import cli, model
+counts = [threading.active_count()]
+model.run_model(0.8, 0.9, 3, seed=1, oracle=True)
+counts.append(threading.active_count())
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["demo", "--frames", "3", "--out", out]) == 0
+counts.append(threading.active_count())
+print(counts, sorted(m for m in ("concurrent.futures", "logging")
+                     if m in sys.modules))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_process_probe():
+    src = str(Path(depthpad.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", THREAD_PROBE],
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          capture_output=True, text=True, timeout=60)
+    return done.stdout.splitlines()[-1]
+
+
+def test_import_and_oracle_runs_start_no_thread(fresh_process_probe):
+    # One thread after the import and after an oracle run; the full-mode
+    # run adds the head worker.
+    assert fresh_process_probe.startswith("[1, 1, 2] ")
+
+
+def test_full_mode_loads_no_executor_or_logging(fresh_process_probe):
+    assert fresh_process_probe.endswith(" []")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_worker():
+    # The child inherits the worker's queue but not its thread; reusing the
+    # queue would wait forever, so the alarm ends a child that hangs.
+    want = repr(model.run_model(ALPHA, BETA, 4, seed=8, oracle=False))
+    with warnings.catch_warnings():
+        # Python 3.12+ warns about forking a process that has threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.alarm(10)
+            got = repr(model.run_model(ALPHA, BETA, 4, seed=8, oracle=False))
+            status = 0 if got == want else 1
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

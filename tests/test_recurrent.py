@@ -209,6 +209,30 @@ class TestConvGruRun:
         with pytest.raises(ValueError, match="at least one input"):
             convgru_run(zero_cell(), np.zeros((4, 4, 1)), np.zeros((0, 4, 4, 1)))
 
+    def test_folds_any_iterable_once(self):
+        # A generator is read once, one input per step, as the model feeds
+        # off_sequence's blocks; a bad input raises at its own step.
+        cell = ConvGruCell.seeded(input_channels=2, hidden_channels=1,
+                                  scale=0.1, seed=13)
+        rng = np.random.default_rng(14)
+        h0 = rng.uniform(-1, 1, (5, 5, 1))
+        xs = rng.standard_normal((3, 5, 5, 2))
+        read = []
+
+        def inputs():
+            for x in xs:
+                read.append(x)
+                yield x
+
+        assert np.array_equal(convgru_run(cell, h0, inputs()),
+                              convgru_run(cell, h0, xs))
+        assert len(read) == len(xs)
+        bad = [xs[0], np.full((5, 5, 2), np.nan)]
+        with pytest.raises(ValueError, match="input contains non-finite"):
+            convgru_run(cell, h0, iter(bad))
+        with pytest.raises(ValueError, match="input has 3 channels"):
+            convgru_run(cell, h0, iter([np.zeros((5, 5, 3))]))
+
     def test_returns_the_stack_of_step_states(self):
         cell = ConvGruCell.seeded(input_channels=3, hidden_channels=2,
                                   scale=0.1, seed=11)
