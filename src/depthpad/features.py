@@ -3,15 +3,13 @@
 Forward passes only: replicate-padded convolution, Sobel spatial gradients,
 frame-difference temporal gradients, the flow-orthogonality residual, and the
 five-branch motion block. off_sequence is the one motion-block entry: it
-takes the motion_stacks of a (T, H, W, C) frame sequence, each frame's
-replicate-padded [x, Sx x, Sy x], and yields the T - 1 (H, W, Cout) blocks
-one at a time. Block t fuses, with a 3x3 kernel, the concatenation of a
-reduced feature map, both frames' spatial gradients and the temporal
+takes a (T, H, W, C) frame sequence and yields the T - 1 (H, W, Cout)
+blocks one at a time. Block t fuses, with a 3x3 kernel, the concatenation
+of a reduced feature map, both frames' spatial gradients and the temporal
 gradient. The block is linear, so the 1x1 reduce is folded into the fuse
 kernel: each frame gets one Sobel, and each pair one conv over both frames'
 input channels, which pays while the input is narrower than the reduced
-map. The stacks do not depend on the weights, so a caller with fixed frames
-builds them once.
+map.
 
 The Sobel stencils carry their conventional gain: a unit ramp reads 8, not 1,
 so velocity vectors fed to off_vector_residual must absorb that factor.
@@ -174,29 +172,31 @@ class OffBlockWeights:
         return cls(reduce, fuse)
 
 
-def motion_stacks(frames: np.ndarray) -> np.ndarray:
-    """The (T, H + 2, W + 2, 3C) motion inputs of a (T, H, W, C) sequence.
-
-    Entry t is [x_t, Sx x_t, Sy x_t] on the channel axis, replicate-padded by
-    one cell as conv2d pads a 3x3 input, with one Sobel per frame.
-    """
-    frames = _require_hwc("frames", frames, stacked=True)
-    n_frames, h, w, c = frames.shape
-    stacks = np.empty((n_frames, h + 2, w + 2, 3 * c))
-    for t, x in enumerate(frames):
-        stacks[t] = _pad(np.concatenate([x, *spatial_gradient(x)], axis=2), 1, 1)
-    return stacks
+def _motion_stack(x: np.ndarray) -> np.ndarray:
+    """Frame x's (H + 2, W + 2, 3C) motion input, [x, Sx x, Sy x] on the
+    channel axis, replicate-padded by one cell as conv2d pads a 3x3 input."""
+    return _pad(np.concatenate([x, *spatial_gradient(x)], axis=2), 1, 1)
 
 
-def off_sequence(stacks: np.ndarray, weights: OffBlockWeights
+def _pair_blocks(held: np.ndarray, frames: np.ndarray, folded: np.ndarray
                  ) -> Iterator[np.ndarray]:
-    """Motion blocks for every consecutive pair of a frame sequence.
+    """One folded correlation per pair; held is the motion stack of the
+    frame before frames[0], and two stacks are alive at a time."""
+    for x in frames:
+        stack = _motion_stack(x)
+        yield _correlate(np.concatenate([held, stack], axis=2), folded)
+        held = stack
 
-    stacks is the sequence's motion_stacks. Returns an iterator over the
-    T - 1 (H, W, Cout) blocks, block t fusing the branches of frames t and
-    t + 1 with the 3x3 kernel; no nonlinearity follows. The inputs are
-    checked by this call, and each block is computed when it is read, so a
-    consumer that folds them holds one block, not a stack.
+
+def off_sequence(frames: np.ndarray, weights: OffBlockWeights
+                 ) -> Iterator[np.ndarray]:
+    """Motion blocks for every consecutive pair of a (T, H, W, C) frame stack.
+
+    Returns an iterator over the T - 1 (H, W, Cout) blocks, block t fusing
+    the branches of frames t and t + 1 with the 3x3 kernel; no nonlinearity
+    follows. The inputs are checked by this call, and each block is
+    computed when it is read, so a consumer that folds them holds one block,
+    not a stack.
 
     The block is linear, and the 1x1 reduce R commutes with replicate padding
     and with the per-channel Sobel, so it is computed folded: with F0..F5 the
@@ -204,21 +204,24 @@ def off_sequence(stacks: np.ndarray, weights: OffBlockWeights
     conv of [x_t, Sx x_t, Sy x_t, x_t1, Sx x_t1, Sy x_t1] with the kernel
     [(F0 - F5) R, F1 R, F2 R, F5 R, F3 R, F4 R] stacked on the input axis.
     Replicate padding commutes with the channel concatenation, so that conv
-    is the valid correlation of the two padded stacks side by side. This
-    costs 6 * Cin * Cout multiply-adds per pixel and tap per pair against
+    is the valid correlation of the two frames' padded [x, Sx x, Sy x] side
+    by side. Each frame gets one Sobel, kept for the next pair. This costs
+    6 * Cin * Cout multiply-adds per pixel and tap per pair against
     6 * Cr * Cout unfolded, so it pays while the input width Cin is below
     the reduce width Cr.
     """
-    stacks = _require_hwc("stacks", stacks, stacked=True)
-    n_frames, _, _, channels = stacks.shape
+    frames = _require_hwc("frames", frames, stacked=True)
+    n_frames, _, _, channels = frames.shape
     if n_frames < 2:
         raise ValueError(f"a motion sequence needs at least 2 frames, got {n_frames}")
     reduce, fuse = weights.reduce_1x1[0, 0], weights.fuse_3x3
-    if 2 * channels != 6 * reduce.shape[0]:
+    if channels != reduce.shape[0]:
+        # Counted as the folded kernel sees a pair's stacked [x, Sx x, Sy x].
         raise ValueError(f"kernel expects {6 * reduce.shape[0]} input channels, "
-                         f"tensor has {2 * channels}")
+                         f"tensor has {6 * channels}")
     cr = reduce.shape[1]
     f0, f1, f2, f3, f4, f5 = (reduce @ fuse[:, :, k * cr:(k + 1) * cr] for k in range(6))
     folded = np.concatenate([f0 - f5, f1, f2, f5, f3, f4], axis=2)
-    return (_correlate(np.concatenate([stacks[t], stacks[t + 1]], axis=2), folded)
-            for t in range(n_frames - 1))
+    # Frame 0's stack is built here, so frames too small for the Sobel
+    # raise at the call, not at the first read.
+    return _pair_blocks(_motion_stack(frames[0]), frames[1:], folded)

@@ -4,7 +4,8 @@ Depth labels, then seeded three-channel frames through the motion block, the
 ConvGRU and fusion with the single-frame map, then the losses and the live
 score. All randomness flows from the seed; the weights are fixed, not trained.
 In full mode one worker thread draws the binary head while the calling
-thread runs the motion block and the ConvGRU.
+thread builds the labels and frames and runs the motion block and the
+ConvGRU; nothing of a full-mode call outlives it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import types
 import numpy as np
 
 from . import depthlabel, metrics
-from .features import OffBlockWeights, motion_stacks, off_sequence
+from .features import OffBlockWeights, off_sequence
 from .recurrent import ConvGruCell, convgru_run, fuse_depth, sigmoid
 from .supervision import BinaryHead, LossReport, multi_frame_report
 
@@ -35,37 +36,11 @@ def _demo_frames(base: np.ndarray, n_frames: int) -> np.ndarray:
     return stacked[rows % len(base)]
 
 
-@functools.cache
 def demo_labels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(living label, spoof label, int64 face mask) of DEMO_SURFACE, read-only.
-
-    None depends on the seed, so they are built once per process.
-    """
+    """(living label, spoof label, int64 face mask) of DEMO_SURFACE."""
     living = depthlabel.generate_living_depth(
         depthlabel.synthesize_face_surface(**DEMO_SURFACE))
-    grids = (living, np.zeros_like(living), (living > 0).astype(np.int64))
-    for values in grids:
-        values.flags.writeable = False
-    return grids
-
-
-@functools.lru_cache(maxsize=1)
-def demo_inputs(frames: int) -> tuple[tuple[str, np.ndarray], ...]:
-    """(kind, motion stacks) per sample for full mode, read-only.
-
-    The living sample's base is its label grid; a planar ramp stands in for
-    the flat printed texture. Frames, their Sobel responses and the padding
-    depend on neither seed nor alpha, so the last frame count's are kept.
-    The frames themselves are the stacks' interior first channels.
-    """
-    grid = depthlabel.GRID_SIZE
-    ramp = np.tile(np.linspace(0.0, 1.0, grid)[:, None], (1, grid))
-    inputs = []
-    for kind, base in (("living", demo_labels()[0]), ("spoof", ramp)):
-        stacks = motion_stacks(_demo_frames(base, frames))
-        stacks.flags.writeable = False
-        inputs.append((kind, stacks))
-    return tuple(inputs)
+    return living, np.zeros_like(living), (living > 0).astype(np.int64)
 
 
 class _HeadWorker:
@@ -119,43 +94,39 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_HEADS.__init__)
 
 
-def _fused_maps(stacks: np.ndarray, single_kernel: np.ndarray,
+def _fused_maps(frames: np.ndarray, single_kernel: np.ndarray,
                 off_weights: OffBlockWeights, cell: ConvGruCell,
                 alpha: float) -> np.ndarray:
-    """(T - 1, H, W) fused depth of one sample.
+    """(T - 1, H, W) fused depth of one sample's (T, H, W, 3) frames.
 
     The motion blocks stream into the GRU, so one block is alive at a time.
     """
     # Step t fuses frame t + 1's single-frame map (a 1x1 conv, one matmul over
-    # the frames, read unpadded from the stacks); frame 0 needs none.
-    frames = stacks[1:, 1:-1, 1:-1, :stacks.shape[3] // 3]
-    single = sigmoid((frames @ single_kernel[0, 0])[..., 0])
-    motion = off_sequence(stacks, off_weights)
+    # the frames); frame 0 needs none.
+    single = sigmoid((frames[1:] @ single_kernel[0, 0])[..., 0])
+    motion = off_sequence(frames, off_weights)
     states = convgru_run(cell, np.zeros(frames.shape[1:3] + (1,)), motion)
     return fuse_depth(single, states[..., 0], alpha)
 
 
-def _sample_results(fused: dict, labels: dict, head: BinaryHead | None,
+def _sample_results(fused: dict, labels: tuple, head: BinaryHead | None,
                     beta: float
                     ) -> dict[str, tuple[LossReport, float, float, float]]:
-    """(loss report, b_hat, masked depth term, live score) per kind."""
-    mask = demo_labels()[2]
+    """(loss report, b_hat, masked depth term, live score) per kind.
+
+    labels is demo_labels(); each kind's label stands for every step.
+    """
+    living_label, spoof_label, mask = labels
     results = {}
-    for kind, binary_label in (("living", 1), ("spoof", 0)):
-        report, b_hat = multi_frame_report(fused[kind], labels[kind], head,
+    for kind, label, binary_label in (("living", living_label, 1),
+                                      ("spoof", spoof_label, 0)):
+        steps = np.broadcast_to(label, fused[kind].shape)
+        report, b_hat = multi_frame_report(fused[kind], steps, head,
                                            binary_label, beta)
         depth_term = metrics.masked_depth_term(fused[kind], mask)
         results[kind] = (report, b_hat, depth_term,
                          metrics.living_score(b_hat, depth_term, beta))
     return results
-
-
-def _step_labels(frames: int) -> dict[str, np.ndarray]:
-    """One label per step and kind, as read-only views of demo_labels."""
-    living_label, spoof_label, _ = demo_labels()
-    steps = (frames - 1, depthlabel.GRID_SIZE, depthlabel.GRID_SIZE)
-    return {"living": np.broadcast_to(living_label, steps),
-            "spoof": np.broadcast_to(spoof_label, steps)}
 
 
 @functools.lru_cache(maxsize=1)
@@ -165,8 +136,11 @@ def oracle_results(beta: float, frames: int
 
     They depend only on beta and frames, so the last request is kept.
     """
-    labels = _step_labels(frames)
-    return tuple(_sample_results(labels, labels, None, beta).items())
+    labels = demo_labels()
+    steps = (frames - 1,) + labels[0].shape
+    truth = {"living": np.broadcast_to(labels[0], steps),
+             "spoof": np.broadcast_to(labels[1], steps)}
+    return tuple(_sample_results(truth, labels, None, beta).items())
 
 
 def run_model(alpha: float, beta: float, frames: int, seed: int,
@@ -178,32 +152,35 @@ def run_model(alpha: float, beta: float, frames: int, seed: int,
     ground-truth depth maps stand in for the fused maps and no binary head is
     drawn, so b_hat is 0.5; those results do not depend on alpha or seed, and
     oracle_results keeps the last (beta, frames) request's, so a warm call
-    with the same two only copies them into a new dict. The labels and mask
-    are demo_labels, shared read-only. Full mode reads its motion stacks,
-    and the frames inside them, from demo_inputs, built once per frame count.
-    It hands the head's draw to the worker thread first and collects the
-    head once both fused maps exist; each weight set has its own generator,
-    so the order changes no value.
+    with the same two only copies them into a new dict. Full mode hands the
+    head's draw to the worker thread first, then builds its weights, the
+    labels and each sample's frames: the living sample's base is its label
+    grid, and a planar ramp stands in for the flat printed texture. It
+    collects the head once both fused maps exist, or once the set-up or the
+    motion pass has failed, so no head outlives the call; each weight set
+    has its own generator, so the order changes no value.
     """
     if oracle:
         return dict(oracle_results(beta, frames))
     grid = depthlabel.GRID_SIZE
     pending = _HEADS.submit((frames - 1) * grid * grid, seed + 3)
-    off_weights = OffBlockWeights.seeded(
-        3, reduce_channels=DEMO_REDUCE_CHANNELS,
-        out_channels=DEMO_FUSE_CHANNELS, seed=seed + 1)
-    cell = ConvGruCell.seeded(input_channels=DEMO_FUSE_CHANNELS,
-                              hidden_channels=1, scale=0.1, seed=seed + 2)
-    single_kernel = (np.random.default_rng(seed)
-                     .standard_normal((1, 1, 3, 1)))
     try:
-        fused = {kind: _fused_maps(stacks, single_kernel, off_weights, cell,
-                                   alpha)
-                 for kind, stacks in demo_inputs(frames)}
+        off_weights = OffBlockWeights.seeded(
+            3, reduce_channels=DEMO_REDUCE_CHANNELS,
+            out_channels=DEMO_FUSE_CHANNELS, seed=seed + 1)
+        cell = ConvGruCell.seeded(input_channels=DEMO_FUSE_CHANNELS,
+                                  hidden_channels=1, scale=0.1, seed=seed + 2)
+        single_kernel = (np.random.default_rng(seed)
+                         .standard_normal((1, 1, 3, 1)))
+        labels = demo_labels()
+        ramp = np.tile(np.linspace(0.0, 1.0, grid)[:, None], (1, grid))
+        fused = {kind: _fused_maps(_demo_frames(base, frames), single_kernel,
+                                   off_weights, cell, alpha)
+                 for kind, base in (("living", labels[0]), ("spoof", ramp))}
     finally:
-        # Collected even when the motion pass fails, so no head outlives
-        # the call; that failure then takes precedence over the draw's.
+        # Collected even when the set-up or the motion pass fails, so no
+        # head outlives the call; that failure takes precedence over the draw's.
         head = pending.get()
     if isinstance(head, BaseException):
         raise head
-    return _sample_results(fused, _step_labels(frames), head, beta)
+    return _sample_results(fused, labels, head, beta)

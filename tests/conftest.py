@@ -1,5 +1,8 @@
+import importlib
+import pkgutil
 import time
 
+import depthpad
 from depthpad.metrics import ATTACK, LIVING, RecordCounts, check_record
 
 FULL_SUITE_BUDGET_S = 60.0
@@ -30,3 +33,14 @@ def record_counts(records, threshold) -> RecordCounts:
     return RecordCounts(threshold, tuple(living),
                         tuple((name, tuple(tally))
                               for name, tally in sorted(groups.items())))
+
+
+def clear_caches():
+    """Empty the cache of every cached function a depthpad module defines,
+    so that the next call runs its body."""
+    for info in pkgutil.iter_modules(depthpad.__path__):
+        module = importlib.import_module(f"depthpad.{info.name}")
+        for obj in vars(module).values():
+            if (hasattr(obj, "cache_clear")
+                    and getattr(obj, "__module__", None) == module.__name__):
+                obj.cache_clear()

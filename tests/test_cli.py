@@ -34,7 +34,7 @@ from depthpad.cli import (
 )
 from depthpad.geometry import read_sweep_csv
 
-from conftest import record_counts
+from conftest import clear_caches, record_counts
 from test_metrics import write_records
 
 
@@ -1510,9 +1510,7 @@ def test_every_unreached_function_is_in_the_table(tmp_path, capsys):
             (["demo", "--oracle"], 0), (["metrics", good], 0),
             (["metrics", bad], 3)]
     # Cold caches, so that a cached function's body runs.
-    for cached in (cli.build_parser, model.demo_labels, model.demo_inputs,
-                   model.oracle_results):
-        cached.cache_clear()
+    clear_caches()
     reached = set()
 
     def profile(frame, event, arg):
@@ -1539,7 +1537,7 @@ def test_every_unreached_function_is_in_the_table(tmp_path, capsys):
 def test_reach_census_sees_what_it_should():
     found = public_functions()
     # Functions, a cached function, a classmethod and two property getters.
-    for name in ("cli.main", "model.demo_labels",
+    for name in ("cli.main", "model.oracle_results",
                  "supervision.BinaryHead.seeded",
                  "geometry.RealSceneConfig.relative_depth",
                  "recurrent.ConvGruCell.hidden_channels"):

@@ -9,7 +9,6 @@ from depthpad.features import (
     SOBEL_GAIN,
     OffBlockWeights,
     conv2d,
-    motion_stacks,
     off_sequence,
     off_vector_residual,
     spatial_gradient,
@@ -191,14 +190,14 @@ def manual_block(f_t, f_t1, w):
     return reference_conv2d(np.concatenate(branches, axis=2), w.fuse_3x3)
 
 
-def stacked_blocks(stacks, w):
+def stacked_blocks(frames, w):
     """off_sequence's blocks, read in order, as one (T - 1, H, W, Cout) array."""
-    return np.stack(list(off_sequence(stacks, w)))
+    return np.stack(list(off_sequence(frames, w)))
 
 
 def off_pair(f_t, f_t1, w):
     """One motion block: a two-frame sequence."""
-    blocks = stacked_blocks(motion_stacks([f_t, f_t1]), w)
+    blocks = stacked_blocks([f_t, f_t1], w)
     assert len(blocks) == 1
     return blocks[0]
 
@@ -272,7 +271,7 @@ class TestOffSequence:
             w = OffBlockWeights.seeded(3, reduce_channels=3, out_channels=4,
                                        seed=n_frames)
             frames = [rng.standard_normal(shape) for _ in range(n_frames)]
-            got = stacked_blocks(motion_stacks(frames), w)
+            got = stacked_blocks(frames, w)
             assert len(got) == n_frames - 1
             for t, block in enumerate(got):
                 want = manual_block(frames[t], frames[t + 1], w)
@@ -291,11 +290,10 @@ class TestOffSequence:
         w = OffBlockWeights.seeded(3, reduce_channels=4, out_channels=5, seed=0)
         for n_frames in (2, 3, 5):
             frames = [rng.standard_normal((6, 6, 3)) for _ in range(n_frames)]
-            stacks = motion_stacks(frames)
             with monkeypatch.context() as patch:
                 patch.setattr(features, "_correlate", counted)
                 calls.clear()
-                blocks = off_sequence(stacks, w)
+                blocks = off_sequence(frames, w)
                 assert calls == []  # a block is computed when it is read
                 assert len(list(blocks)) == n_frames - 1
             assert calls == [(3, 3, 6 * 3, 5)] * (n_frames - 1)
@@ -306,22 +304,20 @@ class TestOffSequence:
         f = rng.standard_normal((6, 6, 3))
         # The checks run when off_sequence is called, before any block is
         # read, so each raises block holds the call alone.
-        single, pair = motion_stacks([f]), motion_stacks([f, f])
-        nan_stacks = np.full((2, 8, 8, 9), np.nan)
         narrow = OffBlockWeights.seeded(2, reduce_channels=2, out_channels=4,
                                         seed=0)
         with pytest.raises(ValueError, match="at least 2 frames, got 1"):
-            off_sequence(single, w)  # no pair
+            off_sequence([f], w)  # no pair
         with pytest.raises(ValueError):
-            motion_stacks([f, f, rng.standard_normal((6, 5, 3))])
+            off_sequence([f, f, rng.standard_normal((6, 5, 3))], w)
         with pytest.raises(ValueError, match=r"frames must be \(T, H, W, C\)"):
-            motion_stacks(f)
-        with pytest.raises(ValueError, match=r"stacks must be \(T, H, W, C\)"):
-            off_sequence(pair[0], w)
-        with pytest.raises(ValueError, match="stacks contains non-finite"):
-            off_sequence(nan_stacks, w)
+            off_sequence(f, w)
+        with pytest.raises(ValueError, match="frames contains non-finite"):
+            off_sequence(np.full((2, 6, 6, 3), np.nan), w)
         with pytest.raises(ValueError, match="expects 12 input channels"):
-            off_sequence(pair, narrow)
+            off_sequence([f, f], narrow)
+        with pytest.raises(ValueError, match="at least 3x3 input, got 2x6"):
+            off_sequence(np.zeros((2, 2, 6, 3)), w)
 
 
 @st.composite
@@ -339,10 +335,6 @@ def motion_cases(draw):
     return weights, frames, rng
 
 
-def motion(frames, w):
-    return stacked_blocks(motion_stacks(frames), w)
-
-
 class TestOffSequenceProperties:
     """Invariants the folded (reduce-into-fuse) evaluation relies on."""
 
@@ -351,15 +343,15 @@ class TestOffSequenceProperties:
     def test_linear_in_the_frames(self, case, a, b):
         w, xs, rng = case
         ys = [rng.standard_normal(x.shape) for x in xs]
-        mixed = motion([a * x + b * y for x, y in zip(xs, ys)], w)
-        for got, bx, by in zip(mixed, motion(xs, w), motion(ys, w)):
+        mixed = stacked_blocks([a * x + b * y for x, y in zip(xs, ys)], w)
+        for got, bx, by in zip(mixed, stacked_blocks(xs, w), stacked_blocks(ys, w)):
             assert np.allclose(got, a * bx + b * by, rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(motion_cases())
     def test_identical_frames_give_identical_blocks(self, case):
         w, xs, _ = case
-        blocks = motion([xs[0]] * len(xs), w)
+        blocks = stacked_blocks([xs[0]] * len(xs), w)
         for block in blocks[1:]:
             assert np.allclose(block, blocks[0], rtol=0, atol=1e-12)
 
@@ -371,7 +363,7 @@ class TestOffSequenceProperties:
         frame = np.broadcast_to(xs[0][:1, :1], xs[0].shape)
         cr = w.reduce_1x1.shape[3]
         want = conv2d(conv2d(frame, w.reduce_1x1), w.fuse_3x3[:, :, :cr])
-        for block in motion([frame] * len(xs), w):
+        for block in stacked_blocks([frame] * len(xs), w):
             assert np.allclose(block, want, rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -383,8 +375,8 @@ class TestOffSequenceProperties:
         h = xs[0].shape[0]
         rows = [(i + k) % h for i in range(2, h - 2) if 2 <= (i + k) % h < h - 2]
         assume(rows)
-        rolled = motion([np.roll(x, k, axis=0) for x in xs], w)
-        for got, block in zip(rolled, motion(xs, w)):
+        rolled = stacked_blocks([np.roll(x, k, axis=0) for x in xs], w)
+        for got, block in zip(rolled, stacked_blocks(xs, w)):
             want = np.roll(block, k, axis=0)
             assert np.allclose(got[rows], want[rows], rtol=0, atol=1e-12)
 
@@ -463,14 +455,13 @@ class TestOneBufferPadding:
             assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3), hwc_tensors(min_side=3))
-    def test_motion_stacks_match_numpy_pad(self, n_frames, x):
-        # Each frame's [x, Sx x, Sy x] padded as conv2d pads a 3x3 input, so a
+    @given(hwc_tensors(min_side=3))
+    def test_motion_stacks_match_numpy_pad(self, x):
+        # A frame's [x, Sx x, Sy x] padded as conv2d pads a 3x3 input, so a
         # pair side by side is the padded pair conv2d would have built.
-        frames = np.stack([x * (t + 1) for t in range(n_frames)])
-        for got, frame in zip(motion_stacks(frames), frames):
-            branches = np.concatenate([frame, *np_pad_sobel(frame)], axis=2)
-            assert np.array_equal(got, np_pad_hwc(branches, 1, 1, "replicate"))
+        branches = np.concatenate([x, *np_pad_sobel(x)], axis=2)
+        assert np.array_equal(features._motion_stack(x),
+                              np_pad_hwc(branches, 1, 1, "replicate"))
 
     def test_shift_responses_match_numpy_pad(self):
         grids = np.random.default_rng(23).standard_normal((3, 7, 5))

@@ -1,4 +1,4 @@
-"""The demo model's process-wide caches, its head worker and its memory."""
+"""The demo model's oracle cache, its head worker and its memory."""
 
 import gc
 import json
@@ -13,95 +13,53 @@ import warnings
 import weakref
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import depthpad
 from depthpad import cli, depthlabel, features, metrics, model
 from depthpad.supervision import HEAD_HIDDEN, BinaryHead
 
+from conftest import clear_caches
+
 ALPHA, BETA = 0.8, 0.9
 
 
-def clear_caches():
-    model.demo_labels.cache_clear()
-    model.demo_inputs.cache_clear()
-    model.oracle_results.cache_clear()
-
-
 @pytest.fixture
-def cold_labels():
+def cold_caches():
     clear_caches()
     yield
     clear_caches()
 
 
-def test_labels_rasterized_once_per_process(cold_labels, monkeypatch):
-    calls = []
-    real = depthlabel.generate_living_depth
-
-    def counted(surface):
-        calls.append(surface)
-        return real(surface)
-
-    monkeypatch.setattr(depthlabel, "generate_living_depth", counted)
-    model.run_model(ALPHA, BETA, 3, seed=1, oracle=False)
-    model.run_model(ALPHA, BETA, 3, seed=2, oracle=True)
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("oracle", [False, True])
-def test_cold_and_warm_labels_give_one_result(cold_labels, oracle):
+def test_cold_and_warm_labels_give_one_result(cold_caches, oracle):
     cold = model.run_model(ALPHA, BETA, 4, seed=5, oracle=oracle)
     warm = model.run_model(ALPHA, BETA, 4, seed=5, oracle=oracle)
     assert cold == warm
 
 
-def test_cached_grids_are_read_only(cold_labels):
-    for grid in model.demo_labels():
-        with pytest.raises(ValueError):
-            grid[0, 0] = 0.5
-    assert model.demo_labels() is model.demo_labels()
-
-
-def test_motion_stacks_built_once_across_seeds(cold_labels, monkeypatch):
+def test_each_full_call_builds_its_own_inputs(cold_caches, monkeypatch):
+    # Nothing is kept between full-mode calls: each builds the living label
+    # once and takes one Sobel per frame of each kind.
+    labels = count_calls(monkeypatch, depthlabel, "generate_living_depth")
     sobels = count_calls(monkeypatch, features, "spatial_gradient")
     for seed in (1, 2):
         for alpha in (0.3, ALPHA):
+            labels.clear()
+            sobels.clear()
             model.run_model(alpha, BETA, 4, seed=seed, oracle=False)
-    assert len(sobels) == 2 * 4  # one per frame of each kind
+            assert (len(labels), len(sobels)) == (1, 2 * 4)
 
 
-def test_demo_inputs_are_read_only(cold_labels):
-    inputs = model.demo_inputs(3)
-    assert [kind for kind, _ in inputs] == ["living", "spoof"]
-    for _, stacks in inputs:
-        assert stacks.shape == (3, depthlabel.GRID_SIZE + 2,
-                                depthlabel.GRID_SIZE + 2, 9)
-        with pytest.raises(ValueError):
-            stacks[0, 0, 0, 0] = 0.5
-    assert model.demo_inputs(3) is inputs
-    # Each frame is held once, inside its stack: the unpadded first channels.
-    living = inputs[0][1][0, 1:-1, 1:-1, 2]
-    assert np.array_equal(living, model.demo_labels()[0])
-
-
-def test_warm_full_result_equals_a_cold_one(cold_labels):
-    # Warm inputs, kept across seeds and rebuilt when the frame count
-    # changes, give the bytes a cold process gives.
+def test_warm_full_result_equals_a_cold_one(cold_caches):
+    # A process that has run other frame counts and seeds gives the bytes
+    # a cold process gives.
     for frames in (4, 3, 4):
         model.run_model(ALPHA, BETA, frames, seed=1, oracle=False)
     warm = model.run_model(0.3, BETA, 4, seed=9, oracle=False)
     clear_caches()
     cold = model.run_model(0.3, BETA, 4, seed=9, oracle=False)
     assert repr(warm) == repr(cold)
-
-
-def test_demo_inputs_cache_stays_bounded(cold_labels):
-    for frames in (2, 3, 5, 3):
-        model.run_model(ALPHA, BETA, frames, seed=0, oracle=False)
-    info = model.demo_inputs.cache_info()
-    assert (info.maxsize, info.currsize) == (1, 1)
 
 
 def test_surface_is_read_only():
@@ -125,6 +83,21 @@ def test_head_never_meets_a_whole_motion_stack():
     assert peak <= 1.25 * head_bytes, peak / head_bytes
 
 
+def test_full_mode_keeps_nothing_after_a_call(cold_caches):
+    # The head, the labels, the frames and the motion blocks all die with
+    # the call. A short call first loads the modules numpy imports lazily,
+    # so what is still traced afterwards is what the call kept.
+    model.run_model(ALPHA, BETA, 2, seed=0, oracle=False)
+    clear_caches()
+    tracemalloc.start()
+    try:
+        model.run_model(ALPHA, BETA, 64, seed=0, oracle=False)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, held
+
+
 def count_calls(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
@@ -137,7 +110,7 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_oracle_work_runs_once_per_beta_and_frames(cold_labels, monkeypatch):
+def test_oracle_work_runs_once_per_beta_and_frames(cold_caches, monkeypatch):
     reports = count_calls(monkeypatch, model, "multi_frame_report")
     depth_terms = count_calls(monkeypatch, metrics, "masked_depth_term")
     for seed in (1, 2):
@@ -150,7 +123,7 @@ def test_oracle_work_runs_once_per_beta_and_frames(cold_labels, monkeypatch):
     assert (len(reports), len(depth_terms)) == (6, 6)
 
 
-def test_warm_oracle_result_equals_a_cold_one(cold_labels):
+def test_warm_oracle_result_equals_a_cold_one(cold_caches):
     model.run_model(ALPHA, BETA, 4, seed=1, oracle=True)
     warm = model.run_model(0.3, BETA, 4, seed=9, oracle=True)
     clear_caches()
@@ -158,7 +131,7 @@ def test_warm_oracle_result_equals_a_cold_one(cold_labels):
     assert repr(warm) == repr(cold)
 
 
-def test_mutating_an_oracle_result_leaves_the_next_intact(cold_labels):
+def test_mutating_an_oracle_result_leaves_the_next_intact(cold_caches):
     first = model.run_model(ALPHA, BETA, 4, seed=1, oracle=True)
     want = repr(first)
     first["living"] = None
@@ -167,7 +140,7 @@ def test_mutating_an_oracle_result_leaves_the_next_intact(cold_labels):
     assert repr(model.run_model(ALPHA, BETA, 4, seed=2, oracle=True)) == want
 
 
-def test_oracle_cache_stays_bounded(cold_labels):
+def test_oracle_cache_stays_bounded(cold_caches):
     for step in range(100):
         model.run_model(ALPHA, step / 99, 2, seed=0, oracle=True)
     info = model.oracle_results.cache_info()
@@ -176,7 +149,7 @@ def test_oracle_cache_stays_bounded(cold_labels):
 
 
 @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
-def test_signed_zero_betas_share_a_key_and_one_report(cold_labels, first,
+def test_signed_zero_betas_share_a_key_and_one_report(cold_caches, first,
                                                       second):
     # -0.0 == 0.0 and both hash alike, so one is served from the other's
     # cache entry; the report must still be the one a cold build writes.
@@ -189,7 +162,7 @@ def test_signed_zero_betas_share_a_key_and_one_report(cold_labels, first,
     assert report(second) == cold
 
 
-def test_threads_on_a_cold_cache_get_one_result(cold_labels):
+def test_threads_on_a_cold_cache_get_one_result(cold_caches):
     barrier = threading.Barrier(2, timeout=30)
     results = [None, None]
 
@@ -211,7 +184,7 @@ def head_workers():
     return [t for t in threading.enumerate() if t.name == "depthpad-head"]
 
 
-def test_threads_in_full_mode_get_their_serial_results(cold_labels,
+def test_threads_in_full_mode_get_their_serial_results(cold_caches,
                                                        monkeypatch):
     # More callers than cores race to start the worker on a cold cache; they
     # share one worker, and each gets its own seed's head.
@@ -273,9 +246,10 @@ def test_a_failed_draw_raises_in_the_caller(monkeypatch):
 
 
 def test_a_failed_motion_pass_waits_for_its_head(monkeypatch):
-    # An out-of-range alpha fails in fuse_depth, after the head was handed
-    # to the worker. The caller still collects the head, so none is left
-    # queued or alive once the error has been handled.
+    # An out-of-range alpha fails in fuse_depth, and a negative seed in a
+    # weight draw, both after the head was handed to the worker. The caller
+    # still collects the head, so none is left queued or alive once the
+    # error has been handled.
     drawn = []
     real = BinaryHead.seeded.__func__
 
@@ -286,11 +260,14 @@ def test_a_failed_motion_pass_waits_for_its_head(monkeypatch):
         return head
 
     monkeypatch.setattr(BinaryHead, "seeded", classmethod(slow))
-    with pytest.raises(ValueError, match="alpha must lie in"):
-        model.run_model(1.5, BETA, 3, seed=6, oracle=False)
-    gc.collect()
-    assert len(drawn) == 1
-    assert drawn[0]() is None
+    for alpha, seed, error in ((1.5, 6, "alpha must lie in"),
+                               (ALPHA, -1, "expected non-negative integer")):
+        drawn.clear()
+        with pytest.raises(ValueError, match=error):
+            model.run_model(alpha, BETA, 3, seed=seed, oracle=False)
+        gc.collect()
+        assert len(drawn) == 1, seed
+        assert drawn[0]() is None, seed
 
 
 # Imports the model, runs oracle mode, then a full-mode demo command, and

@@ -189,8 +189,7 @@ def test_full_mode_matches_the_unfolded_model(seed, n_frames, alpha, beta):
 @settings(max_examples=25, deadline=None)
 @given(seeds, frame_counts, unit, unit)
 def test_oracle_mode_equals_the_unfolded_model(seed, n_frames, alpha, beta):
-    # Cold caches, so every example compares freshly computed numbers.
-    model.demo_labels.cache_clear()
+    # A cold cache, so every example compares freshly computed numbers.
     model.oracle_results.cache_clear()
     got = model_fields(cli.run_demo(alpha, beta, n_frames, seed, oracle=True))
     assert got == reference_demo(alpha, beta, n_frames, seed, oracle=True)
