@@ -331,7 +331,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise DataError(f"scene {name!r} cannot be simulated: {exc}")
 
     series = {
-        name: [(frame, sweep.steps[i][1].ratio)
+        name: [(frame, sweep.steps[i][1])
                for frame, i in enumerate(sweep.index, start=1)]
         for name, sweep in results.items()
     }

@@ -1,15 +1,15 @@
 """Flow-guided feature computations on H x W x C grids.
 
 Forward passes only: replicate-padded convolution, Sobel spatial gradients,
-frame-difference temporal gradients, the flow-orthogonality residual, and the
-five-branch motion block. off_sequence is the one motion-block entry: it
-takes a (T, H, W, C) frame sequence and yields the T - 1 (H, W, Cout)
-blocks one at a time. Block t fuses, with a 3x3 kernel, the concatenation
-of a reduced feature map, both frames' spatial gradients and the temporal
-gradient. The block is linear, so the 1x1 reduce is folded into the fuse
-kernel: each frame gets one Sobel, and each pair one conv over both frames'
-input channels, which pays while the input is narrower than the reduced
-map.
+the flow-orthogonality residual (whose temporal gradient is the frame
+difference), and the five-branch motion block. off_sequence is the one
+motion-block entry: it takes a (T, H, W, C) frame sequence and yields the
+T - 1 (H, W, Cout) blocks one at a time. Block t fuses, with a 3x3 kernel,
+the concatenation of a reduced feature map, both frames' spatial gradients
+and the temporal gradient. The block is linear, so the 1x1 reduce is folded
+into the fuse kernel: each frame gets one Sobel, and each pair one conv over
+both frames' input channels, which pays while the input is narrower than
+the reduced map.
 
 The Sobel stencils carry their conventional gain: a unit ramp reads 8, not 1,
 so velocity vectors fed to off_vector_residual must absorb that factor.
@@ -38,24 +38,21 @@ def _require_hwc(name: str, x: np.ndarray, stacked: bool = False) -> np.ndarray:
     return x
 
 
-def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """x (H, W, C) replicate-padded by ph rows and pw columns on each side.
+def _pad(x: np.ndarray) -> np.ndarray:
+    """x (H, W, C) replicate-padded by one cell on each side.
 
     One allocation and slice assignment, equal bit for bit to numpy's pad in
-    "edge" mode, for any widths, including ones wider than x: edge rows are
-    broadcast first, then edge columns (corners included) are copied from
-    the padded columns. Zero widths return x itself, not a copy. The ConvGRU
-    zero-pads in its own buffer.
+    "edge" mode: edge rows are copied first, then edge columns (corners
+    included) from the padded columns. The ConvGRU zero-pads in its own
+    buffer.
     """
-    if not (ph or pw):
-        return x
     h, w, c = x.shape
-    out = np.empty((h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
-    out[ph:ph + h, pw:pw + w] = x
-    out[:ph, pw:pw + w] = x[:1]
-    out[ph + h:, pw:pw + w] = x[-1:]
-    out[:, :pw] = out[:, pw:pw + 1]
-    out[:, pw + w:] = out[:, pw + w - 1:pw + w]
+    out = np.empty((h + 2, w + 2, c), dtype=x.dtype)
+    out[1:-1, 1:-1] = x
+    out[0, 1:-1] = x[0]
+    out[-1, 1:-1] = x[-1]
+    out[:, 0] = out[:, 1]
+    out[:, -1] = out[:, -2]
     return out
 
 
@@ -79,9 +76,8 @@ def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Same-size stride-1 cross-correlation mixing channels, replicate-padded.
 
     x is (H, W, Cin), kernel is (kH, kW, Cin, Cout) with odd kH and kW. The
-    input is edge-padded into one fresh buffer (a 1x1 kernel reads x itself)
-    and the taps are summed as _correlate sums them, so the result equals
-    numpy's "edge" pad followed by the same tap sum bit for bit.
+    input is padded by numpy's pad in "edge" mode, by any widths, and the
+    taps are summed as _correlate sums them.
     """
     x = _require_hwc("input", x)
     kernel = np.asarray(kernel, dtype=float)
@@ -92,7 +88,8 @@ def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise ValueError(f"kernel dims must be odd for same padding, got {kh}x{kw}")
     if cin != x.shape[2]:
         raise ValueError(f"kernel expects {cin} input channels, tensor has {x.shape[2]}")
-    return _correlate(_pad(x, kh // 2, kw // 2), kernel)
+    widths = ((kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0))
+    return _correlate(np.pad(x, widths, mode="edge"), kernel)
 
 
 def spatial_gradient(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +102,7 @@ def spatial_gradient(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h, w, _ = x.shape
     if h < 3 or w < 3:
         raise ValueError(f"spatial gradient needs at least 3x3 input, got {h}x{w}")
-    p = _pad(x, 1, 1)
+    p = _pad(x)
     dx = p[:, 2:, :] - p[:, :-2, :]          # east minus west, (H+2, W, C)
     gx = dx[:-2] + 2.0 * dx[1:-1] + dx[2:]
     dy = p[2:, :, :] - p[:-2, :, :]          # south minus north, (H, W+2, C)
@@ -113,26 +110,22 @@ def spatial_gradient(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def temporal_gradient(x_t: np.ndarray, x_t1: np.ndarray) -> np.ndarray:
-    """Elementwise frame difference x(t+dt) - x(t)."""
-    x_t = _require_hwc("x_t", x_t)
-    x_t1 = _require_hwc("x_t1", x_t1)
-    if x_t.shape != x_t1.shape:
-        raise ValueError(f"frame shapes differ: {x_t.shape} vs {x_t1.shape}")
-    return x_t1 - x_t
-
-
 def off_vector_residual(x_t: np.ndarray, x_t1: np.ndarray,
                         v: tuple[float, float]) -> np.ndarray:
     """Per-cell deviation from brightness constancy, gx*vx + gy*vy + gt.
 
-    Vanishes in the interior when x_t1 is x_t translated by the flow and v is
-    expressed in Sobel-gain units (true displacement divided by SOBEL_GAIN).
+    gt is the temporal gradient, the frame difference x_t1 - x_t, so a zero
+    v gives exactly that difference. The residual vanishes in the interior
+    when x_t1 is x_t translated by the flow and v is expressed in Sobel-gain
+    units (true displacement divided by SOBEL_GAIN).
     """
+    x_t = _require_hwc("x_t", x_t)
+    x_t1 = _require_hwc("x_t1", x_t1)
+    if x_t.shape != x_t1.shape:
+        raise ValueError(f"frame shapes differ: {x_t.shape} vs {x_t1.shape}")
     gx, gy = spatial_gradient(x_t)
-    gt = temporal_gradient(x_t, x_t1)
     vx, vy = v
-    return gx * vx + gy * vy + gt
+    return gx * vx + gy * vy + (x_t1 - x_t)
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,7 @@ class OffBlockWeights:
 def _motion_stack(x: np.ndarray) -> np.ndarray:
     """Frame x's (H + 2, W + 2, 3C) motion input, [x, Sx x, Sy x] on the
     channel axis, replicate-padded by one cell as conv2d pads a 3x3 input."""
-    return _pad(np.concatenate([x, *spatial_gradient(x)], axis=2), 1, 1)
+    return _pad(np.concatenate([x, *spatial_gradient(x)], axis=2))
 
 
 def _pair_blocks(held: np.ndarray, frames: np.ndarray, folded: np.ndarray

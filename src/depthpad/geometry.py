@@ -4,12 +4,14 @@ A pinhole camera watches either a real face or an attack carrier (a print or
 a screen replaying a recorded face). Three facial points at different depths
 move vertically; their image-plane optical flows let an observer estimate the
 relative depth d1/d2 between the points. For a live face that estimate is the
-true ratio. For attacks the recording camera and the realistic camera compose,
-and carrier shake dv or carrier rotation distorts the estimate in ways
-computed here in closed form, per frame step: each replay formula takes its
-step's dv and each rotation formula its step's (start, end) endpoints (see
-rotated_endpoints). simulate_sequence steps a scene through these formulas
-and returns a Sweep: its distinct steps and the step of each frame step.
+true ratio, and a print, whose three flows coincide, gives none (None: the
+print signature). For attacks the recording camera and the realistic camera
+compose, and carrier shake dv or carrier rotation distorts the estimate in
+ways computed here in closed form, per frame step: each replay formula takes
+its step's dv and each rotation formula its step's (start, end) endpoints
+(see rotated_endpoints). simulate_sequence steps a scene through these
+formulas and returns a Sweep: its distinct (observation, ratio,
+closed_form_ratio) steps and the step of each frame step.
 
 Every quantity shares one arbitrary length unit (only ratios matter) and all
 motion is restricted to the vertical axis. All functions are pure.
@@ -136,19 +138,6 @@ class FlowObservation:
                 _check_finite(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
-class RelativeDepthEstimate:
-    """Relative depth recovered from a flow observation.
-
-    degenerate_flat means all flows coincide, so both estimated depths are
-    zero (the print signature); ratio is None in that case and must not be
-    used in arithmetic.
-    """
-
-    degenerate_flat: bool
-    ratio: Optional[float]
-
-
 def flow_real(cfg: RealSceneConfig) -> FlowObservation:
     """Image-plane flows of the three points for a live face moving by dx."""
     return FlowObservation(
@@ -158,13 +147,14 @@ def flow_real(cfg: RealSceneConfig) -> FlowObservation:
     )
 
 
-def estimate_relative_depth(obs: FlowObservation) -> RelativeDepthEstimate:
+def estimate_relative_depth(obs: FlowObservation) -> Optional[float]:
     """Recover d1/d2 from the three observed flows.
 
-    Returns the flat estimate when both flow ratios are within EPS_FLAT of 1
-    (all three flows coincide, so the scene is a plane). Raises
-    InconsistentFlowError when only the denominator ratio collapses, when
-    du_m or du_r is exactly zero, or when a ratio overflows.
+    Returns None when both flow ratios are within EPS_FLAT of 1: all three
+    flows coincide, so both estimated depths are zero and the scene is a
+    plane (the print signature). Raises InconsistentFlowError when only the
+    denominator ratio collapses, when du_m or du_r is exactly zero, or when
+    a ratio overflows.
     """
     if obs.du_m == 0.0 or obs.du_r == 0.0:
         raise InconsistentFlowError(
@@ -173,7 +163,7 @@ def estimate_relative_depth(obs: FlowObservation) -> RelativeDepthEstimate:
     den = obs.du_l / obs.du_r - 1.0
     if abs(den) <= EPS_FLAT:
         if abs(num) <= EPS_FLAT:
-            return RelativeDepthEstimate(degenerate_flat=True, ratio=None)
+            return None
         raise InconsistentFlowError(
             "far-point flow matches near-point flow while middle does not; "
             "the estimate denominator vanishes")
@@ -182,7 +172,7 @@ def estimate_relative_depth(obs: FlowObservation) -> RelativeDepthEstimate:
     if not math.isfinite(num * 0.0 + den * 0.0 + ratio):
         raise InconsistentFlowError(
             f"the flow ratios overflow: estimate {num!r} / {den!r}")
-    return RelativeDepthEstimate(degenerate_flat=False, ratio=ratio)
+    return ratio
 
 
 def _check_translating(cfg: AttackSceneConfig) -> None:
@@ -340,12 +330,12 @@ def closed_form_rotated_ratio(cfg: AttackSceneConfig, ends: Endpoints) -> float:
 
 @dataclass(frozen=True)
 class Sweep:
-    """A simulated sequence: distinct (observation, estimate,
-    closed_form_ratio) steps, and index[t], the position in steps of frame
-    step t (frame t + 1). len() is the number of frame steps."""
+    """A simulated sequence: distinct (observation, ratio, closed_form_ratio)
+    steps, and index[t], the position in steps of frame step t (frame t + 1).
+    ratio is the estimate, None for the print signature. len() is the number
+    of frame steps."""
 
-    steps: tuple[tuple[FlowObservation, RelativeDepthEstimate,
-                       Optional[float]], ...]
+    steps: tuple[tuple[FlowObservation, Optional[float], Optional[float]], ...]
     index: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -415,10 +405,10 @@ def simulate_sequence(cfg: RealSceneConfig | AttackSceneConfig, n_frames: int,
         if i is None:
             _check_finite("dv", dv)
             obs = flow_replay(cfg, dv)
-            est = estimate_relative_depth(obs)
+            ratio = estimate_relative_depth(obs)
             closed = None if cfg.dx == 0.0 else closed_form_replay_ratio(cfg, dv)
             i = seen[key] = len(steps)
-            steps.append((obs, est, closed))
+            steps.append((obs, ratio, closed))
         index.append(i)
     return Sweep(tuple(steps), tuple(index))
 
@@ -441,10 +431,10 @@ def write_sweep_csv(path, sweeps_by_scene: dict[str, Sweep]) -> None:
             repr(float(obs.du_l)),
             repr(float(obs.du_m)),
             repr(float(obs.du_r)),
-            "" if est.ratio is None else repr(float(est.ratio)),
-            "true" if est.degenerate_flat else "false",
+            "" if ratio is None else repr(float(ratio)),
+            "true" if ratio is None else "false",
             "" if closed is None else repr(float(closed)),
-        )) for obs, est, closed in sweep.steps]
+        )) for obs, ratio, closed in sweep.steps]
         lines += [f"{name},{frame},{tails[i]}"
                   for frame, i in enumerate(sweep.index, start=1)]
     with open(path, "w", newline="") as fh:

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pkgutil
+import platform
 import subprocess
 import sys
 import tempfile
@@ -533,11 +534,9 @@ class TestDemo:
                 data = (tmp_path / "demo.json").read_bytes()
                 assert hashlib.sha256(data).hexdigest() == digest, (frames, seed)
 
-    @pytest.mark.parametrize("seed, frames", list(DEMO_FULL_VALUES))
-    def test_full_values_match_table(self, tmp_path, seed, frames):
-        assert run(["demo", "--seed", seed, "--frames", frames,
-                    "--out", tmp_path]) == 0
-        report = json.loads((tmp_path / "demo.json").read_text())
+    @staticmethod
+    def assert_full_values(out, seed, frames):
+        report = json.loads((out / "demo.json").read_text())
         for kind, want in DEMO_FULL_VALUES[seed, frames].items():
             got = report[kind]
             losses = got["losses"]
@@ -545,6 +544,12 @@ class TestDemo:
                     losses["contrastive"], losses["depth_total"],
                     losses["binary"], losses["multi_total"]) == pytest.approx(
                         want, rel=1e-12, abs=0.0), kind
+
+    @pytest.mark.parametrize("seed, frames", list(DEMO_FULL_VALUES))
+    def test_full_values_match_table(self, tmp_path, seed, frames):
+        assert run(["demo", "--seed", seed, "--frames", frames,
+                    "--out", tmp_path]) == 0
+        self.assert_full_values(tmp_path, seed, frames)
 
     def test_deterministic_per_seed(self, tmp_path):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -1238,6 +1243,56 @@ def run_fresh(*args):
                           capture_output=True, text=True, timeout=60)
 
 
+# Two x86-64 CPU paths besides the host's default, each set in a child's
+# environment only: another OpenBLAS kernel, which rounds the motion block's
+# matmul otherwise, and numpy's SIMD dispatch capped below AVX-512, which
+# rounds np.exp and np.log otherwise. Either moves the last bits of the
+# full-mode demo.json, so DEMO_FULL_SHA256 holds on the default path only;
+# the full-mode values, the oracle bytes and the simulate bytes hold on all.
+OTHER_CPU_PATHS = {
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy-below-avx512": {
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+NO_NUMPY = 77
+
+# Writes a full and an oracle demo (seed 0, 2 frames) and the default
+# simulate under the directory argv[1] names, or exits NO_NUMPY when numpy
+# cannot be imported under the child's environment.
+OTHER_CPU_PATH_RUN = f"""
+import sys
+try:
+    import numpy
+except (ImportError, RuntimeError):  # numpy rejects the dispatch setting
+    sys.exit({NO_NUMPY})
+from depthpad.cli import main
+for name, argv in (("full", ["demo", "--seed", "0", "--frames", "2"]),
+                   ("oracle", ["demo", "--oracle", "--seed", "0",
+                               "--frames", "2"]),
+                   ("simulate", ["simulate"])):
+    if main([*argv, "--out", f"{{sys.argv[1]}}/{{name}}"]):
+        sys.exit(1)
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the CPU paths named are x86-64 ones")
+@pytest.mark.parametrize("cpu_path", list(OTHER_CPU_PATHS))
+def test_golden_values_hold_on_other_cpu_paths(tmp_path, cpu_path):
+    src = str(Path(depthpad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, **OTHER_CPU_PATHS[cpu_path])
+    done = subprocess.run([sys.executable, "-c", OTHER_CPU_PATH_RUN,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    if done.returncode == NO_NUMPY:
+        pytest.skip(f"numpy cannot be imported under {cpu_path}")
+    assert done.returncode == 0, done.stderr
+    TestDemo.assert_full_values(tmp_path / "full", 0, 2)
+    data = (tmp_path / "oracle" / "demo.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DEMO_ORACLE_SHA256[2][0]
+    TestSimulate.assert_golden_bytes(tmp_path / "simulate", 5)
+
+
 # Counts the argparse parsers that importing the CLI builds (its first line),
 # runs cli.main on sys.argv[1:] (only imports the CLI when there is none) and
 # prints the exit status and the numpy modules left loaded as its last line.
@@ -1461,8 +1516,6 @@ UNREACHED = {
                        "correlation of padded stacks equals",
     "features.off_vector_residual": "brightness constancy, checked by the "
                                     "acceptance gate",
-    "features.temporal_gradient": "the frame difference that "
-                                  "off_vector_residual reads",
     "geometry.closed_form_rotated_ratio": CLOSED_FORM,
     "geometry.flow_rotated": CLOSED_FORM,
     "geometry.map_rotated_coordinate": CLOSED_FORM,

@@ -12,7 +12,6 @@ from depthpad.features import (
     off_sequence,
     off_vector_residual,
     spatial_gradient,
-    temporal_gradient,
 )
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
@@ -119,6 +118,11 @@ class TestSpatialGradient:
             spatial_gradient(np.zeros((2, 5, 1)))
 
 
+def temporal_gradient(x_t, x_t1):
+    """The residual with no flow, which is exactly the frame difference."""
+    return off_vector_residual(x_t, x_t1, (0.0, 0.0))
+
+
 class TestTemporalGradient:
     def test_identical_frames(self):
         x = np.random.default_rng(6).standard_normal((5, 5, 2))
@@ -135,7 +139,7 @@ class TestTemporalGradient:
         assert np.array_equal(temporal_gradient(a, b), -temporal_gradient(b, a))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="frame shapes differ"):
             temporal_gradient(np.zeros((4, 4, 1)), np.zeros((4, 5, 1)))
 
 
@@ -425,20 +429,28 @@ class TestOneBufferPadding:
     """The slice-assigned replicate padding equals numpy's edge pad bit for bit."""
 
     @settings(max_examples=150, deadline=None)
-    @given(hwc_tensors(), odd_kernel_dims, odd_kernel_dims)
-    def test_pad_matches_numpy_pad(self, x, kh, kw):
-        got = features._pad(x, kh // 2, kw // 2)
-        assert np.array_equal(got, np_pad_hwc(x, kh // 2, kw // 2, "replicate"))
+    @given(hwc_tensors())
+    def test_pad_matches_numpy_pad(self, x):
+        assert np.array_equal(features._pad(x), np_pad_hwc(x, 1, 1, "replicate"))
 
     @settings(max_examples=60, deadline=None)
-    @given(hwc_tensors(), st.integers(0, 12), st.integers(0, 12))
-    def test_pad_wider_than_the_input(self, x, ph, pw):
-        assert np.array_equal(features._pad(x, ph, pw),
-                              np_pad_hwc(x, ph, pw, "replicate"))
+    @given(hwc_tensors(), st.integers(0, 12), st.integers(0, 12),
+           st.integers(0, 2**32 - 1))
+    def test_pad_wider_than_the_input(self, x, ph, pw, seed):
+        # conv2d pads by any widths, including ones wider than x.
+        kernel = np.random.default_rng(seed).standard_normal(
+            (2 * ph + 1, 2 * pw + 1, x.shape[2], 2))
+        assert np.array_equal(conv2d(x, kernel),
+                              tap_sum_conv2d(x, kernel, "replicate"))
 
     def test_zero_widths_return_the_input(self):
-        x = np.random.default_rng(22).standard_normal((4, 5, 2))
-        assert features._pad(x, 0, 0) is x
+        # A 1x1 kernel pads by nothing: the conv is the channel matmul of x.
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((4, 5, 2))
+        kernel = rng.standard_normal((1, 1, 2, 3))
+        got = conv2d(x, kernel)
+        assert np.array_equal(got, tap_sum_conv2d(x, kernel, "replicate"))
+        assert np.array_equal(got, x @ kernel[0, 0])
 
     @settings(max_examples=120, deadline=None)
     @given(hwc_tensors(), odd_kernel_dims, odd_kernel_dims,

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from depthpad import geometry
+from depthpad.cli import main
 from depthpad.geometry import (
     SWEEP_CSV_COLUMNS,
     AttackSceneConfig,
@@ -15,7 +16,6 @@ from depthpad.geometry import (
     FlowObservation,
     InconsistentFlowError,
     RealSceneConfig,
-    RelativeDepthEstimate,
     SingularConfigError,
     Sweep,
     closed_form_replay_ratio,
@@ -39,7 +39,7 @@ STARTS = (1.0, 1.2, 0.8)
 
 
 def frame_steps(sweep):
-    """The (observation, estimate, closed_form_ratio) step of each frame step."""
+    """The (observation, ratio, closed_form_ratio) step of each frame step."""
     return [sweep.steps[i] for i in sweep.index]
 
 
@@ -105,18 +105,17 @@ class TestEstimateRelativeDepth:
     def test_round_trip_from_real_flows(self):
         obs = flow_real(RealSceneConfig(f=1, z=1, d1=1, d2=2, dx=1))
         est = estimate_relative_depth(obs)
-        assert not est.degenerate_flat
-        assert est.ratio == pytest.approx(0.5, rel=1e-12)
+        assert est is not None
+        assert est == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("c", [1.0, -2.0, 0.3])
     def test_equal_flows_flag_flat(self, c):
         est = estimate_relative_depth(FlowObservation(c, c, c))
-        assert est.degenerate_flat
-        assert est.ratio is None
+        assert est is None
 
     def test_hand_evaluated_ratio(self):
         est = estimate_relative_depth(FlowObservation(2, 1, 0.8))
-        assert est.ratio == pytest.approx(2 / 3, rel=1e-12)
+        assert est == pytest.approx(2 / 3, rel=1e-12)
 
     @pytest.mark.parametrize("flows", [
         (1e308, 1e-10, 1e-10),       # num and den overflow: inf / inf
@@ -146,7 +145,7 @@ class TestEstimateRelativeDepth:
     def test_zero_middle_offset_gives_zero_ratio(self):
         obs = flow_real(RealSceneConfig(f=2, z=1, d1=0, d2=1, dx=0.5))
         est = estimate_relative_depth(obs)
-        assert est.ratio == 0.0
+        assert est == 0.0
 
 
 class TestReplayScene:
@@ -159,7 +158,7 @@ class TestReplayScene:
         cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=0)
         obs = flow_replay(cfg, 1.0)
         assert (obs.du_l, obs.du_m, obs.du_r) == pytest.approx((1, 1, 1))
-        assert estimate_relative_depth(obs).degenerate_flat
+        assert estimate_relative_depth(obs) is None
 
     def test_hand_evaluated_shaking_carrier(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=1, zb=1, d1=1, d2=2, dx=1)
@@ -186,8 +185,8 @@ class TestReplayDistortionFactor:
         factor = replay_distortion_factor(cfg, 0.1)
         assert factor == pytest.approx(1.3 / 1.2, rel=1e-12)
         est = estimate_relative_depth(flow_replay(cfg, 0.1))
-        assert est.ratio == pytest.approx(0.5 * factor, rel=1e-9)
-        assert est.ratio == pytest.approx(0.5416666666666666, rel=1e-9)
+        assert est == pytest.approx(0.5 * factor, rel=1e-9)
+        assert est == pytest.approx(0.5416666666666666, rel=1e-9)
 
     def test_equal_offsets_always_undistorted(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=3, d1=1.5, d2=1.5, dx=0.7)
@@ -326,9 +325,9 @@ class TestRotatedCarrier:
             except (DegenerateRotationError, SingularConfigError):
                 continue
             est = estimate_relative_depth(flow_rotated(cfg, ends))
-            if est.degenerate_flat:
+            if est is None:
                 continue
-            assert est.ratio == pytest.approx(closed, rel=1e-9)
+            assert est == pytest.approx(closed, rel=1e-9)
             checked += 1
 
 
@@ -339,7 +338,7 @@ class TestSimulateSequence:
         assert len(sweep) == 9
         assert sweep.index == (0,) * 9
         (_, est, closed), = sweep.steps
-        assert est.ratio == pytest.approx(0.4, rel=1e-9)
+        assert est == pytest.approx(0.4, rel=1e-9)
         assert closed == pytest.approx(0.4)
 
     def test_print_scene_flat_every_frame(self):
@@ -347,7 +346,7 @@ class TestSimulateSequence:
         sweep = simulate_sequence(cfg, 6, dv_schedule=[0.05, 0.1, -0.05, 0.02, 0.3],
                                   starts=None)
         assert len(sweep) == 5
-        assert all(est.degenerate_flat for _, est, _ in frame_steps(sweep))
+        assert all(est is None for _, est, _ in frame_steps(sweep))
         assert all(closed is None for _, _, closed in frame_steps(sweep))
 
     def test_replay_series_varies_with_shake(self):
@@ -355,10 +354,10 @@ class TestSimulateSequence:
         schedule = [0.05, 0.1, -0.05, 0.02]
         steps = frame_steps(simulate_sequence(cfg, 5, dv_schedule=schedule,
                                               starts=None))
-        ratios = [est.ratio for _, est, _ in steps]
+        ratios = [est for _, est, _ in steps]
         assert np.var(ratios) > 0
         for (_, est, closed), dv in zip(steps, schedule, strict=True):
-            assert est.ratio == pytest.approx(
+            assert est == pytest.approx(
                 closed_form_replay_ratio(cfg, dv), rel=1e-9)
             assert closed == pytest.approx(
                 closed_form_replay_ratio(cfg, dv), rel=1e-12)
@@ -369,10 +368,10 @@ class TestSimulateSequence:
                                 theta=math.pi / 12)
         sweep = simulate_sequence(cfg, 6, None, starts=(1.0, 1.4, 0.6))
         assert sweep.index == tuple(range(5))
-        ratios = [est.ratio for _, est, _ in sweep.steps]
+        ratios = [est for _, est, _ in sweep.steps]
         assert np.var(ratios) > 0
         for _, est, closed in sweep.steps:
-            assert est.ratio == pytest.approx(closed, rel=1e-9)
+            assert est == pytest.approx(closed, rel=1e-9)
 
     def test_rotated_carrier_needs_finite_starts(self):
         cfg = AttackSceneConfig(fa=1, fb=1, za=2, zb=4, d1=0.4, d2=1.0,
@@ -451,7 +450,7 @@ def reference_write_sweep_csv(path, sweeps_by_scene):
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_COLUMNS)
         for scene_type, sweep in sweeps_by_scene.items():
-            for frame, (observation, est, closed_form_ratio) in enumerate(
+            for frame, (observation, ratio, closed_form_ratio) in enumerate(
                     frame_steps(sweep), start=1):
                 writer.writerow([
                     scene_type,
@@ -459,8 +458,8 @@ def reference_write_sweep_csv(path, sweeps_by_scene):
                     repr(float(observation.du_l)),
                     repr(float(observation.du_m)),
                     repr(float(observation.du_r)),
-                    "" if est.ratio is None else repr(float(est.ratio)),
-                    "true" if est.degenerate_flat else "false",
+                    "" if ratio is None else repr(float(ratio)),
+                    "true" if ratio is None else "false",
                     "" if closed_form_ratio is None
                     else repr(float(closed_form_ratio)),
                 ])
@@ -485,14 +484,12 @@ def sweeps(draw):
     steps = []
     for _ in range(draw(st.integers(1, 4))):
         obs = FlowObservation(*(draw(value_st) for _ in range(3)))
-        est = RelativeDepthEstimate(draw(st.booleans()), draw(optional_st))
-        steps.append((obs, est, draw(optional_st)))
-    for obs, est, closed in list(steps):
-        steps.append((replace(obs), replace(est), closed))
+        steps.append((obs, draw(optional_st), draw(optional_st)))
+    for obs, ratio, closed in list(steps):
+        steps.append((replace(obs), ratio, closed))
         steps.append((FlowObservation(flip_zero(obs.du_l), flip_zero(obs.du_m),
                                       flip_zero(obs.du_r)),
-                      replace(est, ratio=None if est.ratio is None
-                              else flip_zero(est.ratio)),
+                      None if ratio is None else flip_zero(ratio),
                       None if closed is None else flip_zero(closed)))
     by_scene = {}
     for name in draw(st.lists(scene_name_st, max_size=4, unique=True)):
@@ -516,7 +513,7 @@ class TestSweepCsv:
         obs, est, _ = real.steps[0]
         assert rows[0]["scene_type"] == "real"
         assert rows[0]["du_l"] == obs.du_l
-        assert rows[0]["ratio"] == est.ratio
+        assert rows[0]["ratio"] == est
         assert rows[0]["degenerate_flat"] is False
         assert rows[3]["scene_type"] == "print"
         assert rows[3]["ratio"] is None
@@ -534,9 +531,32 @@ class TestSweepCsv:
     @given(sweeps())
     def test_same_bytes_as_a_row_at_a_time_writer(self, tmp_path, by_scene):
         write_sweep_csv(tmp_path / "got.csv", by_scene)
-        reference_write_sweep_csv(tmp_path / "want.csv", by_scene)
-        assert ((tmp_path / "got.csv").read_bytes()
-                == (tmp_path / "want.csv").read_bytes())
+        self.assert_reference_rows(tmp_path / "got.csv", by_scene)
+
+    @staticmethod
+    def assert_reference_rows(got_path, sweeps_by_scene):
+        """got_path holds the reference writer's bytes, and each row is flat
+        exactly when its ratio cell is empty."""
+        want_path = got_path.with_name("want.csv")
+        reference_write_sweep_csv(want_path, sweeps_by_scene)
+        assert got_path.read_bytes() == want_path.read_bytes()
+        ratio = SWEEP_CSV_COLUMNS.index("ratio")
+        flat = SWEEP_CSV_COLUMNS.index("degenerate_flat")
+        with open(got_path, newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                assert row[flat] == ("true" if row[ratio] == "" else "false"), row
+
+    def test_simulate_flat_column_is_the_empty_ratio(self, tmp_path, monkeypatch):
+        written = []
+
+        def capture(path, sweeps_by_scene, _write=write_sweep_csv):
+            written.append(sweeps_by_scene)
+            _write(path, sweeps_by_scene)
+        monkeypatch.setattr(geometry, "write_sweep_csv", capture)
+        assert main(["simulate", "--out", str(tmp_path)]) == 0
+        (by_scene,) = written
+        assert set(by_scene) == {"real", "print", "replay", "rotated"}
+        self.assert_reference_rows(tmp_path / "simulation.csv", by_scene)
 
 
 
@@ -553,7 +573,7 @@ def finite_starts(coords):
 def reference_simulate_sequence(cfg, n_frames, dv_schedule=None, starts=None):
     """The loop that rebuilt a checked config per frame, kept as the reference.
 
-    It returns each frame step's (observation, estimate, closed_form_ratio).
+    It returns each frame step's (observation, ratio, closed_form_ratio).
     A rotated carrier's start coordinates are checked and advanced inline,
     and each of its steps calls the public formulas on its own endpoints.
     """
@@ -843,8 +863,8 @@ class TestBoundaryProperties:
         dv = cancelling_shake(cfg) * (1.0 + sign * 10.0 ** exponent)
         closed = closed_form_replay_ratio(cfg, dv)
         est = estimate_relative_depth(flow_replay(cfg, dv))
-        assert not est.degenerate_flat
-        assert est.ratio == pytest.approx(closed, rel=1e-9)
+        assert est is not None
+        assert est == pytest.approx(closed, rel=1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(rotated_near_the_edge())
@@ -861,5 +881,5 @@ class TestBoundaryProperties:
             return
         closed = closed_form_rotated_ratio(cfg, ends)
         est = estimate_relative_depth(flow_rotated(cfg, ends))
-        assert not est.degenerate_flat
-        assert est.ratio == pytest.approx(closed, rel=1e-9)
+        assert est is not None
+        assert est == pytest.approx(closed, rel=1e-9)
