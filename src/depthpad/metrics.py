@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .supervision import multi_frame_loss
 
@@ -25,6 +26,9 @@ ATTACK = "attack"
 RECORD_FIELDS = ["score", "label", "attack_kind"]
 BLOCK_BYTES = 1 << 16    # bytes read and decoded at a time
 CHUNK_ROWS = 1 << 13     # rows split before their scores are checked
+SCORE_DIGITS = 24        # decimals of a plain score compared as text
+TAIL_BYTES = 64          # widest label,attack_kind tail grouped by numpy
+_HEADER = (",".join(RECORD_FIELDS) + "\n").encode()
 
 
 def check_record(score: float, label: str) -> None:
@@ -114,21 +118,42 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
     row has exactly three fields; blank lines are skipped, and an error
     names the physical line of the first bad row in file order. The path
     is opened once and read in one pass, so a pipe works, and memory holds
-    one chunk of rows plus the tally of each PAI group.
+    one block or one chunk of rows plus the tally of each PAI group.
+
+    Blocks are counted by _count_plain while they are plain; the first
+    block that is not, or that holds a bad row, and every block after it
+    go through csv, which words every error.
     """
     living, groups = [0, 0], {}
+    cuts = _score_cuts(threshold)
     with open(path, "rb") as fh:
-        reader = csv.reader(itertools.chain.from_iterable(_text_blocks(fh)),
-                            strict=True)
+        blocks, lines, rest = _text_blocks(fh), 0, None
         try:
-            header = next(reader, None)
-        except (csv.Error, _NextLineError) as exc:
-            raise _located(exc, reader)
-        if header != RECORD_FIELDS:
-            raise ValueError(f"records CSV must have columns {RECORD_FIELDS}, "
-                             f"got {header}")
-        while _count_chunk(reader, threshold, living, groups) == CHUNK_ROWS:
-            pass
+            for data in blocks:
+                if not lines and data.startswith(_HEADER):
+                    data, lines = data[len(_HEADER):], 1
+                rows = (_count_plain(data, threshold, cuts, living, groups)
+                        if lines else None)
+                if rows is None:
+                    rest = data
+                    break
+                lines += rows
+        except _NextLineError as exc:
+            raise ValueError(f"line {lines + 1}: {exc}")
+        if rest is not None:
+            reader = csv.reader(itertools.chain.from_iterable(
+                map(_text, itertools.chain([rest], blocks))), strict=True)
+            if not lines:
+                try:
+                    header = next(reader, None)
+                except (csv.Error, _NextLineError) as exc:
+                    raise _located(exc, reader, 0)
+                if header != RECORD_FIELDS:
+                    raise ValueError(f"records CSV must have columns "
+                                     f"{RECORD_FIELDS}, got {header}")
+            while _count_chunk(reader, lines, threshold, living,
+                               groups) == CHUNK_ROWS:
+                pass
     counts = RecordCounts(threshold, tuple(living),
                           tuple((name, tuple(tally))
                                 for name, tally in sorted(groups.items())))
@@ -144,26 +169,34 @@ class _NextLineError(ValueError):
     """
 
 
-def _located(exc: Exception, reader) -> ValueError:
-    """exc, raised by reader, as an error that names its physical line."""
-    line = reader.line_num + isinstance(exc, _NextLineError)
+def _located(exc: Exception, reader, base: int) -> ValueError:
+    """exc, raised by reader, as an error that names its physical line.
+
+    base is the number of lines read before the reader's first line.
+    """
+    line = base + reader.line_num + isinstance(exc, _NextLineError)
     return ValueError(f"line {line}: {exc}")
 
 
-def _text_blocks(fh):
-    """The lines of binary file fh as text streams that end at a line break.
+def _text(data: bytes):
+    """A block as a text stream, read as the file would be (newline="")."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
-    Each is read as the file would be (UTF-8, newline=""). Line breaks are
-    ASCII, so a cut after one never splits a UTF-8 sequence, and a cut
-    after a carriage return waits for the next byte, so a CRLF stays whole.
-    At an undecodable byte the lines above its line come first, then
-    _NextLineError with the byte's offset in the file. One leading UTF-8
-    byte order mark, as spreadsheet tools write, is read as the encoding
-    mark and not as text; offsets still count it.
+
+def _text_blocks(fh):
+    """The lines of binary file fh as blocks of bytes that end at a line break.
+
+    Each block is valid UTF-8, to be read as the file would be (newline="").
+    Line breaks are ASCII, so a cut after one never splits a UTF-8
+    sequence, and a cut after a carriage return waits for the next byte, so
+    a CRLF stays whole. At an undecodable byte the lines above its line
+    come first, then _NextLineError with the byte's offset in the file.
+    One leading UTF-8 byte order mark, as spreadsheet tools write, is read
+    as the encoding mark and not as text; offsets still count it.
 
     A line longer than three maximal csv fields is never held whole: its
     first bytes to that length, less their last character, are the last
-    text, and csv fails within them (or the line is an error of its own).
+    block, and csv fails within them (or the line is an error of its own).
     The limit is csv.field_size_limit() at the time. When those bytes hold
     more than a record's fields, csv never splits them: the line is the
     _NextLineError that names their field count.
@@ -205,7 +238,7 @@ def _text_blocks(fh):
                 bad = _NextLineError(f"expected {len(RECORD_FIELDS)} fields, "
                                      f"got {fields}")
                 data = data[:start]
-        yield io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        yield data
         if bad is not None:
             raise bad
         offset += len(data)
@@ -238,16 +271,148 @@ def _field_count(data: bytes, start: int) -> int:
         fields += 1
 
 
-def _count_chunk(reader, threshold: float, living: list, groups: dict) -> int:
+def _score_cuts(threshold) -> tuple[bytes, bytes]:
+    """The keys _count_plain compares a score's decimals with, as bytes.
+
+    Let m be the midpoint between threshold and the float below it, and M
+    its first SCORE_DIGITS decimals, truncated. A score 0.d, d of at most
+    SCORE_DIGITS digits, is at least threshold as a float when d, padded
+    with "0", exceeds M (its value then exceeds m and rounds to threshold
+    or beyond), and below it when padded d is below M (its value is below
+    m and rounds to the float below or lower). m is a dyadic rational,
+    computed with integers. Returns (above, at_least), compared with d and
+    the comma after it: d + "," > above, M and one "0", exactly when
+    padded d exceeds M, and d + "," >= at_least, M without its trailing
+    zeros and a comma, exactly when padded d reaches M. A d equal to M is
+    left to float. Outside (0, 1] the keys take every score or none, and
+    a NaN threshold none.
+    """
+    t = float(threshold)
+    if not 0.0 < t <= 1.0:
+        return (b"", b"") if t <= 0.0 else (b"\xff", b"\xff")
+    a, b = t.as_integer_ratio()
+    c, d = math.nextafter(t, 0.0).as_integer_ratio()
+    digits = (a * d + c * b) * 10 ** SCORE_DIGITS // (2 * b * d)
+    digits = f"{digits:0{SCORE_DIGITS}d}"
+    return (digits + "0").encode(), (digits.rstrip("0") + ",").encode()
+
+
+def _count_plain(data: bytes, threshold: float, cuts, living: list,
+                 groups: dict):
+    """Count a plain block's rows into living and groups, as _count_chunk does.
+
+    A block is plain when it ends in a line break, holds no quote, carriage
+    return or NUL, every line holds exactly two commas (so none is blank),
+    and no field is longer than csv.field_size_limit(): csv splits each of
+    its lines at the commas. A score spelled 0, 0. or 0.d... with at most
+    SCORE_DIGITS decimals is in range, and is compared with the threshold
+    as text by the cuts of _score_cuts. Any other score, and one equal to
+    the truncated midpoint, is parsed and checked by float as check_record
+    does. Each distinct label,attack_kind tail is checked once.
+
+    Returns how many rows were counted, or None, counting nothing, when the
+    block is not plain or one of its rows breaks the rule.
+    """
+    if not data:
+        return 0
+    if (not data.endswith(b"\n") or b'"' in data or b"\r" in data
+            or b"\0" in data):
+        return None
+    width = SCORE_DIGITS + 1    # a score's decimals and the comma after them
+    buf = np.frombuffer(data + b"," * max(width, TAIL_BYTES), np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf[:len(data)] == ord(","))
+    if len(commas) != 2 * len(ends):
+        return None
+    # There are twice as many commas as lines, so each line holds exactly two
+    # when its first comma follows its start and its second precedes its end.
+    firsts, seconds = commas[0::2], commas[1::2]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = firsts - starts
+    if not (np.all(lengths >= 0) and np.all(seconds < ends)
+            and max(lengths.max(), (seconds - firsts).max() - 1,
+                    (ends - seconds).max() - 1) <= csv.field_size_limit()):
+        return None
+    decimals = np.maximum(lengths - 2, 0)
+    cells = sliding_window_view(buf, width)[firsts - decimals]
+    spelled = ((buf[starts] == ord("0")) & (lengths <= SCORE_DIGITS + 2)
+               & ((lengths == 1) | (buf[starts + 1] == ord(".")))
+               & (((cells - ord("0")) > 9).argmax(axis=1) == decimals))
+    cells = cells.view(f"S{width}").ravel()
+    above, at_least = cuts
+    accepted = cells > above
+    undecided = ~spelled | (cells >= at_least) & ~accepted
+    for row in np.flatnonzero(undecided).tolist():
+        try:
+            score = float(data[starts[row]:firsts[row]].decode())
+        except ValueError:
+            return None
+        if not 0.0 <= score <= 1.0:
+            return None
+        accepted[row] = score >= threshold
+    keys, tails = _tail_keys(data, buf, firsts, ends)
+    pairs = [tail.decode().split(",") for tail in tails]
+    if any(label not in (LIVING, ATTACK) for label, _ in pairs):
+        return None
+    totals = np.bincount(keys, minlength=len(pairs)).tolist()
+    hits = np.bincount(keys[accepted], minlength=len(pairs)).tolist()
+    for (label, kind), total, hit in zip(pairs, totals, hits):
+        tally = (living if label == LIVING
+                 else groups.setdefault(kind or ATTACK, [0, 0]))
+        tally[0] += total
+        tally[1] += hit
+    return len(ends)
+
+
+# _TAIL_MASKS[n] keeps the first n of TAIL_BYTES bytes, as uint64 words.
+_TAIL_MASKS = np.where(
+    np.arange(TAIL_BYTES) < np.arange(TAIL_BYTES + 1)[:, None],
+    np.uint8(0xFF), np.uint8(0)).view(np.uint64)
+
+
+def _tail_keys(data: bytes, buf, firsts, ends):
+    """Number a plain block's rows by their label,attack_kind tail.
+
+    Returns (keys, tails): the tail of row i is tails[keys[i]]. Tails of up
+    to TAIL_BYTES bytes are read as zero-padded words and grouped by a hash
+    of them; each row's words are then compared with its group's first
+    row's, so the grouping is exact. Wider tails, or two tails that share
+    a hash, are grouped by a dict of their bytes.
+    """
+    lengths = ends - firsts - 1
+    words = -(-int(lengths.max()) // 8)
+    if words <= TAIL_BYTES // 8:
+        cells = sliding_window_view(buf, 8 * words)[firsts + 1]
+        cells = cells.view(np.uint64)
+        cells &= _TAIL_MASKS[lengths, :words]
+        digest = cells[:, 0].copy()
+        for column in cells.T[1:]:
+            digest *= np.uint64(0x9E3779B97F4A7C15)
+            digest ^= column
+        _, first, keys = np.unique(digest, return_index=True,
+                                   return_inverse=True)
+        if np.array_equal(cells, cells[first[keys]]):
+            return keys, [data[a + 1:b] for a, b
+                          in zip(firsts[first].tolist(), ends[first].tolist())]
+    book = {}
+    keys = np.fromiter((book.setdefault(data[a + 1:b], len(book))
+                        for a, b in zip(firsts.tolist(), ends.tolist())),
+                       np.intp, len(ends))
+    return keys, list(book)
+
+
+def _count_chunk(reader, base: int, threshold: float, living: list,
+                 groups: dict) -> int:
     """Split, check and count the next CHUNK_ROWS rows, blank ones included.
 
+    base is the number of lines read before the reader's first line.
     Returns how many rows were read. living is the living records'
     [records, accepted] tally and groups maps each PAI group to its own;
     both are updated in place. Scores are checked as one column and labels
     once per distinct (label, attack_kind) pair; a chunk's rows are let go
     before the next chunk is split.
     """
-    start = reader.line_num
+    start = base + reader.line_num
     texts, keys, book, blanks, stop = [], [], {}, [], None
     width = len(RECORD_FIELDS)
     try:
@@ -257,13 +422,13 @@ def _count_chunk(reader, threshold: float, living: list, groups: dict) -> int:
                 texts.append(text)
                 keys.append(book.setdefault((label, kind), len(book)))
             elif row:
-                stop = ValueError(f"line {reader.line_num}: expected {width} "
-                                  f"fields, got {len(row)}")
+                stop = ValueError(f"line {base + reader.line_num}: expected "
+                                  f"{width} fields, got {len(row)}")
                 break
             else:
                 blanks.append(len(texts))    # the data row it comes before
     except (csv.Error, _NextLineError) as exc:
-        stop = _located(exc, reader)
+        stop = _located(exc, reader, base)
     pairs, keys = list(book), np.array(keys, dtype=np.intp)
     try:
         scores = np.fromiter(map(float, texts), np.float64, len(texts))

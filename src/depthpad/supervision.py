@@ -28,15 +28,6 @@ CONTRAST_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
                     (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def contrastive_kernels() -> np.ndarray:
-    """The 8 center-minus-neighbor kernels as an (8, 3, 3) array."""
-    kernels = np.zeros((8, 3, 3))
-    for i, (di, dj) in enumerate(CONTRAST_OFFSETS):
-        kernels[i, 1, 1] = -1.0
-        kernels[i, 1 + di, 1 + dj] = 1.0
-    return kernels
-
-
 def _as_grids(name: str, grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim < 2:

@@ -2,8 +2,11 @@ import importlib
 import pkgutil
 import time
 
+import numpy as np
+
 import depthpad
 from depthpad.metrics import ATTACK, LIVING, RecordCounts, check_record
+from depthpad.supervision import CONTRAST_OFFSETS
 
 FULL_SUITE_BUDGET_S = 60.0
 
@@ -18,6 +21,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_line(
         f"ACCEPTANCE {verdict}: full suite wall clock {elapsed:.1f}s "
         f"(budget {FULL_SUITE_BUDGET_S:.0f}s)")
+
+
+def contrastive_kernels() -> np.ndarray:
+    """The 8 center-minus-neighbor kernels of the contrastive loss, as an
+    (8, 3, 3) array: +1 at each of CONTRAST_OFFSETS, -1 at the center."""
+    kernels = np.zeros((8, 3, 3))
+    for i, (di, dj) in enumerate(CONTRAST_OFFSETS):
+        kernels[i, 1, 1] = -1.0
+        kernels[i, 1 + di, 1 + dj] = 1.0
+    return kernels
 
 
 def record_counts(records, threshold) -> RecordCounts:

@@ -29,13 +29,9 @@ from depthpad.geometry import (
     rotated_endpoints,
 )
 from depthpad.recurrent import ConvGruCell, convgru_run, convgru_step
-from depthpad.supervision import (
-    contrastive_depth_loss,
-    contrastive_kernels,
-    depth_loss_gradient,
-)
+from depthpad.supervision import contrastive_depth_loss, depth_loss_gradient
 
-from conftest import record_counts
+from conftest import contrastive_kernels, record_counts
 from fdcheck import fd_gradient
 from test_metrics import brute_force_rates
 from test_supervision import reference_contrastive_loss, reference_kernel_response

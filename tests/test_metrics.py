@@ -1,9 +1,11 @@
 import csv
 import dataclasses
 import io
+import math
 import tempfile
 import tracemalloc
 from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from depthpad.metrics import (
     CHUNK_ROWS,
     LIVING,
     RECORD_FIELDS,
+    SCORE_DIGITS,
     check_record,
     living_score,
     masked_depth_term,
@@ -514,40 +517,94 @@ def reference_read_records_csv(path):
             np.array(codes, dtype=np.intp), tuple(index))
 
 
-tag_st = st.one_of(st.sampled_from(["", ATTACK, "print", "Attack", LIVING]),
-                   st.text(alphabet='ab ,"\n\r', max_size=6))
-valid_row_st = st.tuples(
-    st.one_of(st.floats(0.0, 1.0).map(repr),
-              st.sampled_from(["0", "1", "1e-1", " 0.5", "-0.0"])),
-    st.sampled_from([LIVING, ATTACK]), tag_st).map(list)
-fault_st = st.one_of(
-    # wrong field count
-    st.lists(st.sampled_from(["0.5", LIVING, "", "x,y"]), min_size=1,
-             max_size=5).filter(lambda row: len(row) != 3),
-    # unparseable score
-    st.tuples(st.sampled_from(["nope", "", "0.5.1", "0x1", "1,5"]),
-              st.sampled_from([LIVING, ATTACK]), tag_st).map(list),
-    # score out of range or not finite
-    st.tuples(st.sampled_from(["1.5", "-0.1", "nan", "inf", "-inf", "1_0"]),
-              st.sampled_from([LIVING, ATTACK]), tag_st).map(list),
-    # unknown label
-    st.tuples(st.floats(0.0, 1.0).map(repr),
-              st.sampled_from(["genuine", "Living", "", "attack "]),
-              tag_st).map(list))
+# Tags csv writes bare (some too wide to group as words), and tags it quotes.
+plain_tag_st = st.one_of(
+    st.sampled_from(["", ATTACK, "print", "Attack", LIVING]),
+    st.text(alphabet="ab _", max_size=6),
+    st.integers(metrics.TAIL_BYTES - 8, metrics.TAIL_BYTES).map(
+        lambda width: ("ab _" * width)[:width]))
+tag_st = st.one_of(plain_tag_st, st.text(alphabet='ab ,"\n\r', max_size=6))
+
+
+def spellings(value):
+    """Ways to write a score of value that float reads back near it."""
+    return [repr(value), repr(value) + "000", format(value, ".17f"),
+            format(value, ".40f")]
+
+
+score_st = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.integers(0, 3)).map(
+        lambda drawn: spellings(drawn[0])[drawn[1]]),
+    st.sampled_from(["0", "1", "1e-1", " 0.5", "-0.0", "0.", "1.0", ".5"]))
+
+
+def faults(tags):
+    """Rows that break the rule, with tags drawn from tags."""
+    return st.one_of(
+        # wrong field count
+        st.lists(st.sampled_from(["0.5", LIVING, "", "x,y"]), min_size=1,
+                 max_size=5).filter(lambda row: len(row) != 3),
+        # unparseable score
+        st.tuples(st.sampled_from(["nope", "", "0.5.1", "0x1", "1,5", "0..5",
+                                   "0.5x", "0.1-2"]),
+                  st.sampled_from([LIVING, ATTACK]), tags).map(list),
+        # score out of range or not finite
+        st.tuples(st.sampled_from(["1.5", "-0.1", "nan", "inf", "-inf",
+                                   "1_0"]),
+                  st.sampled_from([LIVING, ATTACK]), tags).map(list),
+        # unknown label
+        st.tuples(st.floats(0.0, 1.0).map(repr),
+                  st.sampled_from(["genuine", "Living", "", "attack "]),
+                  tags).map(list))
+
+
+plain_fault_st, fault_st = faults(plain_tag_st), faults(tag_st)
+
+
+def midpoint_below(threshold, digits, step=0):
+    """The midpoint between threshold and the float below it, truncated to
+    digits decimals and moved by step units of the last, as a score."""
+    mid = (Fraction(threshold)
+           + Fraction(math.nextafter(threshold, -math.inf))) / 2
+    return f"0.{math.floor(mid * 10 ** digits) + step:0{digits}d}"
 
 
 @st.composite
 def records_csv_texts(draw):
-    """A records CSV: valid rows, blank lines and zero or more faults."""
-    rows = draw(st.lists(st.one_of(valid_row_st, st.just([])), max_size=25))
-    for fault in draw(st.lists(fault_st, max_size=3)):
+    """A records CSV and a threshold: valid rows, blank lines and zero or
+    more faults. Half the files have no quoted tag, blank line or CRLF
+    before their first fault. The threshold is a row's score, a float next
+    to one, or any float in [0, 1]; rows written as the decimals of the
+    midpoint below it, truncated, sit on either side of its cut."""
+    plain = draw(st.booleans())
+    valid_row = st.tuples(score_st, st.sampled_from([LIVING, ATTACK]),
+                          plain_tag_st if plain else tag_st).map(list)
+    rows = draw(st.lists(valid_row if plain
+                         else st.one_of(valid_row, st.just([])), max_size=25))
+    near = [value for row in rows if row
+            for value in (float(row[0]), math.nextafter(float(row[0]), 2.0),
+                          math.nextafter(float(row[0]), -1.0))]
+    if near and draw(st.booleans()):
+        threshold = near[draw(st.integers(0, len(near) - 1))]
+    else:
+        threshold = draw(st.floats(0.0, 1.0))
+    if 0.0 < threshold <= 1.0:
+        for digits, step in draw(st.lists(st.tuples(
+                st.sampled_from([SCORE_DIGITS - 1, SCORE_DIGITS,
+                                 SCORE_DIGITS + 1]),
+                st.sampled_from([0, 0, 1])), max_size=3)):
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [midpoint_below(threshold, digits, step),
+                         draw(st.sampled_from([LIVING, ATTACK])), "cut"])
+    for fault in draw(st.lists(plain_fault_st if plain else fault_st,
+                               max_size=3)):
         rows.insert(draw(st.integers(0, len(rows))), fault)
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n",
-                                                                   "\r\n"])))
+    writer = csv.writer(out, lineterminator="\n" if plain else draw(
+        st.sampled_from(["\n", "\r\n"])))
     writer.writerow(RECORD_FIELDS)
     writer.writerows(rows)
-    return out.getvalue()
+    return out.getvalue(), threshold
 
 
 def read_outcome(read, *args):
@@ -570,8 +627,9 @@ def counts_of_columns(columns, threshold):
 class TestReaderMatchesRowAtATimeReference:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(records_csv_texts(), st.floats(0.0, 1.0))
-    def test_same_columns_or_same_message(self, text, threshold):
+    @given(records_csv_texts())
+    def test_same_columns_or_same_message(self, drawn):
+        text, threshold = drawn
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "records.csv"
             path.write_text(text, newline="")
@@ -581,6 +639,24 @@ class TestReaderMatchesRowAtATimeReference:
             assert got == want
             return
         assert got == counts_of_columns(want, threshold)
+
+    @pytest.mark.parametrize("first", ["", "\n", '0.2,attack,"a\nb"\n',
+                                       "0.2,attack,x\r\n"],
+                             ids=["none", "blank line", "quoted tag", "CRLF"])
+    def test_lines_count_on_past_plain_blocks(self, tmp_path, first):
+        # Several plain blocks, then a blank line, a tag quoted over two
+        # lines or a CRLF: from that block on the file is read by csv, and
+        # the lines of the blocks counted before it still number its rows.
+        rows = "0.25,attack,print\n0.75,living,\n0.5,attack,\n"
+        repeats = 3 * BLOCK_BYTES // len(rows)
+        head = HEADER + rows * repeats + first
+        path = tmp_path / "records.csv"
+        path.write_text(head + rows * 5, newline="")
+        assert len(read_both(path)) == 3 * (repeats + 5) + ("," in first)
+        path.write_text(head + rows * 5 + "nope,attack,\n" + rows,
+                        newline="")
+        line = head.count("\n") + 16
+        assert read_both(path) == f"line {line}: bad score 'nope'"
 
 
 # -- the streaming reader at its chunk and block boundaries ------------------

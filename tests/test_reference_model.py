@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthpad import cli, depthlabel, model
-from depthpad.supervision import contrastive_kernels
 
+from conftest import contrastive_kernels
 from test_features import manual_block, reference_conv2d
 
 GRID = 32

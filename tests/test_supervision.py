@@ -11,7 +11,6 @@ from depthpad.supervision import (
     BinaryHead,
     binary_loss,
     contrastive_depth_loss,
-    contrastive_kernels,
     contrastive_loss_gradient,
     depth_loss_gradient,
     euclidean_depth_loss,
@@ -19,6 +18,8 @@ from depthpad.supervision import (
     multi_frame_loss,
     multi_frame_report,
 )
+
+from conftest import contrastive_kernels
 
 
 def reference_kernel_response(grid, kernel):
