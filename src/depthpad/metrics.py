@@ -8,7 +8,6 @@ with the acceptance rate pooled over all attacks.
 
 from __future__ import annotations
 
-import bisect
 import codecs
 import csv
 import io
@@ -25,10 +24,10 @@ LIVING = "living"
 ATTACK = "attack"
 RECORD_FIELDS = ["score", "label", "attack_kind"]
 BLOCK_BYTES = 1 << 16    # bytes read and decoded at a time
-CHUNK_ROWS = 1 << 13     # rows split before their scores are checked
 SCORE_DIGITS = 24        # decimals of a plain score compared as text
 TAIL_BYTES = 64          # widest label,attack_kind tail grouped by numpy
-_HEADER = (",".join(RECORD_FIELDS) + "\n").encode()
+_HEADERS = tuple((",".join(RECORD_FIELDS) + end).encode()
+                 for end in ("\n", "\r\n"))
 
 
 def check_record(score: float, label: str) -> None:
@@ -118,11 +117,13 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
     row has exactly three fields; blank lines are skipped, and an error
     names the physical line of the first bad row in file order. The path
     is opened once and read in one pass, so a pipe works, and memory holds
-    one block or one chunk of rows plus the tally of each PAI group.
+    one block plus the tally of each PAI group.
 
-    Blocks are counted by _count_plain while they are plain; the first
-    block that is not, or that holds a bad row, and every block after it
-    go through csv, which words every error.
+    Blocks are counted by _count_plain while they are plain, as every
+    block of a file with no quoted field, NUL or lone carriage return is.
+    The first block that is not, or that holds a bad row, and every block
+    after it are split by csv and checked by _count_rows a row at a time,
+    which words every error.
     """
     living, groups = [0, 0], {}
     cuts = _score_cuts(threshold)
@@ -130,8 +131,8 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
         blocks, lines, rest = _text_blocks(fh), 0, None
         try:
             for data in blocks:
-                if not lines and data.startswith(_HEADER):
-                    data, lines = data[len(_HEADER):], 1
+                if not lines and data.startswith(_HEADERS):
+                    data, lines = data[data.index(b"\n") + 1:], 1
                 rows = (_count_plain(data, threshold, cuts, living, groups)
                         if lines else None)
                 if rows is None:
@@ -151,9 +152,7 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
                 if header != RECORD_FIELDS:
                     raise ValueError(f"records CSV must have columns "
                                      f"{RECORD_FIELDS}, got {header}")
-            while _count_chunk(reader, lines, threshold, living,
-                               groups) == CHUNK_ROWS:
-                pass
+            _count_rows(reader, lines, threshold, living, groups)
     counts = RecordCounts(threshold, tuple(living),
                           tuple((name, tuple(tally))
                                 for name, tally in sorted(groups.items())))
@@ -170,7 +169,7 @@ class _NextLineError(ValueError):
 
 
 def _located(exc: Exception, reader, base: int) -> ValueError:
-    """exc, raised by reader, as an error that names its physical line.
+    """exc, raised reading or checking reader's rows, naming its line.
 
     base is the number of lines read before the reader's first line.
     """
@@ -189,8 +188,9 @@ def _text_blocks(fh):
     Each block is valid UTF-8, to be read as the file would be (newline="").
     Line breaks are ASCII, so a cut after one never splits a UTF-8
     sequence, and a cut after a carriage return waits for the next byte, so
-    a CRLF stays whole. At an undecodable byte the lines above its line
-    come first, then _NextLineError with the byte's offset in the file.
+    a CRLF stays whole in one block, where _count_plain reads it as one line
+    break. At an undecodable byte the lines above its line come first, then
+    _NextLineError with the byte's offset in the file.
     One leading UTF-8 byte order mark, as spreadsheet tools write, is read
     as the encoding mark and not as text; offsets still count it.
 
@@ -299,35 +299,47 @@ def _score_cuts(threshold) -> tuple[bytes, bytes]:
 
 def _count_plain(data: bytes, threshold: float, cuts, living: list,
                  groups: dict):
-    """Count a plain block's rows into living and groups, as _count_chunk does.
+    """Count a plain block's rows into living and groups, as csv would.
 
-    A block is plain when it ends in a line break, holds no quote, carriage
-    return or NUL, every line holds exactly two commas (so none is blank),
-    and no field is longer than csv.field_size_limit(): csv splits each of
-    its lines at the commas. A score spelled 0, 0. or 0.d... with at most
-    SCORE_DIGITS decimals is in range, and is compared with the threshold
-    as text by the cuts of _score_cuts. Any other score, and one equal to
-    the truncated midpoint, is parsed and checked by float as check_record
-    does. Each distinct label,attack_kind tail is checked once.
+    A block is plain when it ends in a line break, holds no quote or NUL,
+    every carriage return in it is part of a CRLF, every line that is not
+    blank holds exactly two commas, and no field is longer than
+    csv.field_size_limit(): csv splits each such line at its commas, and
+    takes a CRLF as one line break and a blank line as no row. A score
+    spelled 0, 0. or 0.d... with at most SCORE_DIGITS decimals is in
+    range, and is compared with the threshold as text by the cuts of
+    _score_cuts. Any other score, and one equal to the truncated midpoint,
+    is parsed and checked by float as check_record does. Each distinct
+    label,attack_kind tail is checked once.
 
-    Returns how many rows were counted, or None, counting nothing, when the
-    block is not plain or one of its rows breaks the rule.
+    Returns how many lines were counted, blank ones included, or None,
+    counting nothing, when the block is not plain or one of its rows
+    breaks the rule.
     """
     if not data:
         return 0
-    if (not data.endswith(b"\n") or b'"' in data or b"\r" in data
-            or b"\0" in data):
+    if not data.endswith(b"\n") or b'"' in data or b"\0" in data:
         return None
     width = SCORE_DIGITS + 1    # a score's decimals and the comma after them
     buf = np.frombuffer(data + b"," * max(width, TAIL_BYTES), np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+    breaks = np.flatnonzero(buf == ord("\n"))
+    ends = breaks    # where each line's last field ends
+    if b"\r" in data:
+        crlf = buf[breaks - 1] == ord("\r")    # index -1 is a pad comma
+        if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf):
+            return None    # a lone carriage return, which csv takes as a break
+        ends = breaks - crlf
+    starts = np.concatenate(([0], breaks[:-1] + 1))
+    rows = starts < ends    # the lines that are not blank
+    starts, ends = starts[rows], ends[rows]
+    if not len(ends):
+        return len(breaks)
     commas = np.flatnonzero(buf[:len(data)] == ord(","))
     if len(commas) != 2 * len(ends):
         return None
-    # There are twice as many commas as lines, so each line holds exactly two
+    # There are twice as many commas as rows, so each row holds exactly two
     # when its first comma follows its start and its second precedes its end.
     firsts, seconds = commas[0::2], commas[1::2]
-    starts = np.concatenate(([0], ends[:-1] + 1))
     lengths = firsts - starts
     if not (np.all(lengths >= 0) and np.all(seconds < ends)
             and max(lengths.max(), (seconds - firsts).max() - 1,
@@ -361,7 +373,7 @@ def _count_plain(data: bytes, threshold: float, cuts, living: list,
                  else groups.setdefault(kind or ATTACK, [0, 0]))
         tally[0] += total
         tally[1] += hit
-    return len(ends)
+    return len(breaks)
 
 
 # _TAIL_MASKS[n] keeps the first n of TAIL_BYTES bytes, as uint64 words.
@@ -401,74 +413,38 @@ def _tail_keys(data: bytes, buf, firsts, ends):
     return keys, list(book)
 
 
-def _count_chunk(reader, base: int, threshold: float, living: list,
-                 groups: dict) -> int:
-    """Split, check and count the next CHUNK_ROWS rows, blank ones included.
+def _count_rows(reader, base: int, threshold: float, living: list,
+                groups: dict) -> None:
+    """Check and count every row reader yields, one at a time in file order.
 
     base is the number of lines read before the reader's first line.
-    Returns how many rows were read. living is the living records'
-    [records, accepted] tally and groups maps each PAI group to its own;
-    both are updated in place. Scores are checked as one column and labels
-    once per distinct (label, attack_kind) pair; a chunk's rows are let go
-    before the next chunk is split.
+    living is the living records' [records, accepted] tally and groups
+    maps each PAI group to its own; both are updated in place. A score is
+    checked on each row as check_record does, a label once per distinct
+    (label, attack_kind) pair.
     """
-    start = base + reader.line_num
-    texts, keys, book, blanks, stop = [], [], {}, [], None
-    width = len(RECORD_FIELDS)
+    tallies, width = {}, len(RECORD_FIELDS)
     try:
-        for row in itertools.islice(reader, CHUNK_ROWS):
-            if len(row) == width:
-                text, label, kind = row
-                texts.append(text)
-                keys.append(book.setdefault((label, kind), len(book)))
-            elif row:
-                stop = ValueError(f"line {base + reader.line_num}: expected "
-                                  f"{width} fields, got {len(row)}")
-                break
-            else:
-                blanks.append(len(texts))    # the data row it comes before
-    except (csv.Error, _NextLineError) as exc:
-        stop = _located(exc, reader, base)
-    pairs, keys = list(book), np.array(keys, dtype=np.intp)
-    try:
-        scores = np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        raise _first_bad_row(texts, keys, pairs, blanks, start)
-    known = np.array([label in (LIVING, ATTACK) for label, _ in pairs],
-                     dtype=bool)
-    # check_record's rule by column: NaN fails both comparisons.
-    if not np.all((scores >= 0.0) & (scores <= 1.0) & known[keys]):
-        raise _first_bad_row(texts, keys, pairs, blanks, start)
-    if stop is not None:
-        raise stop
-    totals = np.bincount(keys, minlength=len(pairs)).tolist()
-    hits = np.bincount(keys[scores >= threshold], minlength=len(pairs)).tolist()
-    for (label, kind), total, hit in zip(pairs, totals, hits):
-        tally = (living if label == LIVING
-                 else groups.setdefault(kind or ATTACK, [0, 0]))
-        tally[0] += total
-        tally[1] += hit
-    return len(texts) + len(blanks)
-
-
-def _first_bad_row(texts, keys, pairs, blanks, start) -> ValueError:
-    """check_record's error at a chunk's first bad row, naming its line.
-
-    start is the physical line the chunk's first row follows. A row ends
-    one line on from the row or blank line before it, plus the line breaks
-    in its fields: the reader keeps a quoted field's breaks verbatim.
-    """
-    breaks = 0
-    for index, text in enumerate(texts):
-        label, kind = pairs[keys[index]]
-        breaks += sum(field.count("\n") + field.count("\r") - field.count("\r\n")
-                      for field in (text, label, kind))
-        line = start + index + 1 + bisect.bisect_right(blanks, index) + breaks
-        try:
-            score = float(text)
-        except ValueError:
-            return ValueError(f"line {line}: bad score {text!r}")
-        try:
-            check_record(score, label)
-        except ValueError as exc:
-            return ValueError(f"line {line}: {exc}")
+        for row in reader:
+            if len(row) != width:
+                if row:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                continue
+            text, label, kind = row
+            try:
+                score = float(text)
+            except ValueError:
+                raise ValueError(f"bad score {text!r}")
+            if not 0.0 <= score <= 1.0:    # NaN fails both comparisons
+                check_record(score, label)
+            tally = tallies.get((label, kind))
+            if tally is None:
+                check_record(score, label)
+                tally = tallies[label, kind] = (
+                    living if label == LIVING
+                    else groups.setdefault(kind or ATTACK, [0, 0]))
+            tally[0] += 1
+            if score >= threshold:
+                tally[1] += 1
+    except (csv.Error, ValueError) as exc:
+        raise _located(exc, reader, base)

@@ -1102,6 +1102,33 @@ def test_million_records_cost_no_memory(tmp_path):
     assert peaks["million"] <= peaks["ten"] + 4096, peaks
 
 
+def test_quoted_records_cost_no_memory(tmp_path):
+    # A quoted tag on line 2 hands the whole file to csv, which checks and
+    # counts it a row at a time: 2e5 rows are counted as a recount says,
+    # within a few MB of a 10-row file's peak. The rows are written by
+    # repeating a string, which takes a tenth of the time csv.writer does.
+    block = [(0.25, metrics.ATTACK, "print"), (0.75, metrics.LIVING, ""),
+             (0.5, metrics.ATTACK, ""), (0.125, metrics.LIVING, ""),
+             (0.9, metrics.ATTACK, "replay")]
+    rows = "".join(f"{score!r},{label},{kind}\n"
+                   for score, label, kind in block)
+    peaks = {}
+    for name, repeats in (("ten", 2), ("quoted", 40_000)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text('score,label,attack_kind\n0.2,attack,"print"\n'
+                        + rows * repeats)
+        done = run_fresh("-c", PEAK_PROBE, "metrics", str(path), "--threshold",
+                         "0.5", "--out", str(tmp_path / name))
+        status, peaks[name] = map(int, done.stdout.split()[-2:])
+        assert status == 0, done.stderr
+        path.unlink()
+        want = record_counts([(0.2, metrics.ATTACK, "print")]
+                             + block * repeats, 0.5)
+        summary = json.loads((tmp_path / name / "metrics.json").read_text())
+        assert summary == metrics.metrics_summary(want)
+    assert peaks["quoted"] <= peaks["ten"] + 4096, peaks
+
+
 # -- the exit-code contract under drawn argv and config-file bytes ----------
 
 def either(good, bad):

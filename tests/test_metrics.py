@@ -17,7 +17,6 @@ from depthpad import metrics
 from depthpad.metrics import (
     ATTACK,
     BLOCK_BYTES,
-    CHUNK_ROWS,
     LIVING,
     RECORD_FIELDS,
     SCORE_DIGITS,
@@ -29,6 +28,8 @@ from depthpad.metrics import (
 )
 
 from conftest import record_counts
+
+CHUNK_ROWS = 1 << 13    # the row count TestChunkBoundaries builds from
 
 
 def brute_force_rates(records, threshold):
@@ -572,15 +573,15 @@ def midpoint_below(threshold, digits, step=0):
 @st.composite
 def records_csv_texts(draw):
     """A records CSV and a threshold: valid rows, blank lines and zero or
-    more faults. Half the files have no quoted tag, blank line or CRLF
-    before their first fault. The threshold is a row's score, a float next
-    to one, or any float in [0, 1]; rows written as the decimals of the
-    midpoint below it, truncated, sit on either side of its cut."""
+    more faults, with LF or CRLF line ends. Half the files have no quoted
+    tag before their first fault, so they reach the numpy path; the other
+    half draw tags that csv quotes. The threshold is a row's score, a float
+    next to one, or any float in [0, 1]; rows written as the decimals of
+    the midpoint below it, truncated, sit on either side of its cut."""
     plain = draw(st.booleans())
     valid_row = st.tuples(score_st, st.sampled_from([LIVING, ATTACK]),
                           plain_tag_st if plain else tag_st).map(list)
-    rows = draw(st.lists(valid_row if plain
-                         else st.one_of(valid_row, st.just([])), max_size=25))
+    rows = draw(st.lists(st.one_of(valid_row, st.just([])), max_size=25))
     near = [value for row in rows if row
             for value in (float(row[0]), math.nextafter(float(row[0]), 2.0),
                           math.nextafter(float(row[0]), -1.0))]
@@ -600,8 +601,8 @@ def records_csv_texts(draw):
                                max_size=3)):
         rows.insert(draw(st.integers(0, len(rows))), fault)
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n" if plain else draw(
-        st.sampled_from(["\n", "\r\n"])))
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n",
+                                                                  "\r\n"])))
     writer.writerow(RECORD_FIELDS)
     writer.writerows(rows)
     return out.getvalue(), threshold
@@ -645,8 +646,9 @@ class TestReaderMatchesRowAtATimeReference:
                              ids=["none", "blank line", "quoted tag", "CRLF"])
     def test_lines_count_on_past_plain_blocks(self, tmp_path, first):
         # Several plain blocks, then a blank line, a tag quoted over two
-        # lines or a CRLF: from that block on the file is read by csv, and
-        # the lines of the blocks counted before it still number its rows.
+        # lines or a CRLF. Only the quoted tag hands the file to csv: from
+        # its block on the file is read by csv, and the lines of the blocks
+        # counted before it still number its rows.
         rows = "0.25,attack,print\n0.75,living,\n0.5,attack,\n"
         repeats = 3 * BLOCK_BYTES // len(rows)
         head = HEADER + rows * repeats + first
@@ -656,6 +658,18 @@ class TestReaderMatchesRowAtATimeReference:
         path.write_text(head + rows * 5 + "nope,attack,\n" + rows,
                         newline="")
         line = head.count("\n") + 16
+        assert read_both(path) == f"line {line}: bad score 'nope'"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_blank_lines_count_in_plain_blocks(self, tmp_path, newline):
+        # Blank lines are lines but never rows, in the plain blocks numpy
+        # counts as in the block csv reads after them.
+        rows = "0.25,attack,print\n\n0.75,living,\n"
+        text = (HEADER + "\n" + rows * (3 * BLOCK_BYTES // len(rows))
+                + "\nnope,attack,\n")
+        path = tmp_path / "records.csv"
+        path.write_text(text.replace("\n", newline), newline="")
+        line = text.count("\n")
         assert read_both(path) == f"line {line}: bad score 'nope'"
 
 
@@ -835,3 +849,44 @@ class TestChunkBoundaries:
                 tracemalloc.stop()
             assert len(counts) == chunks * CHUNK_ROWS // 3 * 3
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# -- which path reads a file -----------------------------------------------
+
+ROWS = "0.25,attack,print\n0.75,living,\n0.5,attack,\n" * 3000    # ~2 blocks
+
+
+class ReachedCsv(Exception):
+    """Raised by a stand-in for csv.reader."""
+
+
+class TestReadPath:
+    @pytest.mark.parametrize("text, plain", [
+        (HEADER + ROWS, True),
+        ((HEADER + ROWS).replace("\n", "\r\n"), True),
+        (HEADER + "\n" + ROWS.replace("living,\n", "living,\n\r\n\n"), True),
+        ("\ufeff" + HEADER + ROWS, True),
+        (HEADER, True),
+        (HEADER + '0.2,attack,"print"\n' + ROWS, False),
+        (HEADER + ROWS + "0.2,attack,x\r\r\n", False),
+    ], ids=["LF", "CRLF", "blank lines", "BOM", "header only", "quoted tag",
+            "CR CR LF"])
+    def test_only_quoting_reaches_csv(self, tmp_path, monkeypatch, text,
+                                      plain):
+        # numpy reads every file with no quoted field, NUL or lone carriage
+        # return, and csv is never called for it. "CR CR LF" is a CRLF file
+        # written again in text mode: csv takes its first CR as a break.
+        path = tmp_path / "records.csv"
+        path.write_text(text.removeprefix("\ufeff"), newline="")
+        want = read_both(path)    # the reference reads a BOM as text
+        path.write_text(text, newline="")
+
+        def reader(*args, **kwargs):
+            raise ReachedCsv
+
+        monkeypatch.setattr(metrics.csv, "reader", reader)
+        if plain:
+            assert read_outcome(read_records_csv, path, 0.5) == want
+        else:
+            with pytest.raises(ReachedCsv):
+                read_records_csv(path, 0.5)
