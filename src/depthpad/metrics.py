@@ -26,6 +26,7 @@ RECORD_FIELDS = ["score", "label", "attack_kind"]
 BLOCK_BYTES = 1 << 16    # bytes read and decoded at a time
 SCORE_DIGITS = 24        # decimals of a plain score compared as text
 TAIL_BYTES = 64          # widest label,attack_kind tail grouped by numpy
+TABLE_TAILS = 256        # most distinct tails a file's _TailTable holds
 _HEADERS = tuple((",".join(RECORD_FIELDS) + end).encode()
                  for end in ("\n", "\r\n"))
 
@@ -117,23 +118,25 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
     row has exactly three fields; blank lines are skipped, and an error
     names the physical line of the first bad row in file order. The path
     is opened once and read in one pass, so a pipe works, and memory holds
-    one block plus the tally of each PAI group.
+    one block, the tally of each PAI group and at most TABLE_TAILS tails.
 
     Blocks are counted by _count_plain while they are plain, as every
     block of a file with no quoted field, NUL or lone carriage return is.
     The first block that is not, or that holds a bad row, and every block
     after it are split by csv and checked by _count_rows a row at a time,
-    which words every error.
+    which words every error. The plain blocks of a file share one
+    _TailTable, so a tail's label is checked once per file while the
+    table holds it.
     """
     living, groups = [0, 0], {}
-    cuts = _score_cuts(threshold)
+    cuts, table = _score_cuts(threshold), _TailTable(living, groups)
     with open(path, "rb") as fh:
         blocks, lines, rest = _text_blocks(fh), 0, None
         try:
             for data in blocks:
                 if not lines and data.startswith(_HEADERS):
                     data, lines = data[data.index(b"\n") + 1:], 1
-                rows = (_count_plain(data, threshold, cuts, living, groups)
+                rows = (_count_plain(data, threshold, cuts, table)
                         if lines else None)
                 if rows is None:
                     rest = data
@@ -272,7 +275,7 @@ def _field_count(data: bytes, start: int) -> int:
 
 
 def _score_cuts(threshold) -> tuple[bytes, bytes]:
-    """The keys _count_plain compares a score's decimals with, as bytes.
+    """The keys _rank_scores compares a score's decimals with, as bytes.
 
     Let m be the midpoint between threshold and the float below it, and M
     its first SCORE_DIGITS decimals, truncated. A score 0.d, d of at most
@@ -297,20 +300,16 @@ def _score_cuts(threshold) -> tuple[bytes, bytes]:
     return (digits + "0").encode(), (digits.rstrip("0") + ",").encode()
 
 
-def _count_plain(data: bytes, threshold: float, cuts, living: list,
-                 groups: dict):
-    """Count a plain block's rows into living and groups, as csv would.
+def _count_plain(data: bytes, threshold: float, cuts, table: _TailTable):
+    """Count a plain block's rows into the tallies of table, as csv would.
 
     A block is plain when it ends in a line break, holds no quote or NUL,
     every carriage return in it is part of a CRLF, every line that is not
     blank holds exactly two commas, and no field is longer than
     csv.field_size_limit(): csv splits each such line at its commas, and
-    takes a CRLF as one line break and a blank line as no row. A score
-    spelled 0, 0. or 0.d... with at most SCORE_DIGITS decimals is in
-    range, and is compared with the threshold as text by the cuts of
-    _score_cuts. Any other score, and one equal to the truncated midpoint,
-    is parsed and checked by float as check_record does. Each distinct
-    label,attack_kind tail is checked once.
+    takes a CRLF as one line break and a blank line as no row. Scores are
+    ranked by _rank_scores, and rows are grouped by their label,attack_kind
+    tail by table, which checks each distinct label once.
 
     Returns how many lines were counted, blank ones included, or None,
     counting nothing, when the block is not plain or one of its rows
@@ -320,8 +319,10 @@ def _count_plain(data: bytes, threshold: float, cuts, living: list,
         return 0
     if not data.endswith(b"\n") or b'"' in data or b"\0" in data:
         return None
-    width = SCORE_DIGITS + 1    # a score's decimals and the comma after them
-    buf = np.frombuffer(data + b"," * max(width, TAIL_BYTES), np.uint8)
+    # Room for the word reads: a row's tail is read as wide as the block's
+    # widest, and its score as SCORE_DIGITS decimals.
+    padded = data + b"," * max(TAIL_BYTES, SCORE_DIGITS + 8)
+    buf = np.frombuffer(padded, np.uint8)
     breaks = np.flatnonzero(buf == ord("\n"))
     ends = breaks    # where each line's last field ends
     if b"\r" in data:
@@ -345,15 +346,7 @@ def _count_plain(data: bytes, threshold: float, cuts, living: list,
             and max(lengths.max(), (seconds - firsts).max() - 1,
                     (ends - seconds).max() - 1) <= csv.field_size_limit()):
         return None
-    decimals = np.maximum(lengths - 2, 0)
-    cells = sliding_window_view(buf, width)[firsts - decimals]
-    spelled = ((buf[starts] == ord("0")) & (lengths <= SCORE_DIGITS + 2)
-               & ((lengths == 1) | (buf[starts + 1] == ord(".")))
-               & (((cells - ord("0")) > 9).argmax(axis=1) == decimals))
-    cells = cells.view(f"S{width}").ravel()
-    above, at_least = cuts
-    accepted = cells > above
-    undecided = ~spelled | (cells >= at_least) & ~accepted
+    accepted, undecided = _rank_scores(padded, starts, firsts, lengths, cuts)
     for row in np.flatnonzero(undecided).tolist():
         try:
             score = float(data[starts[row]:firsts[row]].decode())
@@ -362,55 +355,185 @@ def _count_plain(data: bytes, threshold: float, cuts, living: list,
         if not 0.0 <= score <= 1.0:
             return None
         accepted[row] = score >= threshold
-    keys, tails = _tail_keys(data, buf, firsts, ends)
-    pairs = [tail.decode().split(",") for tail in tails]
-    if any(label not in (LIVING, ATTACK) for label, _ in pairs):
+    grouped = table.group(data, padded, firsts, ends)
+    if grouped is None:
         return None
-    totals = np.bincount(keys, minlength=len(pairs)).tolist()
-    hits = np.bincount(keys[accepted], minlength=len(pairs)).tolist()
-    for (label, kind), total, hit in zip(pairs, totals, hits):
-        tally = (living if label == LIVING
-                 else groups.setdefault(kind or ATTACK, [0, 0]))
+    keys, tallies = grouped
+    totals = np.bincount(keys, minlength=len(tallies)).tolist()
+    hits = np.bincount(keys[accepted], minlength=len(tallies)).tolist()
+    for tally, total, hit in zip(tallies, totals, hits):
         tally[0] += total
         tally[1] += hit
     return len(breaks)
 
 
-# _TAIL_MASKS[n] keeps the first n of TAIL_BYTES bytes, as uint64 words.
+def _words(padded: bytes, dtype: str) -> np.ndarray:
+    """The dtype word at each byte offset of padded, as one unaligned view."""
+    size = np.dtype(dtype).itemsize
+    return np.ndarray((len(padded) - size + 1,), dtype, padded, strides=(1,))
+
+
+# A score of n bytes, n <= SCORE_DIGITS + 3, spelled 0.d... has _DECIMALS[n]
+# decimals, and _DIGIT_MASKS[j][n] keeps those in its big-endian word j.
+_DECIMALS = np.maximum(np.arange(SCORE_DIGITS + 4) - 2, 0)
+_DIGIT_MASKS = np.where(
+    np.arange(8 * -(-SCORE_DIGITS // 8)) < _DECIMALS[:, None],
+    np.uint8(0xFF), np.uint8(0)).view(">u8").astype(np.uint64).T.copy()
+_ZEROS = np.uint64(0x3030303030303030)    # b"0" * 8
+_SIXES = np.uint64(0x0606060606060606)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+
+
+def _rank_scores(padded: bytes, starts, firsts, lengths, cuts):
+    """Rank a plain block's scores against the threshold of cuts.
+
+    A score spelled 0, 0. or 0.d... with at most SCORE_DIGITS decimals is
+    in range, and is compared with the threshold as text by the cuts of
+    _score_cuts. Its decimals are read as big-endian words, and checked to
+    be digits a word at a time. A row whose first word is below the first
+    8 bytes of at_least, or above those of above, is ranked by that word;
+    the rest are compared as text.
+
+    Returns (accepted, undecided): undecided marks any other score, and
+    one equal to the truncated midpoint, to be parsed and checked by float
+    as check_record does.
+    """
+    short = np.minimum(lengths, SCORE_DIGITS + 3)
+    at = firsts - _DECIMALS[short]    # the first decimal, or the comma
+    heads = _words(padded, "<u2")[starts]
+    spelled = (heads | np.uint16(0x200)) == np.uint16(0x2E30)    # "0." or "0,"
+    spelled &= short <= SCORE_DIGITS + 2
+    words = _words(padded, ">u8")
+    key = words[at].astype(np.uint64)    # the first 8 bytes from at
+    nondigits = np.zeros(len(at), np.uint64)
+    for j, masks in enumerate(_DIGIT_MASKS):
+        # Digits become 0-9, and bytes past the decimals 0. Any other byte
+        # has a high nibble, or gains one when 6 is added; a carry out of a
+        # byte comes only from one that has a high nibble already.
+        word = (words[8 * j:][at] if j else key) ^ _ZEROS
+        word &= masks[short]
+        nondigits |= word
+        word += _SIXES
+        nondigits |= word
+    spelled &= nondigits & _HIGH_NIBBLES == 0
+    above, at_least = cuts
+    # The first 8 bytes of each cut, as compared as text: NUL-padded.
+    high, low = (np.uint64(int.from_bytes(cut[:8].ljust(8, b"\0"), "big"))
+                 for cut in cuts)
+    accepted = key > high
+    undecided = ~spelled
+    tied = np.flatnonzero(key - low <= high - low)    # low <= key <= high
+    if len(tied):
+        width = SCORE_DIGITS + 1    # a score's decimals and the comma after
+        cells = sliding_window_view(np.frombuffer(padded, np.uint8), width)
+        cells = cells[at[tied]].view(f"S{width}").ravel()
+        accepted[tied] = cells > above
+        undecided[tied] |= (cells >= at_least) & ~accepted[tied]
+    return accepted, undecided
+
+
+# _TAIL_MASKS[j][n] keeps the first n bytes of a tail in its little-endian word j.
 _TAIL_MASKS = np.where(
     np.arange(TAIL_BYTES) < np.arange(TAIL_BYTES + 1)[:, None],
-    np.uint8(0xFF), np.uint8(0)).view(np.uint64)
+    np.uint8(0xFF), np.uint8(0)).view("<u8").astype(np.uint64).T.copy()
+# A tail's digest is the sum of its words j times _DIGEST[j], modulo 2**64.
+_DIGEST = np.uint64(0x9E3779B97F4A7C15) ** np.arange(
+    1, TAIL_BYTES // 8 + 1, dtype=np.uint64)
 
 
-def _tail_keys(data: bytes, buf, firsts, ends):
-    """Number a plain block's rows by their label,attack_kind tail.
+class _TailTable:
+    """The label,attack_kind tails of a file's plain blocks, with their tallies.
 
-    Returns (keys, tails): the tail of row i is tails[keys[i]]. Tails of up
-    to TAIL_BYTES bytes are read as zero-padded words and grouped by a hash
-    of them; each row's words are then compared with its group's first
-    row's, so the grouping is exact. Wider tails, or two tails that share
-    a hash, are grouped by a dict of their bytes.
+    It holds at most TABLE_TAILS tails of up to TAIL_BYTES bytes, sorted by
+    digest, each with its words, its length and the tally its rows count
+    into, and after them a sentinel that no row matches. A block is counted
+    against the table when every row matches, in words and length, the tail
+    held at its digest, so the grouping is exact whatever the digests. Any
+    other block groups its own rows, and its tails join the table when they
+    fit; a tail whose digest is held already stays out.
     """
-    lengths = ends - firsts - 1
-    words = -(-int(lengths.max()) // 8)
-    if words <= TAIL_BYTES // 8:
-        cells = sliding_window_view(buf, 8 * words)[firsts + 1]
-        cells = cells.view(np.uint64)
-        cells &= _TAIL_MASKS[lengths, :words]
-        digest = cells[:, 0].copy()
-        for column in cells.T[1:]:
-            digest *= np.uint64(0x9E3779B97F4A7C15)
-            digest ^= column
+
+    def __init__(self, living: list, groups: dict):
+        self.living, self.groups = living, groups
+        self.digests = np.array([np.iinfo(np.uint64).max], np.uint64)
+        self.words = np.zeros((TAIL_BYTES // 8, 1), np.uint64)
+        self.lengths = np.array([-1])
+        self.tallies = [[0, 0]]
+
+    def group(self, data: bytes, padded: bytes, firsts, ends):
+        """Number a plain block's rows by their tail.
+
+        Returns (keys, tallies), row i counting into tallies[keys[i]], or
+        None when a tail's label is neither LIVING nor ATTACK. Tails are
+        read as little-endian words, zeroed past their length. A block
+        with a tail wider than TAIL_BYTES, or with two tails that share a
+        digest, is grouped by a dict of its tails' bytes.
+        """
+        lengths = ends - firsts - 1
+        width = -(-int(lengths.max()) // 8)
+        if width > TAIL_BYTES // 8:
+            return self._by_bytes(data, firsts, ends)
+        read = _words(padded, "<u8")
+        words = np.empty((width, len(firsts)), np.uint64)
+        for j, column in enumerate(words):
+            np.bitwise_and(read[8 * j + 1:][firsts], _TAIL_MASKS[j][lengths],
+                           out=column)
+        digest = words[0] * _DIGEST[0]
+        for j in range(1, width):
+            digest += words[j] * _DIGEST[j]
+        at = np.searchsorted(self.digests, digest)
+        hit = self.lengths[at] == lengths
+        for held, column in zip(self.words, words):
+            hit &= held[at] == column
+        if hit.all():
+            return at, self.tallies
         _, first, keys = np.unique(digest, return_index=True,
                                    return_inverse=True)
-        if np.array_equal(cells, cells[first[keys]]):
-            return keys, [data[a + 1:b] for a, b
-                          in zip(firsts[first].tolist(), ends[first].tolist())]
-    book = {}
-    keys = np.fromiter((book.setdefault(data[a + 1:b], len(book))
-                        for a, b in zip(firsts.tolist(), ends.tolist())),
-                       np.intp, len(ends))
-    return keys, list(book)
+        if not (np.array_equal(lengths, lengths[first][keys])
+                and np.array_equal(words, words[:, first][:, keys])):
+            return self._by_bytes(data, firsts, ends)
+        tallies = self._tallies([data[a + 1:b] for a, b in
+                                 zip(firsts[first].tolist(),
+                                     ends[first].tolist())])
+        if tallies is None:
+            return None
+        self._hold(digest[first], words[:, first], lengths[first], tallies)
+        return keys, tallies
+
+    def _by_bytes(self, data: bytes, firsts, ends):
+        """group, by a dict of the tails' bytes; the table is left as it is."""
+        book = {}
+        keys = np.fromiter((book.setdefault(data[a + 1:b], len(book))
+                            for a, b in zip(firsts.tolist(), ends.tolist())),
+                           np.intp, len(ends))
+        tallies = self._tallies(list(book))
+        return None if tallies is None else (keys, tallies)
+
+    def _tallies(self, tails: list):
+        """The tally of each tail, or None when a label is not known."""
+        pairs = [tail.decode().split(",") for tail in tails]
+        if any(label not in (LIVING, ATTACK) for label, _ in pairs):
+            return None
+        return [self.living if label == LIVING
+                else self.groups.setdefault(kind or ATTACK, [0, 0])
+                for label, kind in pairs]
+
+    def _hold(self, digests, words, lengths, tallies: list) -> None:
+        """Hold a block's tails, of distinct digests, but each whose digest
+        is held already; hold none when they do not all fit."""
+        new = self.digests[np.searchsorted(self.digests, digests)] != digests
+        if len(self.tallies) + np.count_nonzero(new) > TABLE_TAILS + 1:
+            return
+        digests = np.concatenate([self.digests, digests[new]])
+        order = np.argsort(digests, kind="stable")
+        padded = np.zeros((len(self.words), np.count_nonzero(new)), np.uint64)
+        padded[:len(words)] = words[:, new]
+        self.digests = digests[order]
+        self.words = np.concatenate([self.words, padded], axis=1)[:, order]
+        self.lengths = np.concatenate([self.lengths, lengths[new]])[order]
+        tallies = self.tallies + [tally for tally, is_new
+                                  in zip(tallies, new.tolist()) if is_new]
+        self.tallies = [tallies[i] for i in order.tolist()]
 
 
 def _count_rows(reader, base: int, threshold: float, living: list,

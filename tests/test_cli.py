@@ -711,7 +711,7 @@ class TestMetricsCommand:
 
     def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "records.csv"
-        rows = b"0.5,living,\n" * 2586    # past the first decoded chunk
+        rows = b"0.5,living,\n" * 2586    # 31 KB of rows above the byte
         path.write_bytes(b"score,label,attack_kind\n0.2,attack,\n" + rows
                          + b"0.1,attack,\xff\n0.3,attack,\n")
         offset = path.read_bytes().index(b"\xff")

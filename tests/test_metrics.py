@@ -29,7 +29,7 @@ from depthpad.metrics import (
 
 from conftest import record_counts
 
-CHUNK_ROWS = 1 << 13    # the row count TestChunkBoundaries builds from
+CHUNK_ROWS = 1 << 13    # rows of GOOD_ROW in TestChunkBoundaries: 1.5 blocks
 
 
 def brute_force_rates(records, threshold):
@@ -351,7 +351,7 @@ class TestSummaryAndCsv:
 
     def test_bad_row_above_undecodable_bytes_wins(self, tmp_path):
         path = tmp_path / "bytes.csv"
-        rows = b"0.5,living,\n" * 4000    # past the first decoded chunk
+        rows = b"0.5,living,\n" * 4000    # 48 KB between them, in one block
         path.write_bytes(b"score,label,attack_kind\n0.5,living,\nnope,attack,\n"
                          + rows + b"0.2,attack,\xff\xfe\n")
         with pytest.raises(ValueError, match="^line 3: bad score 'nope'$"):
@@ -386,7 +386,7 @@ class TestSummaryAndCsv:
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_undecodable_byte_names_its_line(self, tmp_path, newline):
         path = tmp_path / "bytes.csv"
-        for rows in (1, 4000):    # in the header's chunk, and past it
+        for rows in (1, 4000):    # next to the header, and 4000 rows below it
             lines = ([b"score,label,attack_kind"] + [b"0.5,living,"] * rows
                      + [b"0.2,att\xffack,", b"0.1,attack,"])
             path.write_bytes(newline.join(lines) + newline)
@@ -673,7 +673,7 @@ class TestReaderMatchesRowAtATimeReference:
         assert read_both(path) == f"line {line}: bad score 'nope'"
 
 
-# -- the streaming reader at its chunk and block boundaries ------------------
+# -- the streaming reader at its block boundaries ----------------------------
 
 HEADER = "score,label,attack_kind\n"
 GOOD_ROW = "0.5,living,\n"
@@ -710,8 +710,8 @@ class TestChunkBoundaries:
                                    "bad score 'nope'")
 
     def test_earlier_bad_row_wins_across_chunks(self, tmp_path):
-        # The last row of the first chunk breaks the rule; the second chunk
-        # starts with a row of two fields.
+        # Row CHUNK_ROWS, in the second block, breaks the rule; the row
+        # after it has two fields.
         path = tmp_path / "records.csv"
         path.write_text(HEADER + GOOD_ROW * (CHUNK_ROWS - 1) + "1.5,living,\n"
                         + "0.5,attack\n" + GOOD_ROW)
@@ -835,7 +835,8 @@ class TestChunkBoundaries:
             read_records_csv(path, 0.5)
 
     def test_memory_is_one_chunk_however_long_the_file(self, tmp_path):
-        # Eight chunks of records peak within 1.5x of one chunk's peak.
+        # About 14 blocks of records peak within 1.5x of about two blocks'
+        # peak: the reader holds one block at a time.
         peaks = []
         for chunks in (1, 8):
             path = tmp_path / f"{chunks}.csv"
@@ -890,3 +891,96 @@ class TestReadPath:
         else:
             with pytest.raises(ReachedCsv):
                 read_records_csv(path, 0.5)
+
+
+# -- the tail table and the score words of plain blocks --------------------
+
+class TestTailTable:
+    @pytest.mark.parametrize("tags", [metrics.TABLE_TAILS,
+                                      metrics.TABLE_TAILS + 1, None],
+                             ids=["as many as it holds", "one more",
+                                  "all distinct"])
+    def test_many_distinct_tags_match_the_reference(self, tmp_path,
+                                                    monkeypatch, tags):
+        # About three blocks of rows whose tags cycle through `tags` tags,
+        # or all differ. The table holds the first block's tags when they
+        # fit and never more than TABLE_TAILS; past that each block groups
+        # its own rows.
+        held, hold = [], metrics._TailTable._hold
+
+        def spy(table, *args):
+            hold(table, *args)
+            held.append(len(table.tallies) - 1)    # less the sentinel
+
+        monkeypatch.setattr(metrics._TailTable, "_hold", spy)
+        rows = 3 * BLOCK_BYTES // 20
+        path = tmp_path / "records.csv"
+        path.write_text(HEADER + "".join(
+            f"0.{i % 1000:03d},attack,t{i % (tags or rows)}\n"
+            for i in range(rows)))
+        counts = read_both(path)
+        assert len(counts.groups) == (tags or rows)
+        assert max(held) == (tags if tags == metrics.TABLE_TAILS else 0)
+
+    def test_short_tail_read_as_wide_as_the_widest(self, tmp_path):
+        # The last row of the block is read TAIL_BYTES wide, past its end.
+        path = tmp_path / "records.csv"
+        tag = "x" * (metrics.TAIL_BYTES - len("attack,"))
+        path.write_text(HEADER + f"0.5,attack,{tag}\n0.5,living,\n")
+        assert len(read_both(path)) == 2
+
+    def test_grouping_does_not_rest_on_the_digest(self, tmp_path,
+                                                  monkeypatch):
+        # Every tail digests to 0. The first block's one tail is held. The
+        # blocks of its 16-byte prefix match its first two words, and the
+        # tails of its length in later blocks collide with it and with each
+        # other; all are counted apart, and a bad label of that length is
+        # still found on its line.
+        monkeypatch.setattr(metrics, "_DIGEST", np.zeros_like(metrics._DIGEST))
+        held, prefix = "0.25,attack,aaaaaaaaaa\n", "0.25,attack,aaaaaaaaa\n"
+        later = ("0.5,attack,bbbbbbbbbb\n0.125,attack,cccccccccc\n"
+                 "0.75,attack,aaaaaaaaaa\n")
+        head = (HEADER + held * (2 * BLOCK_BYTES // len(held))
+                + prefix * (2 * BLOCK_BYTES // len(prefix))
+                + later * (BLOCK_BYTES // len(later)))
+        path = tmp_path / "records.csv"
+        path.write_text(head)
+        counts = read_both(path)
+        assert [name for name, _ in counts.groups] == [
+            "aaaaaaaaa", "aaaaaaaaaa", "bbbbbbbbbb", "cccccccccc"]
+        path.write_text(head + "0.5,attacK,aaaaaaaaaa\n" + later)
+        assert read_both(path) == (f"line {head.count(chr(10)) + 1}: label "
+                                   "must be 'living' or 'attack', got 'attacK'")
+
+
+SCORE_WORD_EDGES = [7, 8, 9, 15, 16, 17, 23, 24, 25]    # decimals
+
+
+class TestScoreWords:
+    @pytest.mark.parametrize("threshold", [0.5, 0.1, 2 / 3, 1.0])
+    @pytest.mark.parametrize("digits", SCORE_WORD_EDGES)
+    def test_scores_that_tie_on_the_first_word(self, tmp_path, threshold,
+                                               digits):
+        # Scores around the truncated midpoint below threshold share its
+        # first decimals, up to 8 of them, so they tie with the cuts' first
+        # words and are ranked as text, or by float past SCORE_DIGITS.
+        path = tmp_path / "records.csv"
+        path.write_text(HEADER + "".join(
+            f"{midpoint_below(threshold, width, step)},attack,\n"
+            for width in (digits, 8) for step in (-1, 0, 1)))
+        assert len(read_both(path, threshold)) == 6
+
+    @pytest.mark.parametrize("digits", SCORE_WORD_EDGES)
+    def test_a_non_digit_at_each_decimal_is_a_bad_score(self, tmp_path,
+                                                        digits):
+        # The bytes on each side of the digits, at every decimal of each of
+        # a score's words, and an exponent, which float may read.
+        path = tmp_path / "records.csv"
+        score = midpoint_below(0.5, digits)
+        for at in range(2, len(score)):
+            for char in "/:e":
+                bad = score[:at] + char + score[at + 1:]
+                path.write_text(HEADER + GOOD_ROW + f"{bad},living,\n")
+                got = read_both(path)
+                if char != "e":
+                    assert got == f"line 3: bad score {bad!r}"
