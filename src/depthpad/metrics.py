@@ -23,12 +23,16 @@ from .supervision import multi_frame_loss
 LIVING = "living"
 ATTACK = "attack"
 RECORD_FIELDS = ["score", "label", "attack_kind"]
-BLOCK_BYTES = 1 << 16    # bytes read and decoded at a time
+BLOCK_BYTES = 1 << 18    # bytes read and checked at a time
 SCORE_DIGITS = 24        # decimals of a plain score compared as text
 TAIL_BYTES = 64          # widest label,attack_kind tail grouped by numpy
 TABLE_TAILS = 256        # most distinct tails a file's _TailTable holds
 _HEADERS = tuple((",".join(RECORD_FIELDS) + end).encode()
                  for end in ("\n", "\r\n"))
+# Commas after each block, so that the word reads of its last rows stay in
+# the buffer: a row's tail is read as wide as the block's widest, and its
+# score as SCORE_DIGITS decimals.
+_PAD = b"," * max(TAIL_BYTES, SCORE_DIGITS + 8)
 
 
 def check_record(score: float, label: str) -> None:
@@ -117,36 +121,39 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
     error rather than a field that runs to the end of the file. Every data
     row has exactly three fields; blank lines are skipped, and an error
     names the physical line of the first bad row in file order. The path
-    is opened once and read in one pass, so a pipe works, and memory holds
-    one block, the tally of each PAI group and at most TABLE_TAILS tails.
+    is opened once and read in one pass, so a pipe works. Memory holds one
+    buffer of about two blocks (see _text_blocks), the tally of each PAI
+    group and at most TABLE_TAILS tails.
 
-    Blocks are counted by _count_plain while they are plain, as every
-    block of a file with no quoted field, NUL or lone carriage return is.
-    The first block that is not, or that holds a bad row, and every block
-    after it are split by csv and checked by _count_rows a row at a time,
-    which words every error. The plain blocks of a file share one
-    _TailTable, so a tail's label is checked once per file while the
-    table holds it.
+    Blocks are counted in that buffer by _count_plain while they are
+    plain, as every block of a file with no quoted field, NUL or lone
+    carriage return is. The first block that is not, or that holds a bad
+    row, and every block after it are copied out as bytes, split by csv
+    and checked by _count_rows a row at a time, which words every error.
+    The plain blocks of a file share one _TailTable, so a tail's label is
+    checked once per file while the table holds it.
     """
     living, groups = [0, 0], {}
     cuts, table = _score_cuts(threshold), _TailTable(living, groups)
     with open(path, "rb") as fh:
         blocks, lines, rest = _text_blocks(fh), 0, None
         try:
-            for data in blocks:
-                if not lines and data.startswith(_HEADERS):
-                    data, lines = data[data.index(b"\n") + 1:], 1
-                rows = (_count_plain(data, threshold, cuts, table)
+            for area, end in blocks:
+                start = 0
+                if not lines and area.startswith(_HEADERS, 0, end):
+                    start, lines = area.index(b"\n") + 1, 1
+                rows = (_count_plain(area, start, end, threshold, cuts, table)
                         if lines else None)
                 if rows is None:
-                    rest = data
+                    rest = bytes(memoryview(area)[start:end])
                     break
                 lines += rows
         except _NextLineError as exc:
             raise ValueError(f"line {lines + 1}: {exc}")
         if rest is not None:
+            copies = (bytes(memoryview(area)[:end]) for area, end in blocks)
             reader = csv.reader(itertools.chain.from_iterable(
-                map(_text, itertools.chain([rest], blocks))), strict=True)
+                map(_text, itertools.chain([rest], copies))), strict=True)
             if not lines:
                 try:
                     header = next(reader, None)
@@ -157,8 +164,8 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
                                      f"{RECORD_FIELDS}, got {header}")
             _count_rows(reader, lines, threshold, living, groups)
     counts = RecordCounts(threshold, tuple(living),
-                          tuple((name, tuple(tally))
-                                for name, tally in sorted(groups.items())))
+                          tuple((name, tuple(groups[name]))
+                                for name in sorted(groups)))
     if not len(counts):
         raise ValueError("records CSV holds no data rows")
     return counts
@@ -188,7 +195,17 @@ def _text(data: bytes):
 def _text_blocks(fh):
     """The lines of binary file fh as blocks of bytes that end at a line break.
 
-    Each block is valid UTF-8, to be read as the file would be (newline="").
+    Each block is yielded as (area, end): its bytes are area[:end], and
+    len(_PAD) commas follow them. area is one bytearray for the whole file,
+    which holds the carried start of a line, one BLOCK_BYTES read into it
+    with readinto, and the pad; a line up to a block long fits as it is,
+    and a longer one extends it in place, so no view of area may be kept
+    from one block to the next. The next block overwrites a block, so each
+    is used before the next is asked for. The bytes after the cut are saved
+    before the pad is written over them.
+
+    Each block is valid UTF-8, to be read as the file would be (newline="");
+    only a block with a byte of 0x80 or above is decoded to check it.
     Line breaks are ASCII, so a cut after one never splits a UTF-8
     sequence, and a cut after a carriage return waits for the next byte, so
     a CRLF stays whole in one block, where _count_plain reads it as one line
@@ -204,71 +221,81 @@ def _text_blocks(fh):
     more than a record's fields, csv never splits them: the line is the
     _NextLineError that names their field count.
     """
-    parts, offset = [fh.read(len(codecs.BOM_UTF8))], 0
-    if parts[0] == codecs.BOM_UTF8:
-        parts, offset = [], len(codecs.BOM_UTF8)
+    area = bytearray(2 * BLOCK_BYTES + len(_PAD))
+    held, offset = fh.readinto(memoryview(area)[:len(codecs.BOM_UTF8)]), 0
+    if area.startswith(codecs.BOM_UTF8, 0, held):
+        held, offset = 0, len(codecs.BOM_UTF8)
     while True:
-        block, bad = fh.read(BLOCK_BYTES), None
-        cut = 1 + max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1))
-        if block and not cut:
-            parts.append(block)
+        if len(area) < held + BLOCK_BYTES + len(_PAD):    # a line past a block
+            area.extend(bytes(held + BLOCK_BYTES + len(_PAD) - len(area)))
+        got = fh.readinto(memoryview(area)[held:held + BLOCK_BYTES])
+        end, bad = held + got, None
+        cut = 1 + max(area.rfind(b"\n", held, end),
+                      area.rfind(b"\r", held, end - 1))
+        if not got:
+            cut = end
+        elif not cut:
             # Three fields of 4-byte characters, quotes and delimiters, and one.
             cap = 3 * (4 * csv.field_size_limit() + 3) + 4
-            if sum(map(len, parts)) <= cap:
+            if end <= cap:
+                held = end
                 continue
-            data, parts = b"".join(parts), []
             cut = cap - 1
-            while cut > cap - 4 and data[cut] & 0xC0 == 0x80:
+            while cut > cap - 4 and area[cut] & 0xC0 == 0x80:
                 cut -= 1    # a continuation byte: the character began earlier
-            block = data[:cut]
             bad = csv.Error(f"a line longer than {cap} bytes is not a record")
-        data = b"".join([*parts, block[:cut]])
-        parts = [block[cut:]]
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            start, end = offset + exc.start, offset + exc.end - 1
-            where = (f"byte 0x{data[exc.start]:02x} in position {start}"
-                     if start == end else f"bytes in position {start}-{end}")
-            bad = _NextLineError(f"{exc.encoding!r} codec can't decode "
-                                 f"{where}: {exc.reason}")
-            head = data[:exc.start]
-            data = head[:1 + max(head.rfind(b"\n"), head.rfind(b"\r"))]
+        carry = area[cut:end] if bad is None else b""
+        if cut and np.frombuffer(area, np.uint8, cut).max() >= 0x80:
+            try:
+                str(memoryview(area)[:cut], "utf-8")
+            except UnicodeDecodeError as exc:
+                start, last = offset + exc.start, offset + exc.end - 1
+                where = (f"byte 0x{area[exc.start]:02x} in position {start}"
+                         if start == last
+                         else f"bytes in position {start}-{last}")
+                bad = _NextLineError(f"{exc.encoding!r} codec can't decode "
+                                     f"{where}: {exc.reason}")
+                cut = 1 + max(area.rfind(b"\n", 0, exc.start),
+                              area.rfind(b"\r", 0, exc.start))
         if isinstance(bad, csv.Error):    # a long line's decodable start
-            start = 1 + max(data.rfind(b"\n"), data.rfind(b"\r"))
-            fields = _field_count(data, start)
+            start = 1 + max(area.rfind(b"\n", 0, cut), area.rfind(b"\r", 0, cut))
+            fields = _field_count(area, start, cut)
             if fields > len(RECORD_FIELDS):
                 bad = _NextLineError(f"expected {len(RECORD_FIELDS)} fields, "
                                      f"got {fields}")
-                data = data[:start]
-        yield data
+                cut = start
+        area[cut:cut + len(_PAD)] = _PAD
+        yield area, cut
         if bad is not None:
             raise bad
-        offset += len(data)
-        if not block:
+        if not got:
             return
+        offset += cut
+        held = len(carry)
+        area[:held] = carry
+        del carry    # held in area alone, so a long line is not held twice
 
 
-def _field_count(data: bytes, start: int) -> int:
-    """The fields csv splits the line data[start:] into, none of them built.
+def _field_count(data: bytes, start: int, end: int) -> int:
+    """The fields csv splits the line data[start:end] into, none of them built.
 
     A field is quoted when it starts with a quote, and it runs to the quote
     that is not doubled; a delimiter outside quoted fields ends a field.
     """
-    if data.find(b'"', start) < 0:
-        return data.count(b",", start) + 1
+    if data.find(b'"', start, end) < 0:
+        return data.count(b",", start, end) + 1
     fields, at = 1, start
     while True:
-        if data.startswith(b'"', at):
+        if data.startswith(b'"', at, end):
             at += 1
             while True:    # to the quote that closes the field
-                at = data.find(b'"', at) + 1
+                at = data.find(b'"', at, end) + 1
                 if not at:
                     return fields
-                if not data.startswith(b'"', at):
+                if not data.startswith(b'"', at, end):
                     break
                 at += 1
-        at = data.find(b",", at) + 1
+        at = data.find(b",", at, end) + 1
         if not at:
             return fields
         fields += 1
@@ -300,12 +327,15 @@ def _score_cuts(threshold) -> tuple[bytes, bytes]:
     return (digits + "0").encode(), (digits.rstrip("0") + ",").encode()
 
 
-def _count_plain(data: bytes, threshold: float, cuts, table: _TailTable):
-    """Count a plain block's rows into the tallies of table, as csv would.
+def _count_plain(area: bytearray, start: int, end: int, threshold: float,
+                 cuts, table: _TailTable):
+    """Count the rows of area[start:end] into the tallies of table, as csv would.
 
-    A block is plain when it ends in a line break, holds no quote or NUL,
-    every carriage return in it is part of a CRLF, every line that is not
-    blank holds exactly two commas, and no field is longer than
+    The block is read where it lies, with the len(_PAD) commas that follow
+    it in area; nothing of it is copied. A block is plain when it ends in
+    a line break, holds no quote or NUL, every carriage return in it is
+    part of a CRLF, every line that is not blank holds exactly two commas,
+    and no field is longer than
     csv.field_size_limit(): csv splits each such line at its commas, and
     takes a CRLF as one line break and a blank line as no row. Scores are
     ranked by _rank_scores, and rows are grouped by their label,attack_kind
@@ -315,27 +345,28 @@ def _count_plain(data: bytes, threshold: float, cuts, table: _TailTable):
     counting nothing, when the block is not plain or one of its rows
     breaks the rule.
     """
-    if not data:
+    if start == end:
         return 0
-    if not data.endswith(b"\n") or b'"' in data or b"\0" in data:
+    if (area[end - 1] != ord("\n") or area.find(b'"', start, end) >= 0
+            or area.find(b"\0", start, end) >= 0):
         return None
-    # Room for the word reads: a row's tail is read as wide as the block's
-    # widest, and its score as SCORE_DIGITS decimals.
-    padded = data + b"," * max(TAIL_BYTES, SCORE_DIGITS + 8)
-    buf = np.frombuffer(padded, np.uint8)
-    breaks = np.flatnonzero(buf == ord("\n"))
+    buf = np.frombuffer(area, np.uint8, end + len(_PAD))
+    block = buf[start:end]
+    breaks = np.flatnonzero(block == ord("\n"))
+    breaks += start
     ends = breaks    # where each line's last field ends
-    if b"\r" in data:
+    if area.find(b"\r", start, end) >= 0:
         crlf = buf[breaks - 1] == ord("\r")    # index -1 is a pad comma
-        if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf):
+        if np.count_nonzero(block == ord("\r")) != np.count_nonzero(crlf):
             return None    # a lone carriage return, which csv takes as a break
         ends = breaks - crlf
-    starts = np.concatenate(([0], breaks[:-1] + 1))
+    starts = np.concatenate(([start], breaks[:-1] + 1))
     rows = starts < ends    # the lines that are not blank
     starts, ends = starts[rows], ends[rows]
     if not len(ends):
         return len(breaks)
-    commas = np.flatnonzero(buf[:len(data)] == ord(","))
+    commas = np.flatnonzero(block == ord(","))
+    commas += start
     if len(commas) != 2 * len(ends):
         return None
     # There are twice as many commas as rows, so each row holds exactly two
@@ -346,16 +377,16 @@ def _count_plain(data: bytes, threshold: float, cuts, table: _TailTable):
             and max(lengths.max(), (seconds - firsts).max() - 1,
                     (ends - seconds).max() - 1) <= csv.field_size_limit()):
         return None
-    accepted, undecided = _rank_scores(padded, starts, firsts, lengths, cuts)
+    accepted, undecided = _rank_scores(buf, starts, firsts, lengths, cuts)
     for row in np.flatnonzero(undecided).tolist():
         try:
-            score = float(data[starts[row]:firsts[row]].decode())
+            score = float(area[starts[row]:firsts[row]].decode())
         except ValueError:
             return None
         if not 0.0 <= score <= 1.0:
             return None
         accepted[row] = score >= threshold
-    grouped = table.group(data, padded, firsts, ends)
+    grouped = table.group(area, buf, firsts, ends)
     if grouped is None:
         return None
     keys, tallies = grouped
@@ -367,8 +398,8 @@ def _count_plain(data: bytes, threshold: float, cuts, table: _TailTable):
     return len(breaks)
 
 
-def _words(padded: bytes, dtype: str) -> np.ndarray:
-    """The dtype word at each byte offset of padded, as one unaligned view."""
+def _words(padded: np.ndarray, dtype: str) -> np.ndarray:
+    """The dtype word at each byte offset of uint8 padded, as one unaligned view."""
     size = np.dtype(dtype).itemsize
     return np.ndarray((len(padded) - size + 1,), dtype, padded, strides=(1,))
 
@@ -384,7 +415,7 @@ _SIXES = np.uint64(0x0606060606060606)
 _HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
 
 
-def _rank_scores(padded: bytes, starts, firsts, lengths, cuts):
+def _rank_scores(padded: np.ndarray, starts, firsts, lengths, cuts):
     """Rank a plain block's scores against the threshold of cuts.
 
     A score spelled 0, 0. or 0.d... with at most SCORE_DIGITS decimals is
@@ -425,7 +456,7 @@ def _rank_scores(padded: bytes, starts, firsts, lengths, cuts):
     tied = np.flatnonzero(key - low <= high - low)    # low <= key <= high
     if len(tied):
         width = SCORE_DIGITS + 1    # a score's decimals and the comma after
-        cells = sliding_window_view(np.frombuffer(padded, np.uint8), width)
+        cells = sliding_window_view(padded, width)
         cells = cells[at[tied]].view(f"S{width}").ravel()
         accepted[tied] = cells > above
         undecided[tied] |= (cells >= at_least) & ~accepted[tied]
@@ -460,7 +491,7 @@ class _TailTable:
         self.lengths = np.array([-1])
         self.tallies = [[0, 0]]
 
-    def group(self, data: bytes, padded: bytes, firsts, ends):
+    def group(self, area: bytearray, padded: np.ndarray, firsts, ends):
         """Number a plain block's rows by their tail.
 
         Returns (keys, tallies), row i counting into tallies[keys[i]], or
@@ -472,7 +503,7 @@ class _TailTable:
         lengths = ends - firsts - 1
         width = -(-int(lengths.max()) // 8)
         if width > TAIL_BYTES // 8:
-            return self._by_bytes(data, firsts, ends)
+            return self._by_bytes(area, firsts, ends)
         read = _words(padded, "<u8")
         words = np.empty((width, len(firsts)), np.uint64)
         for j, column in enumerate(words):
@@ -491,8 +522,8 @@ class _TailTable:
                                    return_inverse=True)
         if not (np.array_equal(lengths, lengths[first][keys])
                 and np.array_equal(words, words[:, first][:, keys])):
-            return self._by_bytes(data, firsts, ends)
-        tallies = self._tallies([data[a + 1:b] for a, b in
+            return self._by_bytes(area, firsts, ends)
+        tallies = self._tallies([area[a + 1:b] for a, b in
                                  zip(firsts[first].tolist(),
                                      ends[first].tolist())])
         if tallies is None:
@@ -500,10 +531,10 @@ class _TailTable:
         self._hold(digest[first], words[:, first], lengths[first], tallies)
         return keys, tallies
 
-    def _by_bytes(self, data: bytes, firsts, ends):
+    def _by_bytes(self, area: bytearray, firsts, ends):
         """group, by a dict of the tails' bytes; the table is left as it is."""
         book = {}
-        keys = np.fromiter((book.setdefault(data[a + 1:b], len(book))
+        keys = np.fromiter((book.setdefault(bytes(area[a + 1:b]), len(book))
                             for a, b in zip(firsts.tolist(), ends.tolist())),
                            np.intp, len(ends))
         tallies = self._tallies(list(book))

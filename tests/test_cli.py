@@ -777,6 +777,12 @@ PIPED_RECORDS = {
     "valid": (b"score,label,attack_kind\n0.9,living,\n0.4,living,\n"
               b"0.7,attack,print1\n0.2,attack,\n", None),
 }
+# A plain file of three blocks and more: a pipe holds 64 KiB, so each block
+# takes several reads from it.
+PIPED_ROWS = b"0.25,attack,print1\n0.75,living,\n0.5,attack,\n0.125,living,\n"
+PIPED_RECORDS["valid, 3 blocks"] = (
+    b"score,label,attack_kind\n"
+    + PIPED_ROWS * (3 * metrics.BLOCK_BYTES // len(PIPED_ROWS) + 1), None)
 
 
 def metrics_through_a_pipe(tmp_path, data: bytes, source: str):

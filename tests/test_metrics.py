@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import io
@@ -29,7 +30,8 @@ from depthpad.metrics import (
 
 from conftest import record_counts
 
-CHUNK_ROWS = 1 << 13    # rows of GOOD_ROW in TestChunkBoundaries: 1.5 blocks
+# Rows of GOOD_ROW in TestChunkBoundaries: 1.5 blocks.
+CHUNK_ROWS = 3 * BLOCK_BYTES // 2 // len("0.5,living,\n")
 
 
 def brute_force_rates(records, threshold):
@@ -698,7 +700,7 @@ class TestFieldCount:
         except csv.Error:
             return    # strict csv refuses the line itself
         data = (before + line).encode()
-        assert metrics._field_count(data, len(before)) == len(row)
+        assert metrics._field_count(data, len(before), len(data)) == len(row)
 
 
 class TestChunkBoundaries:
@@ -757,7 +759,12 @@ class TestChunkBoundaries:
 
     def test_bad_byte_after_a_line_longer_than_a_block(self, tmp_path):
         # The bad byte is in the block after the one the long line ends in.
-        raw = (HEADER + f"0.5,attack,{'x' * (BLOCK_BYTES + 100)}\n"
+        # That line is a valid row longer than a block: a zero-padded score
+        # and a tag, each as long as a field csv takes.
+        limit = csv.field_size_limit()
+        row = f"0.{'0' * (limit - 3)}5,attack,{'x' * limit}\n"
+        assert len(row) > BLOCK_BYTES
+        raw = (HEADER + row
                + GOOD_ROW * (BLOCK_BYTES // len(GOOD_ROW))).encode()
         path = tmp_path / "records.csv"
         path.write_bytes(raw + b"0.2,attack,\xe2\x82\n")
@@ -766,6 +773,29 @@ class TestChunkBoundaries:
                 f"^line {line}: 'utf-8' codec can't decode bytes in position "
                 f"{len(raw) + 11}-{len(raw) + 12}: invalid continuation byte$")):
             read_records_csv(path, 0.5)
+
+    @pytest.mark.parametrize("carried", range(len(metrics._PAD) + 9))
+    def test_row_carried_under_the_pad(self, tmp_path, monkeypatch, carried):
+        # The first block ends `carried` bytes into a row, so those bytes lie
+        # where the pad is written after the cut until the next block takes
+        # them in. The first read takes as many bytes as a byte order mark,
+        # so the first block ends at byte BLOCK_BYTES + 3 of the file.
+        monkeypatch.setattr(metrics, "BLOCK_BYTES", 512)
+        tag = "s" * (metrics.TAIL_BYTES - len("attack,") - 1)
+        row = f"0.{'3' * SCORE_DIGITS},attack,{tag}\n"
+        assert len(row) > carried
+        fill = len(codecs.BOM_UTF8) + 512 - carried - len(HEADER)
+        rows = fill // len(GOOD_ROW) - 1
+        last = fill - rows * len(GOOD_ROW) - len("0.5,attack,\n")
+        head = HEADER + GOOD_ROW * rows + f"0.5,attack,{'y' * last}\n"
+        assert len(head) == len(codecs.BOM_UTF8) + 512 - carried
+        path = tmp_path / "records.csv"
+        path.write_text(head + row + GOOD_ROW * 50 + "0.75,attack,x\n")
+        counts = read_both(path, 1 / 3)
+        assert dict(counts.groups)[tag] == (1, 1)
+        path.write_text(head + row + GOOD_ROW * 50 + "nope,attack,x\n")
+        assert read_both(path, 1 / 3) == (f"line {head.count(chr(10)) + 52}: "
+                                          "bad score 'nope'")
 
     @pytest.mark.parametrize("pad", range(4))
     def test_line_past_the_cap_fails_as_if_read_whole(self, tmp_path, pad):
@@ -837,18 +867,19 @@ class TestChunkBoundaries:
     def test_memory_is_one_chunk_however_long_the_file(self, tmp_path):
         # About 14 blocks of records peak within 1.5x of about two blocks'
         # peak: the reader holds one block at a time.
+        rows = "0.25,attack,print\n0.75,living,\n0.5,attack,\n"
         peaks = []
-        for chunks in (1, 8):
-            path = tmp_path / f"{chunks}.csv"
-            rows = ["0.25,attack,print\n", "0.75,living,\n", "0.5,attack,\n"]
-            path.write_text(HEADER + "".join(rows) * (chunks * CHUNK_ROWS // 3))
+        for blocks in (2, 14):
+            path = tmp_path / f"{blocks}.csv"
+            repeats = blocks * BLOCK_BYTES // len(rows)
+            path.write_text(HEADER + rows * repeats)
             tracemalloc.start()
             try:
                 counts = read_records_csv(path, 0.5)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert len(counts) == chunks * CHUNK_ROWS // 3 * 3
+            assert len(counts) == 3 * repeats
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
