@@ -371,9 +371,8 @@ def run_demo(alpha: float, beta: float, frames: int, seed: int,
                    "surface": {**model.DEMO_SURFACE,
                                "center": list(model.DEMO_SURFACE["center"])}},
     }
-    for kind, (report, b_hat, depth_term, score) in samples.items():
-        result[kind] = {"losses": dataclasses.asdict(report), "b_hat": b_hat,
-                        "depth_term": depth_term, "score": score}
+    for kind, sample in samples.items():
+        result[kind] = dataclasses.asdict(sample)
     result["score_gap"] = result["living"]["score"] - result["spoof"]["score"]
     if oracle:
         # The gap is (1 - beta) times the masked living depth term, which

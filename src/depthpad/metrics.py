@@ -131,7 +131,9 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
     row, and every block after it are copied out as bytes, split by csv
     and checked by _count_rows a row at a time, which words every error.
     The plain blocks of a file share one _TailTable, so a tail's label is
-    checked once per file while the table holds it.
+    checked once per file while the table holds it. The buffer is emptied
+    when csv takes over, so the copied block, which may be the capped start
+    of a long line that csv fails on, is not held twice.
     """
     living, groups = [0, 0], {}
     cuts, table = _score_cuts(threshold), _TailTable(living, groups)
@@ -146,6 +148,7 @@ def read_records_csv(path, threshold: float) -> RecordCounts:
                         if lines else None)
                 if rows is None:
                     rest = bytes(memoryview(area)[start:end])
+                    area.clear()
                     break
                 lines += rows
         except _NextLineError as exc:
@@ -202,7 +205,9 @@ def _text_blocks(fh):
     and a longer one extends it in place, so no view of area may be kept
     from one block to the next. The next block overwrites a block, so each
     is used before the next is asked for. The bytes after the cut are saved
-    before the pad is written over them.
+    before the pad is written over them, so a caller may empty area once it
+    is done with a block: the next block puts those bytes back and extends
+    area before its readinto.
 
     Each block is valid UTF-8, to be read as the file would be (newline="");
     only a block with a byte of 0x80 or above is decoded to check it.
@@ -545,8 +550,7 @@ class _TailTable:
         pairs = [tail.decode().split(",") for tail in tails]
         if any(label not in (LIVING, ATTACK) for label, _ in pairs):
             return None
-        return [self.living if label == LIVING
-                else self.groups.setdefault(kind or ATTACK, [0, 0])
+        return [_tally(label, kind, self.living, self.groups)
                 for label, kind in pairs]
 
     def _hold(self, digests, words, lengths, tallies: list) -> None:
@@ -565,6 +569,14 @@ class _TailTable:
         tallies = self.tallies + [tally for tally, is_new
                                   in zip(tallies, new.tolist()) if is_new]
         self.tallies = [tallies[i] for i in order.tolist()]
+
+
+def _tally(label: str, kind: str, living: list, groups: dict) -> list:
+    """The [records, accepted] tally that a row of label and kind counts
+    into: living's, or its PAI group's, an empty kind counting as ATTACK."""
+    if label == LIVING:
+        return living
+    return groups.setdefault(kind or ATTACK, [0, 0])
 
 
 def _count_rows(reader, base: int, threshold: float, living: list,
@@ -594,9 +606,8 @@ def _count_rows(reader, base: int, threshold: float, living: list,
             tally = tallies.get((label, kind))
             if tally is None:
                 check_record(score, label)
-                tally = tallies[label, kind] = (
-                    living if label == LIVING
-                    else groups.setdefault(kind or ATTACK, [0, 0]))
+                tally = tallies[label, kind] = _tally(label, kind, living,
+                                                      groups)
             tally[0] += 1
             if score >= threshold:
                 tally[1] += 1

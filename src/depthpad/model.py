@@ -3,6 +3,8 @@
 Depth labels, then seeded three-channel frames through the motion block, the
 ConvGRU and fusion with the single-frame map, then the losses and the live
 score. All randomness flows from the seed; the weights are fixed, not trained.
+Each sample's result is one frozen DemoSample, whose fields, in order, are
+the keys demo.json writes for that sample.
 In full mode one worker thread draws the binary head while the calling
 thread builds the labels and frames and runs the motion block and the
 ConvGRU; nothing of a full-mode call outlives it.
@@ -15,6 +17,7 @@ import os
 import queue
 import threading
 import types
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +30,16 @@ DEMO_SURFACE = types.MappingProxyType(
     {"amplitude": 8.0, "center": (16.0, 16.0), "radius": 12.0, "grid_size": 65})
 DEMO_REDUCE_CHANNELS = 16
 DEMO_FUSE_CHANNELS = 32
+
+
+@dataclass(frozen=True)
+class DemoSample:
+    """One sample's result: its losses, b_hat, masked depth term and score."""
+
+    losses: LossReport
+    b_hat: float
+    depth_term: float
+    score: float
 
 
 def _demo_frames(base: np.ndarray, n_frames: int) -> np.ndarray:
@@ -110,9 +123,8 @@ def _fused_maps(frames: np.ndarray, single_kernel: np.ndarray,
 
 
 def _sample_results(fused: dict, labels: tuple, head: BinaryHead | None,
-                    beta: float
-                    ) -> dict[str, tuple[LossReport, float, float, float]]:
-    """(loss report, b_hat, masked depth term, live score) per kind.
+                    beta: float) -> dict[str, DemoSample]:
+    """One DemoSample per kind.
 
     labels is demo_labels(); each kind's label stands for every step.
     """
@@ -124,15 +136,15 @@ def _sample_results(fused: dict, labels: tuple, head: BinaryHead | None,
         report, b_hat = multi_frame_report(fused[kind], steps, head,
                                            binary_label, beta)
         depth_term = metrics.masked_depth_term(fused[kind], mask)
-        results[kind] = (report, b_hat, depth_term,
-                         metrics.living_score(b_hat, depth_term, beta))
+        score = metrics.living_score(b_hat, depth_term, beta)
+        results[kind] = DemoSample(report, b_hat, depth_term, score)
     return results
 
 
 @functools.lru_cache(maxsize=1)
 def oracle_results(beta: float, frames: int
-                   ) -> tuple[tuple[str, tuple[LossReport, float, float, float]], ...]:
-    """run_model's oracle-mode results as (kind, result) pairs, immutable.
+                   ) -> tuple[tuple[str, DemoSample], ...]:
+    """run_model's oracle-mode results as (kind, DemoSample) pairs, immutable.
 
     They depend only on beta and frames, so the last request is kept.
     """
@@ -144,9 +156,8 @@ def oracle_results(beta: float, frames: int
 
 
 def run_model(alpha: float, beta: float, frames: int, seed: int,
-              oracle: bool
-              ) -> dict[str, tuple[LossReport, float, float, float]]:
-    """(loss report, b_hat, masked depth term, live score) per sample.
+              oracle: bool) -> dict[str, DemoSample]:
+    """One DemoSample per sample.
 
     The keys are "living" and "spoof", in that order. In oracle mode the
     ground-truth depth maps stand in for the fused maps and no binary head is

@@ -1282,8 +1282,9 @@ def test_cli_import_loads_no_command_module():
     code = ("import sys; before = set(sys.modules); import depthpad.cli; "
             "print(sorted(set(sys.modules) - before))")
     added = ast.literal_eval(run_fresh("-c", code).stdout)
-    assert "depthpad.cli" in added
-    for name in ("depthpad.geometry", "json", "dataclasses", "csv"):
+    package = [name for name in added if name.split(".")[0] == "depthpad"]
+    assert package == ["depthpad", "depthpad.cli"], added
+    for name in ("json", "dataclasses", "csv"):
         assert name not in added, added
 
 

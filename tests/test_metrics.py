@@ -30,8 +30,9 @@ from depthpad.metrics import (
 
 from conftest import record_counts
 
-# Rows of GOOD_ROW in TestChunkBoundaries: 1.5 blocks.
-CHUNK_ROWS = 3 * BLOCK_BYTES // 2 // len("0.5,living,\n")
+# Rows of GOOD_ROW in TestChunkBoundaries: a block and a half, so the row
+# after them starts mid-way into the second block.
+MID_BLOCK_ROWS = 3 * BLOCK_BYTES // 2 // len("0.5,living,\n")
 
 
 def brute_force_rates(records, threshold):
@@ -704,30 +705,30 @@ class TestFieldCount:
 
 
 class TestChunkBoundaries:
-    def test_first_bad_row_in_the_second_chunk(self, tmp_path):
+    def test_first_bad_row_in_the_second_block(self, tmp_path):
         path = tmp_path / "records.csv"
-        path.write_text(HEADER + GOOD_ROW * (CHUNK_ROWS + 10) + "\n\n"
+        path.write_text(HEADER + GOOD_ROW * (MID_BLOCK_ROWS + 10) + "\n\n"
                         + '0.2,attack,"a\nb"\nnope,attack,x\n')
-        assert read_both(path) == (f"line {CHUNK_ROWS + 16}: "
+        assert read_both(path) == (f"line {MID_BLOCK_ROWS + 16}: "
                                    "bad score 'nope'")
 
-    def test_earlier_bad_row_wins_across_chunks(self, tmp_path):
-        # Row CHUNK_ROWS, in the second block, breaks the rule; the row
+    def test_earlier_bad_row_wins_across_blocks(self, tmp_path):
+        # Row MID_BLOCK_ROWS, in the second block, breaks the rule; the row
         # after it has two fields.
         path = tmp_path / "records.csv"
-        path.write_text(HEADER + GOOD_ROW * (CHUNK_ROWS - 1) + "1.5,living,\n"
-                        + "0.5,attack\n" + GOOD_ROW)
-        assert read_both(path) == (f"line {CHUNK_ROWS + 1}: score must be "
+        path.write_text(HEADER + GOOD_ROW * (MID_BLOCK_ROWS - 1)
+                        + "1.5,living,\n" + "0.5,attack\n" + GOOD_ROW)
+        assert read_both(path) == (f"line {MID_BLOCK_ROWS + 1}: score must be "
                                    "finite in [0, 1], got 1.5")
 
-    @pytest.mark.parametrize("where", ["last row of a chunk",
-                                       "first row of a chunk", "block cut"])
+    @pytest.mark.parametrize("where", ["row before mid-block",
+                                       "row at mid-block", "block cut"])
     def test_multi_line_tag_at_a_boundary(self, tmp_path, where):
         tag = '0.2,attack,"a\nb\r\nc\rd"\n'     # three line breaks
-        before = {"last row of a chunk": CHUNK_ROWS - 1,
-                  "first row of a chunk": CHUNK_ROWS,
+        before = {"row before mid-block": MID_BLOCK_ROWS - 1,
+                  "row at mid-block": MID_BLOCK_ROWS,
                   "block cut": (BLOCK_BYTES - len(HEADER)) // len(GOOD_ROW)}
-        rows = [GOOD_ROW] * (CHUNK_ROWS + 20)
+        rows = [GOOD_ROW] * (MID_BLOCK_ROWS + 20)
         rows.insert(before[where], tag)
         path = tmp_path / "records.csv"
         path.write_text(HEADER + "".join(rows), newline="")

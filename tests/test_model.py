@@ -1,5 +1,7 @@
-"""The demo model's oracle cache, its head worker and its memory."""
+"""The demo model's result type, its oracle cache, its head worker and its
+memory."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -36,6 +38,21 @@ def test_cold_and_warm_labels_give_one_result(cold_caches, oracle):
     cold = model.run_model(ALPHA, BETA, 4, seed=5, oracle=oracle)
     warm = model.run_model(ALPHA, BETA, 4, seed=5, oracle=oracle)
     assert cold == warm
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_each_kind_is_one_frozen_demo_sample(oracle):
+    # demo.json writes each kind as its DemoSample's fields, in field order.
+    samples = model.run_model(ALPHA, BETA, 3, seed=2, oracle=oracle)
+    assert list(samples) == ["living", "spoof"]
+    report = cli.run_demo(ALPHA, BETA, 3, 2, oracle=oracle)
+    for kind, sample in samples.items():
+        assert type(sample) is model.DemoSample
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.score = 0.0
+        assert report[kind] == dataclasses.asdict(sample)
+        assert list(report[kind]) == ["losses", "b_hat", "depth_term",
+                                      "score"]
 
 
 def test_each_full_call_builds_its_own_inputs(cold_caches, monkeypatch):
