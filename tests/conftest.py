@@ -1,6 +1,10 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +25,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_line(
         f"ACCEPTANCE {verdict}: full suite wall clock {elapsed:.1f}s "
         f"(budget {FULL_SUITE_BUDGET_S:.0f}s)")
+
+
+def run_fresh(*args, env=None, check=True, text=True, timeout=60, **kwargs):
+    """Run python on args with the package on its path; return the finished
+    process. env holds more variables for the child, and the other keyword
+    arguments go to subprocess.run."""
+    src = str(Path(depthpad.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=src, **(env or {})),
+                          check=check, capture_output=True, text=text,
+                          timeout=timeout, **kwargs)
 
 
 def contrastive_kernels() -> np.ndarray:

@@ -10,10 +10,11 @@ import math
 import os
 import pkgutil
 import platform
-import subprocess
 import sys
 import tempfile
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from depthpad.cli import (
 )
 from depthpad.geometry import read_sweep_csv
 
-from conftest import clear_caches, record_counts
+from conftest import clear_caches, record_counts, run_fresh
 from test_metrics import write_records
 
 
@@ -794,18 +795,16 @@ def metrics_through_a_pipe(tmp_path, data: bytes, source: str):
     """
     out = tmp_path / "out"
     fifo = tmp_path / "records.fifo"
-    argv = [sys.executable, "-m", "depthpad.cli", "metrics",
-            "/dev/stdin" if source == "stdin" else str(fifo), "--out", str(out)]
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(depthpad.__file__).resolve().parents[1]))
+    args = ("-m", "depthpad.cli", "metrics",
+            "/dev/stdin" if source == "stdin" else str(fifo), "--out", str(out))
     if source == "stdin":
-        return subprocess.run(argv, input=data, env=env, capture_output=True,
-                              timeout=10), out
+        return run_fresh(*args, input=data, check=False, text=False,
+                         timeout=10), out
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(data,))
     writer.start()
     try:
-        done = subprocess.run(argv, env=env, capture_output=True, timeout=10)
+        done = run_fresh(*args, check=False, text=False, timeout=10)
     finally:
         if writer.is_alive():    # the reader never opened the FIFO
             os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
@@ -1033,106 +1032,121 @@ except OSError:
 print(code, peak)
 """
 
-
-def test_huge_config_costs_no_memory(tmp_path):
-    # 50 MB of comments once made simulate exit 0 at a 192.6 MB peak, against
-    # 16.0 MB for an empty config; it is refused within a few MB of that.
-    peaks = {}
-    for name, size, code in (("empty", 0, 0), ("huge", 50_000_000, 2)):
-        cfg = tmp_path / f"{name}.cfg"
-        with open(cfg, "wb") as fh:
-            for _ in range(size // 1_000_000):
-                fh.write(b"# a comment line of the config file, not a setting\n"
-                         * 20_000)
-        done = run_fresh("-c", PEAK_PROBE, "simulate", "--config", str(cfg),
-                         "--out", str(tmp_path / name))
-        status, peaks[name] = map(int, done.stdout.split()[-2:])
-        assert status == code, done.stderr
-        cfg.unlink()
-    assert peaks["huge"] <= peaks["empty"] + 4096, peaks
+RECORD_BLOCK = [(0.25, metrics.ATTACK, "print"), (0.75, metrics.LIVING, ""),
+                (0.5, metrics.ATTACK, ""), (0.125, metrics.LIVING, ""),
+                (0.9, metrics.ATTACK, "replay")]
+HEADER = "score,label,attack_kind\n"
+RECORD_ROWS = "".join(f"{score!r},{label},{kind}\n"
+                      for score, label, kind in RECORD_BLOCK)
 
 
-def test_long_records_line_costs_no_memory(tmp_path):
-    # A 20 MB tag on line 3 once peaked 56 MB above the same file with a
-    # short tag, and 20 MB of commas 18.6 MB above it, as csv split 1.57
-    # million empty fields; the line is now read only as far as csv needs
-    # to fail, and those fields are counted, not built.
-    peaks = {}
-    for name, line, error in (
-            ("short", "0.5,attack,x", None),
-            ("long", "0.5,attack," + "x" * 20_000_000,
-             "field larger than field limit (131072)"),
-            ("commas", "," * 20_000_000, "expected 3 fields, got 1572877")):
-        path = tmp_path / f"{name}.csv"
-        path.write_text(f"score,label,attack_kind\n0.9,living,\n{line}\n")
-        done = run_fresh("-c", PEAK_PROBE, "metrics", str(path),
-                         "--out", str(tmp_path / name))
-        status, peaks[name] = map(int, done.stdout.split()[-2:])
-        if error is None:
-            assert status == 0, done.stderr
-            continue
-        assert status == 3
-        assert done.stderr == (f"data error: bad records file {path}: "
-                               f"line 3: {error}\n")
-        assert peaks[name] <= peaks["short"] + 8192, peaks
+def records(repeats, quoted=False):
+    """A COSTS row's text and want for RECORD_BLOCK repeated, after a row
+    whose quoted tag hands the whole file to csv if quoted."""
+    head = [(0.2, metrics.ATTACK, "print")] * quoted
+    return dict(text=lambda: (HEADER + '0.2,attack,"print"\n' * quoted
+                              + RECORD_ROWS * repeats),
+                want=lambda: record_counts(head + RECORD_BLOCK * repeats, 0.5))
 
 
-def test_million_records_cost_no_memory(tmp_path):
-    # 1e6 rows, one block of rows written over and over, are counted as a
-    # recount of the block says, within a few MB of a 10-row file's peak:
-    # the reader holds one block of the file at a time.
-    block = [(0.25, metrics.ATTACK, "print"), (0.75, metrics.LIVING, ""),
-             (0.5, metrics.ATTACK, ""), (0.125, metrics.LIVING, ""),
-             (0.9, metrics.ATTACK, "replay")]
-    rows = "".join(f"{score!r},{label},{kind}\n"
-                   for score, label, kind in block).encode()
-    counts = record_counts(block, 0.5)
-    peaks = {}
-    for name, repeats in (("ten", 2), ("million", 200_000)):
-        path = tmp_path / f"{name}.csv"
-        with open(path, "wb") as fh:
-            fh.write(b"score,label,attack_kind\n")
-            for _ in range(0, repeats, 1000):
-                fh.write(rows * min(1000, repeats))
-        done = run_fresh("-c", PEAK_PROBE, "metrics", str(path), "--threshold",
-                         "0.5", "--out", str(tmp_path / name))
-        status, peaks[name] = map(int, done.stdout.split()[-2:])
-        assert status == 0, done.stderr
+LINE_3 = HEADER + "0.9,living,\n{}\n"
+LINE_3_ERROR = "data error: bad records file {input}: line 3: "
+RECORDS = "metrics {input} --threshold 0.5"
+PIPED = "metrics /dev/stdin --threshold 0.5"
+# A fresh depthpad process per row. "{input}" in argv and stderr names a file
+# holding text(), piped to stdin when argv reads /dev/stdin; --out is added.
+# It exits with code (else 0), writes exactly stderr, peaks at most margin
+# KiB above the baseline row's VmHWM, and summarizes want(), each if given.
+COSTS = {
+    "simulate, empty config": dict(argv="simulate --config {input}"),
+    # The config is read only up to its 64 KiB cap.
+    "simulate, 50 MB config": dict(
+        argv="simulate --config {input}", code=2,
+        text=lambda: "# a comment line of the config file, not a setting\n"
+        * 1_000_000, baseline="simulate, empty config", margin=4096),
+    # 4 scenes of 64 frames: 1 MiB of floats (0.1 MiB measured) + 4 MiB.
+    "simulate, 64 frames": dict(argv="simulate --frames 64", margin=1024 + 4096,
+                                baseline="simulate, empty config"),
+    "metrics, short line": dict(argv="metrics {input}",
+                                text=lambda: LINE_3.format("0.5,attack,x")),
+    # A long line is read only as far as csv needs to fail.
+    "metrics, 20 MB tag": dict(
+        argv="metrics {input}", code=3,
+        text=lambda: LINE_3.format("0.5,attack," + "x" * 20_000_000),
+        stderr=LINE_3_ERROR + "field larger than field limit (131072)\n",
+        baseline="metrics, short line", margin=8192),
+    # The 1.57 million empty fields that csv would split are counted instead.
+    "metrics, 20 MB of commas": dict(
+        argv="metrics {input}", code=3,
+        text=lambda: LINE_3.format("," * 20_000_000),
+        stderr=LINE_3_ERROR + "expected 3 fields, got 1572877\n",
+        baseline="metrics, short line", margin=8192),
+    "metrics, 10 rows": dict(argv=RECORDS, **records(2)),
+    # The reader holds one block of the file at a time.
+    "metrics, 1e6 rows": dict(argv=RECORDS, **records(200_000),
+                              baseline="metrics, 10 rows", margin=4096),
+    "metrics quoted, 10 rows": dict(argv=RECORDS, **records(2, quoted=True)),
+    # csv checks and counts the file a row at a time.
+    "metrics quoted, 2e5 rows": dict(
+        argv=RECORDS, **records(40_000, quoted=True),
+        baseline="metrics quoted, 10 rows", margin=4096),
+    "metrics piped, 10 rows": dict(argv=PIPED, **records(2)),
+    # A pipe is read a block at a time, as a file is.
+    "metrics piped, 1e6 rows": dict(argv=PIPED, **records(200_000),
+                                    baseline="metrics piped, 10 rows",
+                                    margin=4096),
+    # numpy as for metrics; modules and labels 2 MiB (1.1 measured) + 4 MiB.
+    "demo oracle, 5 frames": dict(argv="demo --oracle --frames 5",
+                                  baseline="metrics, 10 rows",
+                                  margin=2048 + 4096),
+    # 8 contrastive responses of 8 KiB a step: 128 KiB (80 measured) + 4 MiB.
+    "demo oracle, 64 frames": dict(argv="demo --oracle --frames 64",
+                                   baseline="demo oracle, 5 frames",
+                                   margin=(64 - 5) * 128 + 4096),
+    # w1, 1 MiB a step; motion pass and head thread 8 MiB (7.0 measured) + 4.
+    "demo full, 5 frames": dict(argv="demo --frames 5",
+                                baseline="demo oracle, 5 frames",
+                                margin=(5 - 1) * 1024 + 8192 + 4096),
+    # w1, 1 MiB a frame; motion pass and losses 256 KiB (210 measured) + 4 MiB.
+    "demo full, 64 frames": dict(argv="demo --frames 64",
+                                 baseline="demo full, 5 frames",
+                                 margin=(64 - 5) * (1024 + 256) + 4096),
+}
+
+
+@pytest.fixture(scope="module")
+def costs(tmp_path_factory):
+    """(code, VmHWM KiB, wall s, stderr, input) of each COSTS row, run once."""
+    root = tmp_path_factory.mktemp("costs")
+
+    def run(name):
+        row, path = COSTS[name], root / str(list(COSTS).index(name))
+        path.write_text(text := row.get("text", str)())
+        argv = [arg.format(input=path) for arg in row["argv"].split()]
+        start = time.perf_counter()
+        done = run_fresh("-c", PEAK_PROBE, *argv, "--out", f"{path}.out",
+                         input=text if "/dev/stdin" in argv else None)
+        wall = time.perf_counter() - start
         path.unlink()
-        want = metrics.RecordCounts(
-            0.5, tuple(n * repeats for n in counts.living),
-            tuple((group, tuple(n * repeats for n in tally))
-                  for group, tally in counts.groups))
-        summary = json.loads((tmp_path / name / "metrics.json").read_text())
-        assert summary == metrics.metrics_summary(want)
-    assert peaks["million"] <= peaks["ten"] + 4096, peaks
+        return (*map(int, done.stdout.split()[-2:]), wall, done.stderr, path)
+    with ThreadPoolExecutor(2) as pool:
+        return dict(zip(COSTS, pool.map(run, COSTS)))
 
 
-def test_quoted_records_cost_no_memory(tmp_path):
-    # A quoted tag on line 2 hands the whole file to csv, which checks and
-    # counts it a row at a time: 2e5 rows are counted as a recount says,
-    # within a few MB of a 10-row file's peak. The rows are written by
-    # repeating a string, which takes a tenth of the time csv.writer does.
-    block = [(0.25, metrics.ATTACK, "print"), (0.75, metrics.LIVING, ""),
-             (0.5, metrics.ATTACK, ""), (0.125, metrics.LIVING, ""),
-             (0.9, metrics.ATTACK, "replay")]
-    rows = "".join(f"{score!r},{label},{kind}\n"
-                   for score, label, kind in block)
-    peaks = {}
-    for name, repeats in (("ten", 2), ("quoted", 40_000)):
-        path = tmp_path / f"{name}.csv"
-        path.write_text('score,label,attack_kind\n0.2,attack,"print"\n'
-                        + rows * repeats)
-        done = run_fresh("-c", PEAK_PROBE, "metrics", str(path), "--threshold",
-                         "0.5", "--out", str(tmp_path / name))
-        status, peaks[name] = map(int, done.stdout.split()[-2:])
-        assert status == 0, done.stderr
-        path.unlink()
-        want = record_counts([(0.2, metrics.ATTACK, "print")]
-                             + block * repeats, 0.5)
-        summary = json.loads((tmp_path / name / "metrics.json").read_text())
-        assert summary == metrics.metrics_summary(want)
-    assert peaks["quoted"] <= peaks["ten"] + 4096, peaks
+@pytest.mark.parametrize("name", list(COSTS))
+def test_fresh_process_cost_is_bounded(costs, name):
+    row, (code, peak, wall, stderr, path) = COSTS[name], costs[name]
+    assert code == row.get("code", 0), stderr
+    if "stderr" in row:
+        assert stderr == row["stderr"].format(input=path)
+    # Over 20 times the slowest row, so a loaded machine passes, while a
+    # cost that grows with the square of the input fails.
+    assert wall <= 10.0
+    if "baseline" in row:
+        assert peak <= costs[row["baseline"]][1] + row["margin"]
+    if "want" in row:
+        summary = json.loads(Path(f"{path}.out", "metrics.json").read_text())
+        assert summary == metrics.metrics_summary(row["want"]())
 
 
 # -- the exit-code contract under drawn argv and config-file bytes ----------
@@ -1267,13 +1281,9 @@ class TestExitCodeContract:
 def test_cli_import_loads_no_scipy():
     # The CLI runs on numpy alone. The test extra keeps scipy only because
     # the benchmark's environment report (bench/environment.py) imports it.
-    src = str(Path(depthpad.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, depthpad.cli; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=60)
-    assert done.stdout.strip() == "[]"
+    assert run_fresh("-c", code).stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_command_module():
@@ -1298,14 +1308,6 @@ def test_cli_import_loads_no_command_module():
 def test_metrics_import_loads_no_depth_labels(module, absent):
     code = f"import sys, {module}; print({absent!r} in sys.modules)"
     assert run_fresh("-c", code).stdout.strip() == "False"
-
-
-def run_fresh(*args):
-    """Run python with the package on its path; return the finished process."""
-    src = str(Path(depthpad.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True, timeout=60)
 
 
 # Two x86-64 CPU paths besides the host's default, each set in a child's
@@ -1344,11 +1346,8 @@ for name, argv in (("full", ["demo", "--seed", "0", "--frames", "2"]),
                     reason="the CPU paths named are x86-64 ones")
 @pytest.mark.parametrize("cpu_path", list(OTHER_CPU_PATHS))
 def test_golden_values_hold_on_other_cpu_paths(tmp_path, cpu_path):
-    src = str(Path(depthpad.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, **OTHER_CPU_PATHS[cpu_path])
-    done = subprocess.run([sys.executable, "-c", OTHER_CPU_PATH_RUN,
-                           str(tmp_path)], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = run_fresh("-c", OTHER_CPU_PATH_RUN, str(tmp_path),
+                     env=OTHER_CPU_PATHS[cpu_path], check=False)
     if done.returncode == NO_NUMPY:
         pytest.skip(f"numpy cannot be imported under {cpu_path}")
     assert done.returncode == 0, done.stderr

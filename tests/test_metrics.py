@@ -360,7 +360,7 @@ class TestSummaryAndCsv:
         with pytest.raises(ValueError, match="^line 3: bad score 'nope'$"):
             read_records_csv(path, 0.5)
 
-    def test_bad_row_in_the_undecodable_chunk_wins(self, tmp_path):
+    def test_bad_row_in_the_undecodable_block_wins(self, tmp_path):
         path = tmp_path / "bytes.csv"
         head = b"score,label,attack_kind\n0.5,living,\n"
         path.write_bytes(head + b"nope,attack,\n0.2,attack,\xff\n")
@@ -865,7 +865,7 @@ class TestChunkBoundaries:
                            "61 bytes is not a record$"):
             read_records_csv(path, 0.5)
 
-    def test_memory_is_one_chunk_however_long_the_file(self, tmp_path):
+    def test_memory_is_one_block_however_long_the_file(self, tmp_path):
         # About 14 blocks of records peak within 1.5x of about two blocks'
         # peak: the reader holds one block at a time.
         rows = "0.25,attack,print\n0.75,living,\n0.5,attack,\n"

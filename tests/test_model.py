@@ -6,22 +6,19 @@ import gc
 import json
 import os
 import signal
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
 import weakref
-from pathlib import Path
 
 import pytest
 
-import depthpad
 from depthpad import cli, depthlabel, features, metrics, model
 from depthpad.supervision import HEAD_HIDDEN, BinaryHead
 
-from conftest import clear_caches
+from conftest import clear_caches, run_fresh
 
 ALPHA, BETA = 0.8, 0.9
 
@@ -306,11 +303,7 @@ print(counts, sorted(m for m in ("concurrent.futures", "logging")
 
 @pytest.fixture(scope="module")
 def fresh_process_probe():
-    src = str(Path(depthpad.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", THREAD_PROBE],
-                          env=dict(os.environ, PYTHONPATH=src), check=True,
-                          capture_output=True, text=True, timeout=60)
-    return done.stdout.splitlines()[-1]
+    return run_fresh("-c", THREAD_PROBE).stdout.splitlines()[-1]
 
 
 def test_import_and_oracle_runs_start_no_thread(fresh_process_probe):
