@@ -7,7 +7,9 @@ Modules:
   features    - spatial/temporal gradients and the five-branch motion block
   recurrent   - convolutional GRU forward recurrence and depth fusion
   supervision - depth and binary losses with analytic gradients
-  metrics     - PAD error rates and the living score
+  metrics     - PAD error rates, the living score and the records reader's
+                entry, which imports records when it runs
+  records     - the records-file format and its streaming reader
   model       - the demo's forward pass, from depth labels to live scores
   cli         - simulate / demo / metrics command line front end (standard
                 library only; each command imports the modules it computes

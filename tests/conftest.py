@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 import depthpad
-from depthpad.metrics import ATTACK, LIVING, RecordCounts, check_record
+from depthpad.metrics import RecordCounts
+from depthpad.records import ATTACK, LIVING, check_record
 from depthpad.supervision import CONTRAST_OFFSETS
 
 FULL_SUITE_BUDGET_S = 60.0

@@ -35,6 +35,7 @@ from depthpad.cli import (
     svg_line_plot,
 )
 from depthpad.geometry import read_sweep_csv
+from depthpad.records import ATTACK, BLOCK_BYTES, LIVING
 
 from conftest import clear_caches, record_counts, run_fresh
 from test_metrics import write_records
@@ -783,7 +784,7 @@ PIPED_RECORDS = {
 PIPED_ROWS = b"0.25,attack,print1\n0.75,living,\n0.5,attack,\n0.125,living,\n"
 PIPED_RECORDS["valid, 3 blocks"] = (
     b"score,label,attack_kind\n"
-    + PIPED_ROWS * (3 * metrics.BLOCK_BYTES // len(PIPED_ROWS) + 1), None)
+    + PIPED_ROWS * (3 * BLOCK_BYTES // len(PIPED_ROWS) + 1), None)
 
 
 def metrics_through_a_pipe(tmp_path, data: bytes, source: str):
@@ -1032,9 +1033,9 @@ except OSError:
 print(code, peak)
 """
 
-RECORD_BLOCK = [(0.25, metrics.ATTACK, "print"), (0.75, metrics.LIVING, ""),
-                (0.5, metrics.ATTACK, ""), (0.125, metrics.LIVING, ""),
-                (0.9, metrics.ATTACK, "replay")]
+RECORD_BLOCK = [(0.25, ATTACK, "print"), (0.75, LIVING, ""),
+                (0.5, ATTACK, ""), (0.125, LIVING, ""),
+                (0.9, ATTACK, "replay")]
 HEADER = "score,label,attack_kind\n"
 RECORD_ROWS = "".join(f"{score!r},{label},{kind}\n"
                       for score, label, kind in RECORD_BLOCK)
@@ -1043,7 +1044,7 @@ RECORD_ROWS = "".join(f"{score!r},{label},{kind}\n"
 def records(repeats, quoted=False):
     """A COSTS row's text and want for RECORD_BLOCK repeated, after a row
     whose quoted tag hands the whole file to csv if quoted."""
-    head = [(0.2, metrics.ATTACK, "print")] * quoted
+    head = [(0.2, ATTACK, "print")] * quoted
     return dict(text=lambda: (HEADER + '0.2,attack,"print"\n' * quoted
                               + RECORD_ROWS * repeats),
                 want=lambda: record_counts(head + RECORD_BLOCK * repeats, 0.5))
@@ -1299,15 +1300,21 @@ def test_cli_import_loads_no_command_module():
 
 
 @pytest.mark.parametrize("module, absent", [
-    # The records-file labels live in metrics itself, so reading records
-    # never loads the label rasterizer.
-    ("depthpad.metrics", "depthpad.depthlabel"),
+    # The metrics import the records reader only when they read a file, so
+    # the formulas load neither the label rasterizer nor the reader.
+    ("depthpad.metrics", ("depthpad.depthlabel", "depthpad.records")),
     # The label rasterizer runs on numpy alone.
-    ("depthpad.depthlabel", "depthpad.supervision"),
-], ids=["metrics", "depthlabel"])
+    ("depthpad.depthlabel", ("depthpad.supervision",)),
+    # The demo's forward pass scores with the metrics and reads no file.
+    ("depthpad.model", ("depthpad.records", "csv")),
+    # The records-file labels live in the reader itself, so reading records
+    # loads neither the losses nor the label rasterizer.
+    ("depthpad.records", ("depthpad.supervision", "depthpad.depthlabel")),
+], ids=["metrics", "depthlabel", "model", "records"])
 def test_metrics_import_loads_no_depth_labels(module, absent):
-    code = f"import sys, {module}; print({absent!r} in sys.modules)"
-    assert run_fresh("-c", code).stdout.strip() == "False"
+    code = (f"import sys, {module}; "
+            f"print([name for name in {absent!r} if name in sys.modules])")
+    assert run_fresh("-c", code).stdout.strip() == "[]"
 
 
 # Two x86-64 CPU paths besides the host's default, each set in a child's
@@ -1578,8 +1585,8 @@ UNREACHED = {
     "cli.cli": "the console-script entry; it only calls main",
     "features.conv2d": "the same-size conv that each motion pair's "
                        "correlation of padded stacks equals",
-    "features.off_vector_residual": "brightness constancy, checked by the "
-                                    "acceptance gate",
+    "features.off_vector_residual": "the optical flow guided feature that "
+                                    "each motion block is at flow weights",
     "geometry.closed_form_rotated_ratio": CLOSED_FORM,
     "geometry.flow_rotated": CLOSED_FORM,
     "geometry.map_rotated_coordinate": CLOSED_FORM,

@@ -385,6 +385,36 @@ class TestOffSequenceProperties:
             assert np.allclose(got[rows], want[rows], rtol=0, atol=1e-12)
 
 
+def flow_weights(channels, v):
+    """The motion block's weights at which each block is the optical flow
+    guided feature of flow v: reduce sums the channels, and the fuse
+    kernel's centre tap reads vx from gx(t), vy from gy(t) and 1 from the
+    temporal branch."""
+    fuse = np.zeros((3, 3, 6, 1))
+    fuse[1, 1, [1, 2, 5], 0] = v[0], v[1], 1.0
+    return OffBlockWeights(np.ones((1, 1, channels, 1)), fuse)
+
+
+flow_st = st.one_of(st.just((0.0, 0.0)),
+                    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+
+
+class TestOpticalFlowGuidedFeature:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 3),
+           flow_st)
+    def test_blocks_are_the_flow_residual_at_flow_weights(self, seed,
+                                                          n_frames, channels,
+                                                          v):
+        # Brightness constancy: [gx, gy, gt] . [vx, vy, 1] summed over the
+        # channels, which is linear, so the residual of the summed frames.
+        rng = np.random.default_rng(seed)
+        frames = rng.standard_normal((n_frames, 6, 7, channels))
+        blocks = stacked_blocks(frames, flow_weights(channels, v))
+        for block, x_t, x_t1 in zip(blocks, frames, frames[1:]):
+            want = off_vector_residual(x_t, x_t1, v).sum(axis=2, keepdims=True)
+            assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
+
 
 NP_PAD_MODES = {"replicate": "edge", "zero": "constant"}
 

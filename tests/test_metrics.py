@@ -1,8 +1,10 @@
+import ast
 import codecs
 import csv
 import dataclasses
 import io
 import math
+import re
 import tempfile
 import tracemalloc
 from decimal import ROUND_HALF_UP, Decimal
@@ -14,18 +16,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from depthpad import metrics
+from depthpad import records
 from depthpad.metrics import (
+    living_score,
+    masked_depth_term,
+    metrics_summary,
+    read_records_csv,
+)
+from depthpad.records import (
     ATTACK,
     BLOCK_BYTES,
     LIVING,
     RECORD_FIELDS,
     SCORE_DIGITS,
     check_record,
-    living_score,
-    masked_depth_term,
-    metrics_summary,
-    read_records_csv,
 )
 
 from conftest import record_counts
@@ -525,7 +529,7 @@ def reference_read_records_csv(path):
 plain_tag_st = st.one_of(
     st.sampled_from(["", ATTACK, "print", "Attack", LIVING]),
     st.text(alphabet="ab _", max_size=6),
-    st.integers(metrics.TAIL_BYTES - 8, metrics.TAIL_BYTES).map(
+    st.integers(records.TAIL_BYTES - 8, records.TAIL_BYTES).map(
         lambda width: ("ab _" * width)[:width]))
 tag_st = st.one_of(plain_tag_st, st.text(alphabet='ab ,"\n\r', max_size=6))
 
@@ -701,7 +705,7 @@ class TestFieldCount:
         except csv.Error:
             return    # strict csv refuses the line itself
         data = (before + line).encode()
-        assert metrics._field_count(data, len(before), len(data)) == len(row)
+        assert records._field_count(data, len(before), len(data)) == len(row)
 
 
 class TestChunkBoundaries:
@@ -775,14 +779,14 @@ class TestChunkBoundaries:
                 f"{len(raw) + 11}-{len(raw) + 12}: invalid continuation byte$")):
             read_records_csv(path, 0.5)
 
-    @pytest.mark.parametrize("carried", range(len(metrics._PAD) + 9))
+    @pytest.mark.parametrize("carried", range(len(records._PAD) + 9))
     def test_row_carried_under_the_pad(self, tmp_path, monkeypatch, carried):
         # The first block ends `carried` bytes into a row, so those bytes lie
         # where the pad is written after the cut until the next block takes
         # them in. The first read takes as many bytes as a byte order mark,
         # so the first block ends at byte BLOCK_BYTES + 3 of the file.
-        monkeypatch.setattr(metrics, "BLOCK_BYTES", 512)
-        tag = "s" * (metrics.TAIL_BYTES - len("attack,") - 1)
+        monkeypatch.setattr(records, "BLOCK_BYTES", 512)
+        tag = "s" * (records.TAIL_BYTES - len("attack,") - 1)
         row = f"0.{'3' * SCORE_DIGITS},attack,{tag}\n"
         assert len(row) > carried
         fill = len(codecs.BOM_UTF8) + 512 - carried - len(HEADER)
@@ -902,13 +906,15 @@ class TestReadPath:
         (HEADER, True),
         (HEADER + '0.2,attack,"print"\n' + ROWS, False),
         (HEADER + ROWS + "0.2,attack,x\r\r\n", False),
+        (HEADER + ROWS + "0.2,attack,x\0y\n", False),
     ], ids=["LF", "CRLF", "blank lines", "BOM", "header only", "quoted tag",
-            "CR CR LF"])
+            "CR CR LF", "NUL"])
     def test_only_quoting_reaches_csv(self, tmp_path, monkeypatch, text,
                                       plain):
         # numpy reads every file with no quoted field, NUL or lone carriage
         # return, and csv is never called for it. "CR CR LF" is a CRLF file
         # written again in text mode: csv takes its first CR as a break.
+        # csv before python 3.11 refuses a NUL, so only csv reads one.
         path = tmp_path / "records.csv"
         path.write_text(text.removeprefix("\ufeff"), newline="")
         want = read_both(path)    # the reference reads a BOM as text
@@ -917,7 +923,7 @@ class TestReadPath:
         def reader(*args, **kwargs):
             raise ReachedCsv
 
-        monkeypatch.setattr(metrics.csv, "reader", reader)
+        monkeypatch.setattr(records.csv, "reader", reader)
         if plain:
             assert read_outcome(read_records_csv, path, 0.5) == want
         else:
@@ -928,8 +934,8 @@ class TestReadPath:
 # -- the tail table and the score words of plain blocks --------------------
 
 class TestTailTable:
-    @pytest.mark.parametrize("tags", [metrics.TABLE_TAILS,
-                                      metrics.TABLE_TAILS + 1, None],
+    @pytest.mark.parametrize("tags", [records.TABLE_TAILS,
+                                      records.TABLE_TAILS + 1, None],
                              ids=["as many as it holds", "one more",
                                   "all distinct"])
     def test_many_distinct_tags_match_the_reference(self, tmp_path,
@@ -938,13 +944,13 @@ class TestTailTable:
         # or all differ. The table holds the first block's tags when they
         # fit and never more than TABLE_TAILS; past that each block groups
         # its own rows.
-        held, hold = [], metrics._TailTable._hold
+        held, hold = [], records._TailTable._hold
 
         def spy(table, *args):
             hold(table, *args)
             held.append(len(table.tallies) - 1)    # less the sentinel
 
-        monkeypatch.setattr(metrics._TailTable, "_hold", spy)
+        monkeypatch.setattr(records._TailTable, "_hold", spy)
         rows = 3 * BLOCK_BYTES // 20
         path = tmp_path / "records.csv"
         path.write_text(HEADER + "".join(
@@ -952,12 +958,12 @@ class TestTailTable:
             for i in range(rows)))
         counts = read_both(path)
         assert len(counts.groups) == (tags or rows)
-        assert max(held) == (tags if tags == metrics.TABLE_TAILS else 0)
+        assert max(held) == (tags if tags == records.TABLE_TAILS else 0)
 
     def test_short_tail_read_as_wide_as_the_widest(self, tmp_path):
         # The last row of the block is read TAIL_BYTES wide, past its end.
         path = tmp_path / "records.csv"
-        tag = "x" * (metrics.TAIL_BYTES - len("attack,"))
+        tag = "x" * (records.TAIL_BYTES - len("attack,"))
         path.write_text(HEADER + f"0.5,attack,{tag}\n0.5,living,\n")
         assert len(read_both(path)) == 2
 
@@ -968,7 +974,7 @@ class TestTailTable:
         # tails of its length in later blocks collide with it and with each
         # other; all are counted apart, and a bad label of that length is
         # still found on its line.
-        monkeypatch.setattr(metrics, "_DIGEST", np.zeros_like(metrics._DIGEST))
+        monkeypatch.setattr(records, "_DIGEST", np.zeros_like(records._DIGEST))
         held, prefix = "0.25,attack,aaaaaaaaaa\n", "0.25,attack,aaaaaaaaa\n"
         later = ("0.5,attack,bbbbbbbbbb\n0.125,attack,cccccccccc\n"
                  "0.75,attack,aaaaaaaaaa\n")
@@ -1016,3 +1022,21 @@ class TestScoreWords:
                 got = read_both(path)
                 if char != "e":
                     assert got == f"line 3: bad score {bad!r}"
+
+
+# -- the rules of a plain block, each named with the test that pins it ------
+
+def test_every_plain_block_rule_names_a_test_of_this_file():
+    # records' docstring lists the rules, one a line, each with the test
+    # here that fails when the rule is dropped from the reader.
+    rules = [line for line in records.__doc__.splitlines()
+             if line.startswith("  - ")]
+    named = [re.fullmatch(r"  - .+: (Test\w+)\.(test_\w+)", line)
+             for line in rules]
+    assert len(rules) == 7 and all(named), rules
+    tree = ast.parse(Path(__file__).read_text())
+    tests = {(node.name, item.name) for node in tree.body
+             if isinstance(node, ast.ClassDef) for item in node.body
+             if isinstance(item, ast.FunctionDef)}
+    assert not [match.group(0) for match in named
+                if match.groups() not in tests]

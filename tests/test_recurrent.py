@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthpad.features import off_sequence
 from depthpad.recurrent import (
     ConvGruCell,
     convgru_run,
@@ -11,7 +12,7 @@ from depthpad.recurrent import (
     sigmoid,
 )
 
-from test_features import reference_conv2d, tap_sum_conv2d
+from test_features import flow_weights, reference_conv2d, tap_sum_conv2d
 
 
 def zero_cell(input_channels=1, hidden_channels=1):
@@ -243,6 +244,22 @@ class TestConvGruRun:
         assert states.shape == (4, 5, 6, 2)
         for x, state in zip(xs, states):
             h, _ = convgru_step(cell, h, x)
+            assert np.array_equal(state, h)
+
+    def test_open_gates_average_the_flow_residual(self):
+        # Zero gate kernels hold r = u = 1/2, and a k_h that reads the
+        # input at its centre tap makes the candidate tanh(x), so each state
+        # is (h + tanh(x)) / 2: a running average of the motion block's flow
+        # residual, short-term motion folded into the long-term state.
+        k_h = np.zeros((3, 3, 2, 1))
+        k_h[1, 1, 1, 0] = 1.0
+        cell = ConvGruCell(np.zeros_like(k_h), np.zeros_like(k_h), k_h)
+        rng = np.random.default_rng(15)
+        frames = rng.standard_normal((5, 6, 7, 3))
+        h = rng.uniform(-1, 1, (6, 7, 1))
+        blocks = list(off_sequence(frames, flow_weights(3, (0.25, -0.5))))
+        for block, state in zip(blocks, convgru_run(cell, h, blocks)):
+            h = (h + np.tanh(block)) / 2
             assert np.array_equal(state, h)
 
 
